@@ -139,14 +139,9 @@ def _params(args) -> RetrievalParams:
 
 
 def _effective_config(args) -> dict:
-    config = {
+    return {
         "command": args.command,
-        "params": {
-            "k": getattr(args, "k", 5),
-            "h": getattr(args, "h", 10),
-            "token_limit": getattr(args, "token_limit", 4096),
-            "use_entity_weights": getattr(args, "weights", False),
-        },
+        "params": _params(args).to_document(),
         "extractor": {
             "provider": args.extractor,
             "coreference_enabled": args.coref,
@@ -172,7 +167,6 @@ def _effective_config(args) -> dict:
             API_BASE_ENV: os.environ.get(API_BASE_ENV) or "unset",
         },
     }
-    return config
 
 
 def _require(args, *names) -> None:

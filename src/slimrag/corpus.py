@@ -12,7 +12,8 @@ Input is JSONL, one object per line, in exactly one of two forms:
 * ``{"doc_id": ..., "position": ..., "text": ...}`` -- pre-chunked corpora
   (one line per chunk); positions must be contiguous from 0 per document.
 
-Mixing the two forms in one stream is an error.
+Mixing the two forms in one stream is an error. Each chunk's token count is
+derived once from its text; the corpus total (TCTC) and the index read it.
 """
 
 from __future__ import annotations
@@ -72,17 +73,21 @@ class Document:
     text: str
     sentences: tuple[str, ...]
 
-    @property
-    def sentence_count(self) -> int:
-        return len(self.sentences)
-
 
 @dataclass(frozen=True)
 class Chunk:
+    """``token_count`` is derived from ``text`` by the default tokenizer."""
+
     chunk_id: str
     doc_id: str
     position: int
     text: str
+    token_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "token_count", count_tokens(self.text, DEFAULT_TOKENIZER)
+        )
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,6 @@ class Corpus:
     total_corpus_tokens: int
     tokenizer: str = DEFAULT_TOKENIZER
     segmentation: str = "sentence"
-
-    @property
-    def chunk_ids(self) -> tuple[str, ...]:
-        return tuple(c.chunk_id for c in self.chunks)
 
 
 def make_chunk_id(doc_id: str, position: int) -> str:
@@ -138,12 +139,10 @@ def segment_document(doc: Document, policy: SegmentationPolicy) -> list[Chunk]:
     sentences = list(doc.sentences)
     if not sentences:
         return []
-    if policy.kind == "sentence":
-        groups = [[s] for s in sentences]
-    elif policy.kind == "fixed":
+    if policy.kind == "fixed":
         n = policy.size
         groups = [sentences[i:i + n] for i in range(0, len(sentences), n)]
-    else:  # passthrough: sentences are the chunks as given
+    else:  # sentence, or passthrough: each sentence is one chunk
         groups = [[s] for s in sentences]
     return [
         Chunk(make_chunk_id(doc.doc_id, pos), doc.doc_id, pos, " ".join(group))
@@ -164,11 +163,14 @@ def build_document(
     return Document(doc_id=doc_id, text=text, sentences=sentences)
 
 
-def _parse_line(raw: str, line_number: int) -> dict:
+def _decode(raw: str, line_number: int) -> object:
     try:
-        record = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_number) from None
+
+
+def _check_record(record: object, line_number: int) -> dict:
     if not isinstance(record, dict):
         raise MalformedRecordError("record is not an object", line_number)
     if not isinstance(record.get("doc_id"), str) or not record["doc_id"]:
@@ -193,7 +195,28 @@ def ingest_corpus(
     DuplicateDocumentError for a repeated doc_id. An empty stream yields an
     empty corpus.
     """
-    policy = segmentation or SegmentationPolicy()
+    lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
+    records = ((n, _decode(raw, n)) for n, raw in lines if raw)
+    return _assemble(records, tokenizer, segmentation, abbreviations)
+
+
+def corpus_from_chunks(
+    chunk_rows: Iterable[tuple[str, int, str]],
+    tokenizer: str = DEFAULT_TOKENIZER,
+) -> Corpus:
+    """Assemble a pre-chunked Corpus from (doc_id, position, text) rows,
+    checked as pre-chunked records with the row number as line number."""
+    records = ({"doc_id": d, "position": p, "text": t} for d, p, t in chunk_rows)
+    return _assemble(enumerate(records, start=1), tokenizer)
+
+
+def _assemble(
+    records: Iterable[tuple[int, object]],
+    tokenizer: str,
+    policy: SegmentationPolicy | None = None,
+    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
+) -> Corpus:
+    policy = policy or SegmentationPolicy()
     count_tokens(" ", tokenizer)  # fail fast on unregistered tokenizer
 
     form: str | None = None
@@ -201,11 +224,8 @@ def ingest_corpus(
     raw_docs: dict[str, str] = {}
     prechunked: dict[str, dict[int, str]] = {}
 
-    for line_number, raw in enumerate(source, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        record = _parse_line(raw, line_number)
+    for line_number, record in records:
+        record = _check_record(record, line_number)
         record_form = "prechunked" if "position" in record else "document"
         if form is None:
             form = record_form
@@ -258,7 +278,7 @@ def ingest_corpus(
             documents.append(doc)
             chunks.extend(segment_document(doc, policy))
 
-    total = sum(count_tokens(c.text, tokenizer) for c in chunks)
+    total = sum(c.token_count for c in chunks)
     return Corpus(
         documents=tuple(documents),
         chunks=tuple(chunks),
@@ -266,15 +286,3 @@ def ingest_corpus(
         tokenizer=tokenizer,
         segmentation=effective_policy,
     )
-
-
-def corpus_from_chunks(
-    chunk_rows: Iterable[tuple[str, int, str]],
-    tokenizer: str = DEFAULT_TOKENIZER,
-) -> Corpus:
-    """Assemble a pre-chunked Corpus from (doc_id, position, text) rows."""
-    lines = (
-        json.dumps({"doc_id": d, "position": p, "text": t}, ensure_ascii=False)
-        for d, p, t in chunk_rows
-    )
-    return ingest_corpus(lines, tokenizer=tokenizer)

@@ -96,7 +96,10 @@ class EmbeddingCache:
     """Append-only (embedder_id, text digest) -> vector cache.
 
     The on-disk form is JSONL, one record per line; reads tolerate a missing
-    file. Writes append immediately so concurrent readers see a prefix.
+    file. Writes append immediately so concurrent readers see a prefix. A
+    last line without its newline is an append that never finished: loading
+    drops it and truncates the file to the last complete record, so the next
+    append starts on a fresh line. Any other damaged line raises ValueError.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -104,12 +107,23 @@ class EmbeddingCache:
         self._entries: dict[tuple[str, str], Vector] = {}
         self._write_lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            data = self.path.read_bytes()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                with self.path.open("r+b") as handle:
+                    handle.truncate(complete)
+            lines = data[:complete].decode("utf-8").splitlines()
+            for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                key = (record["embedder"], record["digest"])
-                self._entries[key] = tuple(float(x) for x in record["vector"])
+                try:
+                    record = json.loads(line)
+                    key = (record["embedder"], record["digest"])
+                    self._entries[key] = tuple(float(x) for x in record["vector"])
+                except (ValueError, KeyError, TypeError):
+                    raise ValueError(
+                        f"embedding cache {self.path}: line {number} is damaged"
+                    ) from None
 
     @staticmethod
     def digest(text: str) -> str:
@@ -143,15 +157,7 @@ def embed(
         raise ValueError("cannot embed empty text")
     if embedder.provider == "local":
         return _local_embed(text, embedder.dimension, embedder.seed)
-    if cache is not None:
-        hit = cache.get(embedder.embedder_id, text)
-        if hit is not None:
-            return hit
-    vector = tuple(remote.embed_batch([text], model=embedder.remote_model)[0])
-    _check_finite(vector)
-    if cache is not None:
-        cache.put(embedder.embedder_id, text, vector)
-    return vector
+    return embed_many([text], embedder, cache)[0]
 
 
 def embed_many(

@@ -266,13 +266,7 @@ def run_eval(
         "extractor": extractor.fingerprint_fields(),
         "decomposition_enabled": extractor.decomposition_enabled,
         "embedder_id": embedder.embedder_id,
-        "params": {
-            "k": params.k,
-            "h": params.h,
-            "token_limit": params.token_limit,
-            "use_entity_weights": params.use_entity_weights,
-            "fallback_on_no_entities": params.fallback_on_no_entities,
-        },
+        "params": params.to_document(),
     }
     return EvalReport(
         aggregate=aggregate,

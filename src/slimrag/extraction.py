@@ -149,6 +149,40 @@ class ExtractorConfig:
             "remote_model": self.remote_model,
         }
 
+    @classmethod
+    def from_fingerprint_fields(cls, fields: object) -> "ExtractorConfig":
+        """Inverse of :meth:`fingerprint_fields`; raises ValueError for a
+        missing, extra, or mistyped field."""
+        if not isinstance(fields, dict) or set(fields) != _FINGERPRINT_KEYS:
+            raise ValueError(f"extractor fields must be {sorted(_FINGERPRINT_KEYS)}")
+        gazetteer, aliases, model = (
+            fields["gazetteer"], fields["aliases"], fields["remote_model"]
+        )
+        if not (
+            isinstance(fields["provider"], str)
+            and isinstance(fields["coreference_enabled"], bool)
+            and isinstance(gazetteer, list)
+            and all(isinstance(entry, str) for entry in gazetteer)
+            and isinstance(aliases, list)
+            and all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(surface, str) for surface in pair)
+                for pair in aliases
+            )
+            and (model is None or isinstance(model, str))
+        ):
+            raise ValueError("extractor fields have the wrong types")
+        return cls(
+            provider=fields["provider"],
+            coreference_enabled=fields["coreference_enabled"],
+            gazetteer=tuple(gazetteer),
+            aliases=tuple(tuple(pair) for pair in aliases),
+            remote_model=model,
+        )
+
+
+_FINGERPRINT_KEYS = frozenset(ExtractorConfig().fingerprint_fields())
+
 
 @dataclass(frozen=True)
 class TokenUsage:
@@ -435,11 +469,15 @@ def compute_entity_weights(
         raise ValueError("sub_queries is empty")
     if not entities:
         return {}
-    per_sub = [extract_entities(s, config) for s in sub_queries]
-    return {
-        e: sum(1 for found in per_sub if e in found) / len(sub_queries)
-        for e in sorted(entities)
-    }
+    return _frequency_weights(
+        entities, [extract_entities(s, config) for s in sub_queries]
+    )
+
+
+def _frequency_weights(entities, per_sub: list[set[str]]) -> dict[str, float]:
+    """weight(e) = |{s : e extracted from s}| / |sub-queries|."""
+    n = len(per_sub)
+    return {e: sum(e in found for found in per_sub) / n for e in sorted(entities)}
 
 
 def plan_query(
@@ -457,14 +495,10 @@ def plan_query(
         per_sub.append(found)
         extract_usage = extract_usage + sub_usage
     entities = frozenset().union(*per_sub) if per_sub else frozenset()
-    weights = {
-        e: sum(1 for found in per_sub if e in found) / len(sub_queries)
-        for e in sorted(entities)
-    }
     plan = QueryPlan(
         query=q,
         sub_queries=tuple(sub_queries),
         query_entities=frozenset(entities),
-        entity_weights=weights,
+        entity_weights=_frequency_weights(entities, per_sub),
     )
     return plan, decomp_usage, extract_usage

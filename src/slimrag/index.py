@@ -7,9 +7,15 @@ processing order. Token accounting records all provider-bound traffic
 (extraction in/out and embedding inputs) measured by the accounting
 tokenizer; retrieval-time traffic never lands here.
 
+Chunk records and TCTC reuse each chunk's own token count. One fingerprint
+check, :func:`check_compatible`, guards both ``add_chunks`` and retrieval.
+
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
-indexes serialize to identical bytes.
+indexes serialize to identical bytes. Loading verifies the digest and then
+the structure: every key present with its JSON type, a registered tokenizer,
+inverted-map chunk ids that exist in the chunk catalog, and exactly one
+vector per entity. Any failure raises IndexIntegrityError.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ from .corpus import Chunk, Corpus
 from .embedding import EmbedderConfig, EmbeddingCache, EntityVectorStore, embed_many
 from .errors import (
     ConfigMismatchError,
+    DimensionMismatchError,
     DuplicateChunkError,
     IndexIntegrityError,
     ProviderError,
     SchemaVersionError,
 )
 from .extraction import ExtractorConfig, extract_entities_with_usage
-from .tokenization import count_tokens
+from .tokenization import count_tokens, registered_tokenizers
 
 SCHEMA_VERSION = "slimrag-index/v1"
 
@@ -112,6 +119,27 @@ class IndexConfig:
             "tokenizer": self.tokenizer,
         }
 
+    @classmethod
+    def from_document(cls, document: object) -> "IndexConfig":
+        """Inverse of :meth:`to_document`; IndexIntegrityError for a missing,
+        extra, or mistyped field or an unregistered tokenizer."""
+        _fields(document, _CONFIG_TYPES, "config")
+        _require(document["schema_version"] == SCHEMA_VERSION, "config schema differs")
+        _require(
+            document["tokenizer"] in registered_tokenizers(),
+            f"tokenizer {document['tokenizer']!r} is not registered",
+        )
+        try:
+            extractor = ExtractorConfig.from_fingerprint_fields(document["extractor"])
+        except ValueError as exc:
+            raise IndexIntegrityError(f"index file is damaged: {exc}") from None
+        return cls(
+            segmentation=document["segmentation"],
+            extractor=extractor,
+            embedder_id=document["embedder_id"],
+            tokenizer=document["tokenizer"],
+        )
+
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(
@@ -158,7 +186,7 @@ def _ingest_chunks(
             doc_id=chunk.doc_id,
             position=chunk.position,
             text=chunk.text,
-            token_count=count_tokens(chunk.text, tokenizer),
+            token_count=chunk.token_count,
         )
         for entity in entities:
             if entity not in index.inverted_map:
@@ -230,16 +258,7 @@ def add_chunks(
 ) -> EntityIndex:
     """Extend an index with new chunks; equivalent to rebuilding over the
     concatenated corpus. The input index is not modified."""
-    expected = IndexConfig(
-        segmentation=index.config.segmentation,
-        extractor=extractor,
-        embedder_id=embedder.embedder_id,
-        tokenizer=index.config.tokenizer,
-    )
-    if expected.fingerprint != index.config_fingerprint:
-        raise ConfigMismatchError(
-            "extractor/embedder/tokenizer do not match the index fingerprint"
-        )
+    check_compatible(index, extractor, embedder)
     seen = set(index.chunk_catalog)
     for chunk in new_chunks:
         if chunk.chunk_id in seen:
@@ -259,12 +278,27 @@ def add_chunks(
             tctc=index.accounting.tctc, breakdown=dict(index.accounting.breakdown)
         ),
     )
-    tokenizer = index.config.tokenizer
-    updated.accounting.tctc += sum(
-        count_tokens(c.text, tokenizer) for c in new_chunks
+    updated.accounting.tctc += sum(c.token_count for c in new_chunks)
+    _ingest_chunks(
+        updated, list(new_chunks), extractor, embedder, index.config.tokenizer, cache
     )
-    _ingest_chunks(updated, list(new_chunks), extractor, embedder, tokenizer, cache)
     return updated
+
+
+def check_compatible(
+    index: EntityIndex, extractor: ExtractorConfig, embedder: EmbedderConfig
+) -> None:
+    """Raise ConfigMismatchError unless these providers built the index."""
+    expected = IndexConfig(
+        segmentation=index.config.segmentation,
+        extractor=extractor,
+        embedder_id=embedder.embedder_id,
+        tokenizer=index.config.tokenizer,
+    )
+    if expected.fingerprint != index.config_fingerprint:
+        raise ConfigMismatchError(
+            "extractor/embedder do not match the index fingerprint"
+        )
 
 
 def lookup(index: EntityIndex, entity: str) -> set[str]:
@@ -300,6 +334,41 @@ def _to_document(index: EntityIndex) -> dict:
         },
         "accounting": index.accounting.to_document(),
     }
+
+
+# The JSON type of every key of the index document and its nested objects.
+_DOCUMENT_TYPES = {
+    "schema": str, "config": dict, "config_fingerprint": str, "entities": list,
+    "inverted_map": dict, "vectors": dict, "chunk_catalog": dict, "accounting": dict,
+}
+_CONFIG_TYPES = {
+    "schema_version": str, "segmentation": str, "extractor": dict,
+    "embedder_id": str, "tokenizer": str,
+}
+_VECTORS_TYPES = {"dimension": int, "embedder_id": str, "entries": dict}
+_CHUNK_TYPES = {"doc_id": str, "position": int, "text": str, "token_count": int}
+_ACCOUNTING_TYPES = {"tctc": int, "tuic": int, "breakdown": dict}
+
+
+def _is(value: object, kind: type) -> bool:
+    """JSON type test; a bool does not pass as a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _require(condition: bool, problem: str) -> None:
+    if not condition:
+        raise IndexIntegrityError(f"index file is damaged: {problem}")
+
+
+def _fields(value: object, types: dict[str, type], what: str) -> dict:
+    """``value`` if it is an object with exactly these keys and JSON types."""
+    _require(
+        _is(value, dict)
+        and value.keys() == types.keys()
+        and all(_is(value[key], kind) for key, kind in types.items()),
+        f"{what} must have exactly the keys {sorted(types)} with their types",
+    )
+    return value
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
@@ -342,50 +411,57 @@ def load_index(path: str | Path) -> EntityIndex:
     if stored_digest != digest:
         raise IndexIntegrityError("content digest mismatch; file is corrupt")
 
-    config_doc = document["config"]
-    extractor = ExtractorConfig(
-        provider=config_doc["extractor"]["provider"],
-        coreference_enabled=config_doc["extractor"]["coreference_enabled"],
-        gazetteer=tuple(config_doc["extractor"]["gazetteer"]),
-        aliases=tuple(tuple(pair) for pair in config_doc["extractor"]["aliases"]),
-        remote_model=config_doc["extractor"]["remote_model"],
-    )
-    config = IndexConfig(
-        segmentation=config_doc["segmentation"],
-        extractor=extractor,
-        embedder_id=config_doc["embedder_id"],
-        tokenizer=config_doc["tokenizer"],
-    )
+    _fields(body, _DOCUMENT_TYPES, "the document")
+    config = IndexConfig.from_document(document["config"])
     if document["config_fingerprint"] != config.fingerprint:
         raise IndexIntegrityError("config fingerprint does not match config")
 
+    vectors_doc = _fields(document["vectors"], _VECTORS_TYPES, "vectors")
     vectors = EntityVectorStore(
-        dimension=document["vectors"]["dimension"],
-        embedder_id=document["vectors"]["embedder_id"],
+        dimension=vectors_doc["dimension"], embedder_id=vectors_doc["embedder_id"]
     )
-    for entity, values in document["vectors"]["entries"].items():
-        vectors.add(entity, tuple(float(x) for x in values))
-
-    inverted_map = {
-        entity: set(ids) for entity, ids in document["inverted_map"].items()
-    }
-    if sorted(inverted_map) != document["entities"]:
-        raise IndexIntegrityError("entity list does not match inverted map keys")
+    for entity, values in vectors_doc["entries"].items():
+        _require(
+            _is(values, list) and set(map(type, values)) <= {float, int},
+            f"vector of {entity!r} is not a list of numbers",
+        )
+        try:
+            vectors.add(entity, tuple(map(float, values)))
+        except (DimensionMismatchError, ValueError) as exc:
+            raise IndexIntegrityError(f"index file is damaged: {exc}") from None
 
     chunk_catalog = {
-        chunk_id: ChunkRecord(
-            doc_id=fields["doc_id"],
-            position=fields["position"],
-            text=fields["text"],
-            token_count=fields["token_count"],
-        )
+        chunk_id: ChunkRecord(**_fields(fields, _CHUNK_TYPES, f"chunk {chunk_id!r}"))
         for chunk_id, fields in document["chunk_catalog"].items()
     }
-    accounting = TokenAccounting(
-        tctc=document["accounting"]["tctc"],
-        breakdown=dict(document["accounting"]["breakdown"]),
+    inverted_map = {}
+    for entity, ids in document["inverted_map"].items():
+        _require(
+            _is(ids, list) and all(_is(i, str) for i in ids),
+            f"chunk ids of {entity!r} are not a list of strings",
+        )
+        inverted_map[entity] = set(ids)
+        _require(
+            inverted_map[entity] <= chunk_catalog.keys(),
+            f"entity {entity!r} points at a chunk not in the catalog",
+        )
+    if sorted(inverted_map) != document["entities"]:
+        raise IndexIntegrityError("entity list does not match inverted map keys")
+    _require(
+        inverted_map.keys() == vectors.entries.keys(),
+        "entities and entity vectors differ",
     )
-    if document["accounting"]["tuic"] != accounting.tuic:
+
+    accounting_doc = _fields(document["accounting"], _ACCOUNTING_TYPES, "accounting")
+    _require(
+        all(_is(n, int) for n in accounting_doc["breakdown"].values())
+        and set(_INDEXING_LABELS) <= accounting_doc["breakdown"].keys(),
+        "accounting breakdown must map every indexing label to an integer",
+    )
+    accounting = TokenAccounting(
+        tctc=accounting_doc["tctc"], breakdown=dict(accounting_doc["breakdown"])
+    )
+    if accounting_doc["tuic"] != accounting.tuic:
         raise IndexIntegrityError("stored TUIC does not match breakdown")
     return EntityIndex(
         config=config,

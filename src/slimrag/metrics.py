@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .index import TokenAccounting
-from .tokenization import count_tokens  # noqa: F401  (re-exported counting op)
 
 
 @dataclass(frozen=True)

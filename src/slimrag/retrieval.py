@@ -26,7 +26,6 @@ from .embedding import (
     embed,
     top_k_entities,
 )
-from .errors import ConfigMismatchError
 from .extraction import ExtractorConfig, plan_query
 from .index import (
     DECOMPOSITION_IN,
@@ -35,7 +34,7 @@ from .index import (
     EXTRACTION_IN,
     EXTRACTION_OUT,
     EntityIndex,
-    IndexConfig,
+    check_compatible,
     lookup,
 )
 from .tokenization import count_tokens
@@ -56,6 +55,17 @@ class RetrievalParams:
     def __post_init__(self) -> None:
         if self.k < 1 or self.h < 1 or self.token_limit < 1:
             raise ValueError("k, h, and token_limit must all be >= 1")
+
+    def to_document(self) -> dict:
+        """The params document shared by the trace, the eval report config,
+        and the CLI's ``--show-config``."""
+        return {
+            "k": self.k,
+            "h": self.h,
+            "token_limit": self.token_limit,
+            "use_entity_weights": self.use_entity_weights,
+            "fallback_on_no_entities": self.fallback_on_no_entities,
+        }
 
 
 @dataclass(frozen=True)
@@ -234,21 +244,6 @@ def assemble_context(
     return Context(chunks=chunks, total_tokens=total_tokens, text=text, trace=trace)
 
 
-def _check_compatible(
-    index: EntityIndex, extractor: ExtractorConfig, embedder: EmbedderConfig
-) -> None:
-    expected = IndexConfig(
-        segmentation=index.config.segmentation,
-        extractor=extractor,
-        embedder_id=embedder.embedder_id,
-        tokenizer=index.config.tokenizer,
-    )
-    if expected.fingerprint != index.config_fingerprint:
-        raise ConfigMismatchError(
-            "retrieval providers do not match the index fingerprint"
-        )
-
-
 def retrieve(
     index: EntityIndex,
     q: str,
@@ -263,19 +258,10 @@ def retrieve(
     params = params or RetrievalParams()
     extractor = extractor or index.config.extractor
     embedder = embedder or EmbedderConfig()
-    _check_compatible(index, extractor, embedder)
+    check_compatible(index, extractor, embedder)
     tokenizer = index.config.tokenizer
 
-    trace = Trace(
-        query=q,
-        params={
-            "k": params.k,
-            "h": params.h,
-            "token_limit": params.token_limit,
-            "use_entity_weights": params.use_entity_weights,
-            "fallback_on_no_entities": params.fallback_on_no_entities,
-        },
-    )
+    trace = Trace(query=q, params=params.to_document())
     plan, decomp_usage, extract_usage = plan_query(q, extractor)
     trace.sub_queries = list(plan.sub_queries)
     trace.query_entities = sorted(plan.query_entities)

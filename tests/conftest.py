@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -80,6 +81,25 @@ def corpus_lines_from_texts(texts: dict[str, str]) -> list[str]:
         json.dumps({"doc_id": doc_id, "text": text})
         for doc_id, text in texts.items()
     ]
+
+
+def rewrite_index(path: Path, mutate) -> None:
+    """Apply ``mutate`` to a saved index document, then recompute its config
+    fingerprint and content digest the way save_index would, so only the
+    structural checks can catch the damage."""
+
+    def sha(document) -> str:
+        text = json.dumps(
+            document, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    document = json.loads(path.read_text(encoding="utf-8"))
+    del document["content_digest"]
+    mutate(document)
+    document["config_fingerprint"] = sha(document.get("config"))
+    document["content_digest"] = sha(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, rewrite_index
 from slimrag.cli import main
+from slimrag.retrieval import RetrievalParams
 
 
 @pytest.fixture
@@ -43,6 +44,7 @@ class TestShowConfig:
         assert main(["retrieve", "--k", "7", "--show-config"]) == 0
         config = json.loads(capsys.readouterr().out)
         assert config["params"]["k"] == 7
+        assert config["params"] == RetrievalParams(k=7).to_document()
 
     def test_secrets_masked(self, capsys, monkeypatch):
         monkeypatch.setenv("SLIMRAG_API_KEY", "super-secret")
@@ -66,6 +68,13 @@ class TestExitCodes:
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code = main(["index", "stats", "--index", str(tmp_path / "absent.json")])
         assert code == 2
+
+    def test_damaged_index_is_runtime_error(self, built_index, capsys):
+        rewrite_index(built_index, lambda d: d["config"].pop("extractor"))
+        assert main(["index", "stats", "--index", str(built_index)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index file is damaged")
+        assert "Traceback" not in err
 
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0

@@ -8,6 +8,7 @@ from slimrag.corpus import (
     Chunk,
     SegmentationPolicy,
     build_document,
+    corpus_from_chunks,
     ingest_corpus,
     segment_document,
     split_sentences,
@@ -118,6 +119,17 @@ class TestIngest:
         assert corpus.total_corpus_tokens == sum(
             count_tokens(c.text) for c in corpus.chunks
         )
+        for c in corpus.chunks:
+            assert c.token_count == count_tokens(c.text)
+
+    def test_corpus_from_chunks_matches_prechunked_ingest(self):
+        rows = [("d1", 1, "Beta here."), ("d1", 0, "Alpha there."), ("d2", 0, "Gamma.")]
+        lines = [
+            json.dumps({"doc_id": d, "position": p, "text": t}) for d, p, t in rows
+        ]
+        assert corpus_from_chunks(rows) == ingest_corpus(lines)
+        with pytest.raises(MalformedRecordError, match="line 2: pre-chunked text"):
+            corpus_from_chunks([("d1", 0, "Alpha."), ("d1", 1, "  ")])
 
     def test_prechunked_records(self):
         lines = [

@@ -208,3 +208,26 @@ class TestStoreAndCache:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert EmbeddingCache(path).get("e", "a") == (1.0,)
+
+    def test_cache_survives_torn_last_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("e", "a", (1.0,))
+        cache.put("e", "b", (2.0,))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"embedder": "e", "digest": "ab')  # append cut short
+        reopened = EmbeddingCache(path)
+        assert len(reopened) == 2
+        assert reopened.get("e", "b") == (2.0,)
+        reopened.put("e", "c", (3.0,))
+        again = EmbeddingCache(path)
+        assert len(again) == 3
+        assert again.get("e", "c") == (3.0,)
+
+    def test_cache_damaged_inner_line_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("e", "a", (1.0,))
+        path.write_text("not json\n" + path.read_text(), encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1"):
+            EmbeddingCache(path)

@@ -164,8 +164,8 @@ class TestRunEval:
 
     def test_params_flow_through(self, tmp_path):
         examples = load_hotpotqa(_write_dataset(tmp_path, [_entry()]))
-        report = run_eval(
-            examples, LOCAL, EMB, params=RetrievalParams(k=1, h=1, token_limit=64)
-        )
+        params = RetrievalParams(k=1, h=1, token_limit=64)
+        report = run_eval(examples, LOCAL, EMB, params=params)
         assert report.config["params"]["k"] == 1
         assert report.config["params"]["h"] == 1
+        assert report.config["params"] == params.to_document()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_corpus
+from conftest import random_corpus, rewrite_index
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import (
@@ -25,6 +25,7 @@ from slimrag.index import (
     lookup,
     save_index,
 )
+from slimrag.retrieval import retrieve
 from slimrag.tokenization import count_tokens
 
 LOCAL = ExtractorConfig()
@@ -180,6 +181,10 @@ class TestAddChunks:
         other_embedder = EmbedderConfig(dimension=16)
         with pytest.raises(ConfigMismatchError):
             add_chunks(index, [Chunk("x#0", "x", 0, "New text.")], LOCAL, other_embedder)
+        # retrieve goes through the same fingerprint check.
+        for extractor, embedder in ((other_extractor, EMB), (LOCAL, other_embedder)):
+            with pytest.raises(ConfigMismatchError):
+                retrieve(index, "Who toured Paris?", extractor=extractor, embedder=embedder)
 
     def test_decomposition_toggle_does_not_mismatch(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
@@ -193,6 +198,9 @@ class TestAddChunks:
             index, [Chunk("x#0", "x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
         )
         assert grown.accounting.tctc > index.accounting.tctc
+        assert grown.accounting.tctc == index.accounting.tctc + count_tokens(
+            "A visit to Ember Corp happened."
+        )
         assert grown.accounting.tuic > index.accounting.tuic
 
     def test_input_index_not_mutated(self):
@@ -244,6 +252,39 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(IndexIntegrityError):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["config"].pop("extractor"),
+            lambda d: d.pop("accounting"),
+            lambda d: d["config"]["extractor"].update(coreference_enabled="yes"),
+            lambda d: d["chunk_catalog"]["d1#0"].update(position="0"),
+            lambda d: d["vectors"].update(dimension="32"),
+            lambda d: d["inverted_map"]["paris"].append("d9#0"),
+            lambda d: d["vectors"]["entries"].pop("paris"),
+            lambda d: d["config"].update(tokenizer="foo/v9"),
+        ],
+        ids=[
+            "missing-extractor", "missing-accounting", "mistyped-extractor-field",
+            "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
+            "entity-without-vector", "unregistered-tokenizer",
+        ],
+    )
+    def test_structural_damage_is_corruption(self, tmp_path, mutate):
+        index = build_index(_small_corpus(), LOCAL, EMB)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        rewrite_index(path, mutate)
+        with pytest.raises(IndexIntegrityError):
+            load_index(path)
+
+    def test_rewritten_but_undamaged_file_loads(self, tmp_path):
+        index = build_index(_small_corpus(), LOCAL, EMB)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        rewrite_index(path, lambda d: None)
+        assert load_index(path) == index
 
     def test_no_temp_files_left_behind(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slimrag.index import TokenAccounting
-from slimrag.metrics import compute_ritu, count_tokens, score_retrieval
+from slimrag.metrics import compute_ritu, score_retrieval
+from slimrag.tokenization import count_tokens
 
 
 class TestScoreRetrieval:
