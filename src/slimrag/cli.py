@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .corpus import SegmentationPolicy, ingest_corpus
-from .embedding import EmbedderConfig, EmbeddingCache
+from .embedding import DEFAULT_DIMENSION, EmbedderConfig, EmbeddingCache
 from .errors import SlimRagError
 from .evalharness import load_hotpotqa_detailed, run_eval
 from .extraction import ExtractorConfig, load_aliases, load_gazetteer
@@ -24,6 +24,9 @@ from .index import add_chunks, build_index, canonical_json, load_index, save_ind
 from .metrics import compute_ritu
 from .remote import API_BASE_ENV, API_KEY_ENV
 from .retrieval import RetrievalParams, retrieve
+
+
+_DEFAULTS = RetrievalParams()
 
 
 class _UsageError(Exception):
@@ -57,12 +60,17 @@ def build_parser() -> _Parser:
         p.add_argument("--model", default=None, help="remote chat model name")
         p.add_argument("--embed-model", default=None, help="remote embedding model")
         p.add_argument("--dimension", type=int, default=None,
-                       help="local embedder dimension (default 256)")
+                       help=f"local embedder dimension (default {DEFAULT_DIMENSION})")
         p.add_argument("--coref", type=_on_off, default=True, metavar="on|off")
         p.add_argument("--decomp", type=_on_off, default=True, metavar="on|off")
         p.add_argument("--gazetteer", default=None, help="entity-per-line file")
         p.add_argument("--aliases", default=None, help="alias<TAB>canonical file")
         p.add_argument("--cache", default=None, help="embedding cache file")
+
+    def retrieval_knobs(p):
+        p.add_argument("--k", type=int, default=_DEFAULTS.k)
+        p.add_argument("--h", type=int, default=_DEFAULTS.h)
+        p.add_argument("--token-limit", type=int, default=_DEFAULTS.token_limit)
 
     index_parser = subs.add_parser("index", help="build, extend, or inspect an index")
     index_subs = index_parser.add_subparsers(dest="index_command")
@@ -86,10 +94,9 @@ def build_parser() -> _Parser:
     p_retrieve = subs.add_parser("retrieve", help="run a query against an index")
     p_retrieve.add_argument("--index", default=None)
     p_retrieve.add_argument("--query", default=None)
-    p_retrieve.add_argument("--k", type=int, default=5)
-    p_retrieve.add_argument("--h", type=int, default=10)
-    p_retrieve.add_argument("--token-limit", type=int, default=4096)
-    p_retrieve.add_argument("--weights", type=_on_off, default=False, metavar="on|off")
+    retrieval_knobs(p_retrieve)
+    p_retrieve.add_argument("--weights", type=_on_off,
+                            default=_DEFAULTS.use_entity_weights, metavar="on|off")
     p_retrieve.add_argument("--trace", default=None, help="write the trace JSON here")
     common(p_retrieve)
 
@@ -99,9 +106,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--csv", default=None, help="optional per-example CSV path")
     p_eval.add_argument("--scope", choices=("per-example", "pooled"),
                         default="per-example")
-    p_eval.add_argument("--k", type=int, default=5)
-    p_eval.add_argument("--h", type=int, default=10)
-    p_eval.add_argument("--token-limit", type=int, default=4096)
+    retrieval_knobs(p_eval)
     common(p_eval)
 
     return parser
@@ -131,10 +136,10 @@ def _embedder_config(args) -> EmbedderConfig:
 
 def _params(args) -> RetrievalParams:
     return RetrievalParams(
-        k=getattr(args, "k", 5),
-        h=getattr(args, "h", 10),
-        token_limit=getattr(args, "token_limit", 4096),
-        use_entity_weights=getattr(args, "weights", False),
+        k=getattr(args, "k", _DEFAULTS.k),
+        h=getattr(args, "h", _DEFAULTS.h),
+        token_limit=getattr(args, "token_limit", _DEFAULTS.token_limit),
+        use_entity_weights=getattr(args, "weights", _DEFAULTS.use_entity_weights),
     )
 
 
@@ -152,7 +157,9 @@ def _effective_config(args) -> dict:
         },
         "embedder": {
             "provider": args.embedder,
-            "dimension": args.dimension if args.dimension is not None else 256,
+            "dimension": (
+                args.dimension if args.dimension is not None else DEFAULT_DIMENSION
+            ),
             "model": args.embed_model,
         },
         "paths": {

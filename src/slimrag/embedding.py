@@ -168,6 +168,8 @@ def embed_many(
     """Embed texts in order, batching remote calls and using the cache."""
     if embedder.provider == "local":
         return [embed(t, embedder) for t in texts]
+    if not all(t.strip() for t in texts):
+        raise ValueError("cannot embed empty text")
     out: dict[int, Vector] = {}
     missing: list[tuple[int, str]] = []
     for i, text in enumerate(texts):

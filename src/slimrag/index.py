@@ -372,7 +372,7 @@ def _fields(value: object, types: dict[str, type], what: str) -> dict:
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
-    """Write the canonical index file atomically (temp file + rename)."""
+    """Write the canonical index file atomically: temp file, fsync, rename."""
     path = Path(path)
     document = _to_document(index)
     digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
@@ -384,6 +384,8 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -6,12 +6,20 @@ indexed entity vectors (union = hit entity set), inverted-map lookup (union
 = candidate chunks), dual-factor scoring ``score = phi_q * count`` where
 ``phi_q`` is the query-chunk cosine and ``count`` the number of distinct hit
 entities in the chunk, top-H selection, greedy token-budget trimming, and
-re-ordering by original document position.
+re-ordering by original document position. The weighted variant replaces
+``count`` by the sum of the hit entities' weights, in sorted entity order.
+
+Queries that yield no usable entities fall back, unless the fallback is
+disabled, to every chunk as a candidate with no hit entities, scored by
+``phi_q`` alone (trace-labeled). Both paths share one scoring loop and one
+ranking. Query entities and candidate chunks are each embedded with one
+``embed_many`` call, so a remote embedder with batch size ``b`` makes at
+most ``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
+entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
+``N`` chunks), retries aside.
 
 Every intermediate set lands in the trace, which is canonically
-serializable, so a run can be replayed and audited bit for bit. Queries that
-yield no usable entities fall back to pure-similarity ranking over all
-chunks (trace-labeled) unless the fallback is disabled.
+serializable, so a run can be replayed and audited bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .embedding import (
     Vector,
     cosine_similarity,
     embed,
+    embed_many,
     top_k_entities,
 )
 from .extraction import ExtractorConfig, plan_query
@@ -166,8 +175,8 @@ def match_query_entities(
     hits: dict[str, float] = {}
     per_source: dict[str, list[tuple[str, float]]] = {}
     spent = 0
-    for query_entity in sorted(query_entities):
-        vector = embed(query_entity, embedder, cache)
+    ordered = sorted(query_entities)
+    for query_entity, vector in zip(ordered, embed_many(ordered, embedder, cache)):
         spent += count_tokens(query_entity, index.config.tokenizer)
         matches = top_k_entities(vector, index.vectors, k)
         per_source[query_entity] = matches
@@ -190,24 +199,24 @@ def collect_hit_chunks(
 
 
 def score_chunk(
-    chunk_text: str,
+    chunk_vec: Vector,
     q_vec: Vector,
-    hit_count: int,
-    params: RetrievalParams,
-    embedder: EmbedderConfig,
-    cache: EmbeddingCache | None = None,
-    weight_sum: float | None = None,
+    hit_entities: frozenset[str],
+    weights: dict[str, float] | None = None,
 ) -> tuple[float, float]:
-    """(phi_q, score) for one chunk; the weighted variant multiplies phi_q
-    by the supplied weight sum instead of the raw hit count."""
-    phi_q = cosine_similarity(embed(chunk_text, embedder, cache), q_vec)
-    if params.use_entity_weights and weight_sum is not None:
-        return phi_q, phi_q * weight_sum
-    return phi_q, phi_q * hit_count
+    """(phi_q, score) for one chunk.
 
-
-def _rank(scored: list[ScoredChunk]) -> list[ScoredChunk]:
-    return sorted(scored, key=lambda s: (-s.score, s.chunk_id))
+    With no hit entities (the fallback) the score is phi_q; without weights
+    it is phi_q times the hit count; with weights it is phi_q times the sum
+    of the hits' weights, added in sorted entity order so the float result
+    does not depend on set iteration order.
+    """
+    phi_q = cosine_similarity(chunk_vec, q_vec)
+    if not hit_entities:
+        return phi_q, phi_q
+    if weights is None:
+        return phi_q, phi_q * len(hit_entities)
+    return phi_q, phi_q * sum(weights[entity] for entity in sorted(hit_entities))
 
 
 def assemble_context(
@@ -216,8 +225,9 @@ def assemble_context(
     params: RetrievalParams,
     trace: Trace,
 ) -> Context:
-    """Top-H selection, greedy budget trim, position re-order, merge."""
-    ranked = _rank(scored)
+    """Rank, top-H selection, greedy budget trim, position re-order, merge."""
+    ranked = sorted(scored, key=lambda s: (-s.score, s.chunk_id))
+    trace.scored = ranked
     selected = ranked[:params.h]
     trace.selected = [s.chunk_id for s in selected]
 
@@ -239,9 +249,10 @@ def assemble_context(
     )
     chunks = [(s.chunk_id, index.chunk_catalog[s.chunk_id].text) for s in ordered]
     text = CHUNK_SEPARATOR.join(chunk_text for _, chunk_text in chunks)
-    total_tokens = count_tokens(text, index.config.tokenizer) if chunks else 0
     trace.final_order = [chunk_id for chunk_id, _ in chunks]
-    return Context(chunks=chunks, total_tokens=total_tokens, text=text, trace=trace)
+    # Token counts are additive over the separator join, so the kept total
+    # is the count of the merged text.
+    return Context(chunks=chunks, total_tokens=total, text=text, trace=trace)
 
 
 def retrieve(
@@ -259,7 +270,6 @@ def retrieve(
     extractor = extractor or index.config.extractor
     embedder = embedder or EmbedderConfig()
     check_compatible(index, extractor, embedder)
-    tokenizer = index.config.tokenizer
 
     trace = Trace(query=q, params=params.to_document())
     plan, decomp_usage, extract_usage = plan_query(q, extractor)
@@ -280,62 +290,41 @@ def retrieve(
         return Context(chunks=[], total_tokens=0, text="", trace=trace)
 
     q_vec = embed(q, embedder, cache)
-    usage[EMBEDDING_IN] += count_tokens(q, tokenizer)
+    usage[EMBEDDING_IN] += count_tokens(q, index.config.tokenizer)
 
-    no_candidates = not plan.query_entities or not index.vectors.entries
-    if no_candidates:
+    weights: dict[str, float] | None = None
+    if not plan.query_entities or not index.vectors.entries:
         trace.no_query_entities = not plan.query_entities
         if not params.fallback_on_no_entities:
             return Context(chunks=[], total_tokens=0, text="", trace=trace)
         trace.fallback_used = True
-        scored = []
-        for chunk_id in sorted(index.chunk_catalog):
-            record = index.chunk_catalog[chunk_id]
-            phi_q = cosine_similarity(embed(record.text, embedder, cache), q_vec)
-            usage[EMBEDDING_IN] += record.token_count
-            scored.append(
-                ScoredChunk(
-                    chunk_id=chunk_id,
-                    phi_q=phi_q,
-                    hit_count=0,
-                    score=phi_q,
-                    hit_entities=frozenset(),
-                )
-            )
-        trace.scored = _rank(scored)
-        trace.candidate_count = len(scored)
-        return assemble_context(scored, index, params, trace)
+        candidates = dict.fromkeys(index.chunk_catalog, frozenset())
+    else:
+        hits, per_source, spent = match_query_entities(
+            plan.query_entities, index, params.k, embedder, cache
+        )
+        usage[EMBEDDING_IN] += spent
+        trace.entity_matches = per_source
+        trace.hit_entities = dict(sorted(hits.items()))
+        if params.use_entity_weights:
+            # A hit entity's weight is the largest weight among the query
+            # entities whose top-K retrieved it.
+            trace.scoring_variant = "weighted"
+            weights = {}
+            for query_entity, matches in per_source.items():
+                weight = plan.entity_weights.get(query_entity, 0.0)
+                for entity, _ in matches:
+                    weights[entity] = max(weights.get(entity, 0.0), weight)
+        candidates = collect_hit_chunks(hits, index)
 
-    hits, per_source, spent = match_query_entities(
-        plan.query_entities, index, params.k, embedder, cache
-    )
-    usage[EMBEDDING_IN] += spent
-    trace.entity_matches = per_source
-    trace.hit_entities = dict(sorted(hits.items()))
-
-    weights: dict[str, float] = {}
-    if params.use_entity_weights:
-        trace.scoring_variant = "weighted"
-        for query_entity, matches in per_source.items():
-            for entity, _ in matches:
-                candidate = plan.entity_weights.get(query_entity, 0.0)
-                if candidate > weights.get(entity, 0.0):
-                    weights[entity] = candidate
-
-    candidates = collect_hit_chunks(hits, index)
     trace.candidate_count = len(candidates)
+    chunk_ids = sorted(candidates)
+    records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
+    vectors = embed_many([record.text for record in records], embedder, cache)
     scored = []
-    for chunk_id in sorted(candidates):
-        record = index.chunk_catalog[chunk_id]
+    for chunk_id, record, chunk_vec in zip(chunk_ids, records, vectors):
         hit_set = candidates[chunk_id]
-        weight_sum = (
-            sum(weights.get(entity, 0.0) for entity in hit_set)
-            if params.use_entity_weights
-            else None
-        )
-        phi_q, score = score_chunk(
-            record.text, q_vec, len(hit_set), params, embedder, cache, weight_sum
-        )
+        phi_q, score = score_chunk(chunk_vec, q_vec, hit_set, weights)
         usage[EMBEDDING_IN] += record.token_count
         scored.append(
             ScoredChunk(
@@ -346,5 +335,4 @@ def retrieve(
                 hit_entities=hit_set,
             )
         )
-    trace.scored = _rank(scored)
     return assemble_context(scored, index, params, trace)

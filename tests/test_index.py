@@ -1,6 +1,7 @@
 """Index construction, incremental updates, persistence, accounting."""
 
 import json
+import os
 import random
 
 import pytest
@@ -285,6 +286,26 @@ class TestPersistence:
         save_index(index, path)
         rewrite_index(path, lambda d: None)
         assert load_index(path) == index
+
+    def test_temp_file_synced_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "index.json"
+        save_index(build_index(_small_corpus(), LOCAL, EMB), path)
+        size = path.stat().st_size
+        # The whole payload is on disk before the rename publishes it.
+        assert calls == [("fsync", size), ("replace", size)]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)

@@ -1,6 +1,7 @@
 """Wire-protocol tests against an in-process OpenAI-compatible fake."""
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -27,7 +28,14 @@ class _FakeHandler(BaseHTTPRequestHandler):
             "authorization": self.headers.get("Authorization"),
         }
         self.server.requests.append(record)
-        status, body = self.server.script.pop(0)
+        if not self.server.script and self.server.auto_embed:
+            # Unscripted embeddings request: answer every input with its
+            # local hash embedding.
+            local = EmbedderConfig(dimension=16)
+            vectors = [list(embed(text, local)) for text in payload["input"]]
+            status, body = 200, {"data": [{"embedding": v} for v in vectors]}
+        else:
+            status, body = self.server.script.pop(0)
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -41,6 +49,7 @@ class _FakeServer:
         self.httpd = HTTPServer(("127.0.0.1", 0), _FakeHandler)
         self.httpd.requests = []
         self.httpd.script = []
+        self.httpd.auto_embed = False
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -52,6 +61,10 @@ class _FakeServer:
     @property
     def requests(self):
         return self.httpd.requests
+
+    def auto_embed(self):
+        """Answer embeddings requests that have no scripted reply."""
+        self.httpd.auto_embed = True
 
     def enqueue(self, status, body):
         self.httpd.script.append((status, body))
@@ -153,6 +166,12 @@ class TestEmbeddingsProtocol:
         assert out_again == out
         assert len(server.requests) == 2
 
+    def test_embed_many_rejects_empty_text_before_any_request(self, server):
+        config = EmbedderConfig(provider="remote")
+        with pytest.raises(ValueError, match="empty text"):
+            embed_many(["a", "  "], config)
+        assert server.requests == []
+
 
 class TestRemoteExtraction:
     def test_entities_parsed_and_normalized(self, server):
@@ -229,6 +248,61 @@ class TestRemoteIndexBuild:
         extractor = ExtractorConfig(provider="remote")
         with pytest.raises(ProviderError, match="aborted"):
             build_index(corpus, extractor, EmbedderConfig(provider="remote"))
+
+
+class TestRetrieveRequestBound:
+    """Per query: one request for the query, then the query entities and the
+    candidate chunks each in batches of the embedder's batch_size."""
+
+    LINES = [
+        json.dumps({"doc_id": "d1", "text": (
+            "Vertex Labs hired Ada Lovelace. Ember Corp sued Vertex Labs. "
+            "Ada Lovelace left Ember Corp."
+        )}),
+        json.dumps({"doc_id": "d2", "text": (
+            "Garnet Works bought Ember Corp. Nothing else happened. "
+            "Vertex Labs praised Garnet Works."
+        )}),
+    ]
+
+    def _setup(self, server, batch_size):
+        from slimrag.corpus import ingest_corpus
+        from slimrag.index import build_index
+
+        server.auto_embed()
+        embedder = EmbedderConfig(provider="remote", batch_size=batch_size)
+        index = build_index(ingest_corpus(self.LINES), ExtractorConfig(), embedder)
+        return index, embedder, len(server.requests)
+
+    def test_entity_path(self, server):
+        from slimrag.retrieval import RetrievalParams, retrieve
+
+        b = 2
+        index, embedder, before = self._setup(server, b)
+        q = "Who sued Vertex Labs, and who bought Ember Corp from Garnet Works?"
+        trace = retrieve(index, q, RetrievalParams(k=1), None, embedder).trace
+        assert not trace.fallback_used
+        assert len(trace.query_entities) == 3
+        assert trace.candidate_count == 5
+        posts = server.requests[before:]
+        assert {r["path"] for r in posts} == {"/v1/embeddings"}
+        assert len(posts) == (
+            1
+            + math.ceil(len(trace.query_entities) / b)
+            + math.ceil(trace.candidate_count / b)
+        )
+
+    def test_fallback(self, server):
+        from slimrag.retrieval import retrieve
+
+        b = 4
+        index, embedder, before = self._setup(server, b)
+        trace = retrieve(index, "what happened next?", None, None, embedder).trace
+        assert trace.fallback_used
+        assert trace.candidate_count == len(index.chunk_catalog) == 5
+        posts = server.requests[before:]
+        assert {r["path"] for r in posts} == {"/v1/embeddings"}
+        assert len(posts) == 1 + math.ceil(len(index.chunk_catalog) / b)
 
 
 class TestEnvironment:

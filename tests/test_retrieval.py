@@ -1,12 +1,17 @@
 """Retrieval pipeline vs the straight-line algorithm transcription."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_corpus, random_query
 from oracles import alg1_retrieve
+import slimrag
 from slimrag.corpus import SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig, cosine_similarity, embed
 from slimrag.extraction import ExtractorConfig
@@ -169,29 +174,44 @@ class TestCollectHitChunks:
 
 
 class TestScoreChunk:
+    HITS = frozenset({"ada", "bob", "cyd"})
+    WEIGHTS = {"ada": 0.2, "bob": 0.4, "cyd": 0.6}
+
     def test_product_identity(self):
-        phi, score = score_chunk(
-            "A tour of Vertex Labs impressed critics.",
-            embed("A tour of Vertex Labs impressed critics.", EMB),
-            3,
-            RetrievalParams(),
-            EMB,
-        )
+        vec = embed("A tour of Vertex Labs impressed critics.", EMB)
+        phi, score = score_chunk(vec, vec, self.HITS)
         assert phi == pytest.approx(1.0, abs=1e-9)
         assert score == pytest.approx(3.0, abs=1e-9)
+        # No hit entities (the fallback): the score is phi_q alone.
+        phi, score = score_chunk(vec, vec, frozenset())
+        assert score == phi == pytest.approx(1.0, abs=1e-9)
+        # Weighted: phi_q times the sum of the hits' weights.
+        phi, score = score_chunk(vec, vec, self.HITS, self.WEIGHTS)
+        assert score == pytest.approx(1.2, abs=1e-9)
 
     def test_hand_product(self):
         # phi_q = 0.5, count = 3 -> 1.5 ; phi_q = 1.0, count = 1 -> 1.0
         assert 0.5 * 3 == 1.5
         q_vec = embed("some query text", EMB)
-        phi, score = score_chunk("some query text", q_vec, 1, RetrievalParams(), EMB)
-        assert score == pytest.approx(phi * 1, abs=1e-12)
+        chunk_vec = embed("some other text", EMB)
+        phi, score = score_chunk(chunk_vec, q_vec, frozenset({"ada"}))
+        assert phi == cosine_similarity(chunk_vec, q_vec)
+        assert score == phi * 1
+        _, score = score_chunk(chunk_vec, q_vec, frozenset())
+        assert score == phi
+        _, score = score_chunk(chunk_vec, q_vec, self.HITS, self.WEIGHTS)
+        assert score == phi * ((0.2 + 0.4) + 0.6)
 
     def test_count_monotonicity_at_equal_phi(self):
         q_vec = embed("shared phrasing", EMB)
-        phi, score2 = score_chunk("shared phrasing", q_vec, 2, RetrievalParams(), EMB)
-        _, score1 = score_chunk("shared phrasing", q_vec, 1, RetrievalParams(), EMB)
-        assert score2 > score1
+        chunk_vec = embed("shared phrasing, reworded", EMB)
+        phi, score2 = score_chunk(chunk_vec, q_vec, frozenset({"ada", "bob"}))
+        _, score1 = score_chunk(chunk_vec, q_vec, frozenset({"ada"}))
+        _, score0 = score_chunk(chunk_vec, q_vec, frozenset())
+        assert score2 > score1 == score0 == phi
+        _, heavier = score_chunk(chunk_vec, q_vec, frozenset({"ada", "cyd"}), self.WEIGHTS)
+        _, lighter = score_chunk(chunk_vec, q_vec, frozenset({"ada", "bob"}), self.WEIGHTS)
+        assert heavier > lighter
 
 
 def _scored(chunk_id, phi, count):
@@ -330,3 +350,43 @@ class TestPipelineProperties:
         q = "What did Vertex Labs build and who runs Ember Corp?"
         context = retrieve(index, q, RetrievalParams(k=2, h=4), LOCAL, EMB)
         assert context.total_tokens == count_tokens(context.text)
+
+
+_WEIGHTED_TRACE_SCRIPT = """
+import json, sys
+from slimrag.corpus import ingest_corpus
+from slimrag.embedding import EmbedderConfig
+from slimrag.extraction import ExtractorConfig
+from slimrag.index import build_index, canonical_json
+from slimrag.retrieval import RetrievalParams, retrieve
+
+line = json.dumps({"doc_id": "d1", "text": "Ada Lovelace met Bob Marley and Cyd Charisse."})
+emb = EmbedderConfig(dimension=64)
+index = build_index(ingest_corpus([line]), ExtractorConfig(), emb)
+q = ("Who is Ada Lovelace, and who is Bob Marley, and who is Cyd Charisse, "
+     "and where did Bob Marley meet Cyd Charisse, and when did Cyd Charisse sing?")
+params = RetrievalParams(k=1, use_entity_weights=True)
+trace = retrieve(index, q, params, ExtractorConfig(), emb).trace
+sys.stdout.write(canonical_json(trace.to_document()))
+"""
+
+
+def test_weighted_trace_independent_of_hash_seed():
+    # Five sub-queries give the chunk's three hits weights 0.2, 0.4 and 0.6;
+    # summed in set iteration order, the float score depends on the seed.
+    src = str(Path(slimrag.__file__).resolve().parent.parent)
+    traces = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _WEIGHTED_TRACE_SCRIPT],
+            env=env, capture_output=True, check=True,
+        )
+        traces.append(result.stdout)
+    document = json.loads(traces[0])
+    assert document["entity_weights"] == {
+        "ada lovelace": 0.2, "bob marley": 0.4, "cyd charisse": 0.6,
+    }
+    assert [s["hit_count"] for s in document["scored"]] == [3]
+    assert traces[0] == traces[1]
