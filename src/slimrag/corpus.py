@@ -3,8 +3,10 @@
 A corpus is an ordered set of documents, each segmented into ordered chunks.
 Segmentation is rule-based and deterministic: a sentence ends at a run of
 ``.``, ``!`` or ``?`` followed by whitespace and an uppercase letter, digit,
-or opening quote, unless the word before the punctuation is a known
-abbreviation. Identical input bytes always produce an identical corpus.
+or opening quote, unless the word before the punctuation is on the fixed
+abbreviation list :data:`ABBREVIATIONS`. The segmentation policy id therefore
+determines segmentation completely, and identical input bytes always produce
+an identical corpus.
 
 Input is JSONL, one object per line, in exactly one of two forms:
 
@@ -13,7 +15,8 @@ Input is JSONL, one object per line, in exactly one of two forms:
   (one line per chunk); positions must be contiguous from 0 per document.
 
 Mixing the two forms in one stream is an error. Each chunk's token count is
-derived once from its text; the corpus total (TCTC) and the index read it.
+derived once from its text by the ``ws-punct/v1`` accounting tokenizer; the
+corpus total (TCTC) and the index read it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .errors import DuplicateDocumentError, MalformedRecordError
 from .tokenization import DEFAULT_TOKENIZER, count_tokens
 
-DEFAULT_ABBREVIATIONS = frozenset(
+ABBREVIATIONS = frozenset(
     {
         "mr", "mrs", "ms", "dr", "prof", "rev", "sr", "jr", "st",
         "etc", "vs", "e.g", "i.e", "cf", "al", "inc", "ltd", "co",
@@ -76,7 +79,7 @@ class Document:
 
 @dataclass(frozen=True)
 class Chunk:
-    """``token_count`` is derived from ``text`` by the default tokenizer."""
+    """``token_count`` is derived from ``text`` by the accounting tokenizer."""
 
     chunk_id: str
     doc_id: str
@@ -85,9 +88,7 @@ class Chunk:
     token_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "token_count", count_tokens(self.text, DEFAULT_TOKENIZER)
-        )
+        object.__setattr__(self, "token_count", count_tokens(self.text))
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,15 @@ class Corpus:
     documents: tuple[Document, ...]
     chunks: tuple[Chunk, ...]
     total_corpus_tokens: int
-    tokenizer: str = DEFAULT_TOKENIZER
     segmentation: str = "sentence"
+    tokenizer: ClassVar[str] = DEFAULT_TOKENIZER
 
 
 def make_chunk_id(doc_id: str, position: int) -> str:
     return f"{doc_id}#{position}"
 
 
-def split_sentences(
-    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Deterministic rule-based sentence segmentation."""
     sentences: list[str] = []
     start = 0
@@ -118,7 +117,7 @@ def split_sentences(
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
         word = text[:match.start()].rsplit(None, 1)
-        if word and word[-1].lower().rstrip(".") in abbreviations:
+        if word and word[-1].lower().rstrip(".") in ABBREVIATIONS:
             continue
         piece = text[start:end].strip()
         if piece:
@@ -150,16 +149,11 @@ def segment_document(doc: Document, policy: SegmentationPolicy) -> list[Chunk]:
     ]
 
 
-def build_document(
-    doc_id: str,
-    text: str,
-    policy: SegmentationPolicy,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> Document:
+def build_document(doc_id: str, text: str, policy: SegmentationPolicy) -> Document:
     if policy.kind == "passthrough":
         sentences = (text,) if text.strip() else ()
     else:
-        sentences = tuple(split_sentences(text, abbreviations))
+        sentences = tuple(split_sentences(text))
     return Document(doc_id=doc_id, text=text, sentences=sentences)
 
 
@@ -183,10 +177,7 @@ def _check_record(record: object, line_number: int) -> dict:
 
 
 def ingest_corpus(
-    source: Iterable[str],
-    segmentation: SegmentationPolicy | None = None,
-    tokenizer: str = DEFAULT_TOKENIZER,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
+    source: Iterable[str], segmentation: SegmentationPolicy | None = None
 ) -> Corpus:
     """Read a JSONL corpus stream into an immutable Corpus.
 
@@ -197,27 +188,20 @@ def ingest_corpus(
     """
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
     records = ((n, _decode(raw, n)) for n, raw in lines if raw)
-    return _assemble(records, tokenizer, segmentation, abbreviations)
+    return _assemble(records, segmentation)
 
 
-def corpus_from_chunks(
-    chunk_rows: Iterable[tuple[str, int, str]],
-    tokenizer: str = DEFAULT_TOKENIZER,
-) -> Corpus:
+def corpus_from_chunks(chunk_rows: Iterable[tuple[str, int, str]]) -> Corpus:
     """Assemble a pre-chunked Corpus from (doc_id, position, text) rows,
     checked as pre-chunked records with the row number as line number."""
     records = ({"doc_id": d, "position": p, "text": t} for d, p, t in chunk_rows)
-    return _assemble(enumerate(records, start=1), tokenizer)
+    return _assemble(enumerate(records, start=1))
 
 
 def _assemble(
-    records: Iterable[tuple[int, object]],
-    tokenizer: str,
-    policy: SegmentationPolicy | None = None,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
+    records: Iterable[tuple[int, object]], policy: SegmentationPolicy | None = None
 ) -> Corpus:
     policy = policy or SegmentationPolicy()
-    count_tokens(" ", tokenizer)  # fail fast on unregistered tokenizer
 
     form: str | None = None
     doc_order: list[str] = []
@@ -274,7 +258,7 @@ def _assemble(
     else:
         effective_policy = policy.policy_id
         for doc_id in doc_order:
-            doc = build_document(doc_id, raw_docs[doc_id], policy, abbreviations)
+            doc = build_document(doc_id, raw_docs[doc_id], policy)
             documents.append(doc)
             chunks.extend(segment_document(doc, policy))
 
@@ -283,6 +267,5 @@ def _assemble(
         documents=tuple(documents),
         chunks=tuple(chunks),
         total_corpus_tokens=total,
-        tokenizer=tokenizer,
         segmentation=effective_policy,
     )

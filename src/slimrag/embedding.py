@@ -99,7 +99,8 @@ class EmbeddingCache:
     file. Writes append immediately so concurrent readers see a prefix. A
     last line without its newline is an append that never finished: loading
     drops it and truncates the file to the last complete record, so the next
-    append starts on a fresh line. Any other damaged line raises ValueError.
+    append starts on a fresh line. Any other damaged line, including a vector
+    with a non-finite value, raises ValueError.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -119,7 +120,9 @@ class EmbeddingCache:
                 try:
                     record = json.loads(line)
                     key = (record["embedder"], record["digest"])
-                    self._entries[key] = tuple(float(x) for x in record["vector"])
+                    vector = tuple(float(x) for x in record["vector"])
+                    _check_finite(vector)
+                    self._entries[key] = vector
                 except (ValueError, KeyError, TypeError):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"

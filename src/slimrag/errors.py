@@ -22,7 +22,7 @@ class DuplicateDocumentError(SlimRagError):
 
 
 class UnknownTokenizerError(SlimRagError):
-    """A tokenizer id is not present in the registry."""
+    """A tokenizer id other than ``ws-punct/v1`` was named."""
 
 
 class DimensionMismatchError(SlimRagError):

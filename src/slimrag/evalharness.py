@@ -21,6 +21,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .corpus import Corpus, corpus_from_chunks, make_chunk_id
 from .embedding import EmbedderConfig, EmbeddingCache
@@ -74,8 +75,8 @@ class EvalReport:
     per_example: list[ExampleResult]
     config: dict
     scope: str
-    aggregation: str = "macro"
     failed_count: int = 0
+    aggregation: ClassVar[str] = "macro"
 
     def to_document(self) -> dict:
         return {
@@ -163,16 +164,16 @@ def load_hotpotqa(path: str | Path) -> list[EvalExample]:
     return examples
 
 
-def _example_corpus(example: EvalExample, tokenizer: str) -> Corpus:
+def _example_corpus(example: EvalExample) -> Corpus:
     rows = [
         (title, idx, sentence)
         for title, sentences in example.context_docs
         for idx, sentence in enumerate(sentences)
     ]
-    return corpus_from_chunks(rows, tokenizer=tokenizer)
+    return corpus_from_chunks(rows)
 
 
-def _pooled_corpus(examples: list[EvalExample], tokenizer: str) -> Corpus:
+def _pooled_corpus(examples: list[EvalExample]) -> Corpus:
     seen: set[str] = set()
     rows = []
     for example in examples:
@@ -181,7 +182,7 @@ def _pooled_corpus(examples: list[EvalExample], tokenizer: str) -> Corpus:
                 continue
             seen.add(title)
             rows.extend((title, idx, s) for idx, s in enumerate(sentences))
-    return corpus_from_chunks(rows, tokenizer=tokenizer)
+    return corpus_from_chunks(rows)
 
 
 _ZERO = RetrievalScore(0.0, 0.0, 0.0, 0, 0)
@@ -193,7 +194,6 @@ def run_eval(
     embedder: EmbedderConfig,
     params: RetrievalParams | None = None,
     scope: str = "per-example",
-    tokenizer: str = DEFAULT_TOKENIZER,
     cache: EmbeddingCache | None = None,
 ) -> EvalReport:
     """Build index(es), retrieve every question, and aggregate scores."""
@@ -210,7 +210,7 @@ def run_eval(
 
     pooled_index = None
     if scope == "pooled":
-        corpus = _pooled_corpus(examples, tokenizer)
+        corpus = _pooled_corpus(examples)
         start = time.perf_counter()
         pooled_index = build_index(corpus, extractor, embedder, cache=cache)
         index_time += time.perf_counter() - start
@@ -218,7 +218,7 @@ def run_eval(
 
     for example in examples:
         if scope == "per-example":
-            corpus = _example_corpus(example, tokenizer)
+            corpus = _example_corpus(example)
             start = time.perf_counter()
             index = build_index(corpus, extractor, embedder, cache=cache)
             index_time += time.perf_counter() - start
@@ -262,7 +262,7 @@ def run_eval(
     )
     config = {
         "scope": scope,
-        "tokenizer": tokenizer,
+        "tokenizer": DEFAULT_TOKENIZER,
         "extractor": extractor.fingerprint_fields(),
         "decomposition_enabled": extractor.decomposition_enabled,
         "embedder_id": embedder.embedder_id,

@@ -13,9 +13,10 @@ check, :func:`check_compatible`, guards both ``add_chunks`` and retrieval.
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
 indexes serialize to identical bytes. Loading verifies the digest and then
-the structure: every key present with its JSON type, a registered tokenizer,
-inverted-map chunk ids that exist in the chunk catalog, and exactly one
-vector per entity. Any failure raises IndexIntegrityError.
+the structure: every key present with its JSON type, the ``ws-punct/v1``
+tokenizer, one embedder id shared by the config and the vectors, inverted-map
+chunk ids that exist in the chunk catalog, and exactly one vector per entity.
+Any failure raises IndexIntegrityError.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .corpus import Chunk, Corpus
 from .embedding import EmbedderConfig, EmbeddingCache, EntityVectorStore, embed_many
@@ -38,7 +40,7 @@ from .errors import (
     SchemaVersionError,
 )
 from .extraction import ExtractorConfig, extract_entities_with_usage
-from .tokenization import count_tokens, registered_tokenizers
+from .tokenization import DEFAULT_TOKENIZER, count_tokens
 
 SCHEMA_VERSION = "slimrag-index/v1"
 
@@ -108,7 +110,7 @@ class IndexConfig:
     segmentation: str
     extractor: ExtractorConfig
     embedder_id: str
-    tokenizer: str
+    tokenizer: ClassVar[str] = DEFAULT_TOKENIZER
 
     def to_document(self) -> dict:
         return {
@@ -122,12 +124,12 @@ class IndexConfig:
     @classmethod
     def from_document(cls, document: object) -> "IndexConfig":
         """Inverse of :meth:`to_document`; IndexIntegrityError for a missing,
-        extra, or mistyped field or an unregistered tokenizer."""
+        extra, or mistyped field or another tokenizer."""
         _fields(document, _CONFIG_TYPES, "config")
         _require(document["schema_version"] == SCHEMA_VERSION, "config schema differs")
         _require(
-            document["tokenizer"] in registered_tokenizers(),
-            f"tokenizer {document['tokenizer']!r} is not registered",
+            document["tokenizer"] == cls.tokenizer,
+            f"tokenizer {document['tokenizer']!r} is not {cls.tokenizer!r}",
         )
         try:
             extractor = ExtractorConfig.from_fingerprint_fields(document["extractor"])
@@ -137,7 +139,6 @@ class IndexConfig:
             segmentation=document["segmentation"],
             extractor=extractor,
             embedder_id=document["embedder_id"],
-            tokenizer=document["tokenizer"],
         )
 
     @property
@@ -173,7 +174,6 @@ def _ingest_chunks(
     chunks: list[Chunk],
     extractor: ExtractorConfig,
     embedder: EmbedderConfig,
-    tokenizer: str,
     cache: EmbeddingCache | None,
 ) -> None:
     """Extract, map, and embed new chunks into an index in place."""
@@ -199,35 +199,22 @@ def _ingest_chunks(
     vectors = embed_many(ordered, embedder, cache)
     for entity, vector in zip(ordered, vectors):
         index.vectors.add(entity, vector)
-        index.accounting.record(EMBEDDING_IN, count_tokens(entity, tokenizer))
+        index.accounting.record(EMBEDDING_IN, count_tokens(entity))
 
 
 def build_index(
     corpus: Corpus,
     extractor: ExtractorConfig,
     embedder: EmbedderConfig,
-    tokenizer: str | None = None,
     cache: EmbeddingCache | None = None,
 ) -> EntityIndex:
-    """Build a fresh index over a corpus.
-
-    The accounting tokenizer defaults to (and must match) the one the corpus
-    was ingested with, so TCTC matches the corpus's own token total.
-    """
-    if tokenizer is None:
-        tokenizer = corpus.tokenizer
-    elif tokenizer != corpus.tokenizer:
-        raise ValueError(
-            f"accounting tokenizer {tokenizer!r} differs from corpus tokenizer "
-            f"{corpus.tokenizer!r}"
-        )
+    """Build a fresh index over a corpus; TCTC is the corpus's own token total."""
     # The recorded extractor config covers indexing-relevant fields only;
     # decomposition is a retrieval-time toggle and is normalized away.
     config = IndexConfig(
         segmentation=corpus.segmentation,
         extractor=replace(extractor, decomposition_enabled=True),
         embedder_id=embedder.embedder_id,
-        tokenizer=tokenizer,
     )
     index = EntityIndex(
         config=config,
@@ -240,7 +227,7 @@ def build_index(
         accounting=TokenAccounting(tctc=corpus.total_corpus_tokens),
     )
     try:
-        _ingest_chunks(index, list(corpus.chunks), extractor, embedder, tokenizer, cache)
+        _ingest_chunks(index, list(corpus.chunks), extractor, embedder, cache)
     except ProviderError as exc:
         raise ProviderError(
             f"index build aborted ({len(index.chunk_catalog)}/{len(corpus.chunks)} "
@@ -279,9 +266,7 @@ def add_chunks(
         ),
     )
     updated.accounting.tctc += sum(c.token_count for c in new_chunks)
-    _ingest_chunks(
-        updated, list(new_chunks), extractor, embedder, index.config.tokenizer, cache
-    )
+    _ingest_chunks(updated, list(new_chunks), extractor, embedder, cache)
     return updated
 
 
@@ -293,7 +278,6 @@ def check_compatible(
         segmentation=index.config.segmentation,
         extractor=extractor,
         embedder_id=embedder.embedder_id,
-        tokenizer=index.config.tokenizer,
     )
     if expected.fingerprint != index.config_fingerprint:
         raise ConfigMismatchError(
@@ -419,6 +403,10 @@ def load_index(path: str | Path) -> EntityIndex:
         raise IndexIntegrityError("config fingerprint does not match config")
 
     vectors_doc = _fields(document["vectors"], _VECTORS_TYPES, "vectors")
+    _require(
+        vectors_doc["embedder_id"] == config.embedder_id,
+        "vectors and config name different embedders",
+    )
     vectors = EntityVectorStore(
         dimension=vectors_doc["dimension"], embedder_id=vectors_doc["embedder_id"]
     )

@@ -177,7 +177,7 @@ def match_query_entities(
     spent = 0
     ordered = sorted(query_entities)
     for query_entity, vector in zip(ordered, embed_many(ordered, embedder, cache)):
-        spent += count_tokens(query_entity, index.config.tokenizer)
+        spent += count_tokens(query_entity)
         matches = top_k_entities(vector, index.vectors, k)
         per_source[query_entity] = matches
         for entity, similarity in matches:
@@ -290,7 +290,7 @@ def retrieve(
         return Context(chunks=[], total_tokens=0, text="", trace=trace)
 
     q_vec = embed(q, embedder, cache)
-    usage[EMBEDDING_IN] += count_tokens(q, index.config.tokenizer)
+    usage[EMBEDDING_IN] += count_tokens(q)
 
     weights: dict[str, float] | None = None
     if not plan.query_entities or not index.vectors.entries:

@@ -1,7 +1,7 @@
 """Accounting tokenizer: deterministic token counting for all budget math.
 
-The default tokenizer, registered as ``ws-punct/v1``, is defined precisely so
-that any implementation can reproduce identical counts:
+The one tokenizer, ``ws-punct/v1``, is defined precisely so that any
+implementation can reproduce identical counts:
 
 1. Split the text on Unicode whitespace.
 2. For each piece, detach leading punctuation characters one at a time (each
@@ -19,7 +19,6 @@ leading or trailing whitespace, ``count(a + " " + b) == count(a) + count(b)``.
 from __future__ import annotations
 
 import unicodedata
-from typing import Callable
 
 from .errors import UnknownTokenizerError
 
@@ -30,7 +29,8 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _tokenize_ws_punct(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """Split text into accounting tokens under ``ws-punct/v1``."""
     tokens: list[str] = []
     for piece in text.split():
         leading: list[str] = []
@@ -48,26 +48,15 @@ def _tokenize_ws_punct(text: str) -> list[str]:
     return tokens
 
 
-_REGISTRY: dict[str, Callable[[str], list[str]]] = {
-    DEFAULT_TOKENIZER: _tokenize_ws_punct,
-}
-
-
-def registered_tokenizers() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def tokenize(text: str, tokenizer: str = DEFAULT_TOKENIZER) -> list[str]:
-    """Split text into accounting tokens under the named tokenizer."""
-    try:
-        fn = _REGISTRY[tokenizer]
-    except KeyError:
-        raise UnknownTokenizerError(
-            f"unknown tokenizer {tokenizer!r}; registered: {registered_tokenizers()}"
-        ) from None
-    return fn(text)
-
-
 def count_tokens(text: str, tokenizer: str = DEFAULT_TOKENIZER) -> int:
-    """Number of accounting tokens in ``text``."""
-    return len(tokenize(text, tokenizer))
+    """Number of accounting tokens in ``text``.
+
+    ``tokenizer`` may only name ``ws-punct/v1``; any other name raises
+    UnknownTokenizerError.
+    """
+    if tokenizer != DEFAULT_TOKENIZER:
+        raise UnknownTokenizerError(
+            f"unknown tokenizer {tokenizer!r}; the only tokenizer is "
+            f"{DEFAULT_TOKENIZER!r}"
+        )
+    return len(tokenize(text))

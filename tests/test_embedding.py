@@ -228,6 +228,9 @@ class TestStoreAndCache:
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
         cache.put("e", "a", (1.0,))
-        path.write_text("not json\n" + path.read_text(), encoding="utf-8")
-        with pytest.raises(ValueError, match="line 1"):
-            EmbeddingCache(path)
+        good = path.read_text()
+        nonfinite = '{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
+        for damaged in ("not json", nonfinite):
+            path.write_text(damaged + "\n" + good, encoding="utf-8")
+            with pytest.raises(ValueError, match="line 1"):
+                EmbeddingCache(path)

@@ -123,10 +123,6 @@ class TestBuild:
             for entity in extract_entities(chunk.text, LOCAL):
                 assert chunk.chunk_id in index.inverted_map[entity]
 
-    def test_tokenizer_must_match_corpus(self):
-        with pytest.raises(ValueError):
-            build_index(_small_corpus(), LOCAL, EMB, tokenizer="other/v1")
-
 
 class TestLookup:
     def test_unknown_entity(self):
@@ -265,11 +261,13 @@ class TestPersistence:
             lambda d: d["inverted_map"]["paris"].append("d9#0"),
             lambda d: d["vectors"]["entries"].pop("paris"),
             lambda d: d["config"].update(tokenizer="foo/v9"),
+            lambda d: d["vectors"].update(embedder_id="remote:other-model"),
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
             "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
             "entity-without-vector", "unregistered-tokenizer",
+            "vectors-embedder-differs",
         ],
     )
     def test_structural_damage_is_corruption(self, tmp_path, mutate):

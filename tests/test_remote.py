@@ -50,7 +50,10 @@ class _FakeServer:
         self.httpd.requests = []
         self.httpd.script = []
         self.httpd.auto_embed = False
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown() in close() from waiting 0.5 s.
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, args=(0.01,), daemon=True
+        )
         self.thread.start()
 
     @property
