@@ -220,10 +220,11 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
 
 @dataclass
 class EntityVectorStore:
-    """Immutable-after-build map from entity surface to its vector.
+    """Map from entity surface to its vector; an index write fills a copy.
 
     A dimension of 0 means "unset"; the first vector added fixes it (remote
-    embedders do not announce their dimension up front).
+    embedders do not announce their dimension up front). Finiteness is
+    checked where vectors enter: provider replies, cache lines, index files.
     """
 
     dimension: int
@@ -237,14 +238,10 @@ class EntityVectorStore:
             raise DimensionMismatchError(
                 f"vector for {entity!r} has dimension {len(vector)}, store has {self.dimension}"
             )
-        _check_finite(vector)
         self.entries[entity] = vector
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, entity: str) -> bool:
-        return entity in self.entries
 
 
 def top_k_entities(

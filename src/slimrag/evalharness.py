@@ -108,19 +108,36 @@ def _parse_example(entry: dict, position: int) -> EvalExample:
     context = entry.get("context")
     if not isinstance(context, list):
         raise MalformedRecordError(f"entry {position} has no context list")
-    docs: list[tuple[str, tuple[str, ...]]] = []
-    for item in context:
-        title, sentences = item
-        docs.append((str(title), tuple(str(s) for s in sentences)))
+    if not all(
+        _is_pair(item, str, list) and all(isinstance(s, str) for s in item[1])
+        for item in context
+    ):
+        raise MalformedRecordError(
+            f"entry {position}: a context item is not [title, [sentence, ...]]"
+        )
     facts = entry.get("supporting_facts")
     if not isinstance(facts, list):
         raise MalformedRecordError(f"entry {position} has no supporting_facts list")
-    gold = frozenset((str(title), int(idx)) for title, idx in facts)
+    if not all(_is_pair(fact, str, int) for fact in facts):
+        raise MalformedRecordError(
+            f"entry {position}: a supporting fact is not [title, sentence_index]"
+        )
     return EvalExample(
         question_id=question_id,
         question=question,
-        gold_facts=gold,
-        context_docs=tuple(docs),
+        gold_facts=frozenset((title, idx) for title, idx in facts),
+        context_docs=tuple((title, tuple(sentences)) for title, sentences in context),
+    )
+
+
+def _is_pair(value: object, first: type, second: type) -> bool:
+    """A JSON ``[first, second]`` array; a bool does not pass as an int."""
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and isinstance(value[0], first)
+        and isinstance(value[1], second)
+        and not isinstance(value[1], bool)
     )
 
 
@@ -144,10 +161,7 @@ def load_hotpotqa_detailed(path: str | Path) -> tuple[list[EvalExample], int]:
     examples: list[EvalExample] = []
     skipped = 0
     for position, entry in enumerate(entries):
-        try:
-            example = _parse_example(entry, position)
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecordError(f"entry {position} is malformed: {exc}") from None
+        example = _parse_example(entry, position)
         if not _gold_facts_resolved(example):
             skipped += 1
             logger.warning(

@@ -249,8 +249,9 @@ def _is_capitalized(word: str) -> bool:
     return bool(word) and word[0].isupper()
 
 
-def _sentence_spans(sentence: str, base_index: int) -> tuple[list[_Span], int]:
-    """Capitalized spans of one sentence plus the running token count."""
+def _sentence_spans(sentence: str, base_index: int) -> tuple[list[_Span], list[str]]:
+    """Capitalized spans and the words of one sentence whose first word is
+    word ``base_index`` of the text."""
     tokens = list(_WORD.finditer(sentence))
 
     def adjacent(a: int, b: int) -> bool:
@@ -286,7 +287,7 @@ def _sentence_spans(sentence: str, base_index: int) -> tuple[list[_Span], int]:
         )
         spans.append(_Span(words=words, token_index=base_index + i))
         i = j + 1
-    return spans, base_index + len(tokens)
+    return spans, [token.group() for token in tokens]
 
 
 def _keep_span(span: _Span, sentence_initial: bool, known: set[str]) -> bool:
@@ -303,11 +304,10 @@ def _keep_span(span: _Span, sentence_initial: bool, known: set[str]) -> bool:
     return True
 
 
-def _gazetteer_hits(text: str, gazetteer: tuple[str, ...]) -> set[str]:
+def _gazetteer_hits(words: list[str], gazetteer: tuple[str, ...]) -> set[str]:
     if not gazetteer:
         return set()
-    words = [normalize_entity(m.group()) for m in _WORD.finditer(text)]
-    haystack = " " + " ".join(words) + " "
+    haystack = " " + " ".join(normalize_entity(word) for word in words) + " "
     return {entry for entry in gazetteer if f" {entry} " in haystack}
 
 
@@ -316,14 +316,14 @@ def _local_extract(text: str, config: ExtractorConfig) -> set[str]:
     known = set(config.gazetteer) | set(aliases)
 
     kept: list[_Span] = []
-    base = 0
+    words: list[str] = []  # the text token stream, sentence by sentence
     for sentence in split_sentences(text):
-        spans, next_base = _sentence_spans(sentence, base)
-        first_token = base
+        first_token = len(words)
+        spans, sentence_words = _sentence_spans(sentence, first_token)
         for span in spans:
             if _keep_span(span, span.token_index == first_token, known):
                 kept.append(span)
-        base = next_base
+        words.extend(sentence_words)
 
     def resolve(surface: str) -> str:
         normalized = normalize_entity(surface)
@@ -334,24 +334,21 @@ def _local_extract(text: str, config: ExtractorConfig) -> set[str]:
     entities = {resolve(span.surface) for span in kept}
     entities |= {
         aliases.get(hit, hit) if config.coreference_enabled else hit
-        for hit in _gazetteer_hits(text, config.gazetteer)
+        for hit in _gazetteer_hits(words, config.gazetteer)
     }
 
     if config.coreference_enabled and kept:
-        position = 0
-        for sentence in split_sentences(text):
-            for match in _WORD.finditer(sentence):
-                lowered = match.group().lower()
-                if lowered in PRONOUNS:
-                    person = lowered in PRONOUNS_PERSON
-                    for span in reversed(kept):
-                        if span.token_index >= position:
-                            continue
-                        if person and len(span.words) < 2:
-                            continue
-                        entities.add(resolve(span.surface))
-                        break
-                position += 1
+        for position, word in enumerate(words):
+            lowered = word.lower()
+            if lowered in PRONOUNS:
+                person = lowered in PRONOUNS_PERSON
+                for span in reversed(kept):
+                    if span.token_index >= position:
+                        continue
+                    if person and len(span.words) < 2:
+                        continue
+                    entities.add(resolve(span.surface))
+                    break
     return entities
 
 
@@ -373,8 +370,7 @@ def _remote_extract(text: str, config: ExtractorConfig) -> tuple[set[str], Token
         if item.strip():
             entities.add(normalize_entity(item))
     usage = TokenUsage(
-        input_tokens=count_tokens(system) + count_tokens(text),
-        output_tokens=count_tokens(reply),
+        input_tokens=count_tokens(system), output_tokens=count_tokens(reply)
     )
     return entities, usage
 
@@ -382,21 +378,21 @@ def _remote_extract(text: str, config: ExtractorConfig) -> tuple[set[str], Token
 def extract_entities_with_usage(
     text: str, config: ExtractorConfig
 ) -> tuple[set[str], TokenUsage]:
-    """Extract entities and report provider-bound token traffic.
+    """Extract entities and report provider-bound token traffic beyond the
+    text itself, which the caller counts (it usually knows that count).
 
-    Local usage counts the input text and the returned surfaces under the
-    accounting tokenizer; remote usage counts prompt and raw reply.
+    Local usage is no input and the returned surfaces as output; remote usage
+    is the system prompt as input and the raw reply as output, all under the
+    accounting tokenizer.
     """
     if not text.strip():
         return set(), TokenUsage()
     if config.provider == "remote":
         return _remote_extract(text, config)
     entities = _local_extract(text, config)
-    usage = TokenUsage(
-        input_tokens=count_tokens(text),
-        output_tokens=sum(count_tokens(e) for e in sorted(entities)),
+    return entities, TokenUsage(
+        output_tokens=sum(count_tokens(e) for e in sorted(entities))
     )
-    return entities, usage
 
 
 def extract_entities(text: str, config: ExtractorConfig) -> set[str]:
@@ -493,7 +489,7 @@ def plan_query(
     for sub in sub_queries:
         found, sub_usage = extract_entities_with_usage(sub, config)
         per_sub.append(found)
-        extract_usage = extract_usage + sub_usage
+        extract_usage += sub_usage + TokenUsage(input_tokens=count_tokens(sub))
     entities = frozenset().union(*per_sub) if per_sub else frozenset()
     plan = QueryPlan(
         query=q,

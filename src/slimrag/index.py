@@ -1,28 +1,33 @@
 """Entity-to-chunk index: build, update incrementally, query, persist.
 
-Building walks each chunk once: extract entities, union them into the global
-entity set, add the chunk id under each entity in the inverted map, then
-embed every unique entity exactly once. The result is independent of chunk
-processing order. Token accounting records all provider-bound traffic
-(extraction in/out and embedding inputs) measured by the accounting
-tokenizer; retrieval-time traffic never lands here.
+``build_index`` and ``add_chunks`` share one write path, which returns a new
+index and leaves its input untouched. It walks each new chunk once: extract
+entities and gather the chunk id under each, then embed every entity the
+index lacks exactly once. Posting lists are frozensets, so the new index
+shares every posting list, vector and chunk record it does not change, and
+``lookup`` hands out the stored posting list itself. The result is
+independent of chunk processing order. Token accounting records all
+provider-bound traffic (extraction in/out and embedding inputs) measured by
+the accounting tokenizer; retrieval-time traffic never lands here.
 
-Chunk records and TCTC reuse each chunk's own token count. One fingerprint
-check, :func:`check_compatible`, guards both ``add_chunks`` and retrieval.
+Chunk records, TCTC and the extraction input reuse each chunk's own token
+count. One fingerprint check, :func:`check_compatible`, guards both
+``add_chunks`` and retrieval.
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
 indexes serialize to identical bytes. Loading verifies the digest and then
 the structure: every key present with its JSON type, the ``ws-punct/v1``
-tokenizer, one embedder id shared by the config and the vectors, inverted-map
-chunk ids that exist in the chunk catalog, and exactly one vector per entity.
-Any failure raises IndexIntegrityError.
+tokenizer, one embedder id shared by the config and the vectors, finite
+vector values, inverted-map chunk ids that exist in the chunk catalog, and
+exactly one vector per entity. Any failure raises IndexIntegrityError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -151,7 +156,7 @@ class IndexConfig:
 @dataclass
 class EntityIndex:
     config: IndexConfig
-    inverted_map: dict[str, set[str]]
+    inverted_map: dict[str, frozenset[str]]
     vectors: EntityVectorStore
     chunk_catalog: dict[str, ChunkRecord]
     accounting: TokenAccounting
@@ -169,37 +174,49 @@ class EntityIndex:
         return len(self.chunk_catalog)
 
 
-def _ingest_chunks(
+def _extended(
     index: EntityIndex,
     chunks: list[Chunk],
     extractor: ExtractorConfig,
     embedder: EmbedderConfig,
     cache: EmbeddingCache | None,
-) -> None:
-    """Extract, map, and embed new chunks into an index in place."""
-    new_entities: set[str] = set()
-    for chunk in chunks:
-        entities, usage = extract_entities_with_usage(chunk.text, extractor)
-        index.accounting.record(EXTRACTION_IN, usage.input_tokens)
-        index.accounting.record(EXTRACTION_OUT, usage.output_tokens)
-        index.chunk_catalog[chunk.chunk_id] = ChunkRecord(
-            doc_id=chunk.doc_id,
-            position=chunk.position,
-            text=chunk.text,
-            token_count=chunk.token_count,
-        )
-        for entity in entities:
-            if entity not in index.inverted_map:
-                index.inverted_map[entity] = set()
-                if entity not in index.vectors:
-                    new_entities.add(entity)
-            index.inverted_map[entity].add(chunk.chunk_id)
+    action: str,
+) -> EntityIndex:
+    """The one index write: a new index holding ``index`` plus ``chunks``,
+    sharing what they do not change. ``index`` is never modified; a
+    ProviderError is re-raised with the number of chunks extracted before it."""
+    accounting = TokenAccounting(
+        tctc=index.accounting.tctc + sum(c.token_count for c in chunks),
+        breakdown=dict(index.accounting.breakdown),
+    )
+    catalog = dict(index.chunk_catalog)
+    added: dict[str, set[str]] = {}
+    try:
+        for chunk in chunks:
+            entities, usage = extract_entities_with_usage(chunk.text, extractor)
+            accounting.record(EXTRACTION_IN, chunk.token_count + usage.input_tokens)
+            accounting.record(EXTRACTION_OUT, usage.output_tokens)
+            catalog[chunk.chunk_id] = ChunkRecord(
+                chunk.doc_id, chunk.position, chunk.text, chunk.token_count
+            )
+            for entity in entities:
+                added.setdefault(entity, set()).add(chunk.chunk_id)
+        new_entities = sorted(added.keys() - index.inverted_map.keys())
+        new_vectors = embed_many(new_entities, embedder, cache)
+    except ProviderError as exc:
+        done = len(catalog) - len(index.chunk_catalog)
+        raise ProviderError(
+            f"index {action} aborted ({done}/{len(chunks)} chunks processed): {exc}"
+        ) from exc
 
-    ordered = sorted(new_entities)
-    vectors = embed_many(ordered, embedder, cache)
-    for entity, vector in zip(ordered, vectors):
-        index.vectors.add(entity, vector)
-        index.accounting.record(EMBEDDING_IN, count_tokens(entity))
+    inverted_map = dict(index.inverted_map)
+    for entity, ids in added.items():
+        inverted_map[entity] = inverted_map.get(entity, frozenset()) | ids
+    vectors = replace(index.vectors, entries=dict(index.vectors.entries))
+    for entity, vector in zip(new_entities, new_vectors):
+        vectors.add(entity, vector)
+        accounting.record(EMBEDDING_IN, count_tokens(entity))
+    return EntityIndex(index.config, inverted_map, vectors, catalog, accounting)
 
 
 def build_index(
@@ -216,24 +233,12 @@ def build_index(
         extractor=replace(extractor, decomposition_enabled=True),
         embedder_id=embedder.embedder_id,
     )
-    index = EntityIndex(
-        config=config,
-        inverted_map={},
-        vectors=EntityVectorStore(
-            dimension=embedder.dimension if embedder.provider == "local" else 0,
-            embedder_id=embedder.embedder_id,
-        ),
-        chunk_catalog={},
-        accounting=TokenAccounting(tctc=corpus.total_corpus_tokens),
+    vectors = EntityVectorStore(
+        dimension=embedder.dimension if embedder.provider == "local" else 0,
+        embedder_id=embedder.embedder_id,
     )
-    try:
-        _ingest_chunks(index, list(corpus.chunks), extractor, embedder, cache)
-    except ProviderError as exc:
-        raise ProviderError(
-            f"index build aborted ({len(index.chunk_catalog)}/{len(corpus.chunks)} "
-            f"chunks processed): {exc}"
-        ) from exc
-    return index
+    empty = EntityIndex(config, {}, vectors, {}, TokenAccounting())
+    return _extended(empty, list(corpus.chunks), extractor, embedder, cache, "build")
 
 
 def add_chunks(
@@ -244,30 +249,16 @@ def add_chunks(
     cache: EmbeddingCache | None = None,
 ) -> EntityIndex:
     """Extend an index with new chunks; equivalent to rebuilding over the
-    concatenated corpus. The input index is not modified."""
+    concatenated corpus. The input index is not modified, also when a
+    provider fails; the result shares every posting list, vector and chunk
+    record the new chunks do not change."""
     check_compatible(index, extractor, embedder)
     seen = set(index.chunk_catalog)
     for chunk in new_chunks:
         if chunk.chunk_id in seen:
             raise DuplicateChunkError(f"chunk_id {chunk.chunk_id!r} already indexed")
         seen.add(chunk.chunk_id)
-
-    updated = EntityIndex(
-        config=index.config,
-        inverted_map={e: set(ids) for e, ids in index.inverted_map.items()},
-        vectors=EntityVectorStore(
-            dimension=index.vectors.dimension,
-            embedder_id=index.vectors.embedder_id,
-            entries=dict(index.vectors.entries),
-        ),
-        chunk_catalog=dict(index.chunk_catalog),
-        accounting=TokenAccounting(
-            tctc=index.accounting.tctc, breakdown=dict(index.accounting.breakdown)
-        ),
-    )
-    updated.accounting.tctc += sum(c.token_count for c in new_chunks)
-    _ingest_chunks(updated, list(new_chunks), extractor, embedder, cache)
-    return updated
+    return _extended(index, list(new_chunks), extractor, embedder, cache, "add")
 
 
 def check_compatible(
@@ -285,9 +276,10 @@ def check_compatible(
         )
 
 
-def lookup(index: EntityIndex, entity: str) -> set[str]:
-    """Chunk ids containing a (normalized) entity; empty set when absent."""
-    return set(index.inverted_map.get(entity, ()))
+def lookup(index: EntityIndex, entity: str) -> frozenset[str]:
+    """Chunk ids containing a (normalized) entity; empty when absent. This
+    is the stored posting list itself, shared and immutable."""
+    return index.inverted_map.get(entity, frozenset())
 
 
 def _to_document(index: EntityIndex) -> dict:
@@ -308,13 +300,7 @@ def _to_document(index: EntityIndex) -> dict:
             },
         },
         "chunk_catalog": {
-            chunk_id: {
-                "doc_id": record.doc_id,
-                "position": record.position,
-                "text": record.text,
-                "token_count": record.token_count,
-            }
-            for chunk_id, record in index.chunk_catalog.items()
+            chunk_id: vars(record) for chunk_id, record in index.chunk_catalog.items()
         },
         "accounting": index.accounting.to_document(),
     }
@@ -411,13 +397,15 @@ def load_index(path: str | Path) -> EntityIndex:
         dimension=vectors_doc["dimension"], embedder_id=vectors_doc["embedder_id"]
     )
     for entity, values in vectors_doc["entries"].items():
-        _require(
-            _is(values, list) and set(map(type, values)) <= {float, int},
-            f"vector of {entity!r} is not a list of numbers",
-        )
         try:
+            _require(
+                _is(values, list)
+                and set(map(type, values)) <= {float, int}
+                and all(map(math.isfinite, values)),
+                f"vector of {entity!r} is not a list of finite numbers",
+            )
             vectors.add(entity, tuple(map(float, values)))
-        except (DimensionMismatchError, ValueError) as exc:
+        except (DimensionMismatchError, OverflowError) as exc:
             raise IndexIntegrityError(f"index file is damaged: {exc}") from None
 
     chunk_catalog = {
@@ -430,7 +418,7 @@ def load_index(path: str | Path) -> EntityIndex:
             _is(ids, list) and all(_is(i, str) for i in ids),
             f"chunk ids of {entity!r} are not a list of strings",
         )
-        inverted_map[entity] = set(ids)
+        inverted_map[entity] = frozenset(ids)
         _require(
             inverted_map[entity] <= chunk_catalog.keys(),
             f"entity {entity!r} points at a chunk not in the catalog",

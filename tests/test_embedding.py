@@ -186,11 +186,6 @@ class TestStoreAndCache:
         with pytest.raises(DimensionMismatchError):
             store.add("bad", (1.0, 0.0))
 
-    def test_nonfinite_rejected(self):
-        store = EntityVectorStore(dimension=2, embedder_id="test")
-        with pytest.raises(ValueError):
-            store.add("nan", (float("nan"), 0.0))
-
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)

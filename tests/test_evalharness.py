@@ -74,6 +74,30 @@ class TestLoad:
         with pytest.raises(MalformedRecordError):
             load_hotpotqa(_write_dataset(tmp_path, [{"context": [], "supporting_facts": []}]))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("context", [["Vertex Labs", "Vertex Labs won."]]),
+            ("context", [[7, ["Vertex Labs won."]]]),
+            ("context", [["Vertex Labs", ["Vertex Labs won.", 3]]]),
+            ("context", [["Vertex Labs"]]),
+            ("supporting_facts", [["Vertex Labs", 1.7]]),
+            ("supporting_facts", [["Vertex Labs", True]]),
+            ("supporting_facts", [["Vertex Labs", 0, 1]]),
+            ("supporting_facts", [[None, 0]]),
+        ],
+        ids=[
+            "sentences-a-string", "title-not-string", "sentence-not-string",
+            "context-not-pair", "fact-index-float", "fact-index-bool",
+            "fact-not-pair", "fact-title-not-string",
+        ],
+    )
+    def test_malformed_context_or_fact_rejected(self, tmp_path, field, value):
+        bad = _entry()
+        bad[field] = value
+        with pytest.raises(MalformedRecordError):
+            load_hotpotqa_detailed(_write_dataset(tmp_path, [bad]))
+
     def test_empty_gold_facts_skipped(self, tmp_path):
         bad = _entry()
         bad["supporting_facts"] = []

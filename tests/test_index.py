@@ -204,9 +204,13 @@ class TestAddChunks:
         index = build_index(_small_corpus(), LOCAL, EMB)
         before_chunks = dict(index.chunk_catalog)
         before_map = {e: set(ids) for e, ids in index.inverted_map.items()}
-        add_chunks(index, [Chunk("x#0", "x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB)
+        grown = add_chunks(
+            index, [Chunk("x#0", "x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
+        )
         assert index.chunk_catalog == before_chunks
         assert index.inverted_map == before_map
+        assert all(type(ids) is frozenset for ids in index.inverted_map.values())
+        assert all(type(ids) is frozenset for ids in grown.inverted_map.values())
 
 
 class TestPersistence:
@@ -214,7 +218,9 @@ class TestPersistence:
         index = build_index(_small_corpus(), LOCAL, EMB)
         path = tmp_path / "index.json"
         save_index(index, path)
-        assert load_index(path) == index
+        loaded = load_index(path)
+        assert loaded == index
+        assert all(type(ids) is frozenset for ids in loaded.inverted_map.values())
 
     def test_canonical_bytes_across_builds(self, tmp_path):
         a_path = tmp_path / "a.json"
@@ -262,12 +268,14 @@ class TestPersistence:
             lambda d: d["vectors"]["entries"].pop("paris"),
             lambda d: d["config"].update(tokenizer="foo/v9"),
             lambda d: d["vectors"].update(embedder_id="remote:other-model"),
+            lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, float("nan")),
+            lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, 10**400),
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
             "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
             "entity-without-vector", "unregistered-tokenizer",
-            "vectors-embedder-differs",
+            "vectors-embedder-differs", "vector-not-finite", "vector-value-overflows",
         ],
     )
     def test_structural_damage_is_corruption(self, tmp_path, mutate):

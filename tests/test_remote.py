@@ -1,5 +1,6 @@
 """Wire-protocol tests against an in-process OpenAI-compatible fake."""
 
+import copy
 import json
 import math
 import threading
@@ -238,7 +239,7 @@ class TestRemoteIndexBuild:
         import json as _json
 
         from slimrag.corpus import ingest_corpus
-        from slimrag.index import build_index
+        from slimrag.index import add_chunks, build_index
 
         lines = [
             _json.dumps({"doc_id": "d1", "text": "Note one mentions Vertex Labs."}),
@@ -251,6 +252,23 @@ class TestRemoteIndexBuild:
         extractor = ExtractorConfig(provider="remote")
         with pytest.raises(ProviderError, match="aborted"):
             build_index(corpus, extractor, EmbedderConfig(provider="remote"))
+
+        # A failed add reports its progress and leaves the input index as it was.
+        embedder = EmbedderConfig(provider="remote")
+        server.enqueue(200, _chat_body('["vertex labs"]'))
+        server.enqueue(200, _chat_body('["ember corp"]'))
+        server.enqueue(200, {"data": [
+            {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]},
+        ]})
+        index = build_index(corpus, extractor, embedder)
+        before = copy.deepcopy(index)
+        more = ingest_corpus([_json.dumps({"doc_id": "d3", "text": "Garnet Works."})])
+        server.enqueue(200, _chat_body('["garnet works", "vertex labs"]'))
+        for _ in range(remote.MAX_ATTEMPTS):
+            server.enqueue(500, {"error": "down"})
+        with pytest.raises(ProviderError, match=r"add aborted \(1/1 chunks processed\)"):
+            add_chunks(index, list(more.chunks), extractor, embedder)
+        assert index == before
 
 
 class TestRetrieveRequestBound:
