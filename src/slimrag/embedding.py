@@ -99,8 +99,9 @@ class EmbeddingCache:
     file. Writes append immediately so concurrent readers see a prefix. A
     last line without its newline is an append that never finished: loading
     drops it and truncates the file to the last complete record, so the next
-    append starts on a fresh line. Any other damaged line, including a vector
-    with a non-finite value, raises ValueError.
+    append starts on a fresh line. Any other damaged line, including one that
+    is not UTF-8 or holds a vector with a non-finite value, raises ValueError
+    naming that line.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -113,12 +114,12 @@ class EmbeddingCache:
             if complete < len(data):
                 with self.path.open("r+b") as handle:
                     handle.truncate(complete)
-            lines = data[:complete].decode("utf-8").splitlines()
+            lines = data[:complete].splitlines()
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                     key = (record["embedder"], record["digest"])
                     vector = tuple(float(x) for x in record["vector"])
                     _check_finite(vector)

@@ -149,40 +149,6 @@ class ExtractorConfig:
             "remote_model": self.remote_model,
         }
 
-    @classmethod
-    def from_fingerprint_fields(cls, fields: object) -> "ExtractorConfig":
-        """Inverse of :meth:`fingerprint_fields`; raises ValueError for a
-        missing, extra, or mistyped field."""
-        if not isinstance(fields, dict) or set(fields) != _FINGERPRINT_KEYS:
-            raise ValueError(f"extractor fields must be {sorted(_FINGERPRINT_KEYS)}")
-        gazetteer, aliases, model = (
-            fields["gazetteer"], fields["aliases"], fields["remote_model"]
-        )
-        if not (
-            isinstance(fields["provider"], str)
-            and isinstance(fields["coreference_enabled"], bool)
-            and isinstance(gazetteer, list)
-            and all(isinstance(entry, str) for entry in gazetteer)
-            and isinstance(aliases, list)
-            and all(
-                isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(surface, str) for surface in pair)
-                for pair in aliases
-            )
-            and (model is None or isinstance(model, str))
-        ):
-            raise ValueError("extractor fields have the wrong types")
-        return cls(
-            provider=fields["provider"],
-            coreference_enabled=fields["coreference_enabled"],
-            gazetteer=tuple(gazetteer),
-            aliases=tuple(tuple(pair) for pair in aliases),
-            remote_model=model,
-        )
-
-
-_FINGERPRINT_KEYS = frozenset(ExtractorConfig().fingerprint_fields())
-
 
 @dataclass(frozen=True)
 class TokenUsage:

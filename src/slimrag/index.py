@@ -16,11 +16,18 @@ count. One fingerprint check, :func:`check_compatible`, guards both
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
-indexes serialize to identical bytes. Loading verifies the digest and then
-the structure: every key present with its JSON type, the ``ws-punct/v1``
-tokenizer, one embedder id shared by the config and the vectors, finite
-vector values, inverted-map chunk ids that exist in the chunk catalog, and
-exactly one vector per entity. Any failure raises IndexIntegrityError.
+indexes serialize to identical bytes. ``_to_document`` is the one description
+of the format: save serializes each member once, and load builds the index a
+file describes, re-serializes it and compares digests. A file loads iff it
+parses into an index whose ``save_index`` form has the stored digest and
+passes the relational checks: finite vector values, non-empty posting lists
+of chunk ids in the catalog, exactly one vector per entity of the store's
+dimension, and chunk positions that are >= 0 and unique within a document.
+Any other file raises IndexIntegrityError (SchemaVersionError for another
+schema). Derived fields (entity list, fingerprint, TUIC, TCTC as the catalog's
+token sum) are recomputed, not read. The loader trusts, unchecked, each
+chunk's ``token_count`` against its text and the accounting breakdown beyond
+the three indexing labels.
 """
 
 from __future__ import annotations
@@ -125,26 +132,6 @@ class IndexConfig:
             "embedder_id": self.embedder_id,
             "tokenizer": self.tokenizer,
         }
-
-    @classmethod
-    def from_document(cls, document: object) -> "IndexConfig":
-        """Inverse of :meth:`to_document`; IndexIntegrityError for a missing,
-        extra, or mistyped field or another tokenizer."""
-        _fields(document, _CONFIG_TYPES, "config")
-        _require(document["schema_version"] == SCHEMA_VERSION, "config schema differs")
-        _require(
-            document["tokenizer"] == cls.tokenizer,
-            f"tokenizer {document['tokenizer']!r} is not {cls.tokenizer!r}",
-        )
-        try:
-            extractor = ExtractorConfig.from_fingerprint_fields(document["extractor"])
-        except ValueError as exc:
-            raise IndexIntegrityError(f"index file is damaged: {exc}") from None
-        return cls(
-            segmentation=document["segmentation"],
-            extractor=extractor,
-            embedder_id=document["embedder_id"],
-        )
 
     @property
     def fingerprint(self) -> str:
@@ -283,6 +270,8 @@ def lookup(index: EntityIndex, entity: str) -> frozenset[str]:
 
 
 def _to_document(index: EntityIndex) -> dict:
+    """The index file's content, the one description of its format: save
+    writes it and load checks a file against it."""
     return {
         "schema": SCHEMA_VERSION,
         "config": index.config.to_document(),
@@ -294,10 +283,7 @@ def _to_document(index: EntityIndex) -> dict:
         "vectors": {
             "embedder_id": index.vectors.embedder_id,
             "dimension": index.vectors.dimension,
-            "entries": {
-                entity: list(vector)
-                for entity, vector in index.vectors.entries.items()
-            },
+            "entries": index.vectors.entries,
         },
         "chunk_catalog": {
             chunk_id: vars(record) for chunk_id, record in index.chunk_catalog.items()
@@ -306,23 +292,74 @@ def _to_document(index: EntityIndex) -> dict:
     }
 
 
-# The JSON type of every key of the index document and its nested objects.
-_DOCUMENT_TYPES = {
-    "schema": str, "config": dict, "config_fingerprint": str, "entities": list,
-    "inverted_map": dict, "vectors": dict, "chunk_catalog": dict, "accounting": dict,
-}
-_CONFIG_TYPES = {
-    "schema_version": str, "segmentation": str, "extractor": dict,
-    "embedder_id": str, "tokenizer": str,
-}
-_VECTORS_TYPES = {"dimension": int, "embedder_id": str, "entries": dict}
-_CHUNK_TYPES = {"doc_id": str, "position": int, "text": str, "token_count": int}
-_ACCOUNTING_TYPES = {"tctc": int, "tuic": int, "breakdown": dict}
+def _from_document(document: dict) -> EntityIndex:
+    """The index a parsed file describes, each object built by its own
+    constructor from scalars coerced to their types. Members are popped as
+    they are read. Derived and constant fields (``entities``,
+    ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
+    id) are not read: re-serializing the result shows whether they agree."""
+    config_doc = document.pop("config")
+    extractor = config_doc["extractor"]
+    model = extractor["remote_model"]
+    config = IndexConfig(
+        segmentation=str(config_doc["segmentation"]),
+        extractor=ExtractorConfig(
+            provider=str(extractor["provider"]),
+            coreference_enabled=bool(extractor["coreference_enabled"]),
+            gazetteer=tuple(map(str, extractor["gazetteer"])),
+            aliases=tuple(
+                (str(alias), str(name)) for alias, name in extractor["aliases"]
+            ),
+            remote_model=None if model is None else str(model),
+        ),
+        embedder_id=str(config_doc["embedder_id"]),
+    )
+    vectors_doc = document.pop("vectors")
+    vectors = EntityVectorStore(int(vectors_doc["dimension"]), config.embedder_id)
+    for entity, values in vectors_doc["entries"].items():
+        vectors.add(entity, tuple(map(float, values)))
+    chunk_catalog = {
+        chunk_id: ChunkRecord(
+            str(record["doc_id"]),
+            int(record["position"]),
+            str(record["text"]),
+            int(record["token_count"]),
+        )
+        for chunk_id, record in document.pop("chunk_catalog").items()
+    }
+    inverted_map = {
+        entity: frozenset(map(str, ids))
+        for entity, ids in document.pop("inverted_map").items()
+    }
+    accounting = TokenAccounting(
+        tctc=sum(record.token_count for record in chunk_catalog.values()),
+        breakdown={
+            label: int(tokens)
+            for label, tokens in document.pop("accounting")["breakdown"].items()
+        },
+    )
+    return EntityIndex(config, inverted_map, vectors, chunk_catalog, accounting)
 
 
-def _is(value: object, kind: type) -> bool:
-    """JSON type test; a bool does not pass as a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+def _serialized(index: EntityIndex) -> tuple[dict[str, str], str]:
+    """Each top-level member of the index document as canonical JSON, and the
+    SHA-256 of ``canonical_json`` of the whole document, hashed from those
+    members piece by piece."""
+    members = {
+        key: canonical_json(value) for key, value in _to_document(index).items()
+    }
+    sha = hashlib.sha256()
+    for part in _object_parts(members):
+        sha.update(part.encode("utf-8"))
+    return members, sha.hexdigest()
+
+
+def _object_parts(members: dict[str, str]) -> list[str]:
+    """The text of a canonical JSON object, in parts, from its members'."""
+    parts = []
+    for key in sorted(members):
+        parts += ("," if parts else "{", canonical_json(key), ":", members[key])
+    return parts + ["}"]
 
 
 def _require(condition: bool, problem: str) -> None:
@@ -330,30 +367,43 @@ def _require(condition: bool, problem: str) -> None:
         raise IndexIntegrityError(f"index file is damaged: {problem}")
 
 
-def _fields(value: object, types: dict[str, type], what: str) -> dict:
-    """``value`` if it is an object with exactly these keys and JSON types."""
+def _check_relations(index: EntityIndex) -> None:
+    """The facts a round trip cannot see; the vector dimension is checked by
+    ``EntityVectorStore.add`` while loading."""
+    catalog = index.chunk_catalog
+    for entity, ids in index.inverted_map.items():
+        _require(ids, f"entity {entity!r} has no chunks")
+        _require(
+            ids <= catalog.keys(),
+            f"entity {entity!r} points at a chunk not in the catalog",
+        )
     _require(
-        _is(value, dict)
-        and value.keys() == types.keys()
-        and all(_is(value[key], kind) for key, kind in types.items()),
-        f"{what} must have exactly the keys {sorted(types)} with their types",
+        index.inverted_map.keys() == index.vectors.entries.keys(),
+        "entities and entity vectors differ",
     )
-    return value
+    for entity, vector in index.vectors.entries.items():
+        _require(
+            all(map(math.isfinite, vector)), f"vector of {entity!r} is not finite"
+        )
+    places = {(record.doc_id, record.position) for record in catalog.values()}
+    _require(
+        len(places) == len(catalog) and all(p >= 0 for _, p in places),
+        "chunk positions must be >= 0 and unique within a document",
+    )
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
-    """Write the canonical index file atomically: temp file, fsync, rename."""
+    """Write the canonical index file atomically: temp file, fsync, rename.
+    Each member is serialized once, for both the digest and the file."""
     path = Path(path)
-    document = _to_document(index)
-    digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
-    document["content_digest"] = digest
-    payload = canonical_json(document) + "\n"
+    members, digest = _serialized(index)
+    members["content_digest"] = canonical_json(digest)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent if str(path.parent) else ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines([*_object_parts(members), "\n"])
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -364,12 +414,14 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EntityIndex:
-    """Read and verify an index file; structural inverse of save_index."""
-    raw = Path(path).read_text(encoding="utf-8")
+    """Read and verify an index file. It loads iff it parses into an index
+    whose save_index form has the stored digest and passes the relational
+    checks; otherwise IndexIntegrityError, or SchemaVersionError for another
+    schema."""
     try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise IndexIntegrityError(f"index file is not valid JSON: {exc.msg}") from None
+        document = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise IndexIntegrityError(f"index file is not UTF-8 JSON: {exc}") from None
     if not isinstance(document, dict):
         raise IndexIntegrityError("index file is not a JSON object")
     schema = document.get("schema")
@@ -377,74 +429,16 @@ def load_index(path: str | Path) -> EntityIndex:
         raise SchemaVersionError(
             f"unsupported index schema {schema!r} (expected {SCHEMA_VERSION!r})"
         )
-    stored_digest = document.get("content_digest")
-    body = {k: v for k, v in document.items() if k != "content_digest"}
-    digest = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-    if stored_digest != digest:
+    stored_digest = document.pop("content_digest", None)
+    try:
+        index = _from_document(document)
+        _, digest = _serialized(index)
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        DimensionMismatchError,
+    ) as exc:
+        raise IndexIntegrityError(f"index file is damaged: {exc}") from None
+    if digest != stored_digest:
         raise IndexIntegrityError("content digest mismatch; file is corrupt")
-
-    _fields(body, _DOCUMENT_TYPES, "the document")
-    config = IndexConfig.from_document(document["config"])
-    if document["config_fingerprint"] != config.fingerprint:
-        raise IndexIntegrityError("config fingerprint does not match config")
-
-    vectors_doc = _fields(document["vectors"], _VECTORS_TYPES, "vectors")
-    _require(
-        vectors_doc["embedder_id"] == config.embedder_id,
-        "vectors and config name different embedders",
-    )
-    vectors = EntityVectorStore(
-        dimension=vectors_doc["dimension"], embedder_id=vectors_doc["embedder_id"]
-    )
-    for entity, values in vectors_doc["entries"].items():
-        try:
-            _require(
-                _is(values, list)
-                and set(map(type, values)) <= {float, int}
-                and all(map(math.isfinite, values)),
-                f"vector of {entity!r} is not a list of finite numbers",
-            )
-            vectors.add(entity, tuple(map(float, values)))
-        except (DimensionMismatchError, OverflowError) as exc:
-            raise IndexIntegrityError(f"index file is damaged: {exc}") from None
-
-    chunk_catalog = {
-        chunk_id: ChunkRecord(**_fields(fields, _CHUNK_TYPES, f"chunk {chunk_id!r}"))
-        for chunk_id, fields in document["chunk_catalog"].items()
-    }
-    inverted_map = {}
-    for entity, ids in document["inverted_map"].items():
-        _require(
-            _is(ids, list) and all(_is(i, str) for i in ids),
-            f"chunk ids of {entity!r} are not a list of strings",
-        )
-        inverted_map[entity] = frozenset(ids)
-        _require(
-            inverted_map[entity] <= chunk_catalog.keys(),
-            f"entity {entity!r} points at a chunk not in the catalog",
-        )
-    if sorted(inverted_map) != document["entities"]:
-        raise IndexIntegrityError("entity list does not match inverted map keys")
-    _require(
-        inverted_map.keys() == vectors.entries.keys(),
-        "entities and entity vectors differ",
-    )
-
-    accounting_doc = _fields(document["accounting"], _ACCOUNTING_TYPES, "accounting")
-    _require(
-        all(_is(n, int) for n in accounting_doc["breakdown"].values())
-        and set(_INDEXING_LABELS) <= accounting_doc["breakdown"].keys(),
-        "accounting breakdown must map every indexing label to an integer",
-    )
-    accounting = TokenAccounting(
-        tctc=accounting_doc["tctc"], breakdown=dict(accounting_doc["breakdown"])
-    )
-    if accounting_doc["tuic"] != accounting.tuic:
-        raise IndexIntegrityError("stored TUIC does not match breakdown")
-    return EntityIndex(
-        config=config,
-        inverted_map=inverted_map,
-        vectors=vectors,
-        chunk_catalog=chunk_catalog,
-        accounting=accounting,
-    )
+    _check_relations(index)
+    return index

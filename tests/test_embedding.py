@@ -223,9 +223,10 @@ class TestStoreAndCache:
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
         cache.put("e", "a", (1.0,))
-        good = path.read_text()
-        nonfinite = '{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
-        for damaged in ("not json", nonfinite):
-            path.write_text(damaged + "\n" + good, encoding="utf-8")
+        good = path.read_bytes()
+        nonfinite = b'{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
+        not_utf8 = b'{"embedder": "\xff", "digest": "b", "vector": [1.0]}'
+        for damaged in (b"not json", nonfinite, not_utf8):
+            path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
                 EmbeddingCache(path)

@@ -1,10 +1,15 @@
 """Index construction, incremental updates, persistence, accounting."""
 
+import copy
+import hashlib
 import json
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus, rewrite_index
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
@@ -22,6 +27,7 @@ from slimrag.index import (
     EXTRACTION_OUT,
     add_chunks,
     build_index,
+    canonical_json,
     load_index,
     lookup,
     save_index,
@@ -213,6 +219,21 @@ class TestAddChunks:
         assert all(type(ids) is frozenset for ids in grown.inverted_map.values())
 
 
+_SMALL_INDEX = build_index(_small_corpus(), LOCAL, EMB)
+# Scalars the index file holds, neighbours of them, and small containers.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2, 32, 10**19, 0.5, 1.0, "", "d1#0", "d1", "paris"])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
 class TestPersistence:
     def test_round_trip_structural_equality(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)
@@ -228,6 +249,12 @@ class TestPersistence:
         save_index(build_index(_small_corpus(), LOCAL, EMB), a_path)
         save_index(build_index(_small_corpus(), LOCAL, EMB), b_path)
         assert a_path.read_bytes() == b_path.read_bytes()
+        text = a_path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        assert text == canonical_json(document) + "\n"
+        digest = document.pop("content_digest")
+        body = canonical_json(document).encode("utf-8")
+        assert digest == hashlib.sha256(body).hexdigest()
 
     def test_unsupported_schema_version(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)
@@ -244,6 +271,14 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(index, path)
         path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(IndexIntegrityError):
+            load_index(path)
+
+    def test_non_utf8_file_is_corruption(self, tmp_path):
+        index = build_index(_small_corpus(), LOCAL, EMB)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        path.write_bytes(path.read_bytes().replace(b"paris", b"par\xffs"))
         with pytest.raises(IndexIntegrityError):
             load_index(path)
 
@@ -270,12 +305,18 @@ class TestPersistence:
             lambda d: d["vectors"].update(embedder_id="remote:other-model"),
             lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, float("nan")),
             lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, 10**400),
+            lambda d: d["accounting"].update(tctc=d["accounting"]["tctc"] + 1),
+            lambda d: d["inverted_map"]["paris"].clear(),
+            lambda d: d["chunk_catalog"]["d1#0"].update(position=-1),
+            lambda d: d["chunk_catalog"]["d1#1"].update(position=0),
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
             "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
             "entity-without-vector", "unregistered-tokenizer",
             "vectors-embedder-differs", "vector-not-finite", "vector-value-overflows",
+            "tctc-not-catalog-sum", "posting-list-empty", "position-negative",
+            "position-repeated",
         ],
     )
     def test_structural_damage_is_corruption(self, tmp_path, mutate):
@@ -292,6 +333,47 @@ class TestPersistence:
         save_index(index, path)
         rewrite_index(path, lambda d: None)
         assert load_index(path) == index
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_only_as_its_canonical_form(self, data):
+        """One random set, delete or duplicate anywhere in a saved index,
+        with the fingerprint and digest recomputed: the file is rejected
+        with a documented error, or it loads into an index that saves back
+        to exactly the file's canonical form."""
+
+        def mutate(document):
+            parent, key = document, data.draw(st.sampled_from(sorted(document)))
+            while (
+                isinstance(parent[key], (dict, list))
+                and parent[key]
+                and data.draw(st.booleans())
+            ):
+                parent = parent[key]
+                keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+                key = data.draw(st.sampled_from(keys))
+            operation = data.draw(st.sampled_from(["set", "delete", "duplicate"]))
+            if operation == "set":
+                parent[key] = data.draw(_JSON_VALUES)
+            elif operation == "delete":
+                del parent[key]
+            elif isinstance(parent, list):
+                parent.insert(key, copy.deepcopy(parent[key]))
+            else:
+                parent[f"{key}+"] = copy.deepcopy(parent[key])
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(_SMALL_INDEX, path)
+            rewrite_index(path, mutate)
+            try:
+                loaded = load_index(path)
+            except (IndexIntegrityError, SchemaVersionError):
+                return
+            resaved = Path(tmp) / "resaved.json"
+            save_index(loaded, resaved)
+            canonical = canonical_json(json.loads(path.read_text(encoding="utf-8")))
+            assert resaved.read_text(encoding="utf-8") == canonical + "\n"
 
     def test_temp_file_synced_before_rename(self, tmp_path, monkeypatch):
         calls = []
