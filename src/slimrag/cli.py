@@ -206,7 +206,7 @@ def _cmd_index_build(args) -> int:
     document = {
         "index": args.out,
         "documents": len(corpus.documents),
-        "chunks": index.chunk_count,
+        "chunks": len(index.chunk_catalog),
         "entities": len(index.inverted_map),
         "tuic": report.tuic,
         "tctc": report.tctc,
@@ -234,7 +234,7 @@ def _cmd_index_add(args) -> int:
     document = {
         "index": args.index,
         "added_chunks": len(corpus.chunks),
-        "chunks": updated.chunk_count,
+        "chunks": len(updated.chunk_catalog),
         "entities": len(updated.inverted_map),
     }
     _emit(args, document, [
@@ -249,16 +249,16 @@ def _cmd_index_stats(args) -> int:
     index = load_index(args.index)
     report = compute_ritu(index.accounting)
     document = {
-        "chunks": index.chunk_count,
+        "chunks": len(index.chunk_catalog),
         "entities": len(index.inverted_map),
         "tuic": report.tuic,
         "tctc": report.tctc,
         "ritu": report.ritu,
         "breakdown": dict(sorted(report.breakdown.items())),
-        "embedder_id": index.vectors.embedder_id,
+        "embedder_id": index.config.embedder_id,
         "tokenizer": index.config.tokenizer,
         "segmentation": index.config.segmentation,
-        "config_fingerprint": index.config_fingerprint,
+        "config_fingerprint": index.config.fingerprint,
     }
     _emit(args, document, [
         f"chunks: {document['chunks']}",

@@ -73,7 +73,6 @@ class SegmentationPolicy:
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    text: str
     sentences: tuple[str, ...]
 
 
@@ -95,9 +94,13 @@ class Chunk:
 class Corpus:
     documents: tuple[Document, ...]
     chunks: tuple[Chunk, ...]
-    total_corpus_tokens: int
     segmentation: str = "sentence"
     tokenizer: ClassVar[str] = DEFAULT_TOKENIZER
+
+    @property
+    def total_corpus_tokens(self) -> int:
+        """TCTC: the sum of the chunks' token counts."""
+        return sum(chunk.token_count for chunk in self.chunks)
 
 
 def make_chunk_id(doc_id: str, position: int) -> str:
@@ -154,7 +157,7 @@ def build_document(doc_id: str, text: str, policy: SegmentationPolicy) -> Docume
         sentences = (text,) if text.strip() else ()
     else:
         sentences = tuple(split_sentences(text))
-    return Document(doc_id=doc_id, text=text, sentences=sentences)
+    return Document(doc_id=doc_id, sentences=sentences)
 
 
 def _decode(raw: str, line_number: int) -> object:
@@ -162,6 +165,8 @@ def _decode(raw: str, line_number: int) -> object:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_number) from None
+    except RecursionError:
+        raise MalformedRecordError("JSON nested too deeply", line_number) from None
 
 
 def _check_record(record: object, line_number: int) -> dict:
@@ -250,9 +255,7 @@ def _assemble(
                     f"positions for doc_id {doc_id!r} are not contiguous from 0"
                 )
             sentences = tuple(positions[i] for i in expected)
-            documents.append(
-                Document(doc_id=doc_id, text=" ".join(sentences), sentences=sentences)
-            )
+            documents.append(Document(doc_id=doc_id, sentences=sentences))
             for pos, text in enumerate(sentences):
                 chunks.append(Chunk(make_chunk_id(doc_id, pos), doc_id, pos, text))
     else:
@@ -262,10 +265,8 @@ def _assemble(
             documents.append(doc)
             chunks.extend(segment_document(doc, policy))
 
-    total = sum(c.token_count for c in chunks)
     return Corpus(
         documents=tuple(documents),
         chunks=tuple(chunks),
-        total_corpus_tokens=total,
         segmentation=effective_policy,
     )

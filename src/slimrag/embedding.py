@@ -10,7 +10,7 @@ language, reproduces identical vectors (id ``local-hash/v1:<dim>:<seed>``):
    only gram.
 3. Hash each gram with FNV-1a 64-bit over its UTF-8 bytes, with the initial
    state ``0xcbf29ce484222325 XOR seed`` and prime ``0x100000001b3``,
-   arithmetic modulo 2^64. The default seed is ``0x9e3779b97f4a7c15``.
+   arithmetic modulo 2^64. The seed is fixed: ``0x9e3779b97f4a7c15``.
 4. Accumulate ``v[h mod dim] += s`` where ``s`` is +1 when bit 63 of ``h``
    is 0 and -1 otherwise.
 5. L2-normalize ``v``. If the accumulated vector is all zeros, the result is
@@ -39,16 +39,15 @@ Vector = tuple[float, ...]
 
 DEFAULT_DIMENSION = 256
 DEFAULT_SEED = 0x9E3779B97F4A7C15
-_FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
 
 
 @dataclass(frozen=True)
 class EmbedderConfig:
     provider: str = "local"
     dimension: int = DEFAULT_DIMENSION
-    seed: int = DEFAULT_SEED
     remote_model: str = remote.DEFAULT_EMBED_MODEL
     batch_size: int = 64
 
@@ -61,12 +60,12 @@ class EmbedderConfig:
     @property
     def embedder_id(self) -> str:
         if self.provider == "local":
-            return f"local-hash/v1:{self.dimension}:{self.seed:#x}"
+            return f"local-hash/v1:{self.dimension}:{DEFAULT_SEED:#x}"
         return f"remote:{self.remote_model}"
 
 
-def _fnv1a64(data: bytes, seed: int) -> int:
-    h = (_FNV_BASIS ^ seed) & _MASK64
+def _fnv1a64(data: bytes) -> int:
+    h = _FNV_INITIAL
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -74,7 +73,7 @@ def _fnv1a64(data: bytes, seed: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def _local_embed(text: str, dimension: int, seed: int) -> Vector:
+def _local_embed(text: str, dimension: int) -> Vector:
     normalized = normalize_entity(text)
     grams = [
         normalized[i:i + n]
@@ -83,7 +82,7 @@ def _local_embed(text: str, dimension: int, seed: int) -> Vector:
     ] or [normalized]
     values = [0.0] * dimension
     for gram in grams:
-        h = _fnv1a64(gram.encode("utf-8"), seed)
+        h = _fnv1a64(gram.encode("utf-8"))
         values[h % dimension] += 1.0 if (h >> 63) == 0 else -1.0
     norm = math.sqrt(sum(x * x for x in values))
     if norm == 0.0:
@@ -104,11 +103,11 @@ class EmbeddingCache:
     naming that line.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._entries: dict[tuple[str, str], Vector] = {}
         self._write_lock = threading.Lock()
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
             if complete < len(data):
@@ -124,7 +123,7 @@ class EmbeddingCache:
                     vector = tuple(float(x) for x in record["vector"])
                     _check_finite(vector)
                     self._entries[key] = vector
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, RecursionError):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
                     ) from None
@@ -142,10 +141,9 @@ class EmbeddingCache:
             if key in self._entries:
                 return
             self._entries[key] = vector
-            if self.path is not None:
-                record = {"embedder": key[0], "digest": key[1], "vector": list(vector)}
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record) + "\n")
+            record = {"embedder": key[0], "digest": key[1], "vector": list(vector)}
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record) + "\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,7 +158,7 @@ def embed(
     if not text.strip():
         raise ValueError("cannot embed empty text")
     if embedder.provider == "local":
-        return _local_embed(text, embedder.dimension, embedder.seed)
+        return _local_embed(text, embedder.dimension)
     return embed_many([text], embedder, cache)[0]
 
 
@@ -229,7 +227,6 @@ class EntityVectorStore:
     """
 
     dimension: int
-    embedder_id: str
     entries: dict[str, Vector] = field(default_factory=dict)
 
     def add(self, entity: str, vector: Vector) -> None:

@@ -74,9 +74,15 @@ class EvalReport:
     index_time_seconds: float
     per_example: list[ExampleResult]
     config: dict
-    scope: str
-    failed_count: int = 0
     aggregation: ClassVar[str] = "macro"
+
+    @property
+    def scope(self) -> str:
+        return self.config["scope"]
+
+    @property
+    def failed_count(self) -> int:
+        return sum(result.failed for result in self.per_example)
 
     def to_document(self) -> dict:
         return {
@@ -156,6 +162,8 @@ def load_hotpotqa_detailed(path: str | Path) -> tuple[list[EvalExample], int]:
         entries = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"dataset is not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedRecordError("dataset JSON is nested too deeply") from None
     if not isinstance(entries, list):
         raise MalformedRecordError("dataset top level is not a JSON array")
     examples: list[EvalExample] = []
@@ -220,7 +228,6 @@ def run_eval(
     results: list[ExampleResult] = []
     accounting = TokenAccounting()
     index_time = 0.0
-    failed_count = 0
 
     pooled_index = None
     if scope == "pooled":
@@ -245,7 +252,6 @@ def run_eval(
             )
         except ProviderError as exc:
             logger.warning("example %s failed: %s", example.question_id, exc)
-            failed_count += 1
             results.append(
                 ExampleResult(
                     question_id=example.question_id,
@@ -288,6 +294,4 @@ def run_eval(
         index_time_seconds=index_time,
         per_example=results,
         config=config,
-        scope=scope,
-        failed_count=failed_count,
     )

@@ -1,8 +1,8 @@
 """Entity extraction, query decomposition, and entity weighting.
 
 Two providers sit behind the same contract. The ``remote`` provider asks a
-chat-completions endpoint (see :mod:`slimrag.remote`) using the versioned
-prompt templates below. The ``local`` provider is a deterministic offline
+chat-completions endpoint (see :mod:`slimrag.remote`) using the prompt
+templates below. The ``local`` provider is a deterministic offline
 stand-in whose rules are fixed so tests can apply them by hand:
 
 * A candidate entity is a maximal span of capitalized words within one
@@ -77,7 +77,6 @@ CLAUSE_STARTERS = frozenset(
     }
 )
 
-ENTITY_PROMPT_VERSION = "entity-extraction/v1"
 ENTITY_SYSTEM_PROMPT = (
     "You extract named entities from text. Reply with ONLY a JSON array of "
     "entity strings, lowercase, no commentary."
@@ -90,7 +89,6 @@ ENTITY_NO_COREF_LINE = (
     " List surface mentions verbatim; do not resolve pronouns or aliases."
 )
 
-DECOMP_PROMPT_VERSION = "query-decomposition/v1"
 DECOMP_SYSTEM_PROMPT = (
     "You split a complex question into simple, self-contained sub-questions. "
     "Reply with ONLY a JSON array of sub-question strings, no commentary."
@@ -134,10 +132,6 @@ class ExtractorConfig:
         if self.provider == "local" and self.remote_model is not None:
             raise ValueError("remote_model is only valid with provider='remote'")
 
-    @property
-    def alias_map(self) -> dict[str, str]:
-        return dict(self.aliases)
-
     def fingerprint_fields(self) -> dict:
         # decomposition_enabled is retrieval-only and deliberately excluded:
         # the same index must serve both decomposition settings.
@@ -166,7 +160,6 @@ class TokenUsage:
 class QueryPlan:
     """A query's sub-queries, extracted entities, and frequency weights."""
 
-    query: str
     sub_queries: tuple[str, ...]
     query_entities: frozenset[str]
     entity_weights: dict[str, float] = field(compare=False)
@@ -278,7 +271,7 @@ def _gazetteer_hits(words: list[str], gazetteer: tuple[str, ...]) -> set[str]:
 
 
 def _local_extract(text: str, config: ExtractorConfig) -> set[str]:
-    aliases = config.alias_map
+    aliases = dict(config.aliases)
     known = set(config.gazetteer) | set(aliases)
 
     kept: list[_Span] = []
@@ -458,7 +451,6 @@ def plan_query(
         extract_usage += sub_usage + TokenUsage(input_tokens=count_tokens(sub))
     entities = frozenset().union(*per_sub) if per_sub else frozenset()
     plan = QueryPlan(
-        query=q,
         sub_queries=tuple(sub_queries),
         query_entities=frozenset(entities),
         entity_weights=_frequency_weights(entities, per_sub),

@@ -152,14 +152,6 @@ class EntityIndex:
     def entities(self) -> set[str]:
         return set(self.inverted_map)
 
-    @property
-    def config_fingerprint(self) -> str:
-        return self.config.fingerprint
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self.chunk_catalog)
-
 
 def _extended(
     index: EntityIndex,
@@ -221,8 +213,7 @@ def build_index(
         embedder_id=embedder.embedder_id,
     )
     vectors = EntityVectorStore(
-        dimension=embedder.dimension if embedder.provider == "local" else 0,
-        embedder_id=embedder.embedder_id,
+        dimension=embedder.dimension if embedder.provider == "local" else 0
     )
     empty = EntityIndex(config, {}, vectors, {}, TokenAccounting())
     return _extended(empty, list(corpus.chunks), extractor, embedder, cache, "build")
@@ -257,7 +248,7 @@ def check_compatible(
         extractor=extractor,
         embedder_id=embedder.embedder_id,
     )
-    if expected.fingerprint != index.config_fingerprint:
+    if expected.fingerprint != index.config.fingerprint:
         raise ConfigMismatchError(
             "extractor/embedder do not match the index fingerprint"
         )
@@ -275,13 +266,13 @@ def _to_document(index: EntityIndex) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "config": index.config.to_document(),
-        "config_fingerprint": index.config_fingerprint,
+        "config_fingerprint": index.config.fingerprint,
         "entities": sorted(index.inverted_map),
         "inverted_map": {
             entity: sorted(ids) for entity, ids in index.inverted_map.items()
         },
         "vectors": {
-            "embedder_id": index.vectors.embedder_id,
+            "embedder_id": index.config.embedder_id,
             "dimension": index.vectors.dimension,
             "entries": index.vectors.entries,
         },
@@ -315,7 +306,7 @@ def _from_document(document: dict) -> EntityIndex:
         embedder_id=str(config_doc["embedder_id"]),
     )
     vectors_doc = document.pop("vectors")
-    vectors = EntityVectorStore(int(vectors_doc["dimension"]), config.embedder_id)
+    vectors = EntityVectorStore(int(vectors_doc["dimension"]))
     for entity, values in vectors_doc["entries"].items():
         vectors.add(entity, tuple(map(float, values)))
     chunk_catalog = {
@@ -420,7 +411,7 @@ def load_index(path: str | Path) -> EntityIndex:
     schema."""
     try:
         document = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IndexIntegrityError(f"index file is not UTF-8 JSON: {exc}") from None
     if not isinstance(document, dict):
         raise IndexIntegrityError("index file is not a JSON object")
@@ -435,7 +426,7 @@ def load_index(path: str | Path) -> EntityIndex:
         _, digest = _serialized(index)
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError,
-        DimensionMismatchError,
+        RecursionError, DimensionMismatchError,
     ) as exc:
         raise IndexIntegrityError(f"index file is damaged: {exc}") from None
     if digest != stored_digest:

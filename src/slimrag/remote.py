@@ -21,7 +21,7 @@ API_BASE_ENV = "SLIMRAG_API_BASE"
 
 DEFAULT_CHAT_MODEL = "gpt-4o-mini"
 DEFAULT_EMBED_MODEL = "text-embedding-3-small"
-DEFAULT_TIMEOUT = 30.0
+TIMEOUT_SECONDS = 30.0
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5
 
@@ -44,20 +44,22 @@ def _headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
 
-def _post(path: str, payload: dict, timeout: float) -> dict:
+def _post(path: str, payload: dict) -> dict:
     url = f"{_resolve_base()}{path}"
     headers = _headers()
     last_error: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            response = requests.post(url, headers=headers, json=payload, timeout=timeout)
+            response = requests.post(
+                url, headers=headers, json=payload, timeout=TIMEOUT_SECONDS
+            )
         except requests.RequestException as exc:
             last_error = exc
         else:
             if response.status_code == 200:
                 try:
                     return response.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ProviderProtocolError(
                         f"non-JSON response from {url}"
                     ) from exc
@@ -73,14 +75,9 @@ def _post(path: str, payload: dict, timeout: float) -> dict:
     raise ProviderError(f"request to {url} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def chat_completion(
-    model: str,
-    system: str,
-    user: str,
-    temperature: float = 0.0,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> str:
-    """Return the assistant message content for a two-message chat."""
+def chat_completion(model: str, system: str, user: str) -> str:
+    """Return the assistant message content for a two-message chat, sampled
+    at temperature 0."""
     body = _post(
         "/chat/completions",
         {
@@ -89,9 +86,8 @@ def chat_completion(
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ],
-            "temperature": temperature,
+            "temperature": 0.0,
         },
-        timeout,
     )
     try:
         content = body["choices"][0]["message"]["content"]
@@ -103,14 +99,12 @@ def chat_completion(
 
 
 def embed_batch(
-    texts: list[str],
-    model: str = DEFAULT_EMBED_MODEL,
-    timeout: float = DEFAULT_TIMEOUT,
+    texts: list[str], model: str = DEFAULT_EMBED_MODEL
 ) -> list[list[float]]:
     """Embed a batch of texts; vectors come back in input order."""
     if not texts:
         return []
-    body = _post("/embeddings", {"model": model, "input": texts}, timeout)
+    body = _post("/embeddings", {"model": model, "input": texts})
     try:
         rows = body["data"]
         vectors = [[float(x) for x in row["embedding"]] for row in rows]
@@ -133,7 +127,7 @@ def parse_json_array(reply: str) -> list:
         text = text.strip()
     try:
         parsed = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProviderProtocolError(
             f"provider reply is not valid JSON: {reply[:200]!r}"
         ) from exc

@@ -9,9 +9,9 @@ entities in the chunk, top-H selection, greedy token-budget trimming, and
 re-ordering by original document position. The weighted variant replaces
 ``count`` by the sum of the hit entities' weights, in sorted entity order.
 
-Queries that yield no usable entities fall back, unless the fallback is
-disabled, to every chunk as a candidate with no hit entities, scored by
-``phi_q`` alone (trace-labeled). Both paths share one scoring loop and one
+Queries that yield no usable entities always fall back to every chunk as a
+candidate with no hit entities, scored by ``phi_q`` alone (trace-labeled);
+the fallback cannot be disabled. Both paths share one scoring loop and one
 ranking. Query entities and candidate chunks are each embedded with one
 ``embed_many`` call, so a remote embedder with batch size ``b`` makes at
 most ``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
@@ -59,7 +59,6 @@ class RetrievalParams:
     h: int = 10
     token_limit: int = 4096
     use_entity_weights: bool = False
-    fallback_on_no_entities: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.h < 1 or self.token_limit < 1:
@@ -67,13 +66,14 @@ class RetrievalParams:
 
     def to_document(self) -> dict:
         """The params document shared by the trace, the eval report config,
-        and the CLI's ``--show-config``."""
+        and the CLI's ``--show-config``. The fallback cannot be disabled; its
+        key stays so that every document written keeps its bytes."""
         return {
             "k": self.k,
             "h": self.h,
             "token_limit": self.token_limit,
             "use_entity_weights": self.use_entity_weights,
-            "fallback_on_no_entities": self.fallback_on_no_entities,
+            "fallback_on_no_entities": True,
         }
 
 
@@ -87,9 +87,12 @@ class ScoredChunk:
 
     chunk_id: str
     phi_q: float
-    hit_count: int
     score: float
     hit_entities: frozenset[str]
+
+    @property
+    def hit_count(self) -> int:
+        return len(self.hit_entities)
 
 
 @dataclass
@@ -103,7 +106,6 @@ class Trace:
     entity_weights: dict[str, float] = field(default_factory=dict)
     entity_matches: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
     hit_entities: dict[str, float] = field(default_factory=dict)
-    candidate_count: int = 0
     scored: list[ScoredChunk] = field(default_factory=list)
     selected: list[str] = field(default_factory=list)
     dropped_for_budget: list[str] = field(default_factory=list)
@@ -114,6 +116,11 @@ class Trace:
     no_query_entities: bool = False
     budget_exhausted: bool = False
     token_usage: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def candidate_count(self) -> int:
+        """Every candidate is scored, so this is the number scored."""
+        return len(self.scored)
 
     def to_document(self) -> dict:
         return {
@@ -295,8 +302,6 @@ def retrieve(
     weights: dict[str, float] | None = None
     if not plan.query_entities or not index.vectors.entries:
         trace.no_query_entities = not plan.query_entities
-        if not params.fallback_on_no_entities:
-            return Context(chunks=[], total_tokens=0, text="", trace=trace)
         trace.fallback_used = True
         candidates = dict.fromkeys(index.chunk_catalog, frozenset())
     else:
@@ -317,7 +322,6 @@ def retrieve(
                     weights[entity] = max(weights.get(entity, 0.0), weight)
         candidates = collect_hit_chunks(hits, index)
 
-    trace.candidate_count = len(candidates)
     chunk_ids = sorted(candidates)
     records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
     vectors = embed_many([record.text for record in records], embedder, cache)
@@ -330,7 +334,6 @@ def retrieve(
             ScoredChunk(
                 chunk_id=chunk_id,
                 phi_q=phi_q,
-                hit_count=len(hit_set),
                 score=score,
                 hit_entities=hit_set,
             )

@@ -13,6 +13,10 @@ from slimrag.corpus import Corpus, SegmentationPolicy, ingest_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# JSON nested far deeper than the interpreter's recursion limit: json.loads
+# raises RecursionError on it, not a ValueError.
+DEEP_JSON = "[" * 100_000
+
 FIRST = [
     "Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", "Theta", "Kappa",
     "Lambda", "Sigma", "Omega", "Vertex", "Quartz", "Cobalt", "Ember",

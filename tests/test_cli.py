@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR, rewrite_index
+from conftest import DATA_DIR, DEEP_JSON, rewrite_index
 from slimrag.cli import main
 from slimrag.retrieval import RetrievalParams
 
@@ -75,6 +75,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: index file is damaged")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["index", "stats", "--index", "{input}"],
+            ["index", "build", "--corpus", "{input}", "--out", "{output}"],
+            ["eval", "--dataset", "{input}", "--report", "{output}"],
+        ],
+        ids=["index-stats", "index-build", "eval"],
+    )
+    def test_deeply_nested_input_is_runtime_error(self, tmp_path, capsys, command):
+        source = tmp_path / "deep.json"
+        source.write_text(DEEP_JSON, encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = [a.format(input=source, output=output) for a in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not output.exists()
 
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0

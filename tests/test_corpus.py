@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import DEEP_JSON
 from slimrag.corpus import (
     Chunk,
     SegmentationPolicy,
@@ -167,6 +168,10 @@ class TestIngest:
     def test_malformed_json_reports_line(self):
         with pytest.raises(MalformedRecordError, match="line 2"):
             ingest_corpus([json.dumps({"doc_id": "a", "text": "x"}), "{nope"])
+
+    def test_deeply_nested_json_reports_line(self):
+        with pytest.raises(MalformedRecordError, match="line 2"):
+            ingest_corpus([json.dumps({"doc_id": "a", "text": "x"}), DEEP_JSON])
 
     def test_noncontiguous_positions_rejected(self):
         lines = [json.dumps({"doc_id": "t", "position": 1, "text": "B."})]

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, DEEP_JSON
+from slimrag import evalharness
 from slimrag.embedding import EmbedderConfig
-from slimrag.errors import MalformedRecordError
+from slimrag.errors import MalformedRecordError, ProviderError
 from slimrag.evalharness import (
     load_hotpotqa,
     load_hotpotqa_detailed,
@@ -66,9 +67,10 @@ class TestLoad:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("[{", encoding="utf-8")
-        with pytest.raises(MalformedRecordError):
-            load_hotpotqa(path)
+        for broken in ("[{", DEEP_JSON):
+            path.write_text(broken, encoding="utf-8")
+            with pytest.raises(MalformedRecordError):
+                load_hotpotqa(path)
 
     def test_missing_question_rejected(self, tmp_path):
         with pytest.raises(MalformedRecordError):
@@ -112,6 +114,26 @@ class TestRunEval:
         report = run_eval(examples, LOCAL, EMB)
         assert report.aggregate.recall == 1.0
         assert report.failed_count == 0
+
+    def test_provider_failure_scores_zero_and_is_counted(self, tmp_path, monkeypatch):
+        second = _entry("Where is Ember Corp?")
+        second["_id"] = "fixture-1"
+        examples = load_hotpotqa(_write_dataset(tmp_path, [_entry(), second]))
+
+        def retrieve(index, question, *args):
+            if question == examples[0].question:
+                raise ProviderError("provider down")
+            return real_retrieve(index, question, *args)
+
+        real_retrieve = evalharness.retrieve
+        monkeypatch.setattr(evalharness, "retrieve", retrieve)
+        report = run_eval(examples, LOCAL, EMB)
+        failed, scored = report.per_example
+        assert failed.failed and not scored.failed
+        assert (failed.score.recall, failed.score.f1, failed.trace_digest) == (0.0, 0.0, "")
+        assert scored.score.recall > 0.0 and scored.trace_digest
+        assert report.failed_count == report.to_document()["failed_count"] == 1
+        assert report.aggregate.recall == scored.score.recall / 2
 
     def test_zero_examples_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from slimrag.extraction import (
     compute_entity_weights,
     decompose_query,
     extract_entities,
+    load_gazetteer,
     normalize_entity,
     plan_query,
 )
@@ -74,6 +75,13 @@ class TestExtractEntities:
         config = ExtractorConfig(gazetteer=("graphene",))
         found = extract_entities("The lab studied graphene samples.", config)
         assert "graphene" in found
+
+    def test_load_gazetteer_normalizes_dedupes_and_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gazetteer.txt"
+        path.write_text(
+            "  Graphene \n\nGRAPHENE\nNew   York\n   \nCafe\u0301\n", encoding="utf-8"
+        )
+        assert load_gazetteer(path) == ("caf\u00e9", "graphene", "new york")
 
     def test_alias_resolution_with_coref_on(self):
         config = ExtractorConfig(aliases=(("kepler notch", "verdant dynamics"),))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_corpus, rewrite_index
+from conftest import DEEP_JSON, random_corpus, rewrite_index
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import (
@@ -193,7 +193,7 @@ class TestAddChunks:
         index = build_index(_small_corpus(), LOCAL, EMB)
         no_decomp = ExtractorConfig(decomposition_enabled=False)
         grown = add_chunks(index, [Chunk("x#0", "x", 0, "Plain text here.")], no_decomp, EMB)
-        assert grown.chunk_count == index.chunk_count + 1
+        assert len(grown.chunk_catalog) == len(index.chunk_catalog) + 1
 
     def test_accounting_monotone(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
@@ -279,6 +279,12 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(index, path)
         path.write_bytes(path.read_bytes().replace(b"paris", b"par\xffs"))
+        with pytest.raises(IndexIntegrityError):
+            load_index(path)
+
+    def test_deeply_nested_file_is_corruption(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(DEEP_JSON, encoding="utf-8")
         with pytest.raises(IndexIntegrityError):
             load_index(path)
 
@@ -394,6 +400,20 @@ class TestPersistence:
         size = path.stat().st_size
         # The whole payload is on disk before the rename publishes it.
         assert calls == [("fsync", size), ("replace", size)]
+
+    def test_failed_rename_keeps_old_file_and_removes_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        save_index(build_index(_small_corpus(), LOCAL, EMB), path)
+        before = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_index(build_index(ingest_corpus([]), LOCAL, EMB), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+        assert path.read_bytes() == before
 
     def test_no_temp_files_left_behind(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)

@@ -7,7 +7,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
+from conftest import DEEP_JSON
 from slimrag import remote
 from slimrag.embedding import EmbedderConfig, embed, embed_many
 from slimrag.errors import ProviderError, ProviderProtocolError
@@ -37,7 +39,7 @@ class _FakeHandler(BaseHTTPRequestHandler):
             status, body = 200, {"data": [{"embedding": v} for v in vectors]}
         else:
             status, body = self.server.script.pop(0)
-        data = json.dumps(body).encode("utf-8")
+        data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -115,6 +117,28 @@ class TestChatProtocol:
             server.enqueue(500, {"error": "boom"})
         with pytest.raises(ProviderError):
             remote.chat_completion("m", "s", "u")
+
+    def test_transport_error_retried_then_succeeds(self, server, monkeypatch):
+        attempts = []
+
+        def post(*args, **kwargs):
+            attempts.append(args)
+            if len(attempts) == 1:
+                raise requests.ConnectionError("connection reset")
+            return real_post(*args, **kwargs)
+
+        real_post = requests.post
+        monkeypatch.setattr(requests, "post", post)
+        server.enqueue(200, _chat_body("[]"))
+        assert remote.chat_completion("m", "s", "u") == "[]"
+        assert len(attempts) == 2
+        assert len(server.requests) == 1
+
+    def test_deeply_nested_response_is_protocol_error(self, server):
+        server.enqueue(200, DEEP_JSON.encode("utf-8"))
+        with pytest.raises(ProviderProtocolError, match="non-JSON"):
+            remote.chat_completion("m", "s", "u")
+        assert len(server.requests) == 1
 
     def test_client_error_not_retried(self, server):
         server.enqueue(401, {"error": "bad key"})
@@ -194,6 +218,10 @@ class TestRemoteExtraction:
         config = ExtractorConfig(provider="remote")
         with pytest.raises(ProviderProtocolError):
             extract_entities("text", config)
+
+    def test_deeply_nested_reply_is_protocol_error(self):
+        with pytest.raises(ProviderProtocolError, match="not valid JSON"):
+            remote.parse_json_array(DEEP_JSON)
 
     def test_decomposition_round_trip(self, server):
         server.enqueue(200, _chat_body('["Who directed Alien?", "When was Alien released?"]'))

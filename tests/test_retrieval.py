@@ -15,7 +15,7 @@ import slimrag
 from slimrag.corpus import SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig, cosine_similarity, embed
 from slimrag.extraction import ExtractorConfig
-from slimrag.index import build_index, canonical_json
+from slimrag.index import build_index, canonical_json, save_index
 from slimrag.retrieval import (
     Context,
     RetrievalParams,
@@ -97,14 +97,6 @@ class TestRetrieveExamples:
             ),
         )
         assert context.trace.final_order == want
-
-    def test_fallback_disabled_returns_empty_flagged(self):
-        _, index = _six_chunk_index()
-        params = RetrievalParams(fallback_on_no_entities=False)
-        context = retrieve(index, "nothing capitalized here?", params, LOCAL, EMB)
-        assert context.chunks == []
-        assert context.trace.no_query_entities
-        assert not context.trace.fallback_used
 
     def test_empty_query_rejected(self):
         _, index = _six_chunk_index()
@@ -218,7 +210,6 @@ def _scored(chunk_id, phi, count):
     return ScoredChunk(
         chunk_id=chunk_id,
         phi_q=phi,
-        hit_count=count,
         score=phi * count,
         hit_entities=frozenset({f"e{i}" for i in range(count)}),
     )
@@ -342,6 +333,33 @@ class TestPipelineProperties:
                 hit_weight[e] for e in scored.hit_entities
             )
             assert scored.score == pytest.approx(expected, abs=1e-12)
+
+    def test_derived_fields_agree_randomized(self, tmp_path):
+        # candidate_count, hit_count and the saved vectors' embedder id are
+        # derived from other state; check them on the entity path, the
+        # no-entity fallback and an empty index.
+        rng = random.Random(7070)
+        path = tmp_path / "index.json"
+        for case in range(20):
+            if case == 0:
+                corpus, pool = _corpus([]), ["Vertex Labs"]
+            else:
+                corpus, pool = random_corpus(rng, max_chunks=12, max_entities=6)
+            index = build_index(corpus, LOCAL, EMB)
+            save_index(index, path)
+            saved = json.loads(path.read_text(encoding="utf-8"))
+            assert saved["vectors"]["embedder_id"] == index.config.embedder_id
+            params = RetrievalParams(
+                k=rng.randint(1, 4), use_entity_weights=rng.random() < 0.5
+            )
+            for q in (random_query(rng, pool), "what happened next?"):
+                trace = retrieve(index, q, params, LOCAL, EMB).trace
+                document = trace.to_document()
+                assert trace.candidate_count == len(trace.scored)
+                assert document["candidate_count"] == trace.candidate_count
+                for s, s_doc in zip(trace.scored, document["scored"]):
+                    assert s.hit_count == len(s.hit_entities)
+                    assert s_doc["hit_count"] == len(s_doc["hit_entities"])
 
     def test_total_tokens_matches_merged_text_count(self):
         from slimrag.tokenization import count_tokens
