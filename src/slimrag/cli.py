@@ -14,10 +14,11 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import SegmentationPolicy, ingest_corpus
 from .embedding import DEFAULT_DIMENSION, EmbedderConfig, EmbeddingCache
-from .errors import SlimRagError
+from .errors import MalformedRecordError, SlimRagError
 from .evalharness import load_hotpotqa_detailed, run_eval
 from .extraction import ExtractorConfig, load_aliases, load_gazetteer
 from .index import add_chunks, build_index, canonical_json, load_index, save_index
@@ -27,6 +28,8 @@ from .retrieval import RetrievalParams, retrieve
 
 
 _DEFAULTS = RetrievalParams()
+_CSV_COLUMNS = ("question_id", "accuracy", "recall", "f1", "retrieved_count",
+                "gold_count", "failed", "trace_digest")
 
 
 class _UsageError(Exception):
@@ -81,15 +84,18 @@ def build_parser() -> _Parser:
     p_build.add_argument("--policy", default="sentence",
                          help="sentence | fixed:N | passthrough")
     common(p_build)
+    p_build.set_defaults(handler=_cmd_index_build)
 
     p_add = index_subs.add_parser("add")
     p_add.add_argument("--index", default=None)
     p_add.add_argument("--corpus", default=None, help="corpus JSONL of new chunks")
     common(p_add)
+    p_add.set_defaults(handler=_cmd_index_add)
 
     p_stats = index_subs.add_parser("stats")
     p_stats.add_argument("--index", default=None)
     common(p_stats)
+    p_stats.set_defaults(handler=_cmd_index_stats)
 
     p_retrieve = subs.add_parser("retrieve", help="run a query against an index")
     p_retrieve.add_argument("--index", default=None)
@@ -99,6 +105,7 @@ def build_parser() -> _Parser:
                             default=_DEFAULTS.use_entity_weights, metavar="on|off")
     p_retrieve.add_argument("--trace", default=None, help="write the trace JSON here")
     common(p_retrieve)
+    p_retrieve.set_defaults(handler=_cmd_retrieve)
 
     p_eval = subs.add_parser("eval", help="evaluate over a HotpotQA-format dataset")
     p_eval.add_argument("--dataset", default=None)
@@ -108,6 +115,7 @@ def build_parser() -> _Parser:
                         default="per-example")
     retrieval_knobs(p_eval)
     common(p_eval)
+    p_eval.set_defaults(handler=_cmd_eval)
 
     return parser
 
@@ -194,11 +202,24 @@ def _cache(args) -> EmbeddingCache | None:
     return EmbeddingCache(args.cache) if args.cache else None
 
 
+def _utf8_lines(handle) -> Iterator[str]:
+    """Each line of a text file opened with ``errors="surrogateescape"``, so
+    lines split as text mode splits them; a line whose bytes are not UTF-8
+    raises MalformedRecordError naming it."""
+    for line_number, line in enumerate(handle, start=1):
+        try:
+            yield line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(
+                f"not UTF-8 ({exc.reason})", line_number
+            ) from None
+
+
 def _cmd_index_build(args) -> int:
     _require(args, "corpus", "out")
     policy = SegmentationPolicy.parse(args.policy)
-    with open(args.corpus, "r", encoding="utf-8") as handle:
-        corpus = ingest_corpus(handle, policy)
+    with open(args.corpus, encoding="utf-8", errors="surrogateescape") as handle:
+        corpus = ingest_corpus(_utf8_lines(handle), policy)
     index = build_index(corpus, _extractor_config(args), _embedder_config(args),
                         cache=_cache(args))
     save_index(index, args.out)
@@ -224,9 +245,9 @@ def _cmd_index_build(args) -> int:
 def _cmd_index_add(args) -> int:
     _require(args, "index", "corpus")
     index = load_index(args.index)
-    with open(args.corpus, "r", encoding="utf-8") as handle:
+    with open(args.corpus, encoding="utf-8", errors="surrogateescape") as handle:
         corpus = ingest_corpus(
-            handle, SegmentationPolicy.parse(index.config.segmentation)
+            _utf8_lines(handle), SegmentationPolicy.parse(index.config.segmentation)
         )
     updated = add_chunks(index, list(corpus.chunks), _extractor_config(args),
                          _embedder_config(args), cache=_cache(args))
@@ -308,17 +329,9 @@ def _cmd_eval(args) -> int:
     Path(args.report).write_text(canonical_json(document) + "\n", encoding="utf-8")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["question_id", "accuracy", "recall", "f1",
-                 "retrieved_count", "gold_count", "failed", "trace_digest"]
-            )
-            for row in report.per_example:
-                writer.writerow(
-                    [row.question_id, row.score.accuracy, row.score.recall,
-                     row.score.f1, row.score.retrieved_count, row.score.gold_count,
-                     row.failed, row.trace_digest]
-                )
+            writer = csv.DictWriter(handle, _CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(row.to_document() for row in report.per_example)
     _emit(args, document, [
         f"examples: {len(report.per_example)} (failed: {report.failed_count})",
         f"accuracy: {report.aggregate.accuracy:.4f}",
@@ -343,18 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "show_config", False):
             print(canonical_json(_effective_config(args)))
             return 0
-        if args.command == "index":
-            handler = {
-                "build": _cmd_index_build,
-                "add": _cmd_index_add,
-                "stats": _cmd_index_stats,
-            }[args.index_command]
-            return handler(args)
-        if args.command == "retrieve":
-            return _cmd_retrieve(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

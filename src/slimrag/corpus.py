@@ -78,15 +78,17 @@ class Document:
 
 @dataclass(frozen=True)
 class Chunk:
-    """``token_count`` is derived from ``text`` by the accounting tokenizer."""
+    """``chunk_id`` is ``make_chunk_id(doc_id, position)``, and
+    ``token_count`` is derived from ``text`` by the accounting tokenizer."""
 
-    chunk_id: str
+    chunk_id: str = field(init=False)
     doc_id: str
     position: int
     text: str
     token_count: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "chunk_id", make_chunk_id(self.doc_id, self.position))
         object.__setattr__(self, "token_count", count_tokens(self.text))
 
 
@@ -139,15 +141,13 @@ def segment_document(doc: Document, policy: SegmentationPolicy) -> list[Chunk]:
     segmentable content. Empty documents yield an empty list.
     """
     sentences = list(doc.sentences)
-    if not sentences:
-        return []
     if policy.kind == "fixed":
         n = policy.size
         groups = [sentences[i:i + n] for i in range(0, len(sentences), n)]
     else:  # sentence, or passthrough: each sentence is one chunk
         groups = [[s] for s in sentences]
     return [
-        Chunk(make_chunk_id(doc.doc_id, pos), doc.doc_id, pos, " ".join(group))
+        Chunk(doc.doc_id, pos, " ".join(group))
         for pos, group in enumerate(groups)
     ]
 
@@ -209,7 +209,6 @@ def _assemble(
     policy = policy or SegmentationPolicy()
 
     form: str | None = None
-    doc_order: list[str] = []
     raw_docs: dict[str, str] = {}
     prechunked: dict[str, dict[int, str]] = {}
 
@@ -226,7 +225,6 @@ def _assemble(
         if form == "document":
             if doc_id in raw_docs:
                 raise DuplicateDocumentError(f"duplicate doc_id {doc_id!r}")
-            doc_order.append(doc_id)
             raw_docs[doc_id] = record["text"]
         else:
             if not record["text"].strip():
@@ -234,8 +232,6 @@ def _assemble(
             if record["position"] < 0:
                 raise MalformedRecordError("position must be >= 0", line_number)
             positions = prechunked.setdefault(doc_id, {})
-            if not positions:
-                doc_order.append(doc_id)
             if record["position"] in positions:
                 raise MalformedRecordError(
                     f"duplicate position {record['position']} for doc_id {doc_id!r}",
@@ -243,30 +239,21 @@ def _assemble(
                 )
             positions[record["position"]] = record["text"]
 
-    documents: list[Document] = []
-    chunks: list[Chunk] = []
+    # Only one form is present, so the documents keep their input order.
+    documents = [build_document(d, text, policy) for d, text in raw_docs.items()]
+    for doc_id, positions in prechunked.items():
+        order = range(len(positions))
+        if sorted(positions) != list(order):
+            raise MalformedRecordError(
+                f"positions for doc_id {doc_id!r} are not contiguous from 0"
+            )
+        documents.append(Document(doc_id, tuple(positions[i] for i in order)))
     if form == "prechunked":
-        effective_policy = "passthrough"
-        for doc_id in doc_order:
-            positions = prechunked[doc_id]
-            expected = list(range(len(positions)))
-            if sorted(positions) != expected:
-                raise MalformedRecordError(
-                    f"positions for doc_id {doc_id!r} are not contiguous from 0"
-                )
-            sentences = tuple(positions[i] for i in expected)
-            documents.append(Document(doc_id=doc_id, sentences=sentences))
-            for pos, text in enumerate(sentences):
-                chunks.append(Chunk(make_chunk_id(doc_id, pos), doc_id, pos, text))
-    else:
-        effective_policy = policy.policy_id
-        for doc_id in doc_order:
-            doc = build_document(doc_id, raw_docs[doc_id], policy)
-            documents.append(doc)
-            chunks.extend(segment_document(doc, policy))
+        policy = SegmentationPolicy("passthrough")
+    chunks = [chunk for doc in documents for chunk in segment_document(doc, policy)]
 
     return Corpus(
         documents=tuple(documents),
         chunks=tuple(chunks),
-        segmentation=effective_policy,
+        segmentation=policy.policy_id,
     )

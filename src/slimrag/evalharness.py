@@ -6,11 +6,12 @@ sentence lists. Sentences become pre-chunked corpus records with
 ``doc_id = title`` and ``position = sentence index``, so gold facts map
 directly onto chunk ids.
 
-Two scopes: ``per-example`` builds a fresh index over each example's own
+A title may appear once in an entry's context. The scope only groups the
+examples: ``per-example`` builds a fresh index over each example's own
 context documents (the distractor setting); ``pooled`` builds one index over
-the union of all contexts. Reported index time covers index construction
-only. Examples whose retrieval fails are scored zero and counted, never
-silently dropped.
+the union of all contexts, where a title shared by several examples is
+indexed once. Reported index time covers index construction only. Examples
+whose retrieval fails are scored zero and counted, never silently dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .corpus import Corpus, corpus_from_chunks, make_chunk_id
 from .embedding import EmbedderConfig, EmbeddingCache
 from .errors import MalformedRecordError, ProviderError
 from .extraction import ExtractorConfig
-from .index import TokenAccounting, build_index, canonical_json
+from .index import EntityIndex, TokenAccounting, build_index, canonical_json
 from .metrics import RetrievalScore, RituReport, compute_ritu, score_retrieval
 from .retrieval import RetrievalParams, retrieve
 from .tokenization import DEFAULT_TOKENIZER
@@ -121,6 +122,13 @@ def _parse_example(entry: dict, position: int) -> EvalExample:
         raise MalformedRecordError(
             f"entry {position}: a context item is not [title, [sentence, ...]]"
         )
+    titles: set[str] = set()
+    for title, _ in context:
+        if title in titles:
+            raise MalformedRecordError(
+                f"entry {position}: context title {title!r} appears twice"
+            )
+        titles.add(title)
     facts = entry.get("supporting_facts")
     if not isinstance(facts, list):
         raise MalformedRecordError(f"entry {position} has no supporting_facts list")
@@ -157,7 +165,12 @@ def _gold_facts_resolved(example: EvalExample) -> bool:
 
 def load_hotpotqa_detailed(path: str | Path) -> tuple[list[EvalExample], int]:
     """Parse a HotpotQA-format JSON file; returns (examples, skipped count)."""
-    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(
+            f"dataset is not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     try:
         entries = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -186,28 +199,45 @@ def load_hotpotqa(path: str | Path) -> list[EvalExample]:
     return examples
 
 
-def _example_corpus(example: EvalExample) -> Corpus:
-    rows = [
-        (title, idx, sentence)
-        for title, sentences in example.context_docs
-        for idx, sentence in enumerate(sentences)
-    ]
-    return corpus_from_chunks(rows)
-
-
-def _pooled_corpus(examples: list[EvalExample]) -> Corpus:
+def _corpus(examples: list[EvalExample]) -> Corpus:
+    """The pre-chunked corpus of the examples' context documents; a title an
+    earlier example already brought is indexed once."""
     seen: set[str] = set()
     rows = []
     for example in examples:
         for title, sentences in example.context_docs:
-            if title in seen:
-                continue
-            seen.add(title)
-            rows.extend((title, idx, s) for idx, s in enumerate(sentences))
+            if title not in seen:
+                seen.add(title)
+                rows.extend((title, idx, s) for idx, s in enumerate(sentences))
     return corpus_from_chunks(rows)
 
 
 _ZERO = RetrievalScore(0.0, 0.0, 0.0, 0, 0)
+
+
+def _scored(
+    index: EntityIndex,
+    example: EvalExample,
+    params: RetrievalParams,
+    extractor: ExtractorConfig,
+    embedder: EmbedderConfig,
+    cache: EmbeddingCache | None,
+) -> ExampleResult:
+    """Retrieve one question and score it against its gold chunks; a
+    provider failure scores zero and is flagged."""
+    try:
+        context = retrieve(
+            index, example.question, params, extractor, embedder, cache
+        )
+    except ProviderError as exc:
+        logger.warning("example %s failed: %s", example.question_id, exc)
+        return ExampleResult(example.question_id, _ZERO, "", failed=True)
+    retrieved = {chunk_id for chunk_id, _ in context.chunks}
+    score = score_retrieval(retrieved, set(example.gold_chunk_ids))
+    digest = hashlib.sha256(
+        canonical_json(context.trace.to_document()).encode("utf-8")
+    ).hexdigest()
+    return ExampleResult(example.question_id, score, digest)
 
 
 def run_eval(
@@ -218,58 +248,28 @@ def run_eval(
     scope: str = "per-example",
     cache: EmbeddingCache | None = None,
 ) -> EvalReport:
-    """Build index(es), retrieve every question, and aggregate scores."""
+    """Build an index per group of examples, retrieve every question, and
+    aggregate scores. ``pooled`` is one group of all examples;
+    ``per-example`` is one group per example."""
     if not examples:
         raise ValueError("no examples to evaluate")
     if scope not in ("per-example", "pooled"):
         raise ValueError(f"unknown scope {scope!r}")
     params = params or RetrievalParams()
+    groups = [examples] if scope == "pooled" else [[example] for example in examples]
 
     results: list[ExampleResult] = []
     accounting = TokenAccounting()
     index_time = 0.0
-
-    pooled_index = None
-    if scope == "pooled":
-        corpus = _pooled_corpus(examples)
+    for group in groups:
+        corpus = _corpus(group)
         start = time.perf_counter()
-        pooled_index = build_index(corpus, extractor, embedder, cache=cache)
+        index = build_index(corpus, extractor, embedder, cache=cache)
         index_time += time.perf_counter() - start
-        accounting = accounting.merged(pooled_index.accounting)
-
-    for example in examples:
-        if scope == "per-example":
-            corpus = _example_corpus(example)
-            start = time.perf_counter()
-            index = build_index(corpus, extractor, embedder, cache=cache)
-            index_time += time.perf_counter() - start
-            accounting = accounting.merged(index.accounting)
-        else:
-            index = pooled_index
-        try:
-            context = retrieve(
-                index, example.question, params, extractor, embedder, cache
-            )
-        except ProviderError as exc:
-            logger.warning("example %s failed: %s", example.question_id, exc)
-            results.append(
-                ExampleResult(
-                    question_id=example.question_id,
-                    score=_ZERO,
-                    trace_digest="",
-                    failed=True,
-                )
-            )
-            continue
-        retrieved = {chunk_id for chunk_id, _ in context.chunks}
-        score = score_retrieval(retrieved, set(example.gold_chunk_ids))
-        digest = hashlib.sha256(
-            canonical_json(context.trace.to_document()).encode("utf-8")
-        ).hexdigest()
-        results.append(
-            ExampleResult(
-                question_id=example.question_id, score=score, trace_digest=digest
-            )
+        accounting = accounting.merged(index.accounting)
+        results.extend(
+            _scored(index, example, params, extractor, embedder, cache)
+            for example in group
         )
 
     n = len(results)

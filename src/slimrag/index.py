@@ -22,7 +22,8 @@ file describes, re-serializes it and compares digests. A file loads iff it
 parses into an index whose ``save_index`` form has the stored digest and
 passes the relational checks: finite vector values, non-empty posting lists
 of chunk ids in the catalog, exactly one vector per entity of the store's
-dimension, and chunk positions that are >= 0 and unique within a document.
+dimension, and catalog keys that are ``<doc_id>#<position>`` of their record
+with a position >= 0 (so no two records share a document and position).
 Any other file raises IndexIntegrityError (SchemaVersionError for another
 schema). Derived fields (entity list, fingerprint, TUIC, TCTC as the catalog's
 token sum) are recomputed, not read. The loader trusts, unchecked, each
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .corpus import Chunk, Corpus
+from .corpus import Chunk, Corpus, make_chunk_id
 from .embedding import EmbedderConfig, EmbeddingCache, EntityVectorStore, embed_many
 from .errors import (
     ConfigMismatchError,
@@ -376,11 +377,12 @@ def _check_relations(index: EntityIndex) -> None:
         _require(
             all(map(math.isfinite, vector)), f"vector of {entity!r} is not finite"
         )
-    places = {(record.doc_id, record.position) for record in catalog.values()}
-    _require(
-        len(places) == len(catalog) and all(p >= 0 for _, p in places),
-        "chunk positions must be >= 0 and unique within a document",
-    )
+    for chunk_id, record in catalog.items():
+        _require(
+            record.position >= 0
+            and chunk_id == make_chunk_id(record.doc_id, record.position),
+            f"catalog key {chunk_id!r} is not <doc_id>#<position>, position >= 0",
+        )
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:

@@ -57,17 +57,11 @@ def score_retrieval(retrieved: set[str], gold: set[str]) -> RetrievalScore:
 
 def compute_ritu(accounting: TokenAccounting) -> RituReport:
     """TUIC / TCTC; an empty corpus reports 0.0 with the empty flag set."""
-    if accounting.tctc == 0:
-        return RituReport(
-            tuic=accounting.tuic,
-            tctc=0,
-            ritu=0.0,
-            breakdown=dict(accounting.breakdown),
-            empty_corpus=True,
-        )
+    empty = accounting.tctc == 0
     return RituReport(
         tuic=accounting.tuic,
         tctc=accounting.tctc,
-        ritu=accounting.tuic / accounting.tctc,
+        ritu=0.0 if empty else accounting.tuic / accounting.tctc,
         breakdown=dict(accounting.breakdown),
+        empty_corpus=empty,
     )

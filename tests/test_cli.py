@@ -1,11 +1,15 @@
 """CLI surface: subcommands, exit codes, JSON purity, read-only behavior."""
 
+import csv
 import json
 
 import pytest
 
 from conftest import DATA_DIR, DEEP_JSON, rewrite_index
 from slimrag.cli import main
+from slimrag.embedding import EmbedderConfig
+from slimrag.evalharness import load_hotpotqa, run_eval
+from slimrag.extraction import ExtractorConfig
 from slimrag.retrieval import RetrievalParams
 
 
@@ -94,6 +98,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["build", "add"])
+    def test_non_utf8_corpus_line_is_named(self, built_index, tmp_path, capsys, command):
+        corpus = tmp_path / "latin1.jsonl"
+        corpus.write_bytes(
+            json.dumps({"doc_id": "d3", "text": "Fine."}).encode("utf-8") + b"\n"
+            + b'{"doc_id": "d4", "text": "caf\xe9 \xff"}\n'
+        )
+        before = built_index.read_bytes()
+        output = tmp_path / "new-index.json"
+        argv = {
+            "build": ["index", "build", "--corpus", str(corpus), "--out", str(output)],
+            "add": ["index", "add", "--index", str(built_index), "--corpus", str(corpus)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: not UTF-8") and err.count("\n") == 1
+        assert not output.exists() and built_index.read_bytes() == before
+
+    @pytest.mark.parametrize("scope", ["per-example", "pooled"])
+    def test_repeated_context_title_is_runtime_error(self, tmp_path, capsys, scope):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps([{
+            "_id": "q0",
+            "question": "Where did Vertex Labs move?",
+            "supporting_facts": [["Vertex Labs", 0]],
+            "context": [
+                ["Vertex Labs", ["Vertex Labs built the annex.", "It opened late."]],
+                ["Vertex Labs", ["Vertex Labs moved to the coast."]],
+            ],
+        }]), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["eval", "--dataset", str(dataset), "--report", str(report),
+                     "--scope", scope]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "title 'Vertex Labs'" in err
+        assert not report.exists()
 
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0
@@ -202,6 +244,26 @@ class TestEvalCommand:
         assert on_disk["recall"] == document["recall"]
         rows = csv_path.read_text().strip().splitlines()
         assert len(rows) == 1 + 5
+
+    def test_csv_rows_are_per_example_documents(self, tmp_path, capsys):
+        dataset = DATA_DIR / "smoke_dataset.json"
+        csv_path = tmp_path / "per_example.csv"
+        assert main(["eval", "--dataset", str(dataset),
+                     "--report", str(tmp_path / "report.json"),
+                     "--csv", str(csv_path)]) == 0
+        report = run_eval(load_hotpotqa(dataset), ExtractorConfig(), EmbedderConfig())
+        with open(csv_path, encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "question_id", "accuracy", "recall", "f1", "retrieved_count",
+            "gold_count", "failed", "trace_digest",
+        ]
+        assert len(rows) == len(report.per_example)
+        for row, result in zip(rows, report.per_example):
+            document = result.to_document()
+            for column in reader.fieldnames:
+                assert row[column] == str(document[column])
 
     def test_eval_matches_golden_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

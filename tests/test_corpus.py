@@ -207,4 +207,4 @@ def test_policy_parse_round_trip():
 
 
 def test_chunk_id_format():
-    assert Chunk("d#0", "d", 0, "x").chunk_id == "d#0"
+    assert Chunk("d", 0, "x").chunk_id == "d#0"

@@ -72,6 +72,14 @@ class TestLoad:
             with pytest.raises(MalformedRecordError):
                 load_hotpotqa(path)
 
+    def test_non_utf8_dataset_rejected(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        text = json.dumps([_entry()], ensure_ascii=False).replace("annex", "annexé")
+        for encoding in ("latin-1", "utf-16"):
+            path.write_bytes(text.encode(encoding))
+            with pytest.raises(MalformedRecordError, match="not UTF-8"):
+                load_hotpotqa_detailed(path)
+
     def test_missing_question_rejected(self, tmp_path):
         with pytest.raises(MalformedRecordError):
             load_hotpotqa(_write_dataset(tmp_path, [{"context": [], "supporting_facts": []}]))
@@ -83,6 +91,7 @@ class TestLoad:
             ("context", [[7, ["Vertex Labs won."]]]),
             ("context", [["Vertex Labs", ["Vertex Labs won.", 3]]]),
             ("context", [["Vertex Labs"]]),
+            ("context", _entry()["context"] + [["Vertex Labs", ["Vertex Labs moved."]]]),
             ("supporting_facts", [["Vertex Labs", 1.7]]),
             ("supporting_facts", [["Vertex Labs", True]]),
             ("supporting_facts", [["Vertex Labs", 0, 1]]),
@@ -90,7 +99,7 @@ class TestLoad:
         ],
         ids=[
             "sentences-a-string", "title-not-string", "sentence-not-string",
-            "context-not-pair", "fact-index-float", "fact-index-bool",
+            "context-not-pair", "title-repeated", "fact-index-float", "fact-index-bool",
             "fact-not-pair", "fact-title-not-string",
         ],
     )
@@ -166,6 +175,19 @@ class TestRunEval:
             for sentence in sentences
         )
         assert pooled.ritu.tctc == expected
+
+    @pytest.mark.parametrize("name", ["smoke", "ablation"])
+    def test_one_example_scores_alike_in_both_scopes(self, name):
+        """A group of one example is the same corpus in both scopes."""
+        examples = load_hotpotqa(DATA_DIR / f"{name}_dataset.json")
+        extractor = ExtractorConfig(aliases=load_aliases(DATA_DIR / "aliases.tsv"))
+        for example in examples:
+            pooled, per_example = (
+                run_eval([example], extractor, EMB, scope=scope).to_document()
+                for scope in ("pooled", "per-example")
+            )
+            for key in ("per_example", "tuic", "tctc", "breakdown"):
+                assert pooled[key] == per_example[key]
 
     def test_ablation_direction_on_bundled_fixture(self):
         examples = load_hotpotqa(DATA_DIR / "ablation_dataset.json")

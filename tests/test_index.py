@@ -55,6 +55,13 @@ def _small_corpus():
     )
 
 
+def _rename_chunk(document, old, new):
+    """Move a catalog record to another key and repoint its posting lists."""
+    document["chunk_catalog"][new] = document["chunk_catalog"].pop(old)
+    for ids in document["inverted_map"].values():
+        ids[:] = sorted(new if chunk_id == old else chunk_id for chunk_id in ids)
+
+
 class TestBuild:
     def test_empty_corpus(self):
         index = build_index(_corpus([]), LOCAL, EMB)
@@ -180,10 +187,10 @@ class TestAddChunks:
         index = build_index(_small_corpus(), LOCAL, EMB)
         other_extractor = ExtractorConfig(coreference_enabled=False)
         with pytest.raises(ConfigMismatchError):
-            add_chunks(index, [Chunk("x#0", "x", 0, "New text.")], other_extractor, EMB)
+            add_chunks(index, [Chunk("x", 0, "New text.")], other_extractor, EMB)
         other_embedder = EmbedderConfig(dimension=16)
         with pytest.raises(ConfigMismatchError):
-            add_chunks(index, [Chunk("x#0", "x", 0, "New text.")], LOCAL, other_embedder)
+            add_chunks(index, [Chunk("x", 0, "New text.")], LOCAL, other_embedder)
         # retrieve goes through the same fingerprint check.
         for extractor, embedder in ((other_extractor, EMB), (LOCAL, other_embedder)):
             with pytest.raises(ConfigMismatchError):
@@ -192,13 +199,13 @@ class TestAddChunks:
     def test_decomposition_toggle_does_not_mismatch(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
         no_decomp = ExtractorConfig(decomposition_enabled=False)
-        grown = add_chunks(index, [Chunk("x#0", "x", 0, "Plain text here.")], no_decomp, EMB)
+        grown = add_chunks(index, [Chunk("x", 0, "Plain text here.")], no_decomp, EMB)
         assert len(grown.chunk_catalog) == len(index.chunk_catalog) + 1
 
     def test_accounting_monotone(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
         grown = add_chunks(
-            index, [Chunk("x#0", "x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
+            index, [Chunk("x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
         )
         assert grown.accounting.tctc > index.accounting.tctc
         assert grown.accounting.tctc == index.accounting.tctc + count_tokens(
@@ -211,7 +218,7 @@ class TestAddChunks:
         before_chunks = dict(index.chunk_catalog)
         before_map = {e: set(ids) for e, ids in index.inverted_map.items()}
         grown = add_chunks(
-            index, [Chunk("x#0", "x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
+            index, [Chunk("x", 0, "A visit to Ember Corp happened.")], LOCAL, EMB
         )
         assert index.chunk_catalog == before_chunks
         assert index.inverted_map == before_map
@@ -315,6 +322,7 @@ class TestPersistence:
             lambda d: d["inverted_map"]["paris"].clear(),
             lambda d: d["chunk_catalog"]["d1#0"].update(position=-1),
             lambda d: d["chunk_catalog"]["d1#1"].update(position=0),
+            lambda d: _rename_chunk(d, "d1#0", "zzz"),
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
@@ -322,7 +330,7 @@ class TestPersistence:
             "entity-without-vector", "unregistered-tokenizer",
             "vectors-embedder-differs", "vector-not-finite", "vector-value-overflows",
             "tctc-not-catalog-sum", "posting-list-empty", "position-negative",
-            "position-repeated",
+            "position-repeated", "catalog-key-not-chunk-id",
         ],
     )
     def test_structural_damage_is_corruption(self, tmp_path, mutate):
