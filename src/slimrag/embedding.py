@@ -17,8 +17,22 @@ language, reproduces identical vectors (id ``local-hash/v1:<dim>:<seed>``):
    the unit vector with 1.0 at index 0.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
-format in :mod:`slimrag.remote` and are returned verbatim. Top-K search is
-exhaustive and exact; ties break by entity string ascending.
+format in :mod:`slimrag.remote` and are returned verbatim.
+
+:func:`cosine_similarity` is the definition of similarity. Top-K entity
+search and chunk scoring compute it for many vectors at once with one numpy
+kernel that performs the same IEEE operations in the same order, so every
+result equals ``cosine_similarity`` bit for bit:
+
+* each vector is divided element by element by its own ``math.hypot``
+  (the same function and the same correctly rounded divisions);
+* the dot products accumulate ``acc += q[j] * column[j]`` for ``j`` in
+  index order over a dimension × N array, starting from zeros as the loop
+  starts from ``0.0`` (so a zero result keeps the loop's sign). A BLAS
+  product or a numpy reduction sums in another order or starts from the
+  first term, and differs in the last bits.
+
+Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from . import remote
 from .errors import DimensionMismatchError, ZeroVectorError
@@ -88,7 +104,11 @@ def _local_embed(text: str, dimension: int) -> Vector:
     if norm == 0.0:
         values[0] = 1.0
         return tuple(values)
-    return tuple(x / norm for x in values)
+    # Each distinct count is divided once and its float shared by every
+    # component that holds it: the same division, a quarter of the memory.
+    # Counts are whole numbers and never -0.0, so equal keys have equal bits.
+    unit = {x: x / norm for x in set(values)}
+    return tuple(map(unit.__getitem__, values))
 
 
 class EmbeddingCache:
@@ -217,6 +237,56 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
     return dot
 
 
+def _unit_columns(
+    rows: list[Vector], dimension: int, partner_norm: float = 1.0
+) -> np.ndarray:
+    """The rows, each divided by its own ``math.hypot``, as the columns of
+    a C-contiguous dimension × len(rows) array.
+
+    Each row is checked in order the way ``cosine_similarity`` checks a pair
+    whose other vector has ``dimension`` components and norm
+    ``partner_norm``: a wrong dimension first, then a zero vector.
+    """
+    # Filled column by column, so that no transposed copy is ever held
+    # beside it.
+    columns = np.empty((dimension, len(rows)))
+    norms = []
+    for i, row in enumerate(rows):
+        if len(row) != dimension:
+            raise DimensionMismatchError(
+                f"dimensions differ: {len(row)} vs {dimension}"
+            )
+        norm = math.hypot(*row)
+        if norm == 0.0 or partner_norm == 0.0:
+            raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+        columns[:, i] = row
+        norms.append(norm)
+    columns /= np.array(norms)
+    return columns
+
+
+def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``sum(query[j] * columns[j])`` per column, added in index order from
+    zero exactly as ``cosine_similarity``'s loop adds."""
+    acc = np.zeros(columns.shape[1])
+    term = np.empty_like(acc)
+    for j in range(columns.shape[0]):
+        np.multiply(query[j], columns[j], out=term)
+        acc += term
+    return acc
+
+
+def cosine_similarities(query_vec: Vector, vectors: list[Vector]) -> list[float]:
+    """``[cosine_similarity(v, query_vec) for v in vectors]`` bit for bit,
+    in one kernel call; raises what the first failing pair would raise."""
+    if not vectors:
+        return []
+    dimension = len(query_vec)
+    columns = _unit_columns(vectors, dimension, math.hypot(*query_vec))
+    query = _unit_columns([query_vec], dimension)[:, 0]
+    return _dots(query, columns).tolist()
+
+
 @dataclass
 class EntityVectorStore:
     """Map from entity surface to its vector; an index write fills a copy.
@@ -224,10 +294,17 @@ class EntityVectorStore:
     A dimension of 0 means "unset"; the first vector added fixes it (remote
     embedders do not announce their dimension up front). Finiteness is
     checked where vectors enter: provider replies, cache lines, index files.
+    Change ``entries`` only through :meth:`add`, which drops the unit
+    columns top-K search builds once per store.
     """
 
     dimension: int
     entries: dict[str, Vector] = field(default_factory=dict)
+    # Not an init field, so dataclasses.replace never copies it into a new
+    # store.
+    _unit: tuple[list[str], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, entity: str, vector: Vector) -> None:
         if self.dimension == 0 and not self.entries:
@@ -237,6 +314,14 @@ class EntityVectorStore:
                 f"vector for {entity!r} has dimension {len(vector)}, store has {self.dimension}"
             )
         self.entries[entity] = vector
+        self._unit = None
+
+    def unit_columns(self) -> tuple[list[str], np.ndarray]:
+        """Entity names in store order, and their unit vectors as columns."""
+        if self._unit is None:
+            rows = list(self.entries.values())
+            self._unit = (list(self.entries), _unit_columns(rows, self.dimension))
+        return self._unit
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -249,13 +334,24 @@ def top_k_entities(
 ) -> list[tuple[str, float]]:
     """The K most similar stored entities, exhaustively and exactly.
 
-    Sorted by similarity descending, ties by entity string ascending.
+    Sorted by similarity descending, ties by entity string ascending. Every
+    entity whose similarity reaches the K-th largest is kept before the
+    exact sort, so ties at the boundary break by name.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not store.entries:
+        return []
+    query = _unit_columns([query_vec], store.dimension)[:, 0]
+    names, columns = store.unit_columns()
+    sims = _dots(query, columns)
+    if k < len(names):
+        kth = np.partition(sims, len(names) - k)[len(names) - k]
+        picked = np.flatnonzero(sims >= kth)
+    else:
+        picked = np.arange(len(names))
     scored = [
-        (entity, cosine_similarity(query_vec, vector))
-        for entity, vector in store.entries.items()
+        (names[i], sim) for i, sim in zip(picked.tolist(), sims[picked].tolist())
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

@@ -6,12 +6,13 @@ sentence lists. Sentences become pre-chunked corpus records with
 ``doc_id = title`` and ``position = sentence index``, so gold facts map
 directly onto chunk ids.
 
-A title may appear once in an entry's context. The scope only groups the
-examples: ``per-example`` builds a fresh index over each example's own
-context documents (the distractor setting); ``pooled`` builds one index over
-the union of all contexts, where a title shared by several examples is
-indexed once. Reported index time covers index construction only. Examples
-whose retrieval fails are scored zero and counted, never silently dropped.
+A title may appear once in an entry's context, and no sentence may be
+blank. The scope only groups the examples: ``per-example`` builds a fresh
+index over each example's own context documents (the distractor setting);
+``pooled`` builds one index over the union of all contexts, where a title
+shared by several examples is indexed once. Reported index time covers
+index construction only. Examples whose retrieval fails are scored zero and
+counted, never silently dropped.
 """
 
 from __future__ import annotations
@@ -123,12 +124,16 @@ def _parse_example(entry: dict, position: int) -> EvalExample:
             f"entry {position}: a context item is not [title, [sentence, ...]]"
         )
     titles: set[str] = set()
-    for title, _ in context:
+    for title, sentences in context:
         if title in titles:
             raise MalformedRecordError(
                 f"entry {position}: context title {title!r} appears twice"
             )
         titles.add(title)
+        if not all(sentence.strip() for sentence in sentences):
+            raise MalformedRecordError(
+                f"entry {position}: context {title!r} has a blank sentence"
+            )
     facts = entry.get("supporting_facts")
     if not isinstance(facts, list):
         raise MalformedRecordError(f"entry {position} has no supporting_facts list")

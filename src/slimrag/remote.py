@@ -12,8 +12,6 @@ import json
 import os
 import time
 
-import requests
-
 from .errors import ProviderError, ProviderProtocolError
 
 API_KEY_ENV = "SLIMRAG_API_KEY"
@@ -45,6 +43,10 @@ def _headers() -> dict[str, str]:
 
 
 def _post(path: str, payload: dict) -> dict:
+    # Imported here so that importing slimrag, and every local run, does
+    # without it.
+    import requests
+
     url = f"{_resolve_base()}{path}"
     headers = _headers()
     last_error: Exception | None = None

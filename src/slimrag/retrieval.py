@@ -12,11 +12,12 @@ re-ordering by original document position. The weighted variant replaces
 Queries that yield no usable entities always fall back to every chunk as a
 candidate with no hit entities, scored by ``phi_q`` alone (trace-labeled);
 the fallback cannot be disabled. Both paths share one scoring loop and one
-ranking. Query entities and candidate chunks are each embedded with one
-``embed_many`` call, so a remote embedder with batch size ``b`` makes at
-most ``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
-entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
-``N`` chunks), retries aside.
+ranking; every candidate's ``phi_q`` comes from one
+:func:`~slimrag.embedding.cosine_similarities` call. Query entities and
+candidate chunks are each embedded with one ``embed_many`` call, so a remote
+embedder with batch size ``b`` makes at most ``1 + ceil(E / b) + ceil(C / b)``
+requests for a query with ``E`` query entities and ``C`` candidates
+(``1 + ceil(N / b)`` on the fallback over ``N`` chunks), retries aside.
 
 Every intermediate set lands in the trace, which is canonically
 serializable, so a run can be replayed and audited bit for bit.
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
-    Vector,
-    cosine_similarity,
+    cosine_similarities,
     embed,
     embed_many,
     top_k_entities,
@@ -206,24 +206,22 @@ def collect_hit_chunks(
 
 
 def score_chunk(
-    chunk_vec: Vector,
-    q_vec: Vector,
+    phi_q: float,
     hit_entities: frozenset[str],
     weights: dict[str, float] | None = None,
-) -> tuple[float, float]:
-    """(phi_q, score) for one chunk.
+) -> float:
+    """The score of one chunk whose query-chunk cosine is ``phi_q``.
 
     With no hit entities (the fallback) the score is phi_q; without weights
     it is phi_q times the hit count; with weights it is phi_q times the sum
     of the hits' weights, added in sorted entity order so the float result
     does not depend on set iteration order.
     """
-    phi_q = cosine_similarity(chunk_vec, q_vec)
     if not hit_entities:
-        return phi_q, phi_q
+        return phi_q
     if weights is None:
-        return phi_q, phi_q * len(hit_entities)
-    return phi_q, phi_q * sum(weights[entity] for entity in sorted(hit_entities))
+        return phi_q * len(hit_entities)
+    return phi_q * sum(weights[entity] for entity in sorted(hit_entities))
 
 
 def assemble_context(
@@ -325,16 +323,16 @@ def retrieve(
     chunk_ids = sorted(candidates)
     records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
     vectors = embed_many([record.text for record in records], embedder, cache)
+    phis = cosine_similarities(q_vec, vectors)
     scored = []
-    for chunk_id, record, chunk_vec in zip(chunk_ids, records, vectors):
+    for chunk_id, record, phi_q in zip(chunk_ids, records, phis):
         hit_set = candidates[chunk_id]
-        phi_q, score = score_chunk(chunk_vec, q_vec, hit_set, weights)
         usage[EMBEDDING_IN] += record.token_count
         scored.append(
             ScoredChunk(
                 chunk_id=chunk_id,
                 phi_q=phi_q,
-                score=score,
+                score=score_chunk(phi_q, hit_set, weights),
                 hit_entities=hit_set,
             )
         )

@@ -137,6 +137,21 @@ class TestExitCodes:
         assert "title 'Vertex Labs'" in err
         assert not report.exists()
 
+    def test_blank_context_sentence_is_runtime_error(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps([{
+            "_id": "q0",
+            "question": "Where did Vertex Labs move?",
+            "supporting_facts": [["T", 0]],
+            "context": [["T", ["A sentence.", "  "]]],
+        }]), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["eval", "--dataset", str(dataset), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry 0: ") and err.count("\n") == 1
+        assert "'T'" in err
+        assert not report.exists()
+
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0
 

@@ -2,21 +2,28 @@
 
 import math
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON
+from conftest import DEEP_JSON, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
+from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
     DEFAULT_SEED,
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
+    _local_embed,
+    cosine_similarities,
     cosine_similarity,
     embed,
     top_k_entities,
 )
+from slimrag.extraction import ExtractorConfig
+from slimrag.index import add_chunks, build_index
+from slimrag.retrieval import retrieve
 from slimrag.errors import DimensionMismatchError, ZeroVectorError
 
 LOCAL8 = EmbedderConfig(dimension=8)
@@ -59,6 +66,19 @@ class TestLocalEmbedder:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             embed("   ", LOCAL64)
+
+    @given(
+        st.text(alphabet=string.ascii_letters + string.digits + " .,-'", max_size=60),
+        st.integers(1, 300),
+    )
+    def test_shared_unit_floats_keep_the_bits_of_dividing_each(self, text, dim):
+        """One division per distinct count, shared between components, gives
+        the bits of ``tuple(x / norm for x in values)``."""
+        if not text.strip():
+            return
+        got = _local_embed(text, dim)
+        want = embed_oracle(text, dim, DEFAULT_SEED)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestCosine:
@@ -227,3 +247,193 @@ class TestStoreAndCache:
             path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
                 EmbeddingCache(path)
+
+
+# Components of every sign and both zeros, at magnitudes from 1e-150 to
+# 1e150: remote vectors are not unit length, and vectors with disjoint
+# support multiply to signed zeros.
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1, 1, allow_subnormal=False),
+)
+_SCALE = st.sampled_from([1e-150, 1e-3, 1.0, 3.0, 1e150])
+
+
+def _vector(draw, dim: int) -> tuple[float, ...]:
+    scale = draw(_SCALE)
+    values = draw(st.lists(_COMPONENT, min_size=dim, max_size=dim))
+    vec = tuple(x * scale for x in values)
+    return vec if any(vec) else (scale,) + vec[1:]
+
+
+@st.composite
+def _store_and_query(draw):
+    """A store whose later entities often repeat an earlier vector, so that
+    similarities tie at the K boundary, and a query."""
+    dim = draw(st.integers(1, 24))
+    store = EntityVectorStore(dimension=dim)
+    rows: list[tuple[float, ...]] = []
+    for i in range(draw(st.integers(0, 24))):
+        if rows and draw(st.booleans()):
+            vec = draw(st.sampled_from(rows))
+        else:
+            vec = _vector(draw, dim)
+        rows.append(vec)
+        store.add(f"e{draw(st.integers(0, 99)):02d}-{i}", vec)
+    return store, _vector(draw, dim)
+
+
+def _hex(pairs):
+    return [(name, sim.hex()) for name, sim in pairs]
+
+
+def _loop_top_k(query_vec, store, k):
+    """The per-pair loop top-K search the kernel replaced, with its k check:
+    the reference for results and errors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return brute_force_top_k(query_vec, store.entries, k)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type raised is what is compared
+        return type(exc)
+
+
+class TestSimilarityKernel:
+    """The numpy kernel equals cosine_similarity bit for bit, and fails
+    where and how the per-pair loop failed."""
+
+    @given(_store_and_query(), st.integers(1, 30))
+    @settings(max_examples=150)
+    def test_top_k_equals_cosine_bit_for_bit(self, store_and_query, k):
+        store, query = store_and_query
+        got = top_k_entities(query, store, k)
+        assert _hex(got) == _hex(brute_force_top_k(query, store.entries, k))
+        assert all(type(sim) is float for _, sim in got)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_cosine_similarities_equal_cosine_bit_for_bit(self, data):
+        dim = data.draw(st.integers(1, 24))
+        query = _vector(data.draw, dim)
+        count = data.draw(st.integers(0, 12))
+        vectors = [_vector(data.draw, dim) for _ in range(count)]
+        got = cosine_similarities(query, vectors)
+        want = [cosine_similarity(vec, query) for vec in vectors]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert all(type(x) is float for x in got)
+
+    def test_zero_similarity_is_positive_zero(self):
+        """Every product is -0.0 here; the loop adds them to 0.0 and gets
+        0.0, where a sum starting from the first product gets -0.0."""
+        query, other = (1.0, -0.0), (-0.0, 1.0)
+        assert cosine_similarity(query, other).hex() == "0x0.0p+0"
+        assert [x.hex() for x in cosine_similarities(query, [other])] == ["0x0.0p+0"]
+        store = EntityVectorStore(dimension=2)
+        store.add("other", other)
+        assert _hex(top_k_entities(query, store, 1)) == [("other", "0x0.0p+0")]
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_retrieve_phi_q_equals_cosine_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        corpus, pool = random_corpus(rng, max_chunks=20, max_entities=10)
+        index = build_index(corpus, ExtractorConfig(), LOCAL64)
+        # One query in five takes the fallback, which scores every chunk.
+        query = random_query(rng, pool) if rng.random() < 0.8 else "what happened next?"
+        q_vec = embed(query, LOCAL64)
+        scored = retrieve(index, query, None, None, LOCAL64).trace.scored
+        assert scored
+        for chunk in scored:
+            chunk_vec = embed(index.chunk_catalog[chunk.chunk_id].text, LOCAL64)
+            assert chunk.phi_q.hex() == cosine_similarity(chunk_vec, q_vec).hex()
+
+    @given(_store_and_query(), st.data())
+    @settings(max_examples=50)
+    def test_add_after_search_is_seen(self, store_and_query, data):
+        store, query = store_and_query
+        top_k_entities(query, store, 3)
+        new = data.draw(st.sampled_from([query, _vector(data.draw, len(query))]))
+        store.add("zz-new", new)
+        got = top_k_entities(query, store, 3)
+        assert _hex(got) == _hex(brute_force_top_k(query, store.entries, 3))
+        assert "zz-new" in store.unit_columns()[0]
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_index_write_never_reuses_the_parent_columns(self, seed):
+        rng = random.Random(seed)
+        corpus, pool = random_corpus(rng, max_chunks=16, max_entities=12)
+        half = len(corpus.chunks) // 2
+        first, rest = list(corpus.chunks[:half]), list(corpus.chunks[half:])
+        parent = build_index(ingest_corpus([]), ExtractorConfig(), LOCAL64)
+        parent = add_chunks(parent, first, ExtractorConfig(), LOCAL64)
+        query = embed(rng.choice(pool), LOCAL64)
+        before = top_k_entities(query, parent.vectors, 4)
+        child = add_chunks(parent, rest, ExtractorConfig(), LOCAL64)
+        got = top_k_entities(query, child.vectors, 4)
+        assert _hex(got) == _hex(brute_force_top_k(query, child.vectors.entries, 4))
+        assert child.vectors.unit_columns()[0] == list(child.vectors.entries)
+        if parent.vectors.entries:
+            _, columns = child.vectors.unit_columns()
+            assert columns is not parent.vectors.unit_columns()[1]
+        # The parent keeps answering from its own entities.
+        assert top_k_entities(query, parent.vectors, 4) == before
+
+    def test_errors_come_from_the_same_call(self):
+        store = EntityVectorStore(dimension=2)
+        store.add("a", (1.0, 0.0))
+        # k < 1 is checked before anything else, also on an empty store.
+        for bad_store in (store, EntityVectorStore(2)):
+            with pytest.raises(ValueError, match="k must be"):
+                top_k_entities((0.0,), bad_store, 0)
+        # An empty store has nothing to compare against.
+        assert top_k_entities((0.0, 0.0, 0.0), EntityVectorStore(2), 3) == []
+        with pytest.raises(ZeroVectorError):
+            top_k_entities((0.0, -0.0), store, 1)
+        for query in ((1.0,), (0.0, 0.0, 0.0)):
+            with pytest.raises(DimensionMismatchError) as caught:
+                top_k_entities(query, store, 1)
+            assert type(caught.value) is DimensionMismatchError
+        store.add("zero", (0.0, 0.0))
+        with pytest.raises(ZeroVectorError):
+            top_k_entities((1.0, 0.0), store, 1)
+        assert cosine_similarities((0.0, 0.0), []) == []
+        with pytest.raises(ZeroVectorError):
+            cosine_similarities((0.0, 0.0), [(1.0, 0.0)])
+        with pytest.raises(DimensionMismatchError) as caught:
+            cosine_similarities((1.0, 0.0), [(1.0, 0.0), (1.0, 0.0, 0.0)])
+        assert type(caught.value) is DimensionMismatchError
+
+    @given(st.data(), st.integers(-1, 4))
+    @settings(max_examples=300)
+    def test_errors_equal_the_per_pair_loop(self, data, k):
+        """Wrong dimensions, zero vectors and empty inputs: the kernel raises
+        the type the loop raised, or returns what it returned."""
+        dim = data.draw(st.integers(1, 4))
+
+        def vector():
+            size = data.draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+            if data.draw(st.integers(0, 5)) == 0:
+                return (0.0,) * size
+            return _vector(data.draw, size) if size else ()
+
+        query = vector()
+        rows = [vector() for _ in range(data.draw(st.integers(0, 5)))]
+        same_dim = [row for row in rows if len(row) == dim]
+        store = EntityVectorStore(dimension=dim)
+        for i, row in enumerate(same_dim):
+            store.add(f"e{i}", row)
+        got = _outcome(top_k_entities, query, store, k)
+        want = _outcome(_loop_top_k, query, store, k)
+        assert (_hex(got) if isinstance(got, list) else got) == (
+            _hex(want) if isinstance(want, list) else want
+        )
+        got = _outcome(cosine_similarities, query, rows)
+        want = _outcome(lambda: [cosine_similarity(row, query) for row in rows])
+        assert ([x.hex() for x in got] if isinstance(got, list) else got) == (
+            [x.hex() for x in want] if isinstance(want, list) else want
+        )

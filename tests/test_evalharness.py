@@ -92,6 +92,7 @@ class TestLoad:
             ("context", [["Vertex Labs", ["Vertex Labs won.", 3]]]),
             ("context", [["Vertex Labs"]]),
             ("context", _entry()["context"] + [["Vertex Labs", ["Vertex Labs moved."]]]),
+            ("context", _entry()["context"] + [["T", ["A sentence.", "  "]]]),
             ("supporting_facts", [["Vertex Labs", 1.7]]),
             ("supporting_facts", [["Vertex Labs", True]]),
             ("supporting_facts", [["Vertex Labs", 0, 1]]),
@@ -99,8 +100,8 @@ class TestLoad:
         ],
         ids=[
             "sentences-a-string", "title-not-string", "sentence-not-string",
-            "context-not-pair", "title-repeated", "fact-index-float", "fact-index-bool",
-            "fact-not-pair", "fact-title-not-string",
+            "context-not-pair", "title-repeated", "sentence-blank", "fact-index-float",
+            "fact-index-bool", "fact-not-pair", "fact-title-not-string",
         ],
     )
     def test_malformed_context_or_fact_rejected(self, tmp_path, field, value):

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -10,9 +13,15 @@ import pytest
 import requests
 
 from conftest import DEEP_JSON
+import slimrag
 from slimrag import remote
 from slimrag.embedding import EmbedderConfig, embed, embed_many
-from slimrag.errors import ProviderError, ProviderProtocolError
+from slimrag.errors import (
+    DimensionMismatchError,
+    ProviderError,
+    ProviderProtocolError,
+    ZeroVectorError,
+)
 from slimrag.extraction import ExtractorConfig, decompose_query, extract_entities
 
 
@@ -354,6 +363,29 @@ class TestRetrieveRequestBound:
         assert len(posts) == 1 + math.ceil(len(index.chunk_catalog) / b)
 
 
+class TestRetrieveChunkVectors:
+    """A remote reply may hold chunk vectors of another dimension or a zero
+    vector; retrieve raises the package's error for it, as the per-pair
+    cosine did, never numpy's."""
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([0.5] * 15, DimensionMismatchError), ([0.0] * 16, ZeroVectorError)],
+        ids=["mixed-dimension", "zero-vector"],
+    )
+    def test_bad_chunk_vector_raises_package_error(self, server, bad, error):
+        from slimrag.retrieval import retrieve
+
+        index, embedder, _ = TestRetrieveRequestBound()._setup(server, 64)
+        server.enqueue(200, {"data": [{"embedding": [0.25] * 16}]})
+        chunks = [[0.25] * 16] * len(index.chunk_catalog)
+        chunks[2] = bad
+        server.enqueue(200, {"data": [{"embedding": v} for v in chunks]})
+        with pytest.raises(error) as caught:
+            retrieve(index, "what happened next?", None, None, embedder)
+        assert type(caught.value) is error
+
+
 class TestEnvironment:
     def test_missing_key_reported(self, monkeypatch):
         monkeypatch.setenv(remote.API_BASE_ENV, "http://127.0.0.1:1/v1")
@@ -366,3 +398,17 @@ class TestEnvironment:
         monkeypatch.setenv(remote.API_KEY_ENV, "k")
         with pytest.raises(ProviderError, match="SLIMRAG_API_BASE"):
             remote.chat_completion("m", "s", "u")
+
+
+def test_import_leaves_requests_unloaded():
+    """requests is imported when the first request is sent, so local runs
+    never load it."""
+    src = str(os.path.dirname(os.path.dirname(os.path.abspath(slimrag.__file__))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, slimrag; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    assert result.stdout.strip() == "False"

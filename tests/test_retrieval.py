@@ -171,38 +171,37 @@ class TestScoreChunk:
 
     def test_product_identity(self):
         vec = embed("A tour of Vertex Labs impressed critics.", EMB)
-        phi, score = score_chunk(vec, vec, self.HITS)
+        phi = cosine_similarity(vec, vec)
         assert phi == pytest.approx(1.0, abs=1e-9)
-        assert score == pytest.approx(3.0, abs=1e-9)
+        assert score_chunk(phi, self.HITS) == pytest.approx(3.0, abs=1e-9)
         # No hit entities (the fallback): the score is phi_q alone.
-        phi, score = score_chunk(vec, vec, frozenset())
-        assert score == phi == pytest.approx(1.0, abs=1e-9)
+        assert score_chunk(phi, frozenset()) == phi
         # Weighted: phi_q times the sum of the hits' weights.
-        phi, score = score_chunk(vec, vec, self.HITS, self.WEIGHTS)
+        score = score_chunk(phi, self.HITS, self.WEIGHTS)
         assert score == pytest.approx(1.2, abs=1e-9)
 
     def test_hand_product(self):
         # phi_q = 0.5, count = 3 -> 1.5 ; phi_q = 1.0, count = 1 -> 1.0
-        assert 0.5 * 3 == 1.5
+        assert score_chunk(0.5, self.HITS) == 1.5
+        assert score_chunk(1.0, frozenset({"ada"})) == 1.0
         q_vec = embed("some query text", EMB)
         chunk_vec = embed("some other text", EMB)
-        phi, score = score_chunk(chunk_vec, q_vec, frozenset({"ada"}))
-        assert phi == cosine_similarity(chunk_vec, q_vec)
-        assert score == phi * 1
-        _, score = score_chunk(chunk_vec, q_vec, frozenset())
-        assert score == phi
-        _, score = score_chunk(chunk_vec, q_vec, self.HITS, self.WEIGHTS)
+        phi = cosine_similarity(chunk_vec, q_vec)
+        assert score_chunk(phi, frozenset({"ada"})) == phi * 1
+        assert score_chunk(phi, frozenset()) == phi
+        score = score_chunk(phi, self.HITS, self.WEIGHTS)
         assert score == phi * ((0.2 + 0.4) + 0.6)
 
     def test_count_monotonicity_at_equal_phi(self):
         q_vec = embed("shared phrasing", EMB)
         chunk_vec = embed("shared phrasing, reworded", EMB)
-        phi, score2 = score_chunk(chunk_vec, q_vec, frozenset({"ada", "bob"}))
-        _, score1 = score_chunk(chunk_vec, q_vec, frozenset({"ada"}))
-        _, score0 = score_chunk(chunk_vec, q_vec, frozenset())
+        phi = cosine_similarity(chunk_vec, q_vec)
+        score2 = score_chunk(phi, frozenset({"ada", "bob"}))
+        score1 = score_chunk(phi, frozenset({"ada"}))
+        score0 = score_chunk(phi, frozenset())
         assert score2 > score1 == score0 == phi
-        _, heavier = score_chunk(chunk_vec, q_vec, frozenset({"ada", "cyd"}), self.WEIGHTS)
-        _, lighter = score_chunk(chunk_vec, q_vec, frozenset({"ada", "bob"}), self.WEIGHTS)
+        heavier = score_chunk(phi, frozenset({"ada", "cyd"}), self.WEIGHTS)
+        lighter = score_chunk(phi, frozenset({"ada", "bob"}), self.WEIGHTS)
         assert heavier > lighter
 
 
