@@ -32,6 +32,14 @@ result equals ``cosine_similarity`` bit for bit:
   product or a numpy reduction sums in another order or starts from the
   first term, and differs in the last bits.
 
+The array is filled from the rows packed a block at a time with
+``struct`` and transposed into place, where a column-by-column assignment
+converted each component on its own. Packing a component as ``d`` stores
+``float(component)`` exactly, so the bytes are the same. An entity store
+builds its columns on its first search; an index write extends them into the
+next store (:meth:`EntityVectorStore.extended`), so a search after a write
+builds only the new entities' columns.
+
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
 
@@ -40,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -58,6 +66,9 @@ DEFAULT_SEED = 0x9E3779B97F4A7C15
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
+# Rows packed per block when unit columns are built: only one block of
+# packed bytes (512 KB at 256 dimensions) is held beside the columns.
+_PACKED_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -115,18 +126,17 @@ class EmbeddingCache:
     """Append-only (embedder_id, text digest) -> vector cache.
 
     The on-disk form is JSONL, one record per line; reads tolerate a missing
-    file. Writes append immediately so concurrent readers see a prefix. A
-    last line without its newline is an append that never finished: loading
-    drops it and truncates the file to the last complete record, so the next
-    append starts on a fresh line. Any other damaged line, including one that
-    is not UTF-8 or holds a vector with a non-finite value, raises ValueError
-    naming that line.
+    file. Each put appends its new records with one write, so readers see a
+    prefix. A last line without its newline is an append that never
+    finished: loading drops it and truncates the file to the last complete
+    record, so the next append starts on a fresh line. Any other damaged
+    line, including one that is not UTF-8 or holds a vector with a
+    non-finite value, raises ValueError naming that line.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], Vector] = {}
-        self._write_lock = threading.Lock()
         if self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
@@ -155,15 +165,20 @@ class EmbeddingCache:
     def get(self, embedder_id: str, text: str) -> Vector | None:
         return self._entries.get((embedder_id, self.digest(text)))
 
-    def put(self, embedder_id: str, text: str, vector: Vector) -> None:
-        key = (embedder_id, self.digest(text))
-        with self._write_lock:
+    def put(self, embedder_id: str, pairs: list[tuple[str, Vector]]) -> None:
+        """Record each (text, vector) not cached yet, in order, with one
+        append to the file."""
+        lines = []
+        for text, vector in pairs:
+            key = (embedder_id, self.digest(text))
             if key in self._entries:
-                return
+                continue
             self._entries[key] = vector
             record = {"embedder": key[0], "digest": key[1], "vector": list(vector)}
+            lines.append(json.dumps(record) + "\n")
+        if lines:
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record) + "\n")
+                handle.write("".join(lines))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -205,12 +220,14 @@ def embed_many(
         vectors = remote.embed_batch(
             [t for _, t in batch], model=embedder.remote_model
         )
+        fresh = []
         for (i, text), vector in zip(batch, vectors):
             vec = tuple(vector)
             _check_finite(vec)
             out[i] = vec
-            if cache is not None:
-                cache.put(embedder.embedder_id, text, vec)
+            fresh.append((text, vec))
+        if cache is not None:
+            cache.put(embedder.embedder_id, fresh)
     return [out[i] for i in range(len(texts))]
 
 
@@ -247,11 +264,8 @@ def _unit_columns(
     whose other vector has ``dimension`` components and norm
     ``partner_norm``: a wrong dimension first, then a zero vector.
     """
-    # Filled column by column, so that no transposed copy is ever held
-    # beside it.
-    columns = np.empty((dimension, len(rows)))
     norms = []
-    for i, row in enumerate(rows):
+    for row in rows:
         if len(row) != dimension:
             raise DimensionMismatchError(
                 f"dimensions differ: {len(row)} vs {dimension}"
@@ -259,8 +273,13 @@ def _unit_columns(
         norm = math.hypot(*row)
         if norm == 0.0 or partner_norm == 0.0:
             raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-        columns[:, i] = row
         norms.append(norm)
+    columns = np.empty((dimension, len(rows)))
+    pack = struct.Struct(f"{dimension}d").pack
+    for start in range(0, len(rows), _PACKED_ROWS):
+        block = rows[start:start + _PACKED_ROWS]
+        packed = np.frombuffer(b"".join([pack(*row) for row in block]))
+        columns[:, start:start + len(block)] = packed.reshape(len(block), dimension).T
     columns /= np.array(norms)
     return columns
 
@@ -289,19 +308,23 @@ def cosine_similarities(query_vec: Vector, vectors: list[Vector]) -> list[float]
 
 @dataclass
 class EntityVectorStore:
-    """Map from entity surface to its vector; an index write fills a copy.
+    """Map from entity surface to its vector; an index write extends a copy.
 
     A dimension of 0 means "unset"; the first vector added fixes it (remote
     embedders do not announce their dimension up front). Finiteness is
     checked where vectors enter: provider replies, cache lines, index files.
-    Change ``entries`` only through :meth:`add`, which drops the unit
-    columns top-K search builds once per store.
+
+    Top-K search reads the unit columns, built on the store's first search
+    by :func:`_unit_columns` from rows packed a block at a time. Change
+    ``entries`` only through :meth:`add`, which drops the columns, or
+    :meth:`extended`, which makes the next store of an index write: its
+    columns, when this store's are built, are a new array of this store's
+    columns followed by the new entities', the same bytes a fresh build
+    gives. No two stores share a column array, and this store never changes.
     """
 
     dimension: int
     entries: dict[str, Vector] = field(default_factory=dict)
-    # Not an init field, so dataclasses.replace never copies it into a new
-    # store.
     _unit: tuple[list[str], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -315,6 +338,26 @@ class EntityVectorStore:
             )
         self.entries[entity] = vector
         self._unit = None
+
+    def extended(
+        self, entities: list[str], vectors: list[Vector]
+    ) -> EntityVectorStore:
+        """A new store of these entries followed by ``entities``, none of
+        them in this store, with their ``vectors``."""
+        store = EntityVectorStore(self.dimension, dict(self.entries))
+        for entity, vector in zip(entities, vectors):
+            store.add(entity, vector)
+        if self._unit is not None and self.entries:
+            names, columns = self._unit
+            try:
+                added = _unit_columns(vectors, store.dimension)
+            except ZeroVectorError:
+                return store  # unbuilt, so its first search raises this
+            store._unit = (
+                names + list(entities),
+                np.concatenate([columns, added], axis=1),
+            )
+        return store
 
     def unit_columns(self) -> tuple[list[str], np.ndarray]:
         """Entity names in store order, and their unit vectors as columns."""

@@ -30,7 +30,9 @@ from .embedding import EmbedderConfig, EmbeddingCache
 from .errors import MalformedRecordError, ProviderError
 from .extraction import ExtractorConfig
 from .index import EntityIndex, TokenAccounting, build_index, canonical_json
-from .metrics import RetrievalScore, RituReport, compute_ritu, score_retrieval
+from .metrics import (
+    RetrievalScore, RituReport, compute_ritu, ordered_sum, score_retrieval,
+)
 from .retrieval import RetrievalParams, retrieve
 from .tokenization import DEFAULT_TOKENIZER
 
@@ -279,9 +281,9 @@ def run_eval(
 
     n = len(results)
     aggregate = RetrievalScore(
-        accuracy=sum(r.score.accuracy for r in results) / n,
-        recall=sum(r.score.recall for r in results) / n,
-        f1=sum(r.score.f1 for r in results) / n,
+        accuracy=ordered_sum(r.score.accuracy for r in results) / n,
+        recall=ordered_sum(r.score.recall for r in results) / n,
+        f1=ordered_sum(r.score.f1 for r in results) / n,
         retrieved_count=sum(r.score.retrieved_count for r in results),
         gold_count=sum(r.score.gold_count for r in results),
     )

@@ -5,10 +5,13 @@ index and leaves its input untouched. It walks each new chunk once: extract
 entities and gather the chunk id under each, then embed every entity the
 index lacks exactly once. Posting lists are frozensets, so the new index
 shares every posting list, vector and chunk record it does not change, and
-``lookup`` hands out the stored posting list itself. The result is
-independent of chunk processing order. Token accounting records all
-provider-bound traffic (extraction in/out and embedding inputs) measured by
-the accounting tokenizer; retrieval-time traffic never lands here.
+``lookup`` hands out the stored posting list itself. When the input's entity
+unit columns (what top-K search reads) are built, the write extends them
+into a new array with the new entities' columns, so the new index does not
+rebuild them on its first search. The result is independent of chunk
+processing order. Token accounting records all provider-bound traffic
+(extraction in/out and embedding inputs) measured by the accounting
+tokenizer; retrieval-time traffic never lands here.
 
 Chunk records, TCTC and the extraction input reuse each chunk's own token
 count. One fingerprint check, :func:`check_compatible`, guards both
@@ -192,10 +195,9 @@ def _extended(
     inverted_map = dict(index.inverted_map)
     for entity, ids in added.items():
         inverted_map[entity] = inverted_map.get(entity, frozenset()) | ids
-    vectors = replace(index.vectors, entries=dict(index.vectors.entries))
-    for entity, vector in zip(new_entities, new_vectors):
-        vectors.add(entity, vector)
+    for entity in new_entities:
         accounting.record(EMBEDDING_IN, count_tokens(entity))
+    vectors = index.vectors.extended(new_entities, new_vectors)
     return EntityIndex(index.config, inverted_map, vectors, catalog, accounting)
 
 

@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .index import TokenAccounting
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added one by one, left to right, from 0.0: what ``sum``
+    does up to Python 3.11. From 3.12 ``sum`` compensates float rounding,
+    so its result can differ in the last bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .index import (
     check_compatible,
     lookup,
 )
+from .metrics import ordered_sum
 from .tokenization import count_tokens
 
 CHUNK_SEPARATOR = "\n"
@@ -221,7 +222,7 @@ def score_chunk(
         return phi_q
     if weights is None:
         return phi_q * len(hit_entities)
-    return phi_q * sum(weights[entity] for entity in sorted(hit_entities))
+    return phi_q * ordered_sum(weights[entity] for entity in sorted(hit_entities))
 
 
 def assemble_context(

@@ -1,14 +1,19 @@
 """Local embedder spec conformance, cosine identities, top-K exactness."""
 
+import itertools
+import json
 import math
 import random
 import string
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEEP_JSON, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
+from slimrag import remote
 from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
     DEFAULT_SEED,
@@ -16,9 +21,11 @@ from slimrag.embedding import (
     EmbeddingCache,
     EntityVectorStore,
     _local_embed,
+    _unit_columns,
     cosine_similarities,
     cosine_similarity,
     embed,
+    embed_many,
     top_k_entities,
 )
 from slimrag.extraction import ExtractorConfig
@@ -206,7 +213,7 @@ class TestStoreAndCache:
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("emb-1", "hello", (0.5, 0.5))
+        cache.put("emb-1", [("hello", (0.5, 0.5))])
         reloaded = EmbeddingCache(path)
         assert reloaded.get("emb-1", "hello") == (0.5, 0.5)
         assert reloaded.get("emb-2", "hello") is None
@@ -214,9 +221,9 @@ class TestStoreAndCache:
     def test_cache_append_only(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("e", "a", (1.0,))
-        cache.put("e", "b", (2.0,))
-        cache.put("e", "a", (9.0,))  # duplicate put is ignored
+        cache.put("e", [("a", (1.0,))])
+        cache.put("e", [("b", (2.0,))])
+        cache.put("e", [("a", (9.0,))])  # duplicate put is ignored
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert EmbeddingCache(path).get("e", "a") == (1.0,)
@@ -224,22 +231,45 @@ class TestStoreAndCache:
     def test_cache_survives_torn_last_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("e", "a", (1.0,))
-        cache.put("e", "b", (2.0,))
+        cache.put("e", [("a", (1.0,)), ("b", (2.0,))])
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"embedder": "e", "digest": "ab')  # append cut short
         reopened = EmbeddingCache(path)
         assert len(reopened) == 2
         assert reopened.get("e", "b") == (2.0,)
-        reopened.put("e", "c", (3.0,))
+        reopened.put("e", [("c", (3.0,))])
         again = EmbeddingCache(path)
         assert len(again) == 3
         assert again.get("e", "c") == (3.0,)
 
+    def test_batch_of_misses_appends_with_one_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        config = EmbedderConfig(provider="remote", batch_size=8)
+        monkeypatch.setattr(
+            remote,
+            "embed_batch",
+            lambda texts, model: [[float(i + 1), 0.5] for i in range(len(texts))],
+        )
+        modes = []
+        real_open = Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        texts = [f"text {i}" for i in range(5)]
+        vectors = embed_many(texts, config, cache)
+        assert modes == ["a"]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["digest"] for r in records] == [cache.digest(t) for t in texts]
+        assert [tuple(r["vector"]) for r in records] == vectors
+
     def test_cache_damaged_inner_line_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("e", "a", (1.0,))
+        cache.put("e", [("a", (1.0,))])
         good = path.read_bytes()
         nonfinite = b'{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
         not_utf8 = b'{"embedder": "\xff", "digest": "b", "vector": [1.0]}'
@@ -437,3 +467,141 @@ class TestSimilarityKernel:
         assert ([x.hex() for x in got] if isinstance(got, list) else got) == (
             [x.hex() for x in want] if isinstance(want, list) else want
         )
+
+
+def _column_fill(rows, dimension, partner_norm=1.0):
+    """The column-by-column fill ``_unit_columns`` replaced: the reference
+    for its bytes and its errors."""
+    columns = np.empty((dimension, len(rows)))
+    norms = []
+    for i, row in enumerate(rows):
+        if len(row) != dimension:
+            raise DimensionMismatchError(
+                f"dimensions differ: {len(row)} vs {dimension}"
+            )
+        norm = math.hypot(*row)
+        if norm == 0.0 or partner_norm == 0.0:
+            raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+        columns[:, i] = row
+        norms.append(norm)
+    columns /= np.array(norms)
+    return columns
+
+
+# Row counts around the 256-row packing block.
+_ROW_COUNTS = st.sampled_from([0, 1, 255, 256, 257, 600])
+
+
+def _random_rows(seed: int, count: int, dim: int, scale: float, kind: str):
+    """Rows of floats, of integers (which a store or remote reply can hold),
+    or of both, every row non-zero."""
+    rng = random.Random(seed)
+
+    def component():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            big = rng.random() < 0.1
+            return rng.randint(-(10**18), 10**18) if big else rng.randint(-3, 3)
+        return rng.choice([0.0, -0.0, rng.uniform(-1, 1)]) * scale
+
+    rows = []
+    for _ in range(count):
+        row = [component() for _ in range(dim)]
+        if not any(row):
+            row[rng.randrange(dim)] = 1 if kind == "int" else scale
+        rows.append(tuple(row))
+    return rows
+
+
+class TestUnitColumns:
+    """``_unit_columns`` equals the column-by-column fill byte for byte, and
+    index writes keep every store's columns equal to a fresh build."""
+
+    @given(
+        st.integers(1, 300),
+        _ROW_COUNTS,
+        st.sampled_from([1e-150, 1e-3, 1.0, 1e150]),
+        st.sampled_from(["float", "int", "mixed"]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_column_fill(self, dim, count, scale, kind, seed):
+        rows = _random_rows(seed, count, dim, scale, kind)
+        got = _unit_columns(rows, dim)
+        want = _column_fill(rows, dim)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 8), _ROW_COUNTS, st.data(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_first_failing_row_raises(self, dim, count, data, zero_first):
+        """A zero row and a wrong-dimension row in one input, in either
+        order: the error is the first failing row's."""
+        seed = data.draw(st.integers(0, 2**32))
+        rows = _random_rows(seed, count + 2, dim, 1.0, "float")
+        first = data.draw(st.integers(0, len(rows) - 2))
+        second = data.draw(st.integers(first + 1, len(rows) - 1))
+        wrong_size = data.draw(st.sampled_from([0, dim - 1, dim + 1]))
+        wrong = (0.0,) * wrong_size if data.draw(st.booleans()) else (1.0,) * wrong_size
+        zero_at, wrong_at = (first, second) if zero_first else (second, first)
+        rows[zero_at] = (-0.0,) * dim
+        rows[wrong_at] = wrong
+        got = _outcome(_unit_columns, rows, dim)
+        assert got is (ZeroVectorError if zero_first else DimensionMismatchError)
+        assert got is _outcome(_column_fill, rows, dim)
+        for partner_norm in (0.0, 2.0):
+            assert _outcome(_unit_columns, rows, dim, partner_norm) is _outcome(
+                _column_fill, rows, dim, partner_norm
+            )
+
+    @given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=8, max_size=8))
+    @settings(max_examples=20, deadline=None)
+    def test_index_writes_extend_the_columns(self, seed, searches):
+        """A chain of add_chunks calls with searches at random before and
+        after each: built columns always equal a fresh build, never change
+        and are never shared."""
+        rng = random.Random(seed)
+        corpus, pool = random_corpus(rng, max_chunks=30, max_entities=20)
+        chunks = list(corpus.chunks)
+        cuts = sorted(rng.randint(0, len(chunks)) for _ in range(3))
+        parts = [chunks[a:b] for a, b in zip([0] + cuts, cuts + [len(chunks)])]
+        index = build_index(ingest_corpus([]), ExtractorConfig(), LOCAL64)
+        stores = [index.vectors]
+        snapshots: dict[int, bytes] = {}
+        search = iter(searches)
+        for part in parts:
+            if next(search):
+                query = embed(rng.choice(pool), LOCAL64)
+                got = top_k_entities(query, index.vectors, 3)
+                want = brute_force_top_k(query, index.vectors.entries, 3)
+                assert _hex(got) == _hex(want)
+            index = add_chunks(index, part, ExtractorConfig(), LOCAL64)
+            stores.append(index.vectors)
+            if next(search):
+                top_k_entities(embed(rng.choice(pool), LOCAL64), index.vectors, 3)
+            self._check(stores, snapshots)
+        for store in stores:
+            store.unit_columns()
+        self._check(stores, snapshots)
+
+    @staticmethod
+    def _check(stores, snapshots):
+        built = [store for store in stores if store._unit is not None]
+        for store in built:
+            names, columns = store._unit
+            assert names == list(store.entries)
+            fresh = _column_fill(list(store.entries.values()), store.dimension)
+            assert columns.tobytes() == fresh.tobytes()
+            kept = snapshots.setdefault(id(store), columns.tobytes())
+            assert kept == columns.tobytes()
+        for a, b in itertools.combinations(built, 2):
+            assert not np.shares_memory(a._unit[1], b._unit[1])
+
+    def test_zero_vector_added_after_a_search_raises_on_search(self):
+        store = EntityVectorStore(dimension=2)
+        store.add("a", (1.0, 0.0))
+        top_k_entities((1.0, 0.0), store, 1)
+        child = store.extended(["b"], [(0.0, -0.0)])
+        assert list(child.entries) == ["a", "b"]
+        with pytest.raises(ZeroVectorError):
+            top_k_entities((1.0, 0.0), child, 1)
+        assert top_k_entities((1.0, 0.0), store, 2) == [("a", 1.0)]

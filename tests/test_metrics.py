@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slimrag.index import TokenAccounting
-from slimrag.metrics import compute_ritu, score_retrieval
+from slimrag.metrics import compute_ritu, ordered_sum, score_retrieval
 from slimrag.tokenization import count_tokens
 
 
@@ -107,3 +107,10 @@ class TestCountTokensReexport:
         assert count_tokens("") == 0
         assert count_tokens("hello world") == 2
         assert count_tokens("don't stop, now.") == 5
+
+
+def test_ordered_sum_adds_left_to_right_from_zero():
+    # Python 3.12's compensated sum() returns 1.0 here.
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+    assert ordered_sum([-0.0]).hex() == "0x0.0p+0"
