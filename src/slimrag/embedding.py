@@ -16,6 +16,27 @@ language, reproduces identical vectors (id ``local-hash/v1:<dim>:<seed>``):
 5. L2-normalize ``v``. If the accumulated vector is all zeros, the result is
    the unit vector with 1.0 at index 0.
 
+Step 5's zero case never arises: a text of L >= 2 characters has 2L - 3
+grams and a shorter one has one, an odd number, so some count is odd.
+
+For ASCII text of at least 2 characters the implementation computes steps
+2-4 with numpy over the text's bytes, and the result is exact:
+
+* The bytes are read as a ``uint64`` array, and every 2-gram hash is built
+  from its two bytes at once; each 3-gram hash extends its 2-gram prefix by
+  one byte. Array ``uint64`` multiplication wraps, which is the spec's
+  arithmetic modulo 2^64.
+* ``np.bincount`` adds the +1/-1 signs into the buckets. Every partial sum
+  is a whole number below 2^53, so the order of addition cannot change a
+  bit, and the counts are never -0.0.
+* The sum of squares is exact for the same reason, for any text under
+  2^25 characters, so its ``math.sqrt`` is the spec's norm.
+
+Each component is then divided by the norm with Python float division, once
+per distinct count. Non-ASCII text (a character gram is 2 to 12 UTF-8
+bytes) and text shorter than 2 characters take a per-gram Python loop.
+``embed`` is ``embed_many`` of one text, for both providers.
+
 The default dimension is 256. Remote embeddings use the embeddings-API wire
 format in :mod:`slimrag.remote` and are returned verbatim.
 
@@ -66,6 +87,8 @@ DEFAULT_SEED = 0x9E3779B97F4A7C15
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
+_FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
 # Rows packed per block when unit columns are built: only one block of
 # packed bytes (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
@@ -99,26 +122,38 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+def _gram_counts(normalized: str, dimension: int) -> np.ndarray:
+    """Steps 2-4 of the spec: the signed count in each bucket."""
+    if len(normalized) < 2 or not normalized.isascii():
+        grams = [
+            normalized[i:i + n]
+            for n in (2, 3)
+            for i in range(len(normalized) - n + 1)
+        ] or [normalized]
+        values = [0.0] * dimension
+        for gram in grams:
+            h = _fnv1a64(gram.encode("utf-8"))
+            values[h % dimension] += 1.0 if (h >> 63) == 0 else -1.0
+        return np.array(values)
+    b = np.frombuffer(normalized.encode("ascii"), dtype=np.uint8).astype(np.uint64)
+    h2 = (((_FNV_INITIAL_U64 ^ b[:-1]) * _FNV_PRIME_U64) ^ b[1:]) * _FNV_PRIME_U64
+    h3 = (h2[:-1] ^ b[2:]) * _FNV_PRIME_U64
+    h = np.concatenate([h2, h3])
+    signs = 1.0 - 2.0 * (h >> np.uint64(63)).astype(np.float64)
+    buckets = (h % np.uint64(dimension)).astype(np.intp)
+    return np.bincount(buckets, weights=signs, minlength=dimension)
+
+
 @lru_cache(maxsize=65536)
 def _local_embed(text: str, dimension: int) -> Vector:
-    normalized = normalize_entity(text)
-    grams = [
-        normalized[i:i + n]
-        for n in (2, 3)
-        for i in range(len(normalized) - n + 1)
-    ] or [normalized]
-    values = [0.0] * dimension
-    for gram in grams:
-        h = _fnv1a64(gram.encode("utf-8"))
-        values[h % dimension] += 1.0 if (h >> 63) == 0 else -1.0
-    norm = math.sqrt(sum(x * x for x in values))
-    if norm == 0.0:
-        values[0] = 1.0
-        return tuple(values)
+    counts = _gram_counts(normalize_entity(text), dimension)
+    norm = math.sqrt(counts @ counts)  # never 0.0: the grams are odd in number
     # Each distinct count is divided once and its float shared by every
     # component that holds it: the same division, a quarter of the memory.
-    # Counts are whole numbers and never -0.0, so equal keys have equal bits.
-    unit = {x: x / norm for x in set(values)}
+    # Counts are whole numbers, so they are keyed as ints, which hash faster
+    # than floats; ``k / norm`` divides ``float(k)``, which is exact.
+    values = counts.astype(np.intp).tolist()
+    unit = {k: k / norm for k in set(values)}
     return tuple(map(unit.__getitem__, values))
 
 
@@ -131,7 +166,7 @@ class EmbeddingCache:
     finished: loading drops it and truncates the file to the last complete
     record, so the next append starts on a fresh line. Any other damaged
     line, including one that is not UTF-8 or holds a vector with a
-    non-finite value, raises ValueError naming that line.
+    non-finite value or only zeros, raises ValueError naming that line.
     """
 
     def __init__(self, path: str | Path):
@@ -151,9 +186,11 @@ class EmbeddingCache:
                     record = json.loads(line.decode("utf-8"))
                     key = (record["embedder"], record["digest"])
                     vector = tuple(float(x) for x in record["vector"])
-                    _check_finite(vector)
+                    _check_vector(vector)
                     self._entries[key] = vector
-                except (ValueError, KeyError, TypeError, RecursionError):
+                except (
+                    ValueError, KeyError, TypeError, RecursionError, ZeroVectorError
+                ):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
                     ) from None
@@ -190,10 +227,6 @@ def embed(
     cache: EmbeddingCache | None = None,
 ) -> Vector:
     """Embed one text; deterministic for the local provider."""
-    if not text.strip():
-        raise ValueError("cannot embed empty text")
-    if embedder.provider == "local":
-        return _local_embed(text, embedder.dimension)
     return embed_many([text], embedder, cache)[0]
 
 
@@ -203,10 +236,10 @@ def embed_many(
     cache: EmbeddingCache | None = None,
 ) -> list[Vector]:
     """Embed texts in order, batching remote calls and using the cache."""
-    if embedder.provider == "local":
-        return [embed(t, embedder) for t in texts]
     if not all(t.strip() for t in texts):
         raise ValueError("cannot embed empty text")
+    if embedder.provider == "local":
+        return [_local_embed(t, embedder.dimension) for t in texts]
     out: dict[int, Vector] = {}
     missing: list[tuple[int, str]] = []
     for i, text in enumerate(texts):
@@ -223,7 +256,7 @@ def embed_many(
         fresh = []
         for (i, text), vector in zip(batch, vectors):
             vec = tuple(vector)
-            _check_finite(vec)
+            _check_vector(vec)
             out[i] = vec
             fresh.append((text, vec))
         if cache is not None:
@@ -231,9 +264,14 @@ def embed_many(
     return [out[i] for i in range(len(texts))]
 
 
-def _check_finite(vector: Vector) -> None:
+def _check_vector(vector: Vector) -> None:
+    """Reject a vector no similarity can be computed with: ValueError for a
+    non-finite value, ZeroVectorError (what a search on it would raise) for
+    all zeros."""
     if not all(math.isfinite(x) for x in vector):
         raise ValueError("vector contains non-finite values")
+    if not any(vector):
+        raise ZeroVectorError("vector is all zeros")
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
@@ -311,8 +349,9 @@ class EntityVectorStore:
     """Map from entity surface to its vector; an index write extends a copy.
 
     A dimension of 0 means "unset"; the first vector added fixes it (remote
-    embedders do not announce their dimension up front). Finiteness is
-    checked where vectors enter: provider replies, cache lines, index files.
+    embedders do not announce their dimension up front). Vectors are checked
+    to be finite and not all zeros where they enter: provider replies, cache
+    lines, index files.
 
     Top-K search reads the unit columns, built on the store's first search
     by :func:`_unit_columns` from rows packed a block at a time. Change

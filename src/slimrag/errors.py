@@ -8,7 +8,8 @@ class SlimRagError(Exception):
 
 
 class MalformedRecordError(SlimRagError):
-    """A corpus input record could not be parsed or violates the format."""
+    """A record of an input file (corpus, dataset, gazetteer, aliases) could
+    not be parsed or violates the format."""
 
     def __init__(self, message: str, line_number: int | None = None):
         self.line_number = line_number

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import remote
 from .corpus import split_sentences
-from .errors import ProviderProtocolError
+from .errors import MalformedRecordError, ProviderProtocolError
 from .tokenization import count_tokens
 
 PRONOUNS_PERSON = frozenset(
@@ -165,10 +165,25 @@ class QueryPlan:
     entity_weights: dict[str, float] = field(compare=False)
 
 
+def _file_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file. Bytes that are not UTF-8 raise
+    MalformedRecordError naming the file and the line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes; with one more character after
+        # it, its line count is the number of the bad byte's line.
+        line_number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRecordError(
+            f"not UTF-8 ({exc.reason}) in {path}", line_number
+        ) from None
+
+
 def load_gazetteer(path: str | Path) -> tuple[str, ...]:
     """One entity per line, UTF-8; entries are normalized and deduplicated."""
     entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _file_lines(path):
         line = line.strip()
         if line:
             entries.add(normalize_entity(line))
@@ -178,13 +193,15 @@ def load_gazetteer(path: str | Path) -> tuple[str, ...]:
 def load_aliases(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Tab-separated ``alias<TAB>canonical`` pairs, one per line, UTF-8."""
     pairs = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_number, line in enumerate(_file_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
         alias, _, canonical = line.partition("\t")
         if not canonical:
-            raise ValueError(f"alias line without tab separator: {line!r}")
+            raise MalformedRecordError(
+                f"alias line without tab separator in {path}: {line!r}", line_number
+            )
         pairs[normalize_entity(alias)] = normalize_entity(canonical)
     return tuple(sorted(pairs.items()))
 

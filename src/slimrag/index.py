@@ -23,10 +23,11 @@ indexes serialize to identical bytes. ``_to_document`` is the one description
 of the format: save serializes each member once, and load builds the index a
 file describes, re-serializes it and compares digests. A file loads iff it
 parses into an index whose ``save_index`` form has the stored digest and
-passes the relational checks: finite vector values, non-empty posting lists
-of chunk ids in the catalog, exactly one vector per entity of the store's
-dimension, and catalog keys that are ``<doc_id>#<position>`` of their record
-with a position >= 0 (so no two records share a document and position).
+passes the relational checks: finite vectors that are not all zeros,
+non-empty posting lists of chunk ids in the catalog, exactly one vector per
+entity of the store's dimension, and catalog keys that are
+``<doc_id>#<position>`` of their record with a position >= 0 (so no two
+records share a document and position).
 Any other file raises IndexIntegrityError (SchemaVersionError for another
 schema). Derived fields (entity list, fingerprint, TUIC, TCTC as the catalog's
 token sum) are recomputed, not read. The loader trusts, unchecked, each
@@ -40,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -286,12 +288,29 @@ def _to_document(index: EntityIndex) -> dict:
     }
 
 
+# A float's 8 bytes, the memo key of a shared float: 0.0 == -0.0, but their
+# bytes differ, as their text in the file does.
+_FLOAT_BYTES = struct.Struct("d").pack
+# How many distinct values _from_document shares between vector components
+# before it stops: past this many, the vectors are a remote embedder's, whose
+# components are nearly all distinct, and a memo of them only costs memory.
+_MAX_SHARED_FLOATS = 1 << 16
+
+
 def _from_document(document: dict) -> EntityIndex:
     """The index a parsed file describes, each object built by its own
     constructor from scalars coerced to their types. Members are popped as
     they are read. Derived and constant fields (``entities``,
     ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
-    id) are not read: re-serializing the result shows whether they agree."""
+    id) are not read: re-serializing the result shows whether they agree.
+
+    Equal vector components share one float object, the first one read: a
+    local index holds a few hundred distinct values against hundreds of
+    thousands of components. Reading an object writes its reference count,
+    so a process forked after loading copies only the pages of the shared
+    floats when its first search reads every vector. Values are matched by
+    their bytes, so ``0.0`` and ``-0.0`` stay apart and re-serializing
+    writes the file's exact values."""
     config_doc = document.pop("config")
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
@@ -310,8 +329,12 @@ def _from_document(document: dict) -> EntityIndex:
     )
     vectors_doc = document.pop("vectors")
     vectors = EntityVectorStore(int(vectors_doc["dimension"]))
+    shared: dict[bytes, float] = {}
     for entity, values in vectors_doc["entries"].items():
-        vectors.add(entity, tuple(map(float, values)))
+        vector = tuple(map(float, values))
+        if len(shared) <= _MAX_SHARED_FLOATS:
+            vector = tuple(map(shared.setdefault, map(_FLOAT_BYTES, vector), vector))
+        vectors.add(entity, vector)
     chunk_catalog = {
         chunk_id: ChunkRecord(
             str(record["doc_id"]),
@@ -379,6 +402,7 @@ def _check_relations(index: EntityIndex) -> None:
         _require(
             all(map(math.isfinite, vector)), f"vector of {entity!r} is not finite"
         )
+        _require(any(vector), f"vector of {entity!r} is all zeros")
     for chunk_id, record in catalog.items():
         _require(
             record.position >= 0
@@ -412,7 +436,8 @@ def load_index(path: str | Path) -> EntityIndex:
     """Read and verify an index file. It loads iff it parses into an index
     whose save_index form has the stored digest and passes the relational
     checks; otherwise IndexIntegrityError, or SchemaVersionError for another
-    schema."""
+    schema. Equal vector components of the result share one float object
+    (see ``_from_document``)."""
     try:
         document = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:

@@ -117,6 +117,25 @@ class TestExitCodes:
         assert err.startswith("error: line 2: not UTF-8") and err.count("\n") == 1
         assert not output.exists() and built_index.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--gazetteer", b"graphene\ncaf\xe9\n"),
+            ("--aliases", b"a\tb\ncaf\xe9\tcafe\n"),
+            ("--aliases", b"a\tb\nno tab\n"),
+        ],
+        ids=["gazetteer-not-utf8", "aliases-not-utf8", "alias-without-tab"],
+    )
+    def test_damaged_term_file_is_named(self, corpus_file, tmp_path, capsys, flag, content):
+        terms = tmp_path / "terms.txt"
+        terms.write_bytes(content)
+        output = tmp_path / "index.json"
+        argv = ["index", "build", "--corpus", str(corpus_file), "--out", str(output)]
+        assert main([*argv, flag, str(terms)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        assert str(terms) in err and not output.exists()
+
     @pytest.mark.parametrize("scope", ["per-example", "pooled"])
     def test_repeated_context_title_is_runtime_error(self, tmp_path, capsys, scope):
         dataset = tmp_path / "dataset.json"

@@ -20,6 +20,7 @@ from slimrag.embedding import (
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
+    _gram_counts,
     _local_embed,
     _unit_columns,
     cosine_similarities,
@@ -28,7 +29,7 @@ from slimrag.embedding import (
     embed_many,
     top_k_entities,
 )
-from slimrag.extraction import ExtractorConfig
+from slimrag.extraction import ExtractorConfig, normalize_entity
 from slimrag.index import add_chunks, build_index
 from slimrag.retrieval import retrieve
 from slimrag.errors import DimensionMismatchError, ZeroVectorError
@@ -47,6 +48,17 @@ ABC_D8 = (
     0.0,
     0.0,
     -0.5773502691896258,
+)
+
+
+# ASCII text (the numpy kernel); characters that lowercase or compose under
+# NFC, some into ASCII (KELVIN SIGN, ANGSTROM SIGN, e + COMBINING ACUTE);
+# other non-ASCII text; and texts of one and two characters (the loop).
+_EMBED_TEXT = st.one_of(
+    st.text(alphabet=string.ascii_letters + string.digits + " .,-'\t", max_size=80),
+    st.text(alphabet="aeKE \u212a\u212b\u0301\u0308\u00e9\u00df\u0130\u65e5"),
+    st.text(max_size=12),
+    st.text(min_size=1, max_size=2),
 )
 
 
@@ -74,18 +86,27 @@ class TestLocalEmbedder:
         with pytest.raises(ValueError):
             embed("   ", LOCAL64)
 
-    @given(
-        st.text(alphabet=string.ascii_letters + string.digits + " .,-'", max_size=60),
-        st.integers(1, 300),
-    )
+    @given(_EMBED_TEXT, st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3])))
+    @settings(max_examples=400)
     def test_shared_unit_floats_keep_the_bits_of_dividing_each(self, text, dim):
-        """One division per distinct count, shared between components, gives
-        the bits of ``tuple(x / norm for x in values)``."""
+        """The numpy kernel (ASCII text) and the per-gram loop (the rest)
+        give the oracle's bits, and equal components are one float object:
+        one division per distinct count gives the bits of dividing each."""
         if not text.strip():
             return
-        got = _local_embed(text, dim)
+        got = _local_embed.__wrapped__(text, dim)
         want = embed_oracle(text, dim, DEFAULT_SEED)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert len({id(x) for x in got}) == len(set(got))
+
+    @given(_EMBED_TEXT, st.integers(1, 8))
+    def test_counts_never_cancel_to_zero(self, text, dim):
+        """Why ``_local_embed`` has no all-zero branch: a text has an odd
+        number of grams, so at least one bucket count is odd."""
+        if not text.strip():
+            return
+        counts = _gram_counts(normalize_entity(text), dim)
+        assert int(np.abs(counts).sum()) % 2 == 1
 
 
 class TestCosine:
@@ -273,7 +294,8 @@ class TestStoreAndCache:
         good = path.read_bytes()
         nonfinite = b'{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
         not_utf8 = b'{"embedder": "\xff", "digest": "b", "vector": [1.0]}'
-        for damaged in (b"not json", nonfinite, not_utf8, DEEP_JSON.encode()):
+        zero = b'{"embedder": "e", "digest": "b", "vector": [0.0, -0.0]}'
+        for damaged in (b"not json", nonfinite, not_utf8, DEEP_JSON.encode(), zero):
             path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
                 EmbeddingCache(path)

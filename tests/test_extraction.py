@@ -5,11 +5,13 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
+from slimrag.errors import MalformedRecordError
 from slimrag.extraction import (
     ExtractorConfig,
     compute_entity_weights,
     decompose_query,
     extract_entities,
+    load_aliases,
     load_gazetteer,
     normalize_entity,
     plan_query,
@@ -82,6 +84,25 @@ class TestExtractEntities:
             "  Graphene \n\nGRAPHENE\nNew   York\n   \nCafe\u0301\n", encoding="utf-8"
         )
         assert load_gazetteer(path) == ("caf\u00e9", "graphene", "new york")
+
+    @pytest.mark.parametrize(
+        "loader, content, problem",
+        [
+            (load_gazetteer, b"graphene\r\nnew york\ncaf\xe9\n", "not UTF-8"),
+            (load_aliases, b"a\tb\r\nc\td\ncaf\xe9\te\n", "not UTF-8"),
+            (load_aliases, b"a\tb\n\nno tab here\n", "without tab separator"),
+        ],
+        ids=["gazetteer-not-utf8", "aliases-not-utf8", "alias-without-tab"],
+    )
+    def test_loader_error_names_file_and_line(self, tmp_path, loader, content, problem):
+        path = tmp_path / "terms.txt"
+        path.write_bytes(content)
+        with pytest.raises(MalformedRecordError) as caught:
+            loader(path)
+        assert caught.value.line_number == 3
+        message = str(caught.value)
+        assert message.startswith("line 3: ") and problem in message
+        assert str(path) in message
 
     def test_alias_resolution_with_coref_on(self):
         config = ExtractorConfig(aliases=(("kepler notch", "verdant dynamics"),))

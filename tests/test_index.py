@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEEP_JSON, random_corpus, rewrite_index
+from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import (
@@ -250,6 +252,61 @@ class TestPersistence:
         assert loaded == index
         assert all(type(ids) is frozenset for ids in loaded.inverted_map.values())
 
+    def test_signed_zeros_load_as_shared_floats_and_resave_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """Remote vectors holding 0.0 and -0.0: the file loads, saves back
+        byte for byte, and equal components of different entities are one
+        float object, with the two zeros kept apart."""
+
+        def stub(texts, model):
+            return [
+                [0.0, -0.0, 0.5 + i % 2, -0.0 if i % 3 else 0.0]
+                for i in range(len(texts))
+            ]
+
+        monkeypatch.setattr(remote, "embed_batch", stub)
+        embedder = EmbedderConfig(provider="remote")
+        path = tmp_path / "index.json"
+        save_index(build_index(_small_corpus(), LOCAL, embedder), path)
+        loaded = load_index(path)
+        resaved = tmp_path / "resaved.json"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+        rows = list(loaded.vectors.entries.values())
+        assert len(rows) >= 3
+        for a, b in itertools.combinations(rows, 2):
+            for x, y in zip(a, b):
+                if x.hex() == y.hex():
+                    assert x is y
+        assert rows[0][0].hex() == "0x0.0p+0" and rows[0][1].hex() == "-0x0.0p+0"
+
+    def test_sharing_stops_past_the_memo_bound(self, tmp_path, monkeypatch):
+        """Rows read once the memo of shared floats holds more values than
+        its bound keep their own floats, and the index loads the same. Each
+        vector here is 0.5 and three distinct values: the memo holds 4 after
+        the first row and 7 after the second."""
+        rng = random.Random(3)
+
+        def stub(texts, model):
+            return [[0.5] + [rng.random() for _ in range(3)] for _ in texts]
+
+        monkeypatch.setattr(remote, "embed_batch", stub)
+        monkeypatch.setattr("slimrag.index._MAX_SHARED_FLOATS", 5)
+        embedder = EmbedderConfig(provider="remote")
+        index = build_index(_small_corpus(), LOCAL, embedder)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded == index
+        first, second, *rest = loaded.vectors.entries.values()
+        assert rest
+        assert second[0] is first[0]
+        assert all(row[0] is not first[0] for row in rest)
+        resaved = tmp_path / "resaved.json"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_canonical_bytes_across_builds(self, tmp_path):
         a_path = tmp_path / "a.json"
         b_path = tmp_path / "b.json"
@@ -318,6 +375,7 @@ class TestPersistence:
             lambda d: d["vectors"].update(embedder_id="remote:other-model"),
             lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, float("nan")),
             lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, 10**400),
+            lambda d: d["vectors"]["entries"].update(paris=[0.0, -0.0] * 16),
             lambda d: d["accounting"].update(tctc=d["accounting"]["tctc"] + 1),
             lambda d: d["inverted_map"]["paris"].clear(),
             lambda d: d["chunk_catalog"]["d1#0"].update(position=-1),
@@ -329,6 +387,7 @@ class TestPersistence:
             "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
             "entity-without-vector", "unregistered-tokenizer",
             "vectors-embedder-differs", "vector-not-finite", "vector-value-overflows",
+            "vector-all-zeros",
             "tctc-not-catalog-sum", "posting-list-empty", "position-negative",
             "position-repeated", "catalog-key-not-chunk-id",
         ],

@@ -203,6 +203,16 @@ class TestEmbeddingsProtocol:
         assert out_again == out
         assert len(server.requests) == 2
 
+    def test_zero_vector_reply_is_rejected_and_not_cached(self, server, tmp_path):
+        from slimrag.embedding import EmbeddingCache
+
+        cache = EmbeddingCache(tmp_path / "cache.jsonl")
+        config = EmbedderConfig(provider="remote")
+        server.enqueue(200, {"data": [{"embedding": [0.0, -0.0]}]})
+        with pytest.raises(ZeroVectorError):
+            embed_many(["a"], config, cache)
+        assert len(cache) == 0 and not cache.path.exists()
+
     def test_embed_many_rejects_empty_text_before_any_request(self, server):
         config = EmbedderConfig(provider="remote")
         with pytest.raises(ValueError, match="empty text"):
