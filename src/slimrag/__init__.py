@@ -12,7 +12,6 @@ from .embedding import (
 from .extraction import (
     ExtractorConfig,
     QueryPlan,
-    compute_entity_weights,
     decompose_query,
     extract_entities,
     normalize_entity,
@@ -54,7 +53,6 @@ __all__ = [
     "TokenAccounting",
     "add_chunks",
     "build_index",
-    "compute_entity_weights",
     "compute_ritu",
     "cosine_similarity",
     "count_tokens",

@@ -53,26 +53,34 @@ result equals ``cosine_similarity`` bit for bit:
   product or a numpy reduction sums in another order or starts from the
   first term, and differs in the last bits.
 
-The array is filled from the rows packed a block at a time with
-``struct`` and transposed into place, where a column-by-column assignment
-converted each component on its own. Packing a component as ``d`` stores
-``float(component)`` exactly, so the bytes are the same. An entity store
-builds its columns on its first search; an index write extends them into the
-next store (:meth:`EntityVectorStore.extended`), so a search after a write
-builds only the new entities' columns.
+Rows become columns by packing a block of rows at a time with ``struct``
+and transposing it into place; packing a component as ``d`` stores
+``float(component)`` exactly. An entity store keeps its raw vectors that
+way, as float64 dimension × n column blocks (one per index write, one for a
+loaded file), with each vector's ``math.hypot`` taken from the Python floats
+it arrived as. Its unit columns, built on its first search, are the blocks
+divided by the norms: one division per element, the bytes
+``_unit_columns`` gives for the same rows. An index write extends built
+columns into the next store (:meth:`EntityVectorStore.extended`), so a
+search after a write divides only the new entities' block.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import itertools
 import json
 import math
+import os
 import struct
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,8 +97,8 @@ _MASK64 = (1 << 64) - 1
 _FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
-# Rows packed per block when unit columns are built: only one block of
-# packed bytes (512 KB at 256 dimensions) is held beside the columns.
+# Rows packed per block when rows become columns: only one block of packed
+# bytes (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
 
 
@@ -162,22 +170,26 @@ class EmbeddingCache:
 
     The on-disk form is JSONL, one record per line; reads tolerate a missing
     file. Each put appends its new records with one write, so readers see a
-    prefix. A last line without its newline is an append that never
-    finished: loading drops it and truncates the file to the last complete
-    record, so the next append starts on a fresh line. Any other damaged
-    line, including one that is not UTF-8 or holds a vector with a
-    non-finite value or only zeros, raises ValueError naming that line.
+    prefix. Loading and appending hold an exclusive ``flock`` on the file,
+    so processes sharing one cache neither interleave their appends nor
+    load one half written. A last line without its newline is an append
+    that never finished: loading drops it and truncates the file to the
+    last complete record, so the next append starts on a fresh line. Any
+    other damaged line, including one that is not UTF-8 or holds a vector
+    with a component that is not a JSON number, a non-finite value or only
+    zeros, raises ValueError naming that line.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], Vector] = {}
         if self.path.exists():
-            data = self.path.read_bytes()
-            complete = data.rfind(b"\n") + 1
-            if complete < len(data):
-                with self.path.open("r+b") as handle:
-                    handle.truncate(complete)
+            with self.path.open("rb") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+                data = handle.read()
+                complete = data.rfind(b"\n") + 1
+                if complete < len(data):
+                    os.truncate(self.path, complete)
             lines = data[:complete].splitlines()
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
@@ -185,11 +197,12 @@ class EmbeddingCache:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     key = (record["embedder"], record["digest"])
-                    vector = tuple(float(x) for x in record["vector"])
+                    vector = tuple(remote.json_vector(record["vector"]))
                     _check_vector(vector)
                     self._entries[key] = vector
                 except (
-                    ValueError, KeyError, TypeError, RecursionError, ZeroVectorError
+                    ValueError, KeyError, TypeError, OverflowError, RecursionError,
+                    ZeroVectorError,
                 ):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
@@ -215,7 +228,9 @@ class EmbeddingCache:
             lines.append(json.dumps(record) + "\n")
         if lines:
             with self.path.open("a", encoding="utf-8") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)
                 handle.write("".join(lines))
+                handle.flush()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -292,6 +307,25 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
     return dot
 
 
+def _columns(rows: Iterable[Vector], count: int, dimension: int) -> np.ndarray:
+    """The first ``count`` rows as the columns of a C-contiguous
+    dimension × count float64 array.
+
+    Rows are packed ``_PACKED_ROWS`` at a time with ``struct`` and
+    transposed into place, so besides the array only one block of rows and
+    their packed bytes is held. Packing a component as ``d`` stores
+    ``float(component)`` exactly.
+    """
+    columns = np.empty((dimension, count))
+    pack = struct.Struct(f"{dimension}d").pack
+    rows = iter(rows)
+    for start in range(0, count, _PACKED_ROWS):
+        block = [pack(*row) for row in itertools.islice(rows, _PACKED_ROWS)]
+        packed = np.frombuffer(b"".join(block)).reshape(len(block), dimension)
+        columns[:, start:start + len(block)] = packed.T
+    return columns
+
+
 def _unit_columns(
     rows: list[Vector], dimension: int, partner_norm: float = 1.0
 ) -> np.ndarray:
@@ -312,12 +346,7 @@ def _unit_columns(
         if norm == 0.0 or partner_norm == 0.0:
             raise ZeroVectorError("cosine similarity is undefined for a zero vector")
         norms.append(norm)
-    columns = np.empty((dimension, len(rows)))
-    pack = struct.Struct(f"{dimension}d").pack
-    for start in range(0, len(rows), _PACKED_ROWS):
-        block = rows[start:start + _PACKED_ROWS]
-        packed = np.frombuffer(b"".join([pack(*row) for row in block]))
-        columns[:, start:start + len(block)] = packed.reshape(len(block), dimension).T
+    columns = _columns(rows, len(rows), dimension)
     columns /= np.array(norms)
     return columns
 
@@ -344,69 +373,111 @@ def cosine_similarities(query_vec: Vector, vectors: list[Vector]) -> list[float]
     return _dots(query, columns).tolist()
 
 
-@dataclass
+def _norms(named_rows: Iterable[tuple[str, Vector]], dimension: int) -> np.ndarray:
+    """Each row's ``math.hypot``, once the row is checked to have
+    ``dimension`` components."""
+    norms = []
+    for entity, row in named_rows:
+        if len(row) != dimension:
+            raise DimensionMismatchError(
+                f"vector for {entity!r} has dimension {len(row)}, store has {dimension}"
+            )
+        norms.append(math.hypot(*row))
+    return np.array(norms)
+
+
+def _divided(blocks: list[np.ndarray], norms: np.ndarray, dimension: int) -> np.ndarray:
+    """The blocks side by side in one new array, each column divided by its
+    norm: one IEEE division per element, the division ``_unit_columns``
+    makes. A zero norm raises ZeroVectorError before any division."""
+    if not norms.all():
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    columns = np.empty((dimension, len(norms)))
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[1]
+        np.divide(block, norms[start:stop], out=columns[:, start:stop])
+        start = stop
+    return columns
+
+
+@dataclass(eq=False)
 class EntityVectorStore:
-    """Map from entity surface to its vector; an index write extends a copy.
+    """Entity surfaces and their vectors; an index write makes a new store.
 
-    A dimension of 0 means "unset"; the first vector added fixes it (remote
-    embedders do not announce their dimension up front). Vectors are checked
-    to be finite and not all zeros where they enter: provider replies, cache
-    lines, index files.
+    The store holds the names in store order, the raw vectors as
+    C-contiguous float64 dimension × n column blocks (one per index write,
+    one for a loaded file), and each vector's ``math.hypot`` norm as a
+    float64 array. Blocks are never changed or copied once made, so stores
+    share them. ``len(norms)`` equals ``len(names)`` and the blocks' widths
+    add up to it. An empty store's dimension is what its maker gives (0 for
+    a remote embedder, which does not announce it); the first vectors
+    written settle it. Vectors are checked to be finite and not all zeros
+    where they enter: provider replies, cache lines, index files.
 
-    Top-K search reads the unit columns, built on the store's first search
-    by :func:`_unit_columns` from rows packed a block at a time. Change
-    ``entries`` only through :meth:`add`, which drops the columns, or
-    :meth:`extended`, which makes the next store of an index write: its
-    columns, when this store's are built, are a new array of this store's
-    columns followed by the new entities', the same bytes a fresh build
-    gives. No two stores share a column array, and this store never changes.
+    Top-K search reads the unit columns, the blocks divided by the norms,
+    built on the store's first search. :meth:`extended` makes the next
+    store of an index write: its columns, when this store's are built, are
+    a new array of this store's columns followed by the new entities', the
+    same bytes a fresh build gives. No two stores share a column array.
     """
 
     dimension: int
-    entries: dict[str, Vector] = field(default_factory=dict)
+    names: list[str] = field(default_factory=list)
+    blocks: list[np.ndarray] = field(default_factory=list, repr=False)
+    norms: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
     _unit: tuple[list[str], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, init=False, repr=False
     )
-
-    def add(self, entity: str, vector: Vector) -> None:
-        if self.dimension == 0 and not self.entries:
-            self.dimension = len(vector)
-        if len(vector) != self.dimension:
-            raise DimensionMismatchError(
-                f"vector for {entity!r} has dimension {len(vector)}, store has {self.dimension}"
-            )
-        self.entries[entity] = vector
-        self._unit = None
 
     def extended(
         self, entities: list[str], vectors: list[Vector]
     ) -> EntityVectorStore:
         """A new store of these entries followed by ``entities``, none of
-        them in this store, with their ``vectors``."""
-        store = EntityVectorStore(self.dimension, dict(self.entries))
-        for entity, vector in zip(entities, vectors):
-            store.add(entity, vector)
-        if self._unit is not None and self.entries:
-            names, columns = self._unit
+        them in this store, with their ``vectors`` as one new block."""
+        dimension = len(vectors[0]) if vectors and not self.names else self.dimension
+        norms = _norms(zip(entities, vectors), dimension)
+        blocks = list(self.blocks)
+        if vectors:
+            blocks.append(_columns(vectors, len(vectors), dimension))
+        store = EntityVectorStore(
+            dimension,
+            self.names + list(entities),
+            blocks,
+            np.concatenate([self.norms, norms]),
+        )
+        if self._unit is not None and self.names:
             try:
-                added = _unit_columns(vectors, store.dimension)
+                added = _divided(blocks[len(self.blocks):], norms, dimension)
             except ZeroVectorError:
                 return store  # unbuilt, so its first search raises this
             store._unit = (
-                names + list(entities),
-                np.concatenate([columns, added], axis=1),
+                store.names, np.concatenate([self._unit[1], added], axis=1)
             )
         return store
 
     def unit_columns(self) -> tuple[list[str], np.ndarray]:
         """Entity names in store order, and their unit vectors as columns."""
         if self._unit is None:
-            rows = list(self.entries.values())
-            self._unit = (list(self.entries), _unit_columns(rows, self.dimension))
+            self._unit = (
+                self.names, _divided(self.blocks, self.norms, self.dimension)
+            )
         return self._unit
 
+    @property
+    def entries(self) -> Mapping[str, Vector]:
+        """Each entity's vector as a tuple of floats, in store order: a
+        read-only copy made on each read, for comparisons and tests."""
+        rows = [tuple(row) for block in self.blocks for row in block.T.tolist()]
+        return MappingProxyType(dict(zip(self.names, rows)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EntityVectorStore):
+            return NotImplemented
+        return self.dimension == other.dimension and self.entries == other.entries
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
 
 
 def top_k_entities(
@@ -422,7 +493,7 @@ def top_k_entities(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not store.entries:
+    if not store.names:
         return []
     query = _unit_columns([query_vec], store.dimension)[:, 0]
     names, columns = store.unit_columns()

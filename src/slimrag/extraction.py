@@ -431,21 +431,6 @@ def decompose_query(q: str, config: ExtractorConfig) -> list[str]:
     return subs
 
 
-def compute_entity_weights(
-    entities: frozenset[str] | set[str],
-    sub_queries: list[str] | tuple[str, ...],
-    config: ExtractorConfig,
-) -> dict[str, float]:
-    """Frequency of each entity across sub-queries, as a fraction in (0, 1]."""
-    if not sub_queries:
-        raise ValueError("sub_queries is empty")
-    if not entities:
-        return {}
-    return _frequency_weights(
-        entities, [extract_entities(s, config) for s in sub_queries]
-    )
-
-
 def _frequency_weights(entities, per_sub: list[set[str]]) -> dict[str, float]:
     """weight(e) = |{s : e extracted from s}| / |sub-queries|."""
     n = len(per_sub)

@@ -19,9 +19,11 @@ count. One fingerprint check, :func:`check_compatible`, guards both
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
-indexes serialize to identical bytes. ``_to_document`` is the one description
-of the format: save serializes each member once, and load builds the index a
-file describes, re-serializes it and compares digests. A file loads iff it
+indexes serialize to identical bytes. ``_to_document`` and ``_vectors_json``
+are the one description of the format: save serializes each member once,
+and load builds the index a file describes, re-serializes it and compares
+digests. The entity vectors load into one float64 block and are serialized
+one row at a time, in entity order. A file loads iff it
 parses into an index whose ``save_index`` form has the stored digest and
 passes the relational checks: finite vectors that are not all zeros,
 non-empty posting lists of chunk ids in the catalog, exactly one vector per
@@ -39,16 +41,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
+import numpy as np
+
 from .corpus import Chunk, Corpus, make_chunk_id
-from .embedding import EmbedderConfig, EmbeddingCache, EntityVectorStore, embed_many
+from .embedding import (
+    EmbedderConfig,
+    EmbeddingCache,
+    EntityVectorStore,
+    _columns,
+    _norms,
+    embed_many,
+)
 from .errors import (
     ConfigMismatchError,
     DimensionMismatchError,
@@ -266,8 +275,9 @@ def lookup(index: EntityIndex, entity: str) -> frozenset[str]:
 
 
 def _to_document(index: EntityIndex) -> dict:
-    """The index file's content, the one description of its format: save
-    writes it and load checks a file against it."""
+    """The index file's content but its ``vectors`` member, which
+    :func:`_vectors_json` writes: with it, the one description of the
+    format, which save writes and load checks a file against."""
     return {
         "schema": SCHEMA_VERSION,
         "config": index.config.to_document(),
@@ -276,11 +286,6 @@ def _to_document(index: EntityIndex) -> dict:
         "inverted_map": {
             entity: sorted(ids) for entity, ids in index.inverted_map.items()
         },
-        "vectors": {
-            "embedder_id": index.config.embedder_id,
-            "dimension": index.vectors.dimension,
-            "entries": index.vectors.entries,
-        },
         "chunk_catalog": {
             chunk_id: vars(record) for chunk_id, record in index.chunk_catalog.items()
         },
@@ -288,13 +293,21 @@ def _to_document(index: EntityIndex) -> dict:
     }
 
 
-# A float's 8 bytes, the memo key of a shared float: 0.0 == -0.0, but their
-# bytes differ, as their text in the file does.
-_FLOAT_BYTES = struct.Struct("d").pack
-# How many distinct values _from_document shares between vector components
-# before it stops: past this many, the vectors are a remote embedder's, whose
-# components are nearly all distinct, and a memo of them only costs memory.
-_MAX_SHARED_FLOATS = 1 << 16
+def _vectors_json(store: EntityVectorStore, embedder_id: str) -> str:
+    """The ``vectors`` member: ``canonical_json`` of ``{"embedder_id": ...,
+    "dimension": ..., "entries": {entity: vector}}``, serialized one row at
+    a time, so only one vector at a time is a list of Python floats."""
+    columns = (column for block in store.blocks for column in block.T)
+    entries = {
+        entity: canonical_json(column.tolist())
+        for entity, column in zip(store.names, columns)
+    }
+    members = {
+        "embedder_id": canonical_json(embedder_id),
+        "dimension": canonical_json(store.dimension),
+        "entries": "".join(_object_parts(entries)),
+    }
+    return "".join(_object_parts(members))
 
 
 def _from_document(document: dict) -> EntityIndex:
@@ -304,13 +317,10 @@ def _from_document(document: dict) -> EntityIndex:
     ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
     id) are not read: re-serializing the result shows whether they agree.
 
-    Equal vector components share one float object, the first one read: a
-    local index holds a few hundred distinct values against hundreds of
-    thousands of components. Reading an object writes its reference count,
-    so a process forked after loading copies only the pages of the shared
-    floats when its first search reads every vector. Values are matched by
-    their bytes, so ``0.0`` and ``-0.0`` stay apart and re-serializing
-    writes the file's exact values."""
+    The entity vectors become one float64 block. Each row's length is
+    checked and its norm taken from the parsed floats first; the rows are
+    then copied into the block a packing block at a time and popped once
+    copied, so the parsed lists are freed as the block fills."""
     config_doc = document.pop("config")
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
@@ -328,13 +338,13 @@ def _from_document(document: dict) -> EntityIndex:
         embedder_id=str(config_doc["embedder_id"]),
     )
     vectors_doc = document.pop("vectors")
-    vectors = EntityVectorStore(int(vectors_doc["dimension"]))
-    shared: dict[bytes, float] = {}
-    for entity, values in vectors_doc["entries"].items():
-        vector = tuple(map(float, values))
-        if len(shared) <= _MAX_SHARED_FLOATS:
-            vector = tuple(map(shared.setdefault, map(_FLOAT_BYTES, vector), vector))
-        vectors.add(entity, vector)
+    dimension = int(vectors_doc["dimension"])
+    entries = vectors_doc["entries"]
+    names = list(entries)
+    norms = _norms(entries.items(), dimension)
+    rows = (entries.pop(name) for name in names)
+    blocks = [_columns(rows, len(names), dimension)] if names else []
+    vectors = EntityVectorStore(dimension, names, blocks, norms)
     chunk_catalog = {
         chunk_id: ChunkRecord(
             str(record["doc_id"]),
@@ -365,6 +375,7 @@ def _serialized(index: EntityIndex) -> tuple[dict[str, str], str]:
     members = {
         key: canonical_json(value) for key, value in _to_document(index).items()
     }
+    members["vectors"] = _vectors_json(index.vectors, index.config.embedder_id)
     sha = hashlib.sha256()
     for part in _object_parts(members):
         sha.update(part.encode("utf-8"))
@@ -376,7 +387,7 @@ def _object_parts(members: dict[str, str]) -> list[str]:
     parts = []
     for key in sorted(members):
         parts += ("," if parts else "{", canonical_json(key), ":", members[key])
-    return parts + ["}"]
+    return (parts or ["{"]) + ["}"]
 
 
 def _require(condition: bool, problem: str) -> None:
@@ -385,8 +396,8 @@ def _require(condition: bool, problem: str) -> None:
 
 
 def _check_relations(index: EntityIndex) -> None:
-    """The facts a round trip cannot see; the vector dimension is checked by
-    ``EntityVectorStore.add`` while loading."""
+    """The facts a round trip cannot see; the vector dimension is checked
+    while loading."""
     catalog = index.chunk_catalog
     for entity, ids in index.inverted_map.items():
         _require(ids, f"entity {entity!r} has no chunks")
@@ -395,14 +406,17 @@ def _check_relations(index: EntityIndex) -> None:
             f"entity {entity!r} points at a chunk not in the catalog",
         )
     _require(
-        index.inverted_map.keys() == index.vectors.entries.keys(),
+        index.inverted_map.keys() == set(index.vectors.names),
         "entities and entity vectors differ",
     )
-    for entity, vector in index.vectors.entries.items():
-        _require(
-            all(map(math.isfinite, vector)), f"vector of {entity!r} is not finite"
-        )
-        _require(any(vector), f"vector of {entity!r} is all zeros")
+    start = 0
+    for block in index.vectors.blocks:
+        finite = np.isfinite(block).all(axis=0)
+        for i in np.flatnonzero(~(finite & block.any(axis=0)))[:1].tolist():
+            entity = index.vectors.names[start + i]
+            _require(finite[i], f"vector of {entity!r} is not finite")
+            _require(False, f"vector of {entity!r} is all zeros")
+        start += block.shape[1]
     for chunk_id, record in catalog.items():
         _require(
             record.position >= 0
@@ -436,8 +450,8 @@ def load_index(path: str | Path) -> EntityIndex:
     """Read and verify an index file. It loads iff it parses into an index
     whose save_index form has the stored digest and passes the relational
     checks; otherwise IndexIntegrityError, or SchemaVersionError for another
-    schema. Equal vector components of the result share one float object
-    (see ``_from_document``)."""
+    schema. The result's entity vectors are one float64 block (see
+    ``_from_document``)."""
     try:
         document = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:

@@ -109,14 +109,23 @@ def embed_batch(
     body = _post("/embeddings", {"model": model, "input": texts})
     try:
         rows = body["data"]
-        vectors = [[float(x) for x in row["embedding"]] for row in rows]
-    except (KeyError, TypeError, ValueError) as exc:
+        vectors = [json_vector(row["embedding"]) for row in rows]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProviderProtocolError(f"malformed embeddings response: {body!r}") from exc
     if len(vectors) != len(texts):
         raise ProviderProtocolError(
             f"embeddings response has {len(vectors)} rows for {len(texts)} inputs"
         )
     return vectors
+
+
+def json_vector(value: object) -> list[float]:
+    """A parsed JSON array of numbers as floats. Raises TypeError for any
+    other value, including strings and booleans, which ``float`` would
+    convert, and OverflowError for an integer past the float range."""
+    if type(value) is not list or not all(type(x) in (int, float) for x in value):
+        raise TypeError("vector is not a JSON array of numbers")
+    return [float(x) for x in value]
 
 
 def parse_json_array(reply: str) -> list:

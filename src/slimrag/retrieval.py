@@ -299,7 +299,7 @@ def retrieve(
     usage[EMBEDDING_IN] += count_tokens(q)
 
     weights: dict[str, float] | None = None
-    if not plan.query_entities or not index.vectors.entries:
+    if not plan.query_entities or not index.vectors.names:
         trace.no_query_entities = not plan.query_entities
         trace.fallback_used = True
         candidates = dict.fromkeys(index.chunk_catalog, frozenset())

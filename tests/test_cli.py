@@ -136,6 +136,26 @@ class TestExitCodes:
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
         assert str(terms) in err and not output.exists()
 
+    @pytest.mark.parametrize("command", ["build", "retrieve"])
+    def test_cache_vector_of_non_numbers_is_named(
+        self, built_index, corpus_file, tmp_path, capsys, command
+    ):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            '{"embedder": "e", "digest": "d", "vector": ["1.5", true, " 2 "]}\n',
+            encoding="utf-8",
+        )
+        output = tmp_path / "new-index.json"
+        argv = {
+            "build": ["index", "build", "--corpus", str(corpus_file), "--out", str(output)],
+            "retrieve": ["retrieve", "--index", str(built_index), "--query", "Who?"],
+        }[command]
+        assert main([*argv, "--cache", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{cache}: line 1 is damaged" in captured.err
+        assert captured.out == "" and not output.exists()
+
     @pytest.mark.parametrize("scope", ["per-example", "pooled"])
     def test_repeated_context_title_is_runtime_error(self, tmp_path, capsys, scope):
         dataset = tmp_path / "dataset.json"

@@ -1,10 +1,14 @@
 """Local embedder spec conformance, cosine identities, top-K exactness."""
 
+import fcntl
 import itertools
 import json
 import math
+import os
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DEEP_JSON, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
+import slimrag
 from slimrag import remote
 from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
@@ -158,11 +163,9 @@ class TestCosine:
 
 
 def _random_store(rng: random.Random, size: int, dim: int = 16) -> EntityVectorStore:
-    store = EntityVectorStore(dimension=dim)
-    for i in range(size):
-        vec = tuple(rng.uniform(-1, 1) for _ in range(dim))
-        store.add(f"entity-{i:04d}", vec)
-    return store
+    names = [f"entity-{i:04d}" for i in range(size)]
+    vectors = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in names]
+    return EntityVectorStore(dimension=dim).extended(names, vectors)
 
 
 class TestTopK:
@@ -177,14 +180,14 @@ class TestTopK:
         assert {e for e, _ in result} == set(store.entries)
 
     def test_equal_similarity_breaks_lexicographically(self):
-        store = EntityVectorStore(dimension=2)
-        store.add("bravo", (1.0, 0.0))
-        store.add("alpha", (2.0, 0.0))  # same direction, same cosine
+        # Same direction, same cosine.
+        store = EntityVectorStore(dimension=2).extended(
+            ["bravo", "alpha"], [(1.0, 0.0), (2.0, 0.0)]
+        )
         result = top_k_entities((1.0, 0.0), store, 2)
         assert [e for e, _ in result] == ["alpha", "bravo"]
 
     def test_top2_of_five_known_vectors(self):
-        store = EntityVectorStore(dimension=2)
         vectors = {
             "a": (1.0, 0.0),
             "b": (0.9, 0.1),
@@ -192,8 +195,9 @@ class TestTopK:
             "d": (-1.0, 0.0),
             "e": (0.5, 0.5),
         }
-        for name, vec in vectors.items():
-            store.add(name, vec)
+        store = EntityVectorStore(dimension=2).extended(
+            list(vectors), list(vectors.values())
+        )
         got = top_k_entities((1.0, 0.0), store, 2)
         want = brute_force_top_k((1.0, 0.0), vectors, 2)
         assert got == want
@@ -215,21 +219,105 @@ class TestTopK:
                 assert got == want
 
     def test_with_ties_matches_oracle_exactly(self):
-        store = EntityVectorStore(dimension=2)
-        for i in range(20):
-            store.add(f"e{i:02d}", (float(1 + i % 3), 0.0))  # many exact ties
+        # Many exact ties.
+        store = EntityVectorStore(dimension=2).extended(
+            [f"e{i:02d}" for i in range(20)],
+            [(float(1 + i % 3), 0.0) for i in range(20)],
+        )
         query = (1.0, 0.0)
         assert top_k_entities(query, store, 7) == brute_force_top_k(
             query, store.entries, 7
         )
 
 
+# A process that loads the cache named by argv[1] and prints its size; with
+# a text in argv[2], it then reads one line of standard input and caches a
+# vector for that text. With a count in argv[3] instead, it makes that many
+# rounds of load and put of 8 long vectors, tagged by argv[2].
+_CACHE_CLIENT = """
+import random, sys
+from slimrag.embedding import EmbeddingCache
+path, args = sys.argv[1], sys.argv[2:]
+if len(args) == 2:
+    rng = random.Random(args[0])
+    for round_ in range(int(args[1])):
+        pairs = [(f"{args[0]}-{round_}-{i}", tuple(rng.random() for _ in range(1000)))
+                 for i in range(8)]
+        EmbeddingCache(path).put("e", pairs)
+else:
+    cache = EmbeddingCache(path)
+    print(len(cache), flush=True)
+    if args:
+        sys.stdin.readline()
+        cache.put("e", [(args[0], (2.0,))])
+"""
+
+
+def _cache_client(path, *args, **kwargs):
+    src = str(Path(slimrag.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen(
+        [sys.executable, "-c", _CACHE_CLIENT, str(path), *args],
+        env=env, text=True, stdout=subprocess.PIPE, **kwargs,
+    )
+
+
+class TestSharedCache:
+    """Two processes may load and append one cache file at once."""
+
+    def test_two_processes_write_one_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        clients = [_cache_client(path, tag, "15") for tag in ("a", "b")]
+        for client in clients:
+            client.communicate(timeout=120)
+            assert client.returncode == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert all(len(json.loads(line)["vector"]) == 1000 for line in lines)
+        cache = EmbeddingCache(path)
+        assert len(lines) == len(cache) == 2 * 15 * 8
+        for tag, round_, i in itertools.product("ab", range(15), range(8)):
+            assert cache.get("e", f"{tag}-{round_}-{i}") is not None
+
+    def test_load_waits_for_an_append_in_progress(self, tmp_path):
+        """A load that saw half an append would cut it off as a torn line."""
+        path = tmp_path / "cache.jsonl"
+        EmbeddingCache(path).put("e", [("a", (1.0,))])
+        line = path.read_bytes().replace(EmbeddingCache.digest("a").encode(), b"b")
+        with path.open("ab") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            handle.write(line[:20])
+            handle.flush()
+            reader = _cache_client(path)
+            with pytest.raises(subprocess.TimeoutExpired):
+                reader.wait(timeout=1.0)
+            handle.write(line[20:])
+        out, _ = reader.communicate(timeout=60)
+        assert reader.returncode == 0 and out == "2\n"
+        assert path.read_bytes().count(b"\n") == 2
+
+    def test_append_waits_for_the_lock(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EmbeddingCache(path).put("e", [("a", (1.0,))])
+        before = path.read_bytes()
+        writer = _cache_client(path, "b", stdin=subprocess.PIPE)
+        assert writer.stdout.readline() == "1\n"
+        with path.open("rb") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            writer.stdin.write("go\n")
+            writer.stdin.flush()
+            with pytest.raises(subprocess.TimeoutExpired):
+                writer.wait(timeout=1.0)
+            assert path.read_bytes() == before
+        writer.communicate(timeout=60)
+        assert writer.returncode == 0
+        assert EmbeddingCache(path).get("e", "b") == (2.0,)
+
+
 class TestStoreAndCache:
     def test_dimension_enforced(self):
-        store = EntityVectorStore(dimension=4)
-        store.add("ok", (1.0, 0.0, 0.0, 0.0))
+        store = EntityVectorStore(dimension=4).extended(["ok"], [(1.0, 0.0, 0.0, 0.0)])
         with pytest.raises(DimensionMismatchError):
-            store.add("bad", (1.0, 0.0))
+            store.extended(["bad"], [(1.0, 0.0)])
 
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -295,7 +383,15 @@ class TestStoreAndCache:
         nonfinite = b'{"embedder": "e", "digest": "b", "vector": [NaN, 1.0, 0.0]}'
         not_utf8 = b'{"embedder": "\xff", "digest": "b", "vector": [1.0]}'
         zero = b'{"embedder": "e", "digest": "b", "vector": [0.0, -0.0]}'
-        for damaged in (b"not json", nonfinite, not_utf8, DEEP_JSON.encode(), zero):
+        # Components float() would take: strings, booleans; and an integer
+        # it cannot convert.
+        not_numbers = b'{"embedder": "e", "digest": "b", "vector": ["1.5", true, " 2 "]}'
+        boolean = b'{"embedder": "e", "digest": "b", "vector": [0.5, true]}'
+        huge_int = b'{"embedder": "e", "digest": "b", "vector": [1%s]}' % (b"0" * 400)
+        for damaged in (
+            b"not json", nonfinite, not_utf8, DEEP_JSON.encode(), zero,
+            not_numbers, boolean, huge_int,
+        ):
             path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
                 EmbeddingCache(path)
@@ -323,7 +419,7 @@ def _store_and_query(draw):
     """A store whose later entities often repeat an earlier vector, so that
     similarities tie at the K boundary, and a query."""
     dim = draw(st.integers(1, 24))
-    store = EntityVectorStore(dimension=dim)
+    names: list[str] = []
     rows: list[tuple[float, ...]] = []
     for i in range(draw(st.integers(0, 24))):
         if rows and draw(st.booleans()):
@@ -331,7 +427,8 @@ def _store_and_query(draw):
         else:
             vec = _vector(draw, dim)
         rows.append(vec)
-        store.add(f"e{draw(st.integers(0, 99)):02d}-{i}", vec)
+        names.append(f"e{draw(st.integers(0, 99)):02d}-{i}")
+    store = EntityVectorStore(dimension=dim).extended(names, rows)
     return store, _vector(draw, dim)
 
 
@@ -384,8 +481,7 @@ class TestSimilarityKernel:
         query, other = (1.0, -0.0), (-0.0, 1.0)
         assert cosine_similarity(query, other).hex() == "0x0.0p+0"
         assert [x.hex() for x in cosine_similarities(query, [other])] == ["0x0.0p+0"]
-        store = EntityVectorStore(dimension=2)
-        store.add("other", other)
+        store = EntityVectorStore(dimension=2).extended(["other"], [other])
         assert _hex(top_k_entities(query, store, 1)) == [("other", "0x0.0p+0")]
 
     @given(st.integers(0, 2**32))
@@ -409,7 +505,7 @@ class TestSimilarityKernel:
         store, query = store_and_query
         top_k_entities(query, store, 3)
         new = data.draw(st.sampled_from([query, _vector(data.draw, len(query))]))
-        store.add("zz-new", new)
+        store = store.extended(["zz-new"], [new])
         got = top_k_entities(query, store, 3)
         assert _hex(got) == _hex(brute_force_top_k(query, store.entries, 3))
         assert "zz-new" in store.unit_columns()[0]
@@ -436,8 +532,7 @@ class TestSimilarityKernel:
         assert top_k_entities(query, parent.vectors, 4) == before
 
     def test_errors_come_from_the_same_call(self):
-        store = EntityVectorStore(dimension=2)
-        store.add("a", (1.0, 0.0))
+        store = EntityVectorStore(dimension=2).extended(["a"], [(1.0, 0.0)])
         # k < 1 is checked before anything else, also on an empty store.
         for bad_store in (store, EntityVectorStore(2)):
             with pytest.raises(ValueError, match="k must be"):
@@ -450,7 +545,7 @@ class TestSimilarityKernel:
             with pytest.raises(DimensionMismatchError) as caught:
                 top_k_entities(query, store, 1)
             assert type(caught.value) is DimensionMismatchError
-        store.add("zero", (0.0, 0.0))
+        store = store.extended(["zero"], [(0.0, 0.0)])
         with pytest.raises(ZeroVectorError):
             top_k_entities((1.0, 0.0), store, 1)
         assert cosine_similarities((0.0, 0.0), []) == []
@@ -476,9 +571,9 @@ class TestSimilarityKernel:
         query = vector()
         rows = [vector() for _ in range(data.draw(st.integers(0, 5)))]
         same_dim = [row for row in rows if len(row) == dim]
-        store = EntityVectorStore(dimension=dim)
-        for i, row in enumerate(same_dim):
-            store.add(f"e{i}", row)
+        store = EntityVectorStore(dimension=dim).extended(
+            [f"e{i}" for i in range(len(same_dim))], same_dim
+        )
         got = _outcome(top_k_entities, query, store, k)
         want = _outcome(_loop_top_k, query, store, k)
         assert (_hex(got) if isinstance(got, list) else got) == (
@@ -619,8 +714,7 @@ class TestUnitColumns:
             assert not np.shares_memory(a._unit[1], b._unit[1])
 
     def test_zero_vector_added_after_a_search_raises_on_search(self):
-        store = EntityVectorStore(dimension=2)
-        store.add("a", (1.0, 0.0))
+        store = EntityVectorStore(dimension=2).extended(["a"], [(1.0, 0.0)])
         top_k_entities((1.0, 0.0), store, 1)
         child = store.extended(["b"], [(0.0, -0.0)])
         assert list(child.entries) == ["a", "b"]

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from slimrag.errors import MalformedRecordError
 from slimrag.extraction import (
     ExtractorConfig,
-    compute_entity_weights,
     decompose_query,
     extract_entities,
     load_aliases,
@@ -166,27 +165,28 @@ class TestDecompose:
 
 
 class TestWeights:
+    """weight(e) = |{s : e extracted from sub-query s}| / |sub-queries|."""
+
     def test_entity_in_both_of_two(self):
-        subs = ["Where is Paris", "when did Paris host?"]
-        weights = compute_entity_weights({"paris"}, subs, LOCAL)
-        assert weights == {"paris": 1.0}
+        plan, _, _ = plan_query("Where is Paris? when did Paris host?", LOCAL)
+        assert plan.sub_queries == ("Where is Paris?", "when did Paris host?")
+        assert plan.entity_weights == {"paris": 1.0}
 
     def test_entity_in_one_of_four(self):
-        subs = [
-            "Where is Paris",
-            "who founded the group",
-            "when did it start",
-            "why did it end",
-        ]
-        weights = compute_entity_weights({"paris"}, subs, LOCAL)
-        assert weights == {"paris": 0.25}
+        q = "where is Paris? who founded the group? when did it start? why did it end?"
+        plan, _, _ = plan_query(q, LOCAL)
+        assert len(plan.sub_queries) == 4
+        assert plan.entity_weights == {"paris": 0.25}
 
     def test_empty_entity_set(self):
-        assert compute_entity_weights(set(), ["a"], LOCAL) == {}
+        plan, _, _ = plan_query("who founded the group?", LOCAL)
+        assert plan.query_entities == frozenset()
+        assert plan.entity_weights == {}
 
     def test_empty_sub_queries_rejected(self):
+        # Only an empty query has no sub-query.
         with pytest.raises(ValueError):
-            compute_entity_weights({"x"}, [], LOCAL)
+            plan_query("   ", LOCAL)
 
     def test_weights_in_unit_interval(self):
         q = "Who runs Vertex Labs and where is Ember Corp based?"
@@ -209,9 +209,11 @@ class TestPlanQuery:
     def test_weights_match_op_contract(self):
         q = "Who runs Vertex Labs and where is Ember Corp based?"
         plan, _, _ = plan_query(q, LOCAL)
-        recomputed = compute_entity_weights(
-            plan.query_entities, list(plan.sub_queries), LOCAL
-        )
+        per_sub = [extract_entities(sub, LOCAL) for sub in plan.sub_queries]
+        recomputed = {
+            entity: sum(entity in found for found in per_sub) / len(per_sub)
+            for entity in plan.query_entities
+        }
         assert plan.entity_weights == recomputed
 
     def test_config_validation(self):

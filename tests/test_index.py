@@ -2,20 +2,21 @@
 
 import copy
 import hashlib
-import itertools
 import json
+import math
 import os
 import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEEP_JSON, random_corpus, rewrite_index
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
-from slimrag.embedding import EmbedderConfig
+from slimrag.embedding import EmbedderConfig, EntityVectorStore
 from slimrag.errors import (
     ConfigMismatchError,
     DuplicateChunkError,
@@ -27,6 +28,7 @@ from slimrag.index import (
     EMBEDDING_IN,
     EXTRACTION_IN,
     EXTRACTION_OUT,
+    _vectors_json,
     add_chunks,
     build_index,
     canonical_json,
@@ -229,6 +231,12 @@ class TestAddChunks:
 
 
 _SMALL_INDEX = build_index(_small_corpus(), LOCAL, EMB)
+# Vector components: both zeros, subnormals, magnitudes near 1e±300, and
+# any other finite float.
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 # Scalars the index file holds, neighbours of them, and small containers.
 _JSON_VALUES = st.recursive(
     st.none()
@@ -252,12 +260,11 @@ class TestPersistence:
         assert loaded == index
         assert all(type(ids) is frozenset for ids in loaded.inverted_map.values())
 
-    def test_signed_zeros_load_as_shared_floats_and_resave_identically(
+    def test_signed_zeros_load_into_one_block_and_resave_identically(
         self, tmp_path, monkeypatch
     ):
-        """Remote vectors holding 0.0 and -0.0: the file loads, saves back
-        byte for byte, and equal components of different entities are one
-        float object, with the two zeros kept apart."""
+        """Remote vectors holding 0.0 and -0.0: the file loads into one
+        float64 block that keeps both zeros, and saves back byte for byte."""
 
         def stub(texts, model):
             return [
@@ -273,39 +280,110 @@ class TestPersistence:
         resaved = tmp_path / "resaved.json"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+        [block] = loaded.vectors.blocks
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.shape == (4, len(loaded.vectors)) and block.shape[1] >= 3
+        assert not np.signbit(block[0]).any() and np.signbit(block[1]).all()
         rows = list(loaded.vectors.entries.values())
-        assert len(rows) >= 3
-        for a, b in itertools.combinations(rows, 2):
-            for x, y in zip(a, b):
-                if x.hex() == y.hex():
-                    assert x is y
         assert rows[0][0].hex() == "0x0.0p+0" and rows[0][1].hex() == "-0x0.0p+0"
+        file_rows = json.loads(path.read_text())["vectors"]["entries"].values()
+        assert [[x.hex() for x in row] for row in rows] == [
+            [x.hex() for x in row] for row in file_rows
+        ]
 
-    def test_sharing_stops_past_the_memo_bound(self, tmp_path, monkeypatch):
-        """Rows read once the memo of shared floats holds more values than
-        its bound keep their own floats, and the index loads the same. Each
-        vector here is 0.5 and three distinct values: the memo holds 4 after
-        the first row and 7 after the second."""
+    def test_remote_vectors_load_into_one_block(self, tmp_path, monkeypatch):
+        """Nearly all distinct components: the loaded store's one block
+        holds the file's rows as its columns, in name order, and the index
+        loads equal and resaves byte for byte."""
         rng = random.Random(3)
 
         def stub(texts, model):
             return [[0.5] + [rng.random() for _ in range(3)] for _ in texts]
 
         monkeypatch.setattr(remote, "embed_batch", stub)
-        monkeypatch.setattr("slimrag.index._MAX_SHARED_FLOATS", 5)
         embedder = EmbedderConfig(provider="remote")
         index = build_index(_small_corpus(), LOCAL, embedder)
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded == index
-        first, second, *rest = loaded.vectors.entries.values()
-        assert rest
-        assert second[0] is first[0]
-        assert all(row[0] is not first[0] for row in rest)
+        [block] = loaded.vectors.blocks
+        names = sorted(index.vectors.names)
+        assert loaded.vectors.names == names
+        rows = [index.vectors.entries[name] for name in names]
+        assert block.tobytes() == np.array(rows).T.copy().tobytes()
+        assert loaded.vectors.norms.tolist() == [math.hypot(*row) for row in rows]
         resaved = tmp_path / "resaved.json"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_vectors_member_is_canonical_json_of_its_dict_form(self, data):
+        """A store made by one to four writes, with names out of order
+        across its blocks: the ``vectors`` member written row by row is
+        ``canonical_json`` of the dict of the vectors written."""
+        dim = data.draw(st.integers(0, 12))
+        names = data.draw(st.lists(st.text(max_size=5), unique=True, max_size=20))
+        rows = [
+            tuple(data.draw(st.lists(_COMPONENTS, min_size=dim, max_size=dim)))
+            for _ in names
+        ]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(names)), max_size=3)))
+        store = EntityVectorStore(data.draw(st.sampled_from([0, dim])))
+        for start, stop in zip([0, *cuts], [*cuts, len(names)]):
+            store = store.extended(names[start:stop], rows[start:stop])
+        document = {
+            "embedder_id": "remote:model",
+            "dimension": store.dimension,
+            "entries": dict(zip(names, rows)),
+        }
+        assert _vectors_json(store, "remote:model") == canonical_json(document)
+        assert [[x.hex() for x in row] for row in store.entries.values()] == [
+            [x.hex() for x in row] for row in rows
+        ]
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_remote_sized_vectors_serialize_and_load_exactly(self, seed):
+        """1,536-dimension rows from a stubbed remote embedder, holding
+        signed zeros, subnormals and magnitudes of 1e±300: the vectors
+        member is canonical_json of the replies, and the file loads into
+        one block with the replies' bits and saves back byte for byte."""
+        rng = random.Random(seed)
+        replies = {}
+
+        def stub(texts, model):
+            special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300]
+            rows = [
+                [rng.choice(special) if rng.random() < 0.1 else rng.gauss(0, 1)
+                 for _ in range(1536)]
+                for _ in texts
+            ]
+            replies.update(zip(texts, rows))
+            return rows
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(remote, "embed_batch", stub)
+            embedder = EmbedderConfig(provider="remote")
+            index = build_index(_small_corpus(), LOCAL, embedder)
+        document = {
+            "embedder_id": embedder.embedder_id,
+            "dimension": 1536,
+            "entries": replies,
+        }
+        assert _vectors_json(index.vectors, embedder.embedder_id) == canonical_json(
+            document
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, resaved = Path(tmp) / "index.json", Path(tmp) / "resaved.json"
+            save_index(index, path)
+            loaded = load_index(path)
+            [block] = loaded.vectors.blocks
+            rows = [replies[name] for name in loaded.vectors.names]
+            assert block.tobytes() == np.array(rows).T.copy().tobytes()
+            save_index(loaded, resaved)
+            assert resaved.read_bytes() == path.read_bytes()
 
     def test_canonical_bytes_across_builds(self, tmp_path):
         a_path = tmp_path / "a.json"

@@ -213,6 +213,22 @@ class TestEmbeddingsProtocol:
             embed_many(["a"], config, cache)
         assert len(cache) == 0 and not cache.path.exists()
 
+    @pytest.mark.parametrize(
+        "embedding",
+        [["1.5", True, " 2 "], [0.5, True], [0.5, None], "0.5", [10**400]],
+        ids=["strings-and-bool", "bool", "null", "string", "int-past-float-range"],
+    )
+    def test_components_that_are_not_numbers_are_rejected(
+        self, server, tmp_path, embedding
+    ):
+        from slimrag.embedding import EmbeddingCache
+
+        cache = EmbeddingCache(tmp_path / "cache.jsonl")
+        server.enqueue(200, {"data": [{"embedding": embedding}]})
+        with pytest.raises(ProviderProtocolError):
+            embed_many(["a"], EmbedderConfig(provider="remote"), cache)
+        assert len(cache) == 0 and not cache.path.exists()
+
     def test_embed_many_rejects_empty_text_before_any_request(self, server):
         config = EmbedderConfig(provider="remote")
         with pytest.raises(ValueError, match="empty text"):
