@@ -22,15 +22,16 @@ separators) with a SHA-256 content digest, written atomically. Identical
 indexes serialize to identical bytes. ``_to_document`` and ``_vectors_json``
 are the one description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
-digests. The entity vectors load into one float64 block and are serialized
-one row at a time, in entity order. A file loads iff it
-parses into an index whose ``save_index`` form has the stored digest and
-passes the relational checks: finite vectors that are not all zeros,
-non-empty posting lists of chunk ids in the catalog, exactly one vector per
-entity of the store's dimension, and catalog keys that are
+digests. Both stream the document in parts into the hash (and, for save,
+the file), so neither holds the whole text. The entity vectors load into
+one float64 block and are serialized in slices of rows, in entity order,
+each distinct component of a slice written once (see ``_rows_json``). A
+file loads iff it parses into an index whose ``save_index`` form has the
+stored digest and passes the relational checks: finite vectors that are not
+all zeros, non-empty posting lists of chunk ids in the catalog, exactly one
+vector per entity of the store's dimension, and catalog keys that are
 ``<doc_id>#<position>`` of their record with a position >= 0 (so no two
-records share a document and position).
-Any other file raises IndexIntegrityError (SchemaVersionError for another
+records share a document and position). Any other file raises IndexIntegrityError (SchemaVersionError for another
 schema). Derived fields (entity list, fingerprint, TUIC, TCTC as the catalog's
 token sum) are recomputed, not read. The loader trusts, unchecked, each
 chunk's ``token_count`` against its text and the accounting breakdown beyond
@@ -45,7 +46,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +71,8 @@ from .extraction import ExtractorConfig, extract_entities_with_usage
 from .tokenization import DEFAULT_TOKENIZER, count_tokens
 
 SCHEMA_VERSION = "slimrag-index/v1"
+_DIGEST = "content_digest"
+_DIGEST_SLOT = '"' + "0" * 64 + '"'  # the digest member's text, before the digest
 
 EXTRACTION_IN = "extraction-prompt-in"
 EXTRACTION_OUT = "extraction-out"
@@ -86,10 +89,13 @@ BREAKDOWN_LABELS = (
 _INDEXING_LABELS = (EXTRACTION_IN, EXTRACTION_OUT, EMBEDDING_IN)
 
 
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":")
+)
+
+
 def canonical_json(document: object) -> str:
-    return json.dumps(
-        document, sort_keys=True, ensure_ascii=False, separators=(",", ":")
-    )
+    return _CANONICAL.encode(document)
 
 
 @dataclass
@@ -277,7 +283,9 @@ def lookup(index: EntityIndex, entity: str) -> frozenset[str]:
 def _to_document(index: EntityIndex) -> dict:
     """The index file's content but its ``vectors`` member, which
     :func:`_vectors_json` writes: with it, the one description of the
-    format, which save writes and load checks a file against."""
+    format, which save writes and load checks a file against. Chunk records
+    are read field by field: ``vars`` would attach a dict to each record
+    for the life of the index."""
     return {
         "schema": SCHEMA_VERSION,
         "config": index.config.to_document(),
@@ -287,27 +295,78 @@ def _to_document(index: EntityIndex) -> dict:
             entity: sorted(ids) for entity, ids in index.inverted_map.items()
         },
         "chunk_catalog": {
-            chunk_id: vars(record) for chunk_id, record in index.chunk_catalog.items()
+            chunk_id: {
+                "doc_id": record.doc_id,
+                "position": record.position,
+                "text": record.text,
+                "token_count": record.token_count,
+            }
+            for chunk_id, record in index.chunk_catalog.items()
         },
         "accounting": index.accounting.to_document(),
     }
 
 
-def _vectors_json(store: EntityVectorStore, embedder_id: str) -> str:
-    """The ``vectors`` member: ``canonical_json`` of ``{"embedder_id": ...,
-    "dimension": ..., "entries": {entity: vector}}``, serialized one row at
-    a time, so only one vector at a time is a list of Python floats."""
-    columns = (column for block in store.blocks for column in block.T)
-    entries = {
-        entity: canonical_json(column.tolist())
-        for entity, column in zip(store.names, columns)
-    }
-    members = {
-        "embedder_id": canonical_json(embedder_id),
-        "dimension": canonical_json(store.dimension),
-        "entries": "".join(_object_parts(entries)),
-    }
-    return "".join(_object_parts(members))
+# Entries serialized together: a slice's rows, their bits as Python ints and
+# their texts are alive at once, and the per-slice numpy calls are amortized
+# over this many rows.
+_SLICE_ROWS = 32
+
+
+def _vectors_json(store: EntityVectorStore, embedder_id: str) -> Iterator[str]:
+    """The ``vectors`` member in parts: ``canonical_json`` of
+    ``{"dimension": ..., "embedder_id": ..., "entries": {entity: vector}}``,
+    one part per slice of ``_SLICE_ROWS`` entries in name order (see
+    :func:`_rows_json`), so no more than one slice is ever text."""
+    yield (
+        '{"dimension":' + canonical_json(store.dimension)
+        + ',"embedder_id":' + canonical_json(embedder_id) + ',"entries":{'
+    )
+    separator = ""
+    for names, rows in _sorted_rows(store):
+        parts = []
+        for name, row in zip(map(canonical_json, names), _rows_json(rows)):
+            parts += (separator, name, ":", row)
+            separator = ","
+        yield "".join(parts)
+    yield "}}"
+
+
+def _sorted_rows(store: EntityVectorStore) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The store's names in sorted order, ``_SLICE_ROWS`` at a time, each
+    slice with its vectors as the rows of a C-contiguous float64 array."""
+    order = sorted(range(len(store.names)), key=store.names.__getitem__)
+    starts = np.cumsum([0] + [block.shape[1] for block in store.blocks])
+    block_of = np.searchsorted(starts, order, side="right") - 1
+    column_of = order - starts[block_of]
+    for start in range(0, len(order), _SLICE_ROWS):
+        stop = start + _SLICE_ROWS
+        blocks, columns = block_of[start:stop], column_of[start:stop]
+        rows = np.empty((len(blocks), store.dimension))
+        for b in set(blocks.tolist()):
+            here = blocks == b
+            rows[here] = store.blocks[b][:, columns[here]].T
+        yield [store.names[i] for i in order[start:stop]], rows
+
+
+def _rows_json(rows: np.ndarray) -> list[str]:
+    """Each row's ``canonical_json``. When the slice has at most half as
+    many distinct components as components (the local embedder's few
+    quotients), each distinct one is written once, keyed by its bits so
+    ``0.0`` and ``-0.0`` stay apart, by one ``canonical_json`` of their
+    list, and each row is joined from those texts. Otherwise (a remote
+    embedder's nearly all distinct floats) the rows are written one by one,
+    as soon as the count passes half."""
+    bits = rows.view(np.uint64)
+    distinct: set[int] = set()
+    for row in bits:
+        distinct.update(row.tolist())
+        if 2 * len(distinct) > rows.size:
+            return [canonical_json(row.tolist()) for row in rows]
+    keys = np.array(sorted(distinct), dtype=np.uint64)
+    texts = canonical_json(keys.view(np.float64).tolist())[1:-1].split(",")
+    gathered = np.array(texts, dtype=object)[np.searchsorted(keys, bits)]
+    return ["[" + ",".join(row) + "]" for row in gathered.tolist()]
 
 
 def _from_document(document: dict) -> EntityIndex:
@@ -317,10 +376,14 @@ def _from_document(document: dict) -> EntityIndex:
     ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
     id) are not read: re-serializing the result shows whether they agree.
 
-    The entity vectors become one float64 block. Each row's length is
-    checked and its norm taken from the parsed floats first; the rows are
-    then copied into the block a packing block at a time and popped once
-    copied, so the parsed lists are freed as the block fills."""
+    The entity vectors become one float64 block, built last. Each row's
+    length is checked and its norm taken from the parsed floats first; the
+    rows are then copied into the block a packing block at a time and
+    popped once copied, so the parsed lists are freed as the block fills.
+    Building the block last means the chunk records and posting sets are
+    made while the parsed floats still fill the allocator's pages, not in
+    the pages those floats free, which then go back to the system whole
+    instead of staying pinned by the loaded index's objects."""
     config_doc = document.pop("config")
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
@@ -337,14 +400,6 @@ def _from_document(document: dict) -> EntityIndex:
         ),
         embedder_id=str(config_doc["embedder_id"]),
     )
-    vectors_doc = document.pop("vectors")
-    dimension = int(vectors_doc["dimension"])
-    entries = vectors_doc["entries"]
-    names = list(entries)
-    norms = _norms(entries.items(), dimension)
-    rows = (entries.pop(name) for name in names)
-    blocks = [_columns(rows, len(names), dimension)] if names else []
-    vectors = EntityVectorStore(dimension, names, blocks, norms)
     chunk_catalog = {
         chunk_id: ChunkRecord(
             str(record["doc_id"]),
@@ -365,29 +420,47 @@ def _from_document(document: dict) -> EntityIndex:
             for label, tokens in document.pop("accounting")["breakdown"].items()
         },
     )
+    vectors_doc = document.pop("vectors")
+    dimension = int(vectors_doc["dimension"])
+    entries = vectors_doc["entries"]
+    names = list(entries)
+    norms = _norms(entries.items(), dimension)
+    rows = (entries.pop(name) for name in names)
+    blocks = [_columns(rows, len(names), dimension)] if names else []
+    vectors = EntityVectorStore(dimension, names, blocks, norms)
     return EntityIndex(config, inverted_map, vectors, chunk_catalog, accounting)
 
 
-def _serialized(index: EntityIndex) -> tuple[dict[str, str], str]:
-    """Each top-level member of the index document as canonical JSON, and the
-    SHA-256 of ``canonical_json`` of the whole document, hashed from those
-    members piece by piece."""
-    members = {
-        key: canonical_json(value) for key, value in _to_document(index).items()
+def _members(index: EntityIndex) -> dict[str, Iterable[str]]:
+    """Each top-level member of the index document as the parts of its
+    canonical JSON text; the ``vectors`` member's parts are made as they
+    are read."""
+    members: dict[str, Iterable[str]] = {
+        key: [canonical_json(value)] for key, value in _to_document(index).items()
     }
     members["vectors"] = _vectors_json(index.vectors, index.config.embedder_id)
+    return members
+
+
+def _object_parts(members: dict[str, Iterable[str]]) -> Iterator[tuple[str, str]]:
+    """The text of a canonical JSON object, in parts, from its members'
+    parts; each part comes with the key of the member it belongs to ("" for
+    the braces)."""
+    yield "", "{"
+    for i, key in enumerate(sorted(members)):
+        yield key, ("," if i else "") + canonical_json(key) + ":"
+        for part in members[key]:
+            yield key, part
+    yield "", "}"
+
+
+def _digest(index: EntityIndex) -> str:
+    """The SHA-256 of ``canonical_json`` of the index document, hashed part
+    by part."""
     sha = hashlib.sha256()
-    for part in _object_parts(members):
+    for _, part in _object_parts(_members(index)):
         sha.update(part.encode("utf-8"))
-    return members, sha.hexdigest()
-
-
-def _object_parts(members: dict[str, str]) -> list[str]:
-    """The text of a canonical JSON object, in parts, from its members'."""
-    parts = []
-    for key in sorted(members):
-        parts += ("," if parts else "{", canonical_json(key), ":", members[key])
-    return (parts or ["{"]) + ["}"]
+    return sha.hexdigest()
 
 
 def _require(condition: bool, problem: str) -> None:
@@ -427,16 +500,30 @@ def _check_relations(index: EntityIndex) -> None:
 
 def save_index(index: EntityIndex, path: str | Path) -> None:
     """Write the canonical index file atomically: temp file, fsync, rename.
-    Each member is serialized once, for both the digest and the file."""
+    Each member is serialized once, part by part, into both the digest and
+    the file; the digest member is written as a placeholder of its width
+    and overwritten once the digest is known. It is never the first member,
+    so skipping its parts (and its leading comma) hashes the document
+    without it."""
     path = Path(path)
-    members, digest = _serialized(index)
-    members["content_digest"] = canonical_json(digest)
+    members = _members(index)
+    members[_DIGEST] = [_DIGEST_SLOT]
+    sha = hashlib.sha256()
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent if str(path.parent) else ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines([*_object_parts(members), "\n"])
+        with os.fdopen(fd, "wb") as handle:
+            for key, part in _object_parts(members):
+                data = part.encode("utf-8")
+                if key != _DIGEST:
+                    sha.update(data)
+                elif part == _DIGEST_SLOT:
+                    slot = handle.tell() + 1
+                handle.write(data)
+            handle.write(b"\n")
+            handle.seek(slot)
+            handle.write(sha.hexdigest().encode("ascii"))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -463,10 +550,10 @@ def load_index(path: str | Path) -> EntityIndex:
         raise SchemaVersionError(
             f"unsupported index schema {schema!r} (expected {SCHEMA_VERSION!r})"
         )
-    stored_digest = document.pop("content_digest", None)
+    stored_digest = document.pop(_DIGEST, None)
     try:
         index = _from_document(document)
-        _, digest = _serialized(index)
+        digest = _digest(index)
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError,
         RecursionError, DimensionMismatchError,

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from slimrag.corpus import Corpus, SegmentationPolicy, ingest_corpus
 
@@ -104,6 +105,16 @@ def rewrite_index(path: Path, mutate) -> None:
     document["config_fingerprint"] = sha(document.get("config"))
     document["content_digest"] = sha(document)
     path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def damaged(data, original: bytes) -> bytes:
+    """``original`` cut at an offset drawn from hypothesis ``data``, or with
+    one drawn byte changed."""
+    at = data.draw(st.integers(0, len(original) - 1))
+    if data.draw(st.booleans()):
+        return original[:at]
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[at]))
+    return original[:at] + bytes([byte]) + original[at + 1:]
 
 
 @pytest.fixture

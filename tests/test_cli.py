@@ -1,11 +1,16 @@
 """CLI surface: subcommands, exit codes, JSON purity, read-only behavior."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON, rewrite_index
+from conftest import DATA_DIR, DEEP_JSON, damaged, rewrite_index
 from slimrag.cli import main
 from slimrag.embedding import EmbedderConfig
 from slimrag.evalharness import load_hotpotqa, run_eval
@@ -79,6 +84,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: index file is damaged")
         assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_changed_index_is_runtime_error(self, data):
+        """Pin: ``retrieve`` on a saved index cut at a drawn offset, or with
+        one byte changed, answers (the damage left an index that loads) or
+        exits 2 with one ``error:`` line and no traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.jsonl"
+            corpus.write_text(
+                json.dumps({"doc_id": "d1", "text": "Vertex Labs built the annex."}),
+                encoding="utf-8",
+            )
+            path = Path(tmp) / "index.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["index", "build", "--corpus", str(corpus),
+                             "--out", str(path)]) == 0
+            path.write_bytes(damaged(data, path.read_bytes()))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["retrieve", "--index", str(path),
+                             "--query", "Who built Vertex Labs?"])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(
         "command",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, random_corpus, rewrite_index
+from conftest import DEEP_JSON, damaged, random_corpus, rewrite_index
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import EmbedderConfig, EntityVectorStore
@@ -28,6 +28,7 @@ from slimrag.index import (
     EMBEDDING_IN,
     EXTRACTION_IN,
     EXTRACTION_OUT,
+    _SLICE_ROWS,
     _vectors_json,
     add_chunks,
     build_index,
@@ -233,8 +234,9 @@ class TestAddChunks:
 _SMALL_INDEX = build_index(_small_corpus(), LOCAL, EMB)
 # Vector components: both zeros, subnormals, magnitudes near 1e±300, and
 # any other finite float.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
 _COMPONENTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.sampled_from(_EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 # Scalars the index file holds, neighbours of them, and small containers.
@@ -338,10 +340,56 @@ class TestPersistence:
             "dimension": store.dimension,
             "entries": dict(zip(names, rows)),
         }
-        assert _vectors_json(store, "remote:model") == canonical_json(document)
+        assert "".join(_vectors_json(store, "remote:model")) == canonical_json(
+            document
+        )
         assert [[x.hex() for x in row] for row in store.entries.values()] == [
             [x.hex() for x in row] for row in rows
         ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        count=st.integers(0, 600),
+        dim=st.integers(0, 8),
+        pool=st.integers(1, 5000),
+        writes=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_vectors_member_across_slices_is_canonical_json(
+        self, count, dim, pool, writes, seed
+    ):
+        """Stores of up to 600 names in one to four writes, so slices of
+        ``_SLICE_ROWS`` rows and block edges are crossed in name order, with
+        components drawn from a pool of one to thousands of values (both
+        sides of the half-distinct rule) that holds signed zeros,
+        subnormals, magnitudes of 1e±300 and NaN/±Infinity put into the
+        store directly: the ``vectors`` member is ``canonical_json`` of the
+        dict form, and it is made of one part per slice."""
+        rng = random.Random(seed)
+        alphabet = 'ab"\\,:é \n'
+        names = list({
+            "".join(rng.choices(alphabet, k=rng.randint(0, 6))) for _ in range(count)
+        })
+        rng.shuffle(names)
+        values = [
+            rng.choice(_EDGE_FLOATS + [math.nan, math.inf, -math.inf])
+            if rng.random() < 0.3
+            else rng.gauss(0, 1)
+            for _ in range(pool)
+        ]
+        rows = [tuple(rng.choices(values, k=dim)) for _ in names]
+        cuts = sorted(rng.randint(0, len(names)) for _ in range(writes - 1))
+        store = EntityVectorStore(rng.choice([0, dim]))
+        for start, stop in zip([0, *cuts], [*cuts, len(names)]):
+            store = store.extended(names[start:stop], rows[start:stop])
+        document = {
+            "embedder_id": "remote:model",
+            "dimension": store.dimension,
+            "entries": dict(zip(names, rows)),
+        }
+        parts = list(_vectors_json(store, "remote:model"))
+        assert "".join(parts) == canonical_json(document)
+        assert len(parts) == 2 + -(-len(names) // _SLICE_ROWS)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32))
@@ -372,9 +420,9 @@ class TestPersistence:
             "dimension": 1536,
             "entries": replies,
         }
-        assert _vectors_json(index.vectors, embedder.embedder_id) == canonical_json(
-            document
-        )
+        assert "".join(
+            _vectors_json(index.vectors, embedder.embedder_id)
+        ) == canonical_json(document)
         with tempfile.TemporaryDirectory() as tmp:
             path, resaved = Path(tmp) / "index.json", Path(tmp) / "resaved.json"
             save_index(index, path)
@@ -477,6 +525,39 @@ class TestPersistence:
         rewrite_index(path, mutate)
         with pytest.raises(IndexIntegrityError):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "infinity", "-infinity"]
+    )
+    def test_non_finite_component_is_named(self, tmp_path, value):
+        """Pin: a NaN, Infinity or -Infinity component in a file whose
+        digest is recomputed fails the finiteness check. A serializer that
+        wrote these otherwise than ``json`` does would turn this into a
+        digest mismatch."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rewrite_index(
+            path, lambda d: d["vectors"]["entries"]["paris"].__setitem__(0, value)
+        )
+        with pytest.raises(IndexIntegrityError, match="is not finite"):
+            load_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_changed_file_loads_or_raises_the_documented_error(self, data):
+        """Pin: a saved small index cut at any offset, or with one byte
+        changed, either loads into the index it was saved from or raises
+        IndexIntegrityError or SchemaVersionError, never another
+        exception."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(_SMALL_INDEX, path)
+            path.write_bytes(damaged(data, path.read_bytes()))
+            try:
+                loaded = load_index(path)
+            except (IndexIntegrityError, SchemaVersionError):
+                return
+            assert loaded == _SMALL_INDEX
 
     def test_rewritten_but_undamaged_file_loads(self, tmp_path):
         index = build_index(_small_corpus(), LOCAL, EMB)
