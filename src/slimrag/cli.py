@@ -47,6 +47,24 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
+def _positive(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _policy(spec: str) -> str:
+    try:
+        SegmentationPolicy.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="slimrag", description=__doc__)
     subs = parser.add_subparsers(dest="command")
@@ -62,7 +80,7 @@ def build_parser() -> _Parser:
         p.add_argument("--embedder", choices=("local", "remote"), default="local")
         p.add_argument("--model", default=None, help="remote chat model name")
         p.add_argument("--embed-model", default=None, help="remote embedding model")
-        p.add_argument("--dimension", type=int, default=None,
+        p.add_argument("--dimension", type=_positive, default=None,
                        help=f"local embedder dimension (default {DEFAULT_DIMENSION})")
         p.add_argument("--coref", type=_on_off, default=True, metavar="on|off")
         p.add_argument("--decomp", type=_on_off, default=True, metavar="on|off")
@@ -71,9 +89,10 @@ def build_parser() -> _Parser:
         p.add_argument("--cache", default=None, help="embedding cache file")
 
     def retrieval_knobs(p):
-        p.add_argument("--k", type=int, default=_DEFAULTS.k)
-        p.add_argument("--h", type=int, default=_DEFAULTS.h)
-        p.add_argument("--token-limit", type=int, default=_DEFAULTS.token_limit)
+        p.add_argument("--k", type=_positive, default=_DEFAULTS.k)
+        p.add_argument("--h", type=_positive, default=_DEFAULTS.h)
+        p.add_argument("--token-limit", type=_positive,
+                       default=_DEFAULTS.token_limit)
 
     index_parser = subs.add_parser("index", help="build, extend, or inspect an index")
     index_subs = index_parser.add_subparsers(dest="index_command")
@@ -81,7 +100,7 @@ def build_parser() -> _Parser:
     p_build = index_subs.add_parser("build")
     p_build.add_argument("--corpus", default=None, help="corpus JSONL path")
     p_build.add_argument("--out", default=None, help="index output path")
-    p_build.add_argument("--policy", default="sentence",
+    p_build.add_argument("--policy", type=_policy, default="sentence",
                          help="sentence | fixed:N | passthrough")
     common(p_build)
     p_build.set_defaults(handler=_cmd_index_build)

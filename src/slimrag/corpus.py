@@ -65,8 +65,14 @@ class SegmentationPolicy:
 
     @classmethod
     def parse(cls, spec: str) -> "SegmentationPolicy":
+        """The policy a policy id names; ValueError for any other text."""
         if spec.startswith("fixed:"):
-            return cls("fixed", int(spec.split(":", 1)[1]))
+            try:
+                return cls("fixed", int(spec[len("fixed:"):]))
+            except ValueError:
+                raise ValueError(
+                    f"fixed policy requires an integer size >= 1, got {spec!r}"
+                ) from None
         return cls(spec)
 
 
@@ -176,7 +182,8 @@ def _check_record(record: object, line_number: int) -> dict:
         raise MalformedRecordError("missing or empty doc_id", line_number)
     if not isinstance(record.get("text"), str):
         raise MalformedRecordError("missing text field", line_number)
-    if "position" in record and not isinstance(record["position"], int):
+    position = record.get("position", 0)
+    if not isinstance(position, int) or isinstance(position, bool):
         raise MalformedRecordError("position must be an integer", line_number)
     return record
 

@@ -53,16 +53,17 @@ result equals ``cosine_similarity`` bit for bit:
   product or a numpy reduction sums in another order or starts from the
   first term, and differs in the last bits.
 
-Rows become columns by packing a block of rows at a time with ``struct``
-and transposing it into place; packing a component as ``d`` stores
+Rows become columns in one pass over each row (``_columns``): its length
+is checked, its ``math.hypot`` taken from the Python floats it arrived as,
+and it is packed with ``struct``, a block of rows at a time that is then
+transposed into place; packing a component as ``d`` stores
 ``float(component)`` exactly. An entity store keeps its raw vectors that
 way, as float64 dimension × n column blocks (one per index write, one for a
-loaded file), with each vector's ``math.hypot`` taken from the Python floats
-it arrived as. Its unit columns, built on its first search, are the blocks
-divided by the norms: one division per element, the bytes
-``_unit_columns`` gives for the same rows. An index write extends built
-columns into the next store (:meth:`EntityVectorStore.extended`), so a
-search after a write divides only the new entities' block.
+loaded file), with those norms. Its unit columns, built on its first
+search, are the blocks divided by the norms: one division per element, the
+bytes ``_unit_columns`` gives for the same rows. An index write extends
+built columns into the next store (:meth:`EntityVectorStore.extended`), so
+a search after a write divides only the new entities' block.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -173,8 +174,9 @@ class EmbeddingCache:
     prefix. Loading and appending hold an exclusive ``flock`` on the file,
     so processes sharing one cache neither interleave their appends nor
     load one half written. A last line without its newline is an append
-    that never finished: loading drops it and truncates the file to the
-    last complete record, so the next append starts on a fresh line. Any
+    that never finished: loading, and each append before it writes, drop
+    it and truncate the file to the last complete record, so an append
+    starts on a fresh line also after another process died mid-append. Any
     other damaged line, including one that is not UTF-8 or holds a vector
     with a component that is not a JSON number, a non-finite value or only
     zeros, raises ValueError naming that line.
@@ -186,11 +188,8 @@ class EmbeddingCache:
         if self.path.exists():
             with self.path.open("rb") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)
-                data = handle.read()
-                complete = data.rfind(b"\n") + 1
-                if complete < len(data):
-                    os.truncate(self.path, complete)
-            lines = data[:complete].splitlines()
+                data = self._drop_torn_line(handle.read())
+            lines = data.splitlines()
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
@@ -207,6 +206,14 @@ class EmbeddingCache:
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
                     ) from None
+
+    def _drop_torn_line(self, data: bytes) -> bytes:
+        """The file's ``data`` up to its last newline, with the file cut
+        there; the caller holds the lock."""
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            os.truncate(self.path, complete)
+        return data[:complete]
 
     @staticmethod
     def digest(text: str) -> str:
@@ -227,9 +234,14 @@ class EmbeddingCache:
             record = {"embedder": key[0], "digest": key[1], "vector": list(vector)}
             lines.append(json.dumps(record) + "\n")
         if lines:
-            with self.path.open("a", encoding="utf-8") as handle:
+            with self.path.open("a+b") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)
-                handle.write("".join(lines))
+                # Another process may have died mid-append since the load.
+                handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+                if handle.read(1) not in (b"", b"\n"):
+                    handle.seek(0)
+                    self._drop_torn_line(handle.read())
+                handle.write("".join(lines).encode("utf-8"))
                 handle.flush()
 
     def __len__(self) -> int:
@@ -307,47 +319,56 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
     return dot
 
 
-def _columns(rows: Iterable[Vector], count: int, dimension: int) -> np.ndarray:
+def _columns(
+    rows: Iterable[Vector],
+    count: int,
+    dimension: int,
+    partner_norm: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """The first ``count`` rows as the columns of a C-contiguous
-    dimension × count float64 array.
+    dimension × count float64 array, and each row's ``math.hypot``.
 
-    Rows are packed ``_PACKED_ROWS`` at a time with ``struct`` and
-    transposed into place, so besides the array only one block of rows and
-    their packed bytes is held. Packing a component as ``d`` stores
-    ``float(component)`` exactly.
+    One pass over each row checks its length (DimensionMismatchError),
+    takes its norm and, given ``partner_norm``, checks it the way
+    ``cosine_similarity`` checks a pair whose other vector has that norm
+    (ZeroVectorError), then packs it. Rows are packed ``_PACKED_ROWS`` at a
+    time with ``struct`` and transposed into place, so besides the array
+    only one block of rows and their packed bytes is held. Packing a
+    component as ``d`` stores ``float(component)`` exactly. Each norm goes
+    straight into a float64 array: a list of norm objects made while a load
+    frees the parsed rows would sit in the freed memory and keep it from
+    going back to the system.
     """
     columns = np.empty((dimension, count))
+    norms = np.empty(count)
     pack = struct.Struct(f"{dimension}d").pack
     rows = iter(rows)
     for start in range(0, count, _PACKED_ROWS):
-        block = [pack(*row) for row in itertools.islice(rows, _PACKED_ROWS)]
+        block = []
+        for i, row in enumerate(itertools.islice(rows, _PACKED_ROWS), start):
+            if len(row) != dimension:
+                raise DimensionMismatchError(
+                    f"dimensions differ: {len(row)} vs {dimension}"
+                )
+            norms[i] = norm = math.hypot(*row)
+            if partner_norm is not None and (norm == 0.0 or partner_norm == 0.0):
+                raise ZeroVectorError(
+                    "cosine similarity is undefined for a zero vector"
+                )
+            block.append(pack(*row))
         packed = np.frombuffer(b"".join(block)).reshape(len(block), dimension)
         columns[:, start:start + len(block)] = packed.T
-    return columns
+    return columns, norms
 
 
 def _unit_columns(
     rows: list[Vector], dimension: int, partner_norm: float = 1.0
 ) -> np.ndarray:
     """The rows, each divided by its own ``math.hypot``, as the columns of
-    a C-contiguous dimension × len(rows) array.
-
-    Each row is checked in order the way ``cosine_similarity`` checks a pair
-    whose other vector has ``dimension`` components and norm
-    ``partner_norm``: a wrong dimension first, then a zero vector.
-    """
-    norms = []
-    for row in rows:
-        if len(row) != dimension:
-            raise DimensionMismatchError(
-                f"dimensions differ: {len(row)} vs {dimension}"
-            )
-        norm = math.hypot(*row)
-        if norm == 0.0 or partner_norm == 0.0:
-            raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-        norms.append(norm)
-    columns = _columns(rows, len(rows), dimension)
-    columns /= np.array(norms)
+    a C-contiguous dimension × len(rows) array; each row is checked in order
+    as :func:`_columns` checks it against ``partner_norm``."""
+    columns, norms = _columns(rows, len(rows), dimension, partner_norm)
+    columns /= norms
     return columns
 
 
@@ -371,34 +392,6 @@ def cosine_similarities(query_vec: Vector, vectors: list[Vector]) -> list[float]
     columns = _unit_columns(vectors, dimension, math.hypot(*query_vec))
     query = _unit_columns([query_vec], dimension)[:, 0]
     return _dots(query, columns).tolist()
-
-
-def _norms(named_rows: Iterable[tuple[str, Vector]], dimension: int) -> np.ndarray:
-    """Each row's ``math.hypot``, once the row is checked to have
-    ``dimension`` components."""
-    norms = []
-    for entity, row in named_rows:
-        if len(row) != dimension:
-            raise DimensionMismatchError(
-                f"vector for {entity!r} has dimension {len(row)}, store has {dimension}"
-            )
-        norms.append(math.hypot(*row))
-    return np.array(norms)
-
-
-def _divided(blocks: list[np.ndarray], norms: np.ndarray, dimension: int) -> np.ndarray:
-    """The blocks side by side in one new array, each column divided by its
-    norm: one IEEE division per element, the division ``_unit_columns``
-    makes. A zero norm raises ZeroVectorError before any division."""
-    if not norms.all():
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    columns = np.empty((dimension, len(norms)))
-    start = 0
-    for block in blocks:
-        stop = start + block.shape[1]
-        np.divide(block, norms[start:stop], out=columns[:, start:stop])
-        start = stop
-    return columns
 
 
 @dataclass(eq=False)
@@ -426,9 +419,7 @@ class EntityVectorStore:
     names: list[str] = field(default_factory=list)
     blocks: list[np.ndarray] = field(default_factory=list, repr=False)
     norms: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    _unit: tuple[list[str], np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
+    _unit: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def extended(
         self, entities: list[str], vectors: list[Vector]
@@ -436,33 +427,37 @@ class EntityVectorStore:
         """A new store of these entries followed by ``entities``, none of
         them in this store, with their ``vectors`` as one new block."""
         dimension = len(vectors[0]) if vectors and not self.names else self.dimension
-        norms = _norms(zip(entities, vectors), dimension)
-        blocks = list(self.blocks)
-        if vectors:
-            blocks.append(_columns(vectors, len(vectors), dimension))
+        block, norms = _columns(vectors, len(vectors), dimension)
         store = EntityVectorStore(
             dimension,
             self.names + list(entities),
-            blocks,
+            [*self.blocks, block] if vectors else self.blocks,
             np.concatenate([self.norms, norms]),
         )
-        if self._unit is not None and self.names:
-            try:
-                added = _divided(blocks[len(self.blocks):], norms, dimension)
-            except ZeroVectorError:
-                return store  # unbuilt, so its first search raises this
-            store._unit = (
-                store.names, np.concatenate([self._unit[1], added], axis=1)
-            )
+        # A zero vector leaves the new store unbuilt, so its first search
+        # raises ZeroVectorError.
+        if self._unit is not None and self.names and norms.all():
+            store._unit = np.concatenate([self._unit, block / norms], axis=1)
         return store
 
     def unit_columns(self) -> tuple[list[str], np.ndarray]:
-        """Entity names in store order, and their unit vectors as columns."""
-        if self._unit is None:
-            self._unit = (
-                self.names, _divided(self.blocks, self.norms, self.dimension)
-            )
-        return self._unit
+        """Entity names in store order, and their unit vectors as columns:
+        the blocks side by side in one new array, each column divided by its
+        norm with one IEEE division per element, the division
+        ``_unit_columns`` makes. A zero norm raises ZeroVectorError before
+        any division."""
+        if self._unit is not None:
+            return self.names, self._unit
+        if not self.norms.all():
+            raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+        columns = np.empty((self.dimension, len(self.names)))
+        start = 0
+        for block in self.blocks:
+            stop = start + block.shape[1]
+            np.divide(block, self.norms[start:stop], out=columns[:, start:stop])
+            start = stop
+        self._unit = columns
+        return self.names, columns
 
     @property
     def entries(self) -> Mapping[str, Vector]:

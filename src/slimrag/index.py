@@ -24,8 +24,10 @@ are the one description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
 digests. Both stream the document in parts into the hash (and, for save,
 the file), so neither holds the whole text. The entity vectors load into
-one float64 block and are serialized in slices of rows, in entity order,
-each distinct component of a slice written once (see ``_rows_json``). A
+one float64 block in one pass over the parsed rows, and are serialized in
+slices of rows in entity order: each slice is one ``np.stack`` of its
+entities' column views of the store's blocks, and each distinct component
+of a slice is written once (see ``_rows_json``). A
 file loads iff it parses into an index whose ``save_index`` form has the
 stored digest and passes the relational checks: finite vectors that are not
 all zeros, non-empty posting lists of chunk ids in the catalog, exactly one
@@ -56,7 +58,6 @@ from .embedding import (
     EmbeddingCache,
     EntityVectorStore,
     _columns,
-    _norms,
     embed_many,
 )
 from .errors import (
@@ -322,31 +323,21 @@ def _vectors_json(store: EntityVectorStore, embedder_id: str) -> Iterator[str]:
         '{"dimension":' + canonical_json(store.dimension)
         + ',"embedder_id":' + canonical_json(embedder_id) + ',"entries":{'
     )
-    separator = ""
-    for names, rows in _sorted_rows(store):
-        parts = []
-        for name, row in zip(map(canonical_json, names), _rows_json(rows)):
-            parts += (separator, name, ":", row)
-            separator = ","
-        yield "".join(parts)
+    for i, (names, rows) in enumerate(_sorted_rows(store)):
+        entries = map("{}:{}".format, map(canonical_json, names), _rows_json(rows))
+        yield ("," if i else "") + ",".join(entries)
     yield "}}"
 
 
 def _sorted_rows(store: EntityVectorStore) -> Iterator[tuple[list[str], np.ndarray]]:
     """The store's names in sorted order, ``_SLICE_ROWS`` at a time, each
-    slice with its vectors as the rows of a C-contiguous float64 array."""
+    slice with its vectors as the rows of a C-contiguous float64 array: one
+    ``np.stack`` of the slice's column views of the blocks."""
+    columns = [column for block in store.blocks for column in block.T]
     order = sorted(range(len(store.names)), key=store.names.__getitem__)
-    starts = np.cumsum([0] + [block.shape[1] for block in store.blocks])
-    block_of = np.searchsorted(starts, order, side="right") - 1
-    column_of = order - starts[block_of]
     for start in range(0, len(order), _SLICE_ROWS):
-        stop = start + _SLICE_ROWS
-        blocks, columns = block_of[start:stop], column_of[start:stop]
-        rows = np.empty((len(blocks), store.dimension))
-        for b in set(blocks.tolist()):
-            here = blocks == b
-            rows[here] = store.blocks[b][:, columns[here]].T
-        yield [store.names[i] for i in order[start:stop]], rows
+        here = order[start:start + _SLICE_ROWS]
+        yield [store.names[i] for i in here], np.stack([columns[i] for i in here])
 
 
 def _rows_json(rows: np.ndarray) -> list[str]:
@@ -376,14 +367,17 @@ def _from_document(document: dict) -> EntityIndex:
     ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
     id) are not read: re-serializing the result shows whether they agree.
 
-    The entity vectors become one float64 block, built last. Each row's
-    length is checked and its norm taken from the parsed floats first; the
-    rows are then copied into the block a packing block at a time and
-    popped once copied, so the parsed lists are freed as the block fills.
-    Building the block last means the chunk records and posting sets are
-    made while the parsed floats still fill the allocator's pages, not in
-    the pages those floats free, which then go back to the system whole
-    instead of staying pinned by the loaded index's objects."""
+    The entity vectors become one float64 block, built last in one pass
+    over the rows (``_columns``): each row's length is checked, its norm
+    taken from the parsed floats and the row packed into the block a
+    packing block at a time. Each parsed row is popped as it is read, so
+    the parsed lists are freed as the block fills. The first row's length
+    is checked before the block is allocated, so a damaged dimension
+    cannot size it. Building the block last means the chunk records and
+    posting sets are made while the parsed floats still fill the
+    allocator's pages, not in the pages those floats free, which then go
+    back to the system whole instead of staying pinned by the loaded
+    index's objects."""
     config_doc = document.pop("config")
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
@@ -424,10 +418,14 @@ def _from_document(document: dict) -> EntityIndex:
     dimension = int(vectors_doc["dimension"])
     entries = vectors_doc["entries"]
     names = list(entries)
-    norms = _norms(entries.items(), dimension)
-    rows = (entries.pop(name) for name in names)
-    blocks = [_columns(rows, len(names), dimension)] if names else []
-    vectors = EntityVectorStore(dimension, names, blocks, norms)
+    _require(
+        not names or len(entries[names[0]]) == dimension,
+        "entity vectors do not have the stored dimension",
+    )
+    block, norms = _columns(
+        (entries.pop(name) for name in names), len(names), dimension
+    )
+    vectors = EntityVectorStore(dimension, names, [block] if names else [], norms)
     return EntityIndex(config, inverted_map, vectors, chunk_catalog, accounting)
 
 
@@ -482,14 +480,12 @@ def _check_relations(index: EntityIndex) -> None:
         index.inverted_map.keys() == set(index.vectors.names),
         "entities and entity vectors differ",
     )
-    start = 0
-    for block in index.vectors.blocks:
+    for block in index.vectors.blocks:  # a loaded store has at most one
         finite = np.isfinite(block).all(axis=0)
         for i in np.flatnonzero(~(finite & block.any(axis=0)))[:1].tolist():
-            entity = index.vectors.names[start + i]
+            entity = index.vectors.names[i]
             _require(finite[i], f"vector of {entity!r} is not finite")
             _require(False, f"vector of {entity!r} is all zeros")
-        start += block.shape[1]
     for chunk_id, record in catalog.items():
         _require(
             record.position >= 0

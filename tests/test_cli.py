@@ -55,6 +55,18 @@ class TestShowConfig:
         assert config["params"]["k"] == 7
         assert config["params"] == RetrievalParams(k=7).to_document()
 
+    def test_valid_flag_values_are_shown_as_given(self, capsys):
+        argv = ["index", "build", "--policy", "fixed:02", "--dimension", "8"]
+        assert main([*argv, "--show-config"]) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert config["paths"]["policy"] == "fixed:02"
+        assert config["embedder"]["dimension"] == 8
+        argv = ["eval", "--k", "1", "--h", "2", "--token-limit", "3"]
+        assert main([*argv, "--show-config"]) == 0
+        config = json.loads(capsys.readouterr().out)
+        params = RetrievalParams(k=1, h=2, token_limit=3)
+        assert config["params"] == params.to_document()
+
     def test_secrets_masked(self, capsys, monkeypatch):
         monkeypatch.setenv("SLIMRAG_API_KEY", "super-secret")
         assert main(["eval", "--show-config"]) == 0
@@ -222,6 +234,53 @@ class TestExitCodes:
         assert err.startswith("error: entry 0: ") and err.count("\n") == 1
         assert "'T'" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["retrieve", "--query", "Who?", "--k", "0"],
+            ["retrieve", "--query", "Who?", "--k", "-1"],
+            ["retrieve", "--query", "Who?", "--h", "0"],
+            ["retrieve", "--query", "Who?", "--token-limit", "0"],
+            ["eval", "--report", "{output}", "--k", "0"],
+            ["eval", "--report", "{output}", "--token-limit", "-5"],
+            ["index", "build", "--out", "{output}", "--dimension", "0"],
+            ["index", "build", "--out", "{output}", "--policy", "paragraphs"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed:x"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed:0"],
+        ],
+        ids=[
+            "k-0", "k-negative", "h-0", "token-limit-0", "eval-k-0",
+            "eval-token-limit-negative", "dimension-0", "policy-unknown",
+            "policy-fixed-x", "policy-fixed-0",
+        ],
+    )
+    def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, argv):
+        """Exit 1 with one ``usage error:`` line before any file is read:
+        every input named here is absent, so a read would exit 2."""
+        absent = str(tmp_path / "absent")
+        inputs = {"retrieve": "--index", "eval": "--dataset", "index": "--corpus"}
+        output = tmp_path / "out.json"
+        argv = [a.format(output=output) for a in argv]
+        assert main([*argv, inputs[argv[0]], absent]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: argument --")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not output.exists()
+
+    def test_boolean_position_is_runtime_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"doc_id": "a", "position": 0, "text": "Vertex Labs."}) + "\n"
+            + json.dumps({"doc_id": "b", "position": False, "text": "Ember."}) + "\n",
+            encoding="utf-8",
+        )
+        output = tmp_path / "index.json"
+        assert main(["index", "build", "--corpus", str(corpus),
+                     "--out", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: position must be an integer\n"
+        assert not output.exists()
 
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0

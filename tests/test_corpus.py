@@ -186,6 +186,18 @@ class TestIngest:
         with pytest.raises(MalformedRecordError, match="duplicate position"):
             ingest_corpus(lines)
 
+    @pytest.mark.parametrize("position", [False, True, 0.0, "0", None])
+    def test_position_that_is_not_an_integer_rejected(self, position):
+        """JSON booleans are rejected too, though ``bool`` is an ``int``."""
+        lines = [
+            json.dumps({"doc_id": "a", "position": 0, "text": "A."}),
+            json.dumps({"doc_id": "b", "position": position, "text": "B."}),
+        ]
+        with pytest.raises(
+            MalformedRecordError, match="^line 2: position must be an integer$"
+        ):
+            ingest_corpus(lines)
+
     def test_deterministic_for_identical_bytes(self):
         lines = [
             json.dumps({"doc_id": "d1", "text": "Alpha beta. Gamma delta."}),
@@ -204,6 +216,12 @@ def test_policy_parse_round_trip():
         assert SegmentationPolicy.parse(spec).policy_id == spec
     with pytest.raises(ValueError):
         SegmentationPolicy.parse("paragraphs")
+
+
+@pytest.mark.parametrize("spec", ["fixed:x", "fixed:", "fixed:0", "fixed:-2"])
+def test_policy_parse_names_a_bad_size(spec):
+    with pytest.raises(ValueError, match=f"integer size >= 1, got '{spec}'"):
+        SegmentationPolicy.parse(spec)
 
 
 def test_chunk_id_format():

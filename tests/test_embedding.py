@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, random_corpus, random_query
+from conftest import DEEP_JSON, damaged, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
 import slimrag
 from slimrag import remote
@@ -35,7 +36,16 @@ from slimrag.embedding import (
     top_k_entities,
 )
 from slimrag.extraction import ExtractorConfig, normalize_entity
-from slimrag.index import add_chunks, build_index
+from slimrag.index import (
+    ChunkRecord,
+    EntityIndex,
+    IndexConfig,
+    TokenAccounting,
+    add_chunks,
+    build_index,
+    load_index,
+    save_index,
+)
 from slimrag.retrieval import retrieve
 from slimrag.errors import DimensionMismatchError, ZeroVectorError
 
@@ -351,6 +361,21 @@ class TestStoreAndCache:
         assert len(again) == 3
         assert again.get("e", "c") == (3.0,)
 
+    def test_append_after_another_cache_died_mid_append(self, tmp_path):
+        """B loads, then A dies partway through an append: B's next put
+        drops A's torn line before it appends, so the file still loads."""
+        path = tmp_path / "cache.jsonl"
+        EmbeddingCache(path).put("e", [("a", (1.0,))])
+        before = path.read_bytes()
+        b = EmbeddingCache(path)
+        with path.open("ab") as handle:  # A's append, cut short
+            handle.write(b'{"embedder": "e", "digest": "ab')
+        b.put("e", [("b", (2.0,))])
+        again = EmbeddingCache(path)
+        assert len(again) == 2 and again.get("e", "b") == (2.0,)
+        assert path.read_bytes().startswith(before)
+        assert path.read_bytes().count(b"\n") == 2
+
     def test_batch_of_misses_appends_with_one_open(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
@@ -370,7 +395,7 @@ class TestStoreAndCache:
         monkeypatch.setattr(Path, "open", counting_open)
         texts = [f"text {i}" for i in range(5)]
         vectors = embed_many(texts, config, cache)
-        assert modes == ["a"]
+        assert modes == ["a+b"]
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["digest"] for r in records] == [cache.digest(t) for t in texts]
         assert [tuple(r["vector"]) for r in records] == vectors
@@ -395,6 +420,50 @@ class TestStoreAndCache:
             path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
                 EmbeddingCache(path)
+
+
+def _cache_file(path: Path) -> tuple[bytes, list[tuple[str, tuple]]]:
+    """A small cache file, and its records in order as (text, vector)."""
+    records = [
+        ("a", (1.0,)), ("b", (-0.5, 2.5e-310, 1e300)), ("c", (3, -4)),
+        ("d", (0.0, -7.25)),
+    ]
+    cache = EmbeddingCache(path)
+    for text, vector in records:
+        cache.put("e", [(text, vector)])
+    return path.read_bytes(), records
+
+
+class TestDamagedCache:
+    """Pins: a cache file cut at any offset, or with one byte changed, loads
+    or raises ValueError naming a line, never another exception."""
+
+    def test_cut_at_every_offset_loads_the_complete_lines(self, tmp_path):
+        original, records = _cache_file(tmp_path / "original.jsonl")
+        path = tmp_path / "cache.jsonl"
+        for at in range(len(original) + 1):
+            path.write_bytes(original[:at])
+            cache = EmbeddingCache(path)
+            complete = original[:at].count(b"\n")
+            assert len(cache) == complete
+            for text, vector in records[:complete]:
+                assert cache.get("e", text) == tuple(map(float, vector))
+            assert path.read_bytes() == original[:original.rfind(b"\n", 0, at) + 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_changed_byte_loads_or_names_a_line(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("cache")
+        original, _ = _cache_file(directory / "original.jsonl")
+        path = directory / "cache.jsonl"
+        path.write_bytes(damaged(data, original))
+        try:
+            EmbeddingCache(path)
+        except ValueError as exc:
+            assert re.fullmatch(
+                rf"embedding cache {re.escape(str(path))}: line \d+ is damaged",
+                str(exc),
+            )
 
 
 # Components of every sign and both zeros, at magnitudes from 1e-150 to
@@ -704,14 +773,48 @@ class TestUnitColumns:
     def _check(stores, snapshots):
         built = [store for store in stores if store._unit is not None]
         for store in built:
-            names, columns = store._unit
+            names, columns = store.unit_columns()
             assert names == list(store.entries)
             fresh = _column_fill(list(store.entries.values()), store.dimension)
             assert columns.tobytes() == fresh.tobytes()
             kept = snapshots.setdefault(id(store), columns.tobytes())
             assert kept == columns.tobytes()
         for a, b in itertools.combinations(built, 2):
-            assert not np.shares_memory(a._unit[1], b._unit[1])
+            assert not np.shares_memory(a._unit, b._unit)
+
+    @given(
+        st.lists(_ROW_COUNTS, min_size=1, max_size=4),
+        st.integers(1, 16),
+        st.sampled_from([1e-150, 1e-3, 1.0, 1e150]),
+        st.sampled_from(["float", "int", "mixed"]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_norms_are_the_hypot_of_each_row(
+        self, tmp_path_factory, counts, dim, scale, kind, seed
+    ):
+        """A store made by one to four writes, and the store a save and
+        load of it gives, hold ``math.hypot`` of each row."""
+        rows = _random_rows(seed, sum(counts), dim, scale, kind)
+        names = [f"e{i:05d}" for i in range(len(rows))]
+        store = EntityVectorStore(dim)
+        for stop in itertools.accumulate(counts):
+            start = len(store)
+            store = store.extended(names[start:stop], rows[start:stop])
+        want = [math.hypot(*row).hex() for row in rows]
+        assert [x.hex() for x in store.norms.tolist()] == want
+        index = EntityIndex(
+            IndexConfig("sentence", ExtractorConfig(), "remote:model"),
+            {name: frozenset({"d#0"}) for name in names},
+            store,
+            {"d#0": ChunkRecord("d", 0, "Some text.", 3)},
+            TokenAccounting(tctc=3),
+        )
+        path = tmp_path_factory.mktemp("norms") / "index.json"
+        save_index(index, path)
+        loaded = load_index(path).vectors
+        assert loaded.names == names
+        assert [x.hex() for x in loaded.norms.tolist()] == want
 
     def test_zero_vector_added_after_a_search_raises_on_search(self):
         store = EntityVectorStore(dimension=2).extended(["a"], [(1.0, 0.0)])

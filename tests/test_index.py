@@ -495,6 +495,7 @@ class TestPersistence:
             lambda d: d["config"]["extractor"].update(coreference_enabled="yes"),
             lambda d: d["chunk_catalog"]["d1#0"].update(position="0"),
             lambda d: d["vectors"].update(dimension="32"),
+            lambda d: d["vectors"].update(dimension=10**12),
             lambda d: d["inverted_map"]["paris"].append("d9#0"),
             lambda d: d["vectors"]["entries"].pop("paris"),
             lambda d: d["config"].update(tokenizer="foo/v9"),
@@ -510,7 +511,8 @@ class TestPersistence:
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
-            "mistyped-position", "mistyped-dimension", "chunk-id-not-in-catalog",
+            "mistyped-position", "mistyped-dimension", "dimension-too-large",
+            "chunk-id-not-in-catalog",
             "entity-without-vector", "unregistered-tokenizer",
             "vectors-embedder-differs", "vector-not-finite", "vector-value-overflows",
             "vector-all-zeros",
