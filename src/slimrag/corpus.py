@@ -65,15 +65,20 @@ class SegmentationPolicy:
 
     @classmethod
     def parse(cls, spec: str) -> "SegmentationPolicy":
-        """The policy a policy id names; ValueError for any other text."""
+        """The policy a policy id names; ValueError for any other text,
+        including other spellings of an id (``fixed``, ``fixed:03``)."""
         if spec.startswith("fixed:"):
             try:
-                return cls("fixed", int(spec[len("fixed:"):]))
+                policy = cls("fixed", int(spec[len("fixed:"):]))
             except ValueError:
                 raise ValueError(
                     f"fixed policy requires an integer size >= 1, got {spec!r}"
                 ) from None
-        return cls(spec)
+        else:
+            policy = cls(spec)
+        if policy.policy_id != spec:
+            raise ValueError(f"{spec!r} is not a policy id; write {policy.policy_id!r}")
+        return policy
 
 
 @dataclass(frozen=True)

@@ -166,15 +166,16 @@ class QueryPlan:
 
 
 def _file_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file. Bytes that are not UTF-8 raise
+    """The lines of a UTF-8 file, split at ``\n`` only: U+2028, U+0085,
+    ``\x1c``-``\x1e`` and the other breaks of ``str.splitlines`` stay inside
+    a line, where normalization reads them as whitespace (callers strip the
+    ``\r`` of a ``\r\n``). Bytes that are not UTF-8 raise
     MalformedRecordError naming the file and the line they are on."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        return data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        # The text before the bad byte decodes; with one more character after
-        # it, its line count is the number of the bad byte's line.
-        line_number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line_number = data.count(b"\n", 0, exc.start) + 1
         raise MalformedRecordError(
             f"not UTF-8 ({exc.reason}) in {path}", line_number
         ) from None

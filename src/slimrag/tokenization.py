@@ -14,6 +14,12 @@ implementation can reproduce identical counts:
 
 Counts are additive over single-space concatenation: for texts without
 leading or trailing whitespace, ``count(a + " " + b) == count(a) + count(b)``.
+
+ASCII characters are classified from tables built at import by the rule of
+step 2, so only non-ASCII characters call :mod:`unicodedata`. A piece that
+begins and ends with an ASCII character that is not punctuation is one
+token as it stands (step 3 with nothing to detach); any other piece has its
+ends scanned.
 """
 
 from __future__ import annotations
@@ -25,26 +31,37 @@ from .errors import UnknownTokenizerError
 DEFAULT_TOKENIZER = "ws-punct/v1"
 
 
-def _is_punct(ch: str) -> bool:
+def _category_is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
+
+
+_ASCII = frozenset(map(chr, range(128)))
+_ASCII_PUNCT = frozenset(filter(_category_is_punct, _ASCII))
+_ASCII_NON_PUNCT = _ASCII - _ASCII_PUNCT
+
+
+def _is_punct(ch: str) -> bool:
+    if ch in _ASCII:
+        return ch in _ASCII_PUNCT
+    return _category_is_punct(ch)
 
 
 def tokenize(text: str) -> list[str]:
     """Split text into accounting tokens under ``ws-punct/v1``."""
     tokens: list[str] = []
     for piece in text.split():
-        leading: list[str] = []
-        trailing: list[str] = []
-        while piece and _is_punct(piece[0]):
-            leading.append(piece[0])
-            piece = piece[1:]
-        while piece and _is_punct(piece[-1]):
-            trailing.append(piece[-1])
-            piece = piece[:-1]
-        tokens.extend(leading)
-        if piece:
+        if piece[0] in _ASCII_NON_PUNCT and piece[-1] in _ASCII_NON_PUNCT:
             tokens.append(piece)
-        tokens.extend(reversed(trailing))
+            continue
+        start, end = 0, len(piece)
+        while start < end and _is_punct(piece[start]):
+            start += 1
+        while start < end and _is_punct(piece[end - 1]):
+            end -= 1
+        tokens.extend(piece[:start])
+        if start < end:
+            tokens.append(piece[start:end])
+        tokens.extend(piece[end:])
     return tokens
 
 

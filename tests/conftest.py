@@ -117,6 +117,47 @@ def damaged(data, original: bytes) -> bytes:
     return original[:at] + bytes([byte]) + original[at + 1:]
 
 
+def _jsonl(records) -> bytes:
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode()
+
+
+# Small well-formed files of each input kind the CLI reads besides indexes
+# and caches, for the cut-or-changed-byte fuzz tests.
+SAMPLE_INPUTS = {
+    "corpus": _jsonl([
+        {"doc_id": "d1", "text": "A crew from Vertex Labs built the annex. "
+                                 "Analysts placed Ember Corp in the mill district."},
+        {"doc_id": "d2", "text": "Visitors toured Garnet Works and Café Zeta."},
+    ]),
+    "prechunked": _jsonl([
+        {"doc_id": "d1", "position": 0, "text": "A crew from Vertex Labs built it."},
+        {"doc_id": "d1", "position": 1, "text": "Ember Corp sold the mill."},
+        {"doc_id": "d2", "position": 0, "text": "Visitors toured Café Zeta."},
+    ]),
+    "dataset": json.dumps([
+        {
+            "_id": "q1",
+            "question": "Who built Vertex Labs and where is Ember Corp?",
+            "supporting_facts": [["Vertex Labs", 0], ["Ember Corp", 1]],
+            "context": [
+                ["Vertex Labs", ["A crew from Vertex Labs built the annex.",
+                                 "The annex opened late."]],
+                ["Ember Corp", ["The filings were dull.",
+                                "Analysts placed Ember Corp in the mill district."]],
+            ],
+        },
+        {
+            "_id": "q2",
+            "question": "What did Café Zeta serve?",
+            "supporting_facts": [["Café Zeta", 0]],
+            "context": [["Café Zeta", ["Café Zeta served tea."]]],
+        },
+    ], ensure_ascii=False).encode(),
+    "gazetteer": "graphene\nNew  York\r\n\nCafé Zeta\n".encode(),
+    "aliases": "VL\tVertex Labs\nEmber\tEmber Corp\r\nZeta\tCafé Zeta\n".encode(),
+}
+
+
 @pytest.fixture
 def sentence_policy() -> SegmentationPolicy:
     return SegmentationPolicy("sentence")

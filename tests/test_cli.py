@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON, damaged, rewrite_index
+from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, rewrite_index
 from slimrag.cli import main
 from slimrag.embedding import EmbedderConfig
 from slimrag.evalharness import load_hotpotqa, run_eval
@@ -56,10 +56,10 @@ class TestShowConfig:
         assert config["params"] == RetrievalParams(k=7).to_document()
 
     def test_valid_flag_values_are_shown_as_given(self, capsys):
-        argv = ["index", "build", "--policy", "fixed:02", "--dimension", "8"]
+        argv = ["index", "build", "--policy", "fixed:2", "--dimension", "8"]
         assert main([*argv, "--show-config"]) == 0
         config = json.loads(capsys.readouterr().out)
-        assert config["paths"]["policy"] == "fixed:02"
+        assert config["paths"]["policy"] == "fixed:2"
         assert config["embedder"]["dimension"] == 8
         argv = ["eval", "--k", "1", "--h", "2", "--token-limit", "3"]
         assert main([*argv, "--show-config"]) == 0
@@ -119,6 +119,35 @@ class TestExitCodes:
                     contextlib.redirect_stderr(err):
                 code = main(["retrieve", "--index", str(path),
                              "--query", "Who built Vertex Labs?"])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(SAMPLE_INPUTS)), data=st.data())
+    def test_cut_or_changed_input_is_runtime_error(self, kind, data):
+        """Pin: ``index build`` on a corpus, gazetteer or alias file, and
+        ``eval`` on a dataset, each cut at a drawn offset or with one byte
+        changed, succeeds or exits 2 with one ``error:`` line and no
+        traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp) / name for name in SAMPLE_INPUTS}
+            for name, path in paths.items():
+                path.write_bytes(SAMPLE_INPUTS[name])
+            paths[kind].write_bytes(damaged(data, SAMPLE_INPUTS[kind]))
+            output = str(Path(tmp) / "out.json")
+            if kind == "dataset":
+                argv = ["eval", "--dataset", str(paths[kind]), "--report", output]
+            else:
+                corpus = paths["prechunked" if kind == "prechunked" else "corpus"]
+                argv = ["index", "build", "--corpus", str(corpus), "--out", output,
+                        "--gazetteer", str(paths["gazetteer"]),
+                        "--aliases", str(paths["aliases"])]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
         assert code in (0, 2)
         if code == 2:
             assert err.getvalue().startswith("error: ")
@@ -248,11 +277,18 @@ class TestExitCodes:
             ["index", "build", "--out", "{output}", "--policy", "paragraphs"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:x"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:0"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed:1_0"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed: 3"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed:03"],
+            ["index", "build", "--out", "{output}", "--policy", "fixed:+2"],
         ],
         ids=[
             "k-0", "k-negative", "h-0", "token-limit-0", "eval-k-0",
             "eval-token-limit-negative", "dimension-0", "policy-unknown",
-            "policy-fixed-x", "policy-fixed-0",
+            "policy-fixed-x", "policy-fixed-0", "policy-fixed-bare",
+            "policy-fixed-underscore", "policy-fixed-space", "policy-fixed-leading-zero",
+            "policy-fixed-plus",
         ],
     )
     def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, argv):

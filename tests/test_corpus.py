@@ -1,12 +1,15 @@
 """Segmentation and ingestion: frozen examples, errors, determinism."""
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON
+from conftest import DEEP_JSON, SAMPLE_INPUTS, damaged
 from slimrag.corpus import (
     Chunk,
+    Corpus,
     SegmentationPolicy,
     build_document,
     corpus_from_chunks,
@@ -224,5 +227,38 @@ def test_policy_parse_names_a_bad_size(spec):
         SegmentationPolicy.parse(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, policy_id",
+    [
+        ("fixed", "fixed:1"),
+        ("fixed:1_0", "fixed:10"),
+        ("fixed: 3", "fixed:3"),
+        ("fixed:03", "fixed:3"),
+        ("fixed:+2", "fixed:2"),
+    ],
+)
+def test_policy_parse_rejects_other_spellings_of_an_id(spec, policy_id):
+    """Only a policy id parses: ``int`` reads each of these as a size, but
+    the policy it gives would be recorded under another id."""
+    with pytest.raises(ValueError, match=f"not a policy id; write '{policy_id}'"):
+        SegmentationPolicy.parse(spec)
+
+
 def test_chunk_id_format():
     assert Chunk("d", 0, "x").chunk_id == "d#0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.sampled_from(["corpus", "prechunked"]), data=st.data())
+def test_cut_or_changed_corpus_loads_or_raises_the_documented_error(form, data):
+    """Pin: a JSONL corpus cut at a drawn offset, or with one byte changed,
+    read as the CLI opens it (bytes that are not UTF-8 kept as surrogate
+    escapes), ingests or raises MalformedRecordError or
+    DuplicateDocumentError, never another exception."""
+    text = damaged(data, SAMPLE_INPUTS[form]).decode("utf-8", "surrogateescape")
+    try:
+        corpus = ingest_corpus(io.StringIO(text))
+    except (MalformedRecordError, DuplicateDocumentError):
+        return
+    assert isinstance(corpus, Corpus)
+    assert corpus.total_corpus_tokens == sum(count_tokens(c.text) for c in corpus.chunks)

@@ -11,6 +11,7 @@ import string
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import DEEP_JSON, damaged, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
 import slimrag
-from slimrag import remote
+from slimrag import embedding, remote
 from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
+    _ACCUMULATE_COLUMNS,
     DEFAULT_SEED,
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
+    _dot_loop,
+    _dots,
     _gram_counts,
     _local_embed,
     _unit_columns,
@@ -654,6 +658,90 @@ class TestSimilarityKernel:
             [x.hex() for x in want] if isinstance(want, list) else want
         )
 
+
+
+# Column counts on both sides of the switch from one accumulate to the loop.
+_WIDTHS = st.one_of(
+    st.sampled_from([
+        1, 2, _ACCUMULATE_COLUMNS - 1, _ACCUMULATE_COLUMNS,
+        _ACCUMULATE_COLUMNS + 1, _ACCUMULATE_COLUMNS + 2,
+    ]),
+    st.integers(1, 2 * _ACCUMULATE_COLUMNS),
+)
+_EXTREMES = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@st.composite
+def _dot_operands(draw):
+    """A query and a dimension × width array mixing normal draws with
+    ±0.0 and ±1e±300 (products that overflow to ±inf, sums that become NaN,
+    products that underflow to ±0.0). The first ``prefix`` rows give -0.0
+    products in every column, and a column whose products are all -0.0
+    sums to -0.0 unless it starts from +0.0."""
+    dimension = draw(st.integers(1, 300))
+    width = draw(_WIDTHS)
+    extreme_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):
+        normal = rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        extreme = rng.choice(_EXTREMES, shape)
+        return np.where(rng.random(shape) < extreme_share, extreme, normal)
+
+    query = operand(dimension)
+    columns = operand((dimension, width))
+    prefix = draw(st.sampled_from([0, 1, dimension // 2, dimension]))
+    query[:prefix] = -0.0
+    columns[:prefix] = np.abs(columns[:prefix])
+    return query, columns
+
+
+class TestDots:
+    """``_dots`` equals ``_dot_loop``, the per-dimension loop it switches
+    to above ``_ACCUMULATE_COLUMNS`` columns, byte for byte on both sides
+    of the switch; the accumulate is also checked at every width by moving
+    the switch past it."""
+
+    @given(_dot_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_both_branches_equal_the_loop(self, operands):
+        query, columns = operands
+        width = columns.shape[1]
+        # Overflow to inf and inf - inf are drawn on purpose.
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _dot_loop(query, columns).tobytes()
+            assert _dots(query, columns).tobytes() == want
+            for switch in (width, width - 1):
+                with mock.patch.object(embedding, "_ACCUMULATE_COLUMNS", switch):
+                    assert _dots(query, columns).tobytes() == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cosine_similarities_wider_than_the_switch(self, data):
+        dim = data.draw(st.integers(1, 6))
+        query = _vector(data.draw, dim)
+        count = data.draw(st.integers(_ACCUMULATE_COLUMNS + 1, _ACCUMULATE_COLUMNS + 40))
+        pool = [_vector(data.draw, dim) for _ in range(8)]
+        vectors = [data.draw(st.sampled_from(pool)) for _ in range(count)]
+        got = cosine_similarities(query, vectors)
+        want = [cosine_similarity(vec, query) for vec in vectors]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("bad", ["zero", "short", "long"])
+    @pytest.mark.parametrize(
+        "count", [_ACCUMULATE_COLUMNS, _ACCUMULATE_COLUMNS + 1, 3 * _ACCUMULATE_COLUMNS]
+    )
+    def test_wide_errors_equal_the_per_pair_loop(self, bad, count):
+        rng = random.Random(count)
+        rows = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(count)]
+        rows[rng.randrange(count)] = {
+            "zero": (0.0, -0.0, 0.0), "short": (1.0, 2.0), "long": (1.0, 2.0, 3.0, 4.0)
+        }[bad]
+        for query in ((0.5, -1.0, 2.0), (0.0, 0.0, 0.0)):
+            got = _outcome(cosine_similarities, query, rows)
+            want = _outcome(lambda: [cosine_similarity(row, query) for row in rows])
+            assert got is want and issubclass(got, Exception)
 
 def _column_fill(rows, dimension, partner_norm=1.0):
     """The column-by-column fill ``_unit_columns`` replaced: the reference

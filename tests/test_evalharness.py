@@ -1,10 +1,13 @@
 """Dataset loading and end-to-end evaluation runs."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON
+from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged
 from slimrag import evalharness
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import MalformedRecordError, ProviderError
@@ -79,6 +82,21 @@ class TestLoad:
             path.write_bytes(text.encode(encoding))
             with pytest.raises(MalformedRecordError, match="not UTF-8"):
                 load_hotpotqa_detailed(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_changed_dataset_loads_or_raises_the_documented_error(self, data):
+        """Pin: a HotpotQA dataset cut at a drawn offset, or with one byte
+        changed, loads (some examples may be skipped) or raises
+        MalformedRecordError, never another exception."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dataset.json"
+            path.write_bytes(damaged(data, SAMPLE_INPUTS["dataset"]))
+            try:
+                examples, skipped = load_hotpotqa_detailed(path)
+            except MalformedRecordError:
+                return
+        assert len(examples) + skipped == 2
 
     def test_missing_question_rejected(self, tmp_path):
         with pytest.raises(MalformedRecordError):

@@ -1,10 +1,13 @@
 """Local extractor rules, normalization, decomposition, and weights."""
 
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import SAMPLE_INPUTS, damaged
 from slimrag.errors import MalformedRecordError
 from slimrag.extraction import (
     ExtractorConfig,
@@ -90,8 +93,17 @@ class TestExtractEntities:
             (load_gazetteer, b"graphene\r\nnew york\ncaf\xe9\n", "not UTF-8"),
             (load_aliases, b"a\tb\r\nc\td\ncaf\xe9\te\n", "not UTF-8"),
             (load_aliases, b"a\tb\n\nno tab here\n", "without tab separator"),
+            # Only \n ends a line, so line breaks of str.splitlines count for none.
+            (load_gazetteer, "x\u2028y\nz\x85w\n".encode() + b"\xff\n", "not UTF-8"),
+            (load_aliases, "a\u2028b\tc\nd\x1ce\tf\n".encode() + b"\xff\tg\n", "not UTF-8"),
+            (load_aliases, "a\u2028b\tc\nd\x1ce\tf\nno\u2029tab\n".encode(), "without tab"),
         ],
-        ids=["gazetteer-not-utf8", "aliases-not-utf8", "alias-without-tab"],
+        ids=[
+            "gazetteer-not-utf8", "aliases-not-utf8", "alias-without-tab",
+            "gazetteer-not-utf8-after-line-separators",
+            "aliases-not-utf8-after-line-separators",
+            "alias-without-tab-after-line-separators",
+        ],
     )
     def test_loader_error_names_file_and_line(self, tmp_path, loader, content, problem):
         path = tmp_path / "terms.txt"
@@ -102,6 +114,38 @@ class TestExtractEntities:
         message = str(caught.value)
         assert message.startswith("line 3: ") and problem in message
         assert str(path) in message
+
+    def test_term_files_split_lines_at_newline_only(self, tmp_path):
+        """U+2028, U+0085 and the separators 0x1c-0x1e end a line for
+        ``str.splitlines`` but not for the corpus reader; a term file keeps
+        them inside the line, where normalization reads them as spaces."""
+        path = tmp_path / "gazetteer.txt"
+        path.write_text(
+            "Anna Berg\u2028Lund\r\nGraphene\x85Oxide\nA\x1cB\x1dC\x1eD\n",
+            encoding="utf-8",
+        )
+        assert load_gazetteer(path) == ("a b c d", "anna berg lund", "graphene oxide")
+        path.write_text("Anna Berg\u2028Lund\tAnna Lund\r\n", encoding="utf-8")
+        assert load_aliases(path) == (("anna berg lund", "anna lund"),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["gazetteer", "aliases"]), data=st.data())
+    def test_cut_or_changed_term_file_loads_or_raises_the_documented_error(
+        self, kind, data
+    ):
+        """Pin: a gazetteer or alias file cut at a drawn offset, or with one
+        byte changed, loads into normalized entries or raises
+        MalformedRecordError, never another exception."""
+        loader = {"gazetteer": load_gazetteer, "aliases": load_aliases}[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / kind
+            path.write_bytes(damaged(data, SAMPLE_INPUTS[kind]))
+            try:
+                loaded = loader(path)
+            except MalformedRecordError:
+                return
+        surfaces = loaded if kind == "gazetteer" else [s for pair in loaded for s in pair]
+        assert all(normalize_entity(s) == s for s in surfaces)
 
     def test_alias_resolution_with_coref_on(self):
         config = ExtractorConfig(aliases=(("kepler notch", "verdant dynamics"),))
