@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 runtime failure. With
 ``--output json`` exactly one JSON document goes to stdout; diagnostics go
 to stderr. Secrets are environment-only (SLIMRAG_API_KEY, SLIMRAG_API_BASE).
+Corpus files are streamed through :func:`slimrag.corpus.read_lines`, so a
+line ends at ``\n`` only and one that is not UTF-8 is named.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
-from .corpus import SegmentationPolicy, ingest_corpus
+from .corpus import SegmentationPolicy, ingest_corpus, read_lines
 from .embedding import DEFAULT_DIMENSION, EmbedderConfig, EmbeddingCache
-from .errors import MalformedRecordError, SlimRagError
+from .errors import SlimRagError
 from .evalharness import load_hotpotqa_detailed, run_eval
 from .extraction import ExtractorConfig, load_aliases, load_gazetteer
 from .index import add_chunks, build_index, canonical_json, load_index, save_index
@@ -221,24 +222,10 @@ def _cache(args) -> EmbeddingCache | None:
     return EmbeddingCache(args.cache) if args.cache else None
 
 
-def _utf8_lines(handle) -> Iterator[str]:
-    """Each line of a text file opened with ``errors="surrogateescape"``, so
-    lines split as text mode splits them; a line whose bytes are not UTF-8
-    raises MalformedRecordError naming it."""
-    for line_number, line in enumerate(handle, start=1):
-        try:
-            yield line.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRecordError(
-                f"not UTF-8 ({exc.reason})", line_number
-            ) from None
-
-
 def _cmd_index_build(args) -> int:
     _require(args, "corpus", "out")
     policy = SegmentationPolicy.parse(args.policy)
-    with open(args.corpus, encoding="utf-8", errors="surrogateescape") as handle:
-        corpus = ingest_corpus(_utf8_lines(handle), policy)
+    corpus = ingest_corpus(read_lines(args.corpus), policy)
     index = build_index(corpus, _extractor_config(args), _embedder_config(args),
                         cache=_cache(args))
     save_index(index, args.out)
@@ -264,10 +251,9 @@ def _cmd_index_build(args) -> int:
 def _cmd_index_add(args) -> int:
     _require(args, "index", "corpus")
     index = load_index(args.index)
-    with open(args.corpus, encoding="utf-8", errors="surrogateescape") as handle:
-        corpus = ingest_corpus(
-            _utf8_lines(handle), SegmentationPolicy.parse(index.config.segmentation)
-        )
+    corpus = ingest_corpus(
+        read_lines(args.corpus), SegmentationPolicy.parse(index.config.segmentation)
+    )
     updated = add_chunks(index, list(corpus.chunks), _extractor_config(args),
                          _embedder_config(args), cache=_cache(args))
     save_index(updated, args.index)

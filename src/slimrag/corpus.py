@@ -17,6 +17,13 @@ Input is JSONL, one object per line, in exactly one of two forms:
 Mixing the two forms in one stream is an error. Each chunk's token count is
 derived once from its text by the ``ws-punct/v1`` accounting tokenizer; the
 corpus total (TCTC) and the index read it.
+
+This module also holds the two rules for reading text from outside the
+program, which every reader of a file or reply uses: :func:`read_lines`
+(a line ends at ``\n`` only; corpus, gazetteer and alias files, and the
+embedding cache's split) and :func:`parse_json` (how a JSON text fails to
+decode; corpus records, datasets, index files, cache lines and provider
+replies).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable
+from pathlib import Path
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import DuplicateDocumentError, MalformedRecordError
 from .tokenization import DEFAULT_TOKENIZER, count_tokens
@@ -171,13 +179,47 @@ def build_document(doc_id: str, text: str, policy: SegmentationPolicy) -> Docume
     return Document(doc_id=doc_id, sentences=sentences)
 
 
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, streamed, each with its line end. Only
+    ``\n`` ends a line: a ``\r`` before it, or one alone, stays in the line,
+    where callers strip or parse it as whitespace, and so do U+2028, U+0085
+    and the other Unicode line breaks. A line whose bytes are not UTF-8
+    raises MalformedRecordError naming the file and the line."""
+    with open(path, "rb") as handle:  # binary lines end at b"\n" only
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(
+                    f"not UTF-8 ({exc.reason}) in {path}", line_number
+                ) from None
+            yield text
+
+
+def parse_json(text: str | bytes) -> object:
+    """``json.loads`` of ``text``, bytes decoded as UTF-8. Every way the
+    text can fail to decode raises ValueError with a short reason: bytes
+    that are not UTF-8, text that is not JSON, nesting past the recursion
+    limit, and an integer past the interpreter's digit limit for ``int``."""
+    try:
+        if isinstance(text, bytes):  # rebound, so the bytes are freed before the parse
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except ValueError:  # the only other one: int() past the digit limit
+        raise ValueError("JSON integer has too many digits") from None
+
+
 def _decode(raw: str, line_number: int) -> object:
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_number) from None
-    except RecursionError:
-        raise MalformedRecordError("JSON nested too deeply", line_number) from None
+        return parse_json(raw)
+    except ValueError as exc:
+        raise MalformedRecordError(str(exc), line_number) from None
 
 
 def _check_record(record: object, line_number: int) -> dict:
@@ -196,10 +238,12 @@ def _check_record(record: object, line_number: int) -> dict:
 def ingest_corpus(
     source: Iterable[str], segmentation: SegmentationPolicy | None = None
 ) -> Corpus:
-    """Read a JSONL corpus stream into an immutable Corpus.
+    """Read a JSONL corpus stream (lines of text, as :func:`read_lines`
+    yields them) into an immutable Corpus.
 
     Raises MalformedRecordError (with the offending line number) for bad
-    records, mixed record forms, or non-contiguous pre-chunked positions, and
+    records, including text :func:`parse_json` cannot decode, mixed record
+    forms, or non-contiguous pre-chunked positions, and
     DuplicateDocumentError for a repeated doc_id. An empty stream yields an
     empty corpus.
     """

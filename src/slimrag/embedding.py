@@ -89,6 +89,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import remote
+from .corpus import parse_json
 from .errors import DimensionMismatchError, ZeroVectorError
 from .extraction import normalize_entity
 
@@ -177,7 +178,8 @@ def _local_embed(text: str, dimension: int) -> Vector:
 class EmbeddingCache:
     """Append-only (embedder_id, text digest) -> vector cache.
 
-    The on-disk form is JSONL, one record per line; reads tolerate a missing
+    The on-disk form is JSONL, one record per line; only ``\n`` ends a
+    line, so a lone ``\r`` is JSON whitespace. Reads tolerate a missing
     file. Each put appends its new records with one write, so readers see a
     prefix. Loading and appending hold an exclusive ``flock`` on the file,
     so processes sharing one cache neither interleave their appends nor
@@ -185,9 +187,10 @@ class EmbeddingCache:
     that never finished: loading, and each append before it writes, drop
     it and truncate the file to the last complete record, so an append
     starts on a fresh line also after another process died mid-append. Any
-    other damaged line, including one that is not UTF-8 or holds a vector
-    with a component that is not a JSON number, a non-finite value or only
-    zeros, raises ValueError naming that line.
+    other damaged line, including one that is not UTF-8, does not decode as
+    JSON (see :func:`~slimrag.corpus.parse_json`) or holds a vector with a
+    component that is not a JSON number, a non-finite value or only zeros,
+    raises ValueError naming that line.
     """
 
     def __init__(self, path: str | Path):
@@ -197,20 +200,16 @@ class EmbeddingCache:
             with self.path.open("rb") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)
                 data = self._drop_torn_line(handle.read())
-            lines = data.splitlines()
-            for number, line in enumerate(lines, start=1):
+            for number, line in enumerate(data.split(b"\n"), start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line.decode("utf-8"))
+                    record = parse_json(line)
                     key = (record["embedder"], record["digest"])
                     vector = tuple(remote.json_vector(record["vector"]))
                     _check_vector(vector)
                     self._entries[key] = vector
-                except (
-                    ValueError, KeyError, TypeError, OverflowError, RecursionError,
-                    ZeroVectorError,
-                ):
+                except (ValueError, KeyError, TypeError, OverflowError, ZeroVectorError):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
                     ) from None

@@ -18,14 +18,13 @@ counted, never silently dropped.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .corpus import Corpus, corpus_from_chunks, make_chunk_id
+from .corpus import Corpus, corpus_from_chunks, make_chunk_id, parse_json
 from .embedding import EmbedderConfig, EmbeddingCache
 from .errors import MalformedRecordError, ProviderError
 from .extraction import ExtractorConfig
@@ -173,17 +172,9 @@ def _gold_facts_resolved(example: EvalExample) -> bool:
 def load_hotpotqa_detailed(path: str | Path) -> tuple[list[EvalExample], int]:
     """Parse a HotpotQA-format JSON file; returns (examples, skipped count)."""
     try:
-        raw = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(
-            f"dataset is not UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
-    try:
-        entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"dataset is not valid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise MalformedRecordError("dataset JSON is nested too deeply") from None
+        entries = parse_json(Path(path).read_bytes())
+    except ValueError as exc:
+        raise MalformedRecordError(f"dataset: {exc}") from None
     if not isinstance(entries, list):
         raise MalformedRecordError("dataset top level is not a JSON array")
     examples: list[EvalExample] = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import remote
-from .corpus import split_sentences
+from .corpus import read_lines, split_sentences
 from .errors import MalformedRecordError, ProviderProtocolError
 from .tokenization import count_tokens
 
@@ -165,26 +165,10 @@ class QueryPlan:
     entity_weights: dict[str, float] = field(compare=False)
 
 
-def _file_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, split at ``\n`` only: U+2028, U+0085,
-    ``\x1c``-``\x1e`` and the other breaks of ``str.splitlines`` stay inside
-    a line, where normalization reads them as whitespace (callers strip the
-    ``\r`` of a ``\r\n``). Bytes that are not UTF-8 raise
-    MalformedRecordError naming the file and the line they are on."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedRecordError(
-            f"not UTF-8 ({exc.reason}) in {path}", line_number
-        ) from None
-
-
 def load_gazetteer(path: str | Path) -> tuple[str, ...]:
     """One entity per line, UTF-8; entries are normalized and deduplicated."""
     entries = set()
-    for line in _file_lines(path):
+    for line in read_lines(path):
         line = line.strip()
         if line:
             entries.add(normalize_entity(line))
@@ -194,7 +178,7 @@ def load_gazetteer(path: str | Path) -> tuple[str, ...]:
 def load_aliases(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Tab-separated ``alias<TAB>canonical`` pairs, one per line, UTF-8."""
     pairs = {}
-    for line_number, line in enumerate(_file_lines(path), start=1):
+    for line_number, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue

@@ -52,7 +52,7 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Chunk, Corpus, make_chunk_id
+from .corpus import Chunk, Corpus, make_chunk_id, parse_json
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
@@ -536,8 +536,8 @@ def load_index(path: str | Path) -> EntityIndex:
     schema. The result's entity vectors are one float64 block (see
     ``_from_document``)."""
     try:
-        document = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
+        document = parse_json(Path(path).read_bytes())
+    except ValueError as exc:
         raise IndexIntegrityError(f"index file is not UTF-8 JSON: {exc}") from None
     if not isinstance(document, dict):
         raise IndexIntegrityError("index file is not a JSON object")
@@ -552,7 +552,7 @@ def load_index(path: str | Path) -> EntityIndex:
         digest = _digest(index)
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError,
-        RecursionError, DimensionMismatchError,
+        DimensionMismatchError,
     ) as exc:
         raise IndexIntegrityError(f"index file is damaged: {exc}") from None
     if digest != stored_digest:

@@ -3,16 +3,20 @@
 Credentials come from the environment only: ``SLIMRAG_API_KEY`` carries the
 bearer token and ``SLIMRAG_API_BASE`` the service base URL (for example
 ``https://api.openai.com/v1``). Transport failures and 429/5xx responses are
-retried with backoff, then surfaced as ProviderError.
+retried with backoff, each retry logged at WARNING on this module's logger,
+then surfaced as ProviderError.
 """
 
 from __future__ import annotations
 
-import json
+import logging
 import os
 import time
 
+from .corpus import parse_json
 from .errors import ProviderError, ProviderProtocolError
+
+logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "SLIMRAG_API_KEY"
 API_BASE_ENV = "SLIMRAG_API_BASE"
@@ -57,6 +61,7 @@ def _post(path: str, payload: dict) -> dict:
             )
         except requests.RequestException as exc:
             last_error = exc
+            reason = type(exc).__name__
         else:
             if response.status_code == 200:
                 try:
@@ -72,7 +77,12 @@ def _post(path: str, payload: dict) -> dict:
             last_error = ProviderError(
                 f"{url} returned {response.status_code}"
             )
+            reason = f"status {response.status_code}"
         if attempt + 1 < MAX_ATTEMPTS:
+            logger.warning(
+                "%s: attempt %d/%d failed (%s); retrying",
+                url, attempt + 1, MAX_ATTEMPTS, reason,
+            )
             time.sleep(BACKOFF_SECONDS * (2 ** attempt))
     raise ProviderError(f"request to {url} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
@@ -137,10 +147,10 @@ def parse_json_array(reply: str) -> list:
             text = text[4:]
         text = text.strip()
     try:
-        parsed = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        parsed = parse_json(text)
+    except ValueError as exc:
         raise ProviderProtocolError(
-            f"provider reply is not valid JSON: {reply[:200]!r}"
+            f"provider reply is not valid JSON ({exc}): {reply[:200]!r}"
         ) from exc
     if not isinstance(parsed, list):
         raise ProviderProtocolError(f"provider reply is not a JSON array: {reply[:200]!r}")

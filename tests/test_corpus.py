@@ -1,7 +1,8 @@
 """Segmentation and ingestion: frozen examples, errors, determinism."""
 
-import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from slimrag.corpus import (
     build_document,
     corpus_from_chunks,
     ingest_corpus,
+    read_lines,
     segment_document,
     split_sentences,
 )
@@ -252,13 +254,16 @@ def test_chunk_id_format():
 @given(form=st.sampled_from(["corpus", "prechunked"]), data=st.data())
 def test_cut_or_changed_corpus_loads_or_raises_the_documented_error(form, data):
     """Pin: a JSONL corpus cut at a drawn offset, or with one byte changed,
-    read as the CLI opens it (bytes that are not UTF-8 kept as surrogate
-    escapes), ingests or raises MalformedRecordError or
-    DuplicateDocumentError, never another exception."""
-    text = damaged(data, SAMPLE_INPUTS[form]).decode("utf-8", "surrogateescape")
-    try:
-        corpus = ingest_corpus(io.StringIO(text))
-    except (MalformedRecordError, DuplicateDocumentError):
-        return
+    read from a file through ``read_lines`` as the CLI reads it (so a byte
+    that is not UTF-8 reaches its MalformedRecordError), ingests or raises
+    MalformedRecordError or DuplicateDocumentError, never another
+    exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(damaged(data, SAMPLE_INPUTS[form]))
+        try:
+            corpus = ingest_corpus(read_lines(path))
+        except (MalformedRecordError, DuplicateDocumentError):
+            return
     assert isinstance(corpus, Corpus)
     assert corpus.total_corpus_tokens == sum(count_tokens(c.text) for c in corpus.chunks)

@@ -1,0 +1,239 @@
+"""The two rules for reading outside text, ``corpus.parse_json`` and
+``corpus.read_lines``: hostile JSON against every parser and every CLI
+command that reads one, and the one line rule (only ``\\n`` ends a line)."""
+
+import contextlib
+import io
+import json
+import sys
+
+import pytest
+
+from slimrag import remote
+from slimrag.cli import main
+from slimrag.corpus import ingest_corpus, parse_json, read_lines
+from slimrag.embedding import EmbeddingCache
+from slimrag.errors import (
+    DuplicateDocumentError,
+    MalformedRecordError,
+    ProviderProtocolError,
+    SlimRagError,
+)
+from slimrag.evalharness import load_hotpotqa_detailed
+from slimrag.extraction import load_aliases, load_gazetteer
+from slimrag.index import load_index
+
+# Hostile JSON texts. Each goes into an input as the whole document (or
+# line), and in place of HOSTILE in that input's otherwise valid record.
+HOSTILE_JSON = {
+    "5001-digit-integer": "1" * 5001,
+    "nested-100000-deep": "[" * 100_000,
+    "lone-surrogate-escape": '"\\ud800"',
+    "nan": "NaN",
+    "truncated": '{"doc_id": "a", "te',
+}
+RECORDS = {
+    "corpus": '{"doc_id": "a", "text": HOSTILE}',
+    "dataset": '[{"_id": "q", "question": HOSTILE, "supporting_facts": [["T", 0]], '
+               '"context": [["T", ["Vertex Labs built the annex."]]]}]',
+    "cache": '{"embedder": "e", "digest": "d", "vector": [HOSTILE]}',
+    "reply": "[HOSTILE]",
+}
+
+# Each parser and the errors it documents. The cache's ValueError must name
+# the line; a bare ValueError from the decoder would not.
+PARSERS = {
+    "corpus": (lambda path: ingest_corpus(read_lines(path)),
+               (MalformedRecordError, DuplicateDocumentError)),
+    "dataset": (load_hotpotqa_detailed, MalformedRecordError),
+    "index": (load_index, SlimRagError),
+    "cache": (EmbeddingCache, ValueError),
+    "reply": (lambda path: remote.parse_json_array(path.read_text()), ProviderProtocolError),
+}
+
+CORPUS_LINE = '{"doc_id": "d1", "text": "A crew from Vertex Labs built the annex."}'
+
+
+@pytest.fixture(scope="module")
+def index_text(tmp_path_factory) -> str:
+    """A small valid index file's text."""
+    root = tmp_path_factory.mktemp("index")
+    (root / "corpus.jsonl").write_text(CORPUS_LINE + "\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "build", "--corpus", str(root / "corpus.jsonl"),
+                     "--out", str(root / "index.json")]) == 0
+    return (root / "index.json").read_text(encoding="utf-8")
+
+
+def _hostile(kind: str, place: str, case: str, index_text: str) -> bytes:
+    """The hostile text ``case`` as a whole input of ``kind``, or in its
+    record (an index's in place of its segmentation value)."""
+    if place == "whole":
+        record = "HOSTILE"
+    elif kind == "index":
+        record = index_text.replace('"segmentation":"sentence"', '"segmentation":HOSTILE')
+    else:
+        record = RECORDS[kind]
+    return record.replace("HOSTILE", HOSTILE_JSON[case]).encode() + b"\n"
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("place", ["whole", "inside"])
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+def test_hostile_json_loads_or_raises_the_parsers_documented_error(
+    tmp_path, index_text, parser, place, case
+):
+    """Fix for the 5,001-digit integer in the corpus, dataset and reply
+    parsers, which raised a bare ValueError past the interpreter's digit
+    limit; a pin for every other pair."""
+    path = tmp_path / "input"
+    path.write_bytes(_hostile(parser, place, case, index_text))
+    load, documented = PARSERS[parser]
+    try:
+        load(path)
+    except documented as exc:
+        if parser == "cache":
+            assert str(exc) == f"embedding cache {path}: line 1 is damaged"
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("place", ["whole", "inside"])
+@pytest.mark.parametrize(
+    "command", ["index-build", "index-add", "index-stats", "retrieve", "eval", "cache"]
+)
+def test_hostile_json_through_the_cli_exits_0_or_2_with_one_error_line(
+    tmp_path, index_text, command, place, case
+):
+    """Pin: every command that reads a corpus, an index, a dataset or a
+    cache file exits 0, or 2 with exactly one ``error:`` line."""
+    good_index = tmp_path / "good.json"
+    good_index.write_text(index_text, encoding="utf-8")
+    kind = {"index-build": "corpus", "index-add": "corpus", "index-stats": "index",
+            "retrieve": "index", "eval": "dataset", "cache": "cache"}[command]
+    source = tmp_path / "input"
+    source.write_bytes(_hostile(kind, place, case, index_text))
+    output = str(tmp_path / "out.json")
+    query = ["--query", "Who built the annex?"]
+    argv = {
+        "index-build": ["index", "build", "--corpus", str(source), "--out", output],
+        "index-add": ["index", "add", "--index", str(good_index), "--corpus", str(source)],
+        "index-stats": ["index", "stats", "--index", str(source)],
+        "retrieve": ["retrieve", "--index", str(source), *query],
+        "eval": ["eval", "--dataset", str(source), "--report", output],
+        "cache": ["retrieve", "--index", str(good_index), *query, "--cache", str(source)],
+    }[command]
+    code, err = _run(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b'["caf\xe9"]', "not UTF-8 (invalid continuation byte at byte 5)"),
+        ("[1,", "invalid JSON (Expecting value)"),
+        ("[" * 100_000, "JSON nested too deeply"),
+        ("1" * 5001, "JSON integer has too many digits"),
+    ],
+    ids=["not-utf8", "invalid", "nested", "digits"],
+)
+def test_parse_json_raises_value_error_with_a_short_reason(text, reason):
+    if reason.endswith("digits") and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    with pytest.raises(ValueError) as caught:
+        parse_json(text)
+    assert type(caught.value) is ValueError and str(caught.value) == reason
+
+
+def test_index_nested_as_deep_as_the_parser_allows_is_an_index_error(
+    tmp_path, index_text
+):
+    """Pin: a member nested as deeply as the parser accepts, where the
+    loader turns it into a string, raises a SlimRagError: converting it
+    recurses no deeper than parsing it did."""
+    depth = 1
+    while True:
+        try:
+            json.loads("[" * (depth + 1) + "]" * (depth + 1))
+        except RecursionError:
+            break
+        depth += 1
+    path = tmp_path / "index.json"
+    for member in ('"schema":"slimrag-index/v1"', '"segmentation":"sentence"',
+                   '"gazetteer":[]'):
+        key = member.split(":")[0]
+        for nested in range(depth - 4, depth + 1):
+            value = "[" * nested + "]" * nested
+            path.write_text(index_text.replace(member, f"{key}:{value}"),
+                            encoding="utf-8")
+            with pytest.raises(SlimRagError):
+                load_index(path)
+
+
+class TestLineRule:
+    """Only ``\\n`` ends a line; a ``\\r`` before it is stripped and a lone
+    ``\\r`` is whitespace."""
+
+    def test_lone_cr_between_tokens_builds_the_same_index(self, tmp_path):
+        """Fix: the CLI read the corpus with universal newlines, which ended
+        the record at the ``\\r`` (``error: line 1: invalid JSON``)."""
+        outputs = []
+        for gap in (" ", "\r"):
+            corpus = tmp_path / "corpus.jsonl"
+            corpus.write_bytes(
+                f'{{"doc_id": "a",{gap}"text": "Vertex Labs built it."}}\n'.encode()
+            )
+            out = tmp_path / f"index{len(outputs)}.json"
+            code, err = _run(["index", "build", "--corpus", str(corpus), "--out", str(out)])
+            assert (code, err) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_cache_line_with_lone_cr_between_tokens_loads(self, tmp_path):
+        """Fix: the cache split its lines with ``bytes.splitlines``, which
+        ended the line at the ``\\r`` and reported it damaged."""
+        path = tmp_path / "cache.jsonl"
+        digest = EmbeddingCache.digest("a")
+        path.write_bytes(
+            f'{{"embedder": "e",\r"digest": "{digest}", "vector": [1.5, -2.0]}}\n'.encode()
+        )
+        cache = EmbeddingCache(path)
+        assert len(cache) == 1 and cache.get("e", "a") == (1.5, -2.0)
+
+    @pytest.mark.parametrize("reader", ["corpus", "cache", "gazetteer", "aliases"])
+    def test_crlf_line_ends_read_as_lf(self, tmp_path, reader):
+        lines = {
+            "corpus": [CORPUS_LINE, '{"doc_id": "d2", "text": "Ember Corp sold it."}'],
+            "cache": [
+                f'{{"embedder": "e", "digest": "{EmbeddingCache.digest(text)}", '
+                f'"vector": [{vector}]}}'
+                for text, vector in (("a", "1.0"), ("b", "2.0, 0.5"))
+            ],
+            "gazetteer": ["graphene", "New  York"],
+            "aliases": ["VL\tVertex Labs", "Ember\tEmber Corp"],
+        }[reader]
+        def cached(path):
+            cache = EmbeddingCache(path)
+            return [cache.get("e", text) for text in "ab"]
+
+        load = {
+            "corpus": lambda path: ingest_corpus(read_lines(path)).chunks,
+            "cache": cached,
+            "gazetteer": load_gazetteer,
+            "aliases": load_aliases,
+        }[reader]
+        results = []
+        for end in ("\n", "\r\n"):
+            path = tmp_path / f"{reader}{len(results)}.txt"
+            path.write_bytes("".join(line + end for line in lines).encode())
+            results.append(load(path))
+        assert results[0] == results[1] and len(results[0]) == 2
+        assert None not in results[0]

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 import math
 import os
 import subprocess
@@ -121,13 +122,26 @@ class TestChatProtocol:
         assert remote.chat_completion("m", "s", "u") == "[]"
         assert len(server.requests) == 2
 
+    def test_each_retry_is_logged(self, server, caplog, capsys):
+        server.enqueue(500, {"error": "boom"})
+        server.enqueue(200, _chat_body("[]"))
+        with caplog.at_level(logging.WARNING, logger=remote.__name__):
+            assert remote.chat_completion("m", "s", "u") == "[]"
+        [record] = caplog.records
+        assert (record.name, record.levelno) == (remote.__name__, logging.WARNING)
+        assert record.getMessage() == (
+            f"{server.base_url}/chat/completions: attempt 1/{remote.MAX_ATTEMPTS} "
+            "failed (status 500); retrying"
+        )
+        assert capsys.readouterr().out == ""
+
     def test_gives_up_after_max_attempts(self, server):
         for _ in range(remote.MAX_ATTEMPTS):
             server.enqueue(500, {"error": "boom"})
         with pytest.raises(ProviderError):
             remote.chat_completion("m", "s", "u")
 
-    def test_transport_error_retried_then_succeeds(self, server, monkeypatch):
+    def test_transport_error_retried_then_succeeds(self, server, monkeypatch, caplog):
         attempts = []
 
         def post(*args, **kwargs):
@@ -139,9 +153,14 @@ class TestChatProtocol:
         real_post = requests.post
         monkeypatch.setattr(requests, "post", post)
         server.enqueue(200, _chat_body("[]"))
-        assert remote.chat_completion("m", "s", "u") == "[]"
+        with caplog.at_level(logging.WARNING, logger=remote.__name__):
+            assert remote.chat_completion("m", "s", "u") == "[]"
         assert len(attempts) == 2
         assert len(server.requests) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{server.base_url}/chat/completions: attempt 1/{remote.MAX_ATTEMPTS} "
+            "failed (ConnectionError); retrying"
+        ]
 
     def test_deeply_nested_response_is_protocol_error(self, server):
         server.enqueue(200, DEEP_JSON.encode("utf-8"))
