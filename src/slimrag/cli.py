@@ -1,4 +1,4 @@
-"""Command-line interface: index build/add/stats, retrieve, eval.
+r"""Command-line interface: index build/add/stats, retrieve, eval.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. With
 ``--output json`` exactly one JSON document goes to stdout; diagnostics go
@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import SegmentationPolicy, ingest_corpus, read_lines
+from .corpus import SegmentationPolicy, has_lone_surrogate, ingest_corpus, read_lines
 from .embedding import DEFAULT_DIMENSION, EmbedderConfig, EmbeddingCache
 from .errors import SlimRagError
 from .evalharness import load_hotpotqa_detailed, run_eval
@@ -64,6 +64,12 @@ def _policy(spec: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def _text(value: str) -> str:
+    if has_lone_surrogate(value):  # an argv byte that is not UTF-8
+        raise argparse.ArgumentTypeError(f"not UTF-8 text: {value!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -119,7 +125,7 @@ def build_parser() -> _Parser:
 
     p_retrieve = subs.add_parser("retrieve", help="run a query against an index")
     p_retrieve.add_argument("--index", default=None)
-    p_retrieve.add_argument("--query", default=None)
+    p_retrieve.add_argument("--query", type=_text, default=None)
     retrieval_knobs(p_retrieve)
     p_retrieve.add_argument("--weights", type=_on_off,
                             default=_DEFAULTS.use_entity_weights, metavar="on|off")

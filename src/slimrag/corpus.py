@@ -1,4 +1,4 @@
-"""Corpus ingestion and chunk segmentation.
+r"""Corpus ingestion and chunk segmentation.
 
 A corpus is an ordered set of documents, each segmented into ordered chunks.
 Segmentation is rule-based and deterministic: a sentence ends at a run of
@@ -180,7 +180,7 @@ def build_document(doc_id: str, text: str, policy: SegmentationPolicy) -> Docume
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, streamed, each with its line end. Only
+    r"""The lines of a UTF-8 file, streamed, each with its line end. Only
     ``\n`` ends a line: a ``\r`` before it, or one alone, stays in the line,
     where callers strip or parse it as whitespace, and so do U+2028, U+0085
     and the other Unicode line breaks. A line whose bytes are not UTF-8
@@ -215,6 +215,18 @@ def parse_json(text: str | bytes) -> object:
         raise ValueError("JSON integer has too many digits") from None
 
 
+def has_lone_surrogate(text: str) -> bool:
+    r"""Whether ``text`` holds a code point in U+D800..U+DFFF, which no UTF-8
+    encodes: JSON's ``\ud800`` escape decodes to one, and so does an argv
+    byte that is not UTF-8. Outside text is checked with this where it
+    enters, so such a string fails there, naming its line or entry."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _decode(raw: str, line_number: int) -> object:
     try:
         return parse_json(raw)
@@ -229,6 +241,9 @@ def _check_record(record: object, line_number: int) -> dict:
         raise MalformedRecordError("missing or empty doc_id", line_number)
     if not isinstance(record.get("text"), str):
         raise MalformedRecordError("missing text field", line_number)
+    for key in ("doc_id", "text"):
+        if has_lone_surrogate(record[key]):
+            raise MalformedRecordError(f"{key} holds a lone surrogate", line_number)
     position = record.get("position", 0)
     if not isinstance(position, int) or isinstance(position, bool):
         raise MalformedRecordError("position must be an integer", line_number)

@@ -176,7 +176,7 @@ def _local_embed(text: str, dimension: int) -> Vector:
 
 
 class EmbeddingCache:
-    """Append-only (embedder_id, text digest) -> vector cache.
+    r"""Append-only (embedder_id, text digest) -> vector cache.
 
     The on-disk form is JSONL, one record per line; only ``\n`` ends a
     line, so a lone ``\r`` is JSON whitespace. Reads tolerate a missing

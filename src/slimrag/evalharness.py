@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .corpus import Corpus, corpus_from_chunks, make_chunk_id, parse_json
+from .corpus import (
+    Corpus,
+    corpus_from_chunks,
+    has_lone_surrogate,
+    make_chunk_id,
+    parse_json,
+)
 from .embedding import EmbedderConfig, EmbeddingCache
 from .errors import MalformedRecordError, ProviderError
 from .extraction import ExtractorConfig
@@ -123,6 +129,14 @@ def _parse_example(entry: dict, position: int) -> EvalExample:
     ):
         raise MalformedRecordError(
             f"entry {position}: a context item is not [title, [sentence, ...]]"
+        )
+    texts = [question, question_id] + [
+        text for title, sentences in context for text in (title, *sentences)
+    ]
+    if any(has_lone_surrogate(text) for text in texts):
+        raise MalformedRecordError(
+            f"entry {position}: its question, _id, a title or a sentence holds "
+            "a lone surrogate"
         )
     titles: set[str] = set()
     for title, sentences in context:

@@ -19,7 +19,9 @@ stand-in whose rules are fixed so tests can apply them by hand:
 * With coreference enabled: alias-table surfaces are replaced by their
   canonical form, and each pronoun adds the nearest preceding span of a
   compatible class (person pronouns need a multi-word span; other pronouns
-  accept any span). With coreference disabled, surfaces are kept verbatim.
+  accept any span). Such a span is always kept, so a pronoun adds no entity
+  the spans have not already added. With coreference disabled, surfaces are
+  kept verbatim.
 
 Local query decomposition splits on ``?``-plus-space, semicolons, and
 coordinating conjunctions (``and``/``or``/``but``, with or without a leading
@@ -95,7 +97,7 @@ DECOMP_SYSTEM_PROMPT = (
 )
 
 _WORD = re.compile(r"\w+(?:['’]\w+)*")
-_POSSESSIVE = re.compile(r"['’]s$")
+_WORD_SPLIT = re.compile(f"({_WORD.pattern})")
 _CONJUNCTION = re.compile(r",?\s+(?:and|or|but)\s+", re.IGNORECASE)
 
 
@@ -191,80 +193,6 @@ def load_aliases(path: str | Path) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs.items()))
 
 
-@dataclass(frozen=True)
-class _Span:
-    words: tuple[str, ...]
-    token_index: int  # index of the span's first word in the text token stream
-
-    @property
-    def surface(self) -> str:
-        return " ".join(self.words)
-
-
-def _strip_possessive(word: str) -> str:
-    stripped = _POSSESSIVE.sub("", word)
-    return stripped if stripped else word
-
-
-def _is_capitalized(word: str) -> bool:
-    return bool(word) and word[0].isupper()
-
-
-def _sentence_spans(sentence: str, base_index: int) -> tuple[list[_Span], list[str]]:
-    """Capitalized spans and the words of one sentence whose first word is
-    word ``base_index`` of the text."""
-    tokens = list(_WORD.finditer(sentence))
-
-    def adjacent(a: int, b: int) -> bool:
-        return sentence[tokens[a].end():tokens[b].start()].isspace() or (
-            tokens[a].end() == tokens[b].start()
-        )
-
-    spans: list[_Span] = []
-    i = 0
-    while i < len(tokens):
-        if not _is_capitalized(tokens[i].group()):
-            i += 1
-            continue
-        j = i
-        while True:
-            k = j + 1
-            while (
-                k < len(tokens)
-                and tokens[k].group().lower() in PARTICLES
-                and adjacent(k - 1, k)
-            ):
-                k += 1
-            if (
-                k < len(tokens)
-                and _is_capitalized(tokens[k].group())
-                and adjacent(k - 1, k)
-            ):
-                j = k
-            else:
-                break
-        words = tuple(
-            _strip_possessive(tokens[m].group()) for m in range(i, j + 1)
-        )
-        spans.append(_Span(words=words, token_index=base_index + i))
-        i = j + 1
-    return spans, [token.group() for token in tokens]
-
-
-def _keep_span(span: _Span, sentence_initial: bool, known: set[str]) -> bool:
-    if len(span.words) > 1:
-        return True
-    lowered = span.words[0].lower()
-    if lowered in STOPLIST:
-        return False
-    if sentence_initial:
-        try:
-            return normalize_entity(span.surface) in known
-        except ValueError:
-            return False
-    return True
-
-
 def _gazetteer_hits(words: list[str], gazetteer: tuple[str, ...]) -> set[str]:
     if not gazetteer:
         return set()
@@ -276,41 +204,56 @@ def _local_extract(text: str, config: ExtractorConfig) -> set[str]:
     aliases = dict(config.aliases)
     known = set(config.gazetteer) | set(aliases)
 
-    kept: list[_Span] = []
-    words: list[str] = []  # the text token stream, sentence by sentence
+    found: set[str] = set()  # normalized surfaces of the kept spans
+    words: list[str] = []  # the text word stream, sentence by sentence
     for sentence in split_sentences(text):
-        first_token = len(words)
-        spans, sentence_words = _sentence_spans(sentence, first_token)
-        for span in spans:
-            if _keep_span(span, span.token_index == first_token, known):
-                kept.append(span)
-        words.extend(sentence_words)
-
-    def resolve(surface: str) -> str:
-        normalized = normalize_entity(surface)
-        if config.coreference_enabled:
-            return aliases.get(normalized, normalized)
-        return normalized
-
-    entities = {resolve(span.surface) for span in kept}
-    entities |= {
-        aliases.get(hit, hit) if config.coreference_enabled else hit
-        for hit in _gazetteer_hits(words, config.gazetteer)
-    }
-
-    if config.coreference_enabled and kept:
-        for position, word in enumerate(words):
-            lowered = word.lower()
-            if lowered in PRONOUNS:
-                person = lowered in PRONOUNS_PERSON
-                for span in reversed(kept):
-                    if span.token_index >= position:
-                        continue
-                    if person and len(span.words) < 2:
-                        continue
-                    entities.add(resolve(span.surface))
+        # [separator, word, separator, ..., word, separator]: the separator
+        # before word m is parts[2 * m].
+        parts = _WORD_SPLIT.split(sentence)
+        sentence_words = parts[1::2]
+        words += sentence_words
+        count = len(sentence_words)
+        end = -1  # the last word of the previous span
+        for i, word in enumerate(sentence_words):
+            if i <= end or not word[0].isupper():
+                continue
+            j = i
+            while True:
+                k = j + 1
+                # Words k - 1 and k are adjacent when only whitespace, or
+                # nothing, separates them.
+                while (
+                    k < count
+                    and not parts[2 * k].strip()
+                    and sentence_words[k].lower() in PARTICLES
+                ):
+                    k += 1
+                if (
+                    k < count
+                    and not parts[2 * k].strip()
+                    and sentence_words[k][0].isupper()
+                ):
+                    j = k
+                else:
                     break
-    return entities
+            end = j
+            surface = " ".join(sentence_words[i:j + 1])
+            if "'" in surface or "’" in surface:
+                surface = " ".join(
+                    piece[:-2] if piece.endswith(("'s", "’s")) else piece
+                    for piece in sentence_words[i:j + 1]
+                )
+            if j > i:
+                found.add(normalize_entity(surface))
+            elif surface.lower() not in STOPLIST:
+                normalized = normalize_entity(surface)
+                if i or normalized in known:
+                    found.add(normalized)
+
+    found |= _gazetteer_hits(words, config.gazetteer)
+    if config.coreference_enabled:
+        return {aliases.get(entity, entity) for entity in found}
+    return found
 
 
 def _remote_extract(text: str, config: ExtractorConfig) -> tuple[set[str], TokenUsage]:
@@ -352,7 +295,7 @@ def extract_entities_with_usage(
         return _remote_extract(text, config)
     entities = _local_extract(text, config)
     return entities, TokenUsage(
-        output_tokens=sum(count_tokens(e) for e in sorted(entities))
+        output_tokens=sum(count_tokens(e) for e in entities)
     )
 
 

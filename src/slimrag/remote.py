@@ -13,7 +13,7 @@ import logging
 import os
 import time
 
-from .corpus import parse_json
+from .corpus import has_lone_surrogate, parse_json
 from .errors import ProviderError, ProviderProtocolError
 
 logger = logging.getLogger(__name__)
@@ -154,4 +154,8 @@ def parse_json_array(reply: str) -> list:
         ) from exc
     if not isinstance(parsed, list):
         raise ProviderProtocolError(f"provider reply is not a JSON array: {reply[:200]!r}")
+    if any(isinstance(item, str) and has_lone_surrogate(item) for item in parsed):
+        raise ProviderProtocolError(
+            f"provider reply holds a lone surrogate: {reply[:200]!r}"
+        )
     return parsed

@@ -282,13 +282,15 @@ class TestExitCodes:
             ["index", "build", "--out", "{output}", "--policy", "fixed: 3"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:03"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:+2"],
+            # What a query argument whose bytes are not UTF-8 decodes to.
+            ["retrieve", "--query", "Who built \udcff?"],
         ],
         ids=[
             "k-0", "k-negative", "h-0", "token-limit-0", "eval-k-0",
             "eval-token-limit-negative", "dimension-0", "policy-unknown",
             "policy-fixed-x", "policy-fixed-0", "policy-fixed-bare",
             "policy-fixed-underscore", "policy-fixed-space", "policy-fixed-leading-zero",
-            "policy-fixed-plus",
+            "policy-fixed-plus", "query-not-utf8",
         ],
     )
     def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys, argv):
@@ -320,6 +322,13 @@ class TestExitCodes:
 
     def test_success_is_zero(self, built_index):
         assert main(["index", "stats", "--index", str(built_index)]) == 0
+
+    def test_help_is_zero_and_prints_the_docstring_with_its_backslashes(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "a line ends at ``\\n`` only" in out
 
 
 class TestIndexCommands:

@@ -1,23 +1,33 @@
 """Local extractor rules, normalization, decomposition, and weights."""
 
+import re
 import tempfile
 import unicodedata
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SAMPLE_INPUTS, damaged
+from slimrag.corpus import split_sentences
 from slimrag.errors import MalformedRecordError
 from slimrag.extraction import (
+    PARTICLES,
+    PRONOUNS,
+    PRONOUNS_PERSON,
+    STOPLIST,
     ExtractorConfig,
+    TokenUsage,
     decompose_query,
     extract_entities,
+    extract_entities_with_usage,
     load_aliases,
     load_gazetteer,
     normalize_entity,
     plan_query,
 )
+from slimrag.tokenization import count_tokens
 
 LOCAL = ExtractorConfig()
 LOCAL_NO_COREF = ExtractorConfig(coreference_enabled=False)
@@ -265,3 +275,230 @@ class TestPlanQuery:
             ExtractorConfig(provider="local", remote_model="gpt-4o-mini")
         with pytest.raises(ValueError):
             ExtractorConfig(provider="cloud")
+
+
+# The local extractor as it was written before it made one pass over each
+# sentence's words: a regex match per word, a frozen span object per span,
+# and a pronoun scan. It is the reference the one-pass extractor must equal.
+_ORACLE_WORD = re.compile(r"\w+(?:['’]\w+)*")
+_ORACLE_POSSESSIVE = re.compile(r"['’]s$")
+
+
+@dataclass(frozen=True)
+class _Span:
+    words: tuple[str, ...]
+    token_index: int  # index of the span's first word in the text token stream
+
+    @property
+    def surface(self) -> str:
+        return " ".join(self.words)
+
+
+def _strip_possessive(word: str) -> str:
+    stripped = _ORACLE_POSSESSIVE.sub("", word)
+    return stripped if stripped else word
+
+
+def _is_capitalized(word: str) -> bool:
+    return bool(word) and word[0].isupper()
+
+
+def _sentence_spans(sentence: str, base_index: int) -> tuple[list[_Span], list[str]]:
+    tokens = list(_ORACLE_WORD.finditer(sentence))
+
+    def adjacent(a: int, b: int) -> bool:
+        return sentence[tokens[a].end():tokens[b].start()].isspace() or (
+            tokens[a].end() == tokens[b].start()
+        )
+
+    spans: list[_Span] = []
+    i = 0
+    while i < len(tokens):
+        if not _is_capitalized(tokens[i].group()):
+            i += 1
+            continue
+        j = i
+        while True:
+            k = j + 1
+            while (
+                k < len(tokens)
+                and tokens[k].group().lower() in PARTICLES
+                and adjacent(k - 1, k)
+            ):
+                k += 1
+            if (
+                k < len(tokens)
+                and _is_capitalized(tokens[k].group())
+                and adjacent(k - 1, k)
+            ):
+                j = k
+            else:
+                break
+        words = tuple(
+            _strip_possessive(tokens[m].group()) for m in range(i, j + 1)
+        )
+        spans.append(_Span(words=words, token_index=base_index + i))
+        i = j + 1
+    return spans, [token.group() for token in tokens]
+
+
+def _keep_span(span: _Span, sentence_initial: bool, known: set[str]) -> bool:
+    if len(span.words) > 1:
+        return True
+    lowered = span.words[0].lower()
+    if lowered in STOPLIST:
+        return False
+    if sentence_initial:
+        try:
+            return normalize_entity(span.surface) in known
+        except ValueError:
+            return False
+    return True
+
+
+def _gazetteer_hits(words: list[str], gazetteer: tuple[str, ...]) -> set[str]:
+    if not gazetteer:
+        return set()
+    haystack = " " + " ".join(normalize_entity(word) for word in words) + " "
+    return {entry for entry in gazetteer if f" {entry} " in haystack}
+
+
+def _oracle_local_extract(text: str, config: ExtractorConfig) -> set[str]:
+    aliases = dict(config.aliases)
+    known = set(config.gazetteer) | set(aliases)
+
+    kept: list[_Span] = []
+    words: list[str] = []  # the text token stream, sentence by sentence
+    for sentence in split_sentences(text):
+        first_token = len(words)
+        spans, sentence_words = _sentence_spans(sentence, first_token)
+        for span in spans:
+            if _keep_span(span, span.token_index == first_token, known):
+                kept.append(span)
+        words.extend(sentence_words)
+
+    def resolve(surface: str) -> str:
+        normalized = normalize_entity(surface)
+        if config.coreference_enabled:
+            return aliases.get(normalized, normalized)
+        return normalized
+
+    entities = {resolve(span.surface) for span in kept}
+    entities |= {
+        aliases.get(hit, hit) if config.coreference_enabled else hit
+        for hit in _gazetteer_hits(words, config.gazetteer)
+    }
+
+    if config.coreference_enabled and kept:
+        for position, word in enumerate(words):
+            lowered = word.lower()
+            if lowered in PRONOUNS:
+                person = lowered in PRONOUNS_PERSON
+                for span in reversed(kept):
+                    if span.token_index >= position:
+                        continue
+                    if person and len(span.words) < 2:
+                        continue
+                    entities.add(resolve(span.surface))
+                    break
+    return entities
+
+
+def _oracle_extract_with_usage(text: str, config: ExtractorConfig):
+    if not text.strip():
+        return set(), TokenUsage()
+    entities = _oracle_local_extract(text, config)
+    return entities, TokenUsage(
+        output_tokens=sum(count_tokens(e) for e in sorted(entities))
+    )
+
+
+def _outcome(extract, text, config):
+    try:
+        return extract(text, config)
+    except Exception as error:  # the two must fail alike, so compare the types
+        return type(error)
+
+
+_TERMS = dict(
+    gazetteer=("anna berg", "graphene", "lund", "straße", "ǆemal", "i̇stanbul", "42"),
+    aliases=(
+        ("anna", "anna berg"),
+        ("berg", "berg works"),
+        ("kepler notch", "verdant dynamics"),
+        ("ﬁeld", "field office"),
+        ("lund", "city of lund"),
+    ),
+)
+EXTRACTOR_CONFIGS = {
+    "coref-plain": ExtractorConfig(),
+    "no-coref-plain": ExtractorConfig(coreference_enabled=False),
+    "coref-terms": ExtractorConfig(**_TERMS),
+    "no-coref-terms": ExtractorConfig(coreference_enabled=False, **_TERMS),
+}
+
+# Words, particles, possessives, pronouns, titlecase and case-changing
+# letters, ligatures, digits, abbreviations, sentence breaks and whitespace.
+_FRAGMENTS = (
+    "Anna", "Berg", "Lund", "Kepler", "Notch", "Graphene", "graphene", "Field",
+    "ﬁeld", "ﬁ", "Straße", "ß", "ǅemal", "ǆ", "İstanbul", "İ", "Caf\u00e9", "Cafe\u0301",
+    "of", "the", "The", "Of", "de", "van", "Von", "der", "la",
+    "'s", "’s", "Anna's", "Lund’s", "s", "'", "’",
+    "he", "He", "she", "She", "his", "it", "It", "they", "They", "this",
+    "42", "3rd", "1999", "_", "Mr.", "Dr.", "St.",
+    ".", ". ", "! ", "? ", "?", ",", ", ", ";", "-", "(", ")", "\"",
+    " ", "  ", "\t", "\n", "\r", "\u00a0", "\u2028",
+)
+
+_FRAGMENT_TEXTS = st.builds(
+    lambda fragments, glue: glue.join(fragments),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24),
+    st.sampled_from([" ", ""]),
+)
+
+
+class TestOnePassOracle:
+    """The one-pass local extractor equals the per-match reference above on
+    entity sets, token usage and the type of a raised exception, under every
+    combination of coreference and gazetteer-plus-aliases."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        text=st.one_of(_FRAGMENT_TEXTS, st.text(max_size=40)),
+        name=st.sampled_from(sorted(EXTRACTOR_CONFIGS)),
+    )
+    def test_drawn_texts_match_the_reference(self, text, name):
+        config = EXTRACTOR_CONFIGS[name]
+        assert _outcome(extract_entities_with_usage, text, config) == _outcome(
+            _oracle_extract_with_usage, text, config
+        )
+
+    @pytest.mark.parametrize("name", sorted(EXTRACTOR_CONFIGS))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Crews met Anna Berg. Lund hosted them.",
+            "Crews met Anna Berg.Lund hosted them. Kepler Notch left!Field work",
+            "Crews met Anna of. They saw of the Lund fleet and Anna of the Berg.",
+            "Crews met Anna of the. Visitors saw the Lord of Lund.",
+            "Visitors saw Paris, France, Anna-Berg, Kepler.Notch and Lund;Berg.",
+            "Crews met Anna (Berg) and Lund's Kepler’s Notch.",
+            "Crews met Lund. He left, and she saw it.",
+            "Crews met Lund and Berg. His crew left.",
+        ],
+        ids=[
+            "capitalized-after-sentence-break",
+            "capitalized-after-break-without-space",
+            "particles-at-span-ends",
+            "particle-ends-sentence",
+            "punctuation-between-capitalized-words",
+            "brackets-and-possessives",
+            "person-pronoun-after-one-word-span",
+            "person-pronoun-after-one-word-spans-only",
+        ],
+    )
+    def test_named_case_matches_the_reference(self, text, name):
+        config = EXTRACTOR_CONFIGS[name]
+        assert extract_entities_with_usage(text, config) == _oracle_extract_with_usage(
+            text, config
+        )

@@ -237,3 +237,63 @@ class TestLineRule:
             results.append(load(path))
         assert results[0] == results[1] and len(results[0]) == 2
         assert None not in results[0]
+
+
+class TestLoneSurrogate:
+    """A string holding a lone surrogate, which no UTF-8 encodes, is
+    rejected where it enters, naming its line or entry."""
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [('{"doc_id": "a\\udfff", "text": "Vertex Labs met Ember Corp."}', "doc_id"),
+         ('{"doc_id": "a", "text": "Vertex Labs met \\ud800 Ember Corp."}', "text"),
+         ('{"doc_id": "a", "position": 0, "text": "Vertex Labs met \\udc00."}', "text")],
+        ids=["doc-id", "text", "pre-chunked-text"],
+    )
+    def test_corpus_record_names_its_line(self, tmp_path, record, key):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(CORPUS_LINE + "\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as caught:
+            ingest_corpus(read_lines(path))
+        assert str(caught.value) == f"line 2: {key} holds a lone surrogate"
+
+    def test_index_build_names_the_line_and_writes_no_index(self, tmp_path):
+        """Fix: the record built, and ``save_index`` then failed to encode it
+        (``error: 'utf-8' codec can't encode character '\\ud800'``)."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"doc_id": "a", "text": "Vertex Labs met \\ud800 Ember Corp."}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "index.json"
+        code, err = _run(["index", "build", "--corpus", str(corpus), "--out", str(out)])
+        assert (code, err) == (2, "error: line 1: text holds a lone surrogate\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["question", "_id", "title", "sentence"])
+    def test_dataset_entry_is_named(self, tmp_path, field):
+        """Fix for the question: it loaded, and the local embedder then
+        failed to encode it outside the per-example failure count."""
+        title, sentence = "T", "Vertex Labs built the annex."
+        entry = {"_id": "q", "question": "Who built the annex?"}
+        if field == "title":
+            title = "T\ud800"
+        elif field == "sentence":
+            sentence = "Vertex Labs \udc00 built it."
+        else:
+            entry[field] += "\udfff"
+        entry.update(supporting_facts=[[title, 0]], context=[[title, [sentence]]])
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps([entry]), encoding="ascii")  # \u escapes
+        with pytest.raises(MalformedRecordError) as caught:
+            load_hotpotqa_detailed(path)
+        assert str(caught.value) == (
+            "entry 0: its question, _id, a title or a sentence holds a lone surrogate"
+        )
+
+    def test_provider_reply_is_a_protocol_error(self):
+        """Fix: an entity reply holding one was kept, and embedding it then
+        raised a bare UnicodeEncodeError."""
+        with pytest.raises(ProviderProtocolError) as caught:
+            remote.parse_json_array('["vertex labs", "ember \\ud800 corp"]')
+        assert str(caught.value).startswith("provider reply holds a lone surrogate: ")
