@@ -38,7 +38,9 @@ bytes) and text shorter than 2 characters take a per-gram Python loop.
 ``embed`` is ``embed_many`` of one text, for both providers.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
-format in :mod:`slimrag.remote` and are returned verbatim.
+format in :mod:`slimrag.remote`, which rejects a reply vector that is not
+numbers, not finite or all zeros; the vectors it accepts are returned
+verbatim.
 
 :func:`cosine_similarity` is the definition of similarity. Top-K entity
 search and chunk scoring compute it for many vectors at once with one numpy
@@ -124,6 +126,8 @@ class EmbedderConfig:
             raise ValueError(f"unknown provider {self.provider!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
     @property
     def embedder_id(self) -> str:
@@ -187,9 +191,9 @@ class EmbeddingCache:
     that never finished: loading, and each append before it writes, drop
     it and truncate the file to the last complete record, so an append
     starts on a fresh line also after another process died mid-append. Any
-    other damaged line, including one that is not UTF-8, does not decode as
-    JSON (see :func:`~slimrag.corpus.parse_json`) or holds a vector with a
-    component that is not a JSON number, a non-finite value or only zeros,
+    other damaged line, including one that does not decode as JSON (see
+    :func:`~slimrag.corpus.parse_json`) or whose vector fails
+    :func:`~slimrag.remote.json_vector`, the rule for provider replies,
     raises ValueError naming that line.
     """
 
@@ -206,10 +210,8 @@ class EmbeddingCache:
                 try:
                     record = parse_json(line)
                     key = (record["embedder"], record["digest"])
-                    vector = tuple(remote.json_vector(record["vector"]))
-                    _check_vector(vector)
-                    self._entries[key] = vector
-                except (ValueError, KeyError, TypeError, OverflowError, ZeroVectorError):
+                    self._entries[key] = tuple(remote.json_vector(record["vector"]))
+                except (ValueError, KeyError, TypeError, OverflowError):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
                     ) from None
@@ -269,43 +271,29 @@ def embed_many(
     embedder: EmbedderConfig,
     cache: EmbeddingCache | None = None,
 ) -> list[Vector]:
-    """Embed texts in order, batching remote calls and using the cache."""
+    """Embed texts in order. Remote texts missing from the cache are sent
+    in batches of ``batch_size``; a reply that fails the rules of
+    :mod:`slimrag.remote` raises ProviderProtocolError, and only the batches
+    before it are cached."""
     if not all(t.strip() for t in texts):
         raise ValueError("cannot embed empty text")
     if embedder.provider == "local":
         return [_local_embed(t, embedder.dimension) for t in texts]
-    out: dict[int, Vector] = {}
-    missing: list[tuple[int, str]] = []
-    for i, text in enumerate(texts):
-        hit = cache.get(embedder.embedder_id, text) if cache is not None else None
-        if hit is not None:
-            out[i] = hit
-        else:
-            missing.append((i, text))
+    out = [
+        cache.get(embedder.embedder_id, t) if cache is not None else None
+        for t in texts
+    ]
+    missing = [i for i, vector in enumerate(out) if vector is None]
     for start in range(0, len(missing), embedder.batch_size):
         batch = missing[start:start + embedder.batch_size]
         vectors = remote.embed_batch(
-            [t for _, t in batch], model=embedder.remote_model
+            [texts[i] for i in batch], model=embedder.remote_model
         )
-        fresh = []
-        for (i, text), vector in zip(batch, vectors):
-            vec = tuple(vector)
-            _check_vector(vec)
-            out[i] = vec
-            fresh.append((text, vec))
+        for i, vector in zip(batch, vectors):
+            out[i] = tuple(vector)
         if cache is not None:
-            cache.put(embedder.embedder_id, fresh)
-    return [out[i] for i in range(len(texts))]
-
-
-def _check_vector(vector: Vector) -> None:
-    """Reject a vector no similarity can be computed with: ValueError for a
-    non-finite value, ZeroVectorError (what a search on it would raise) for
-    all zeros."""
-    if not all(math.isfinite(x) for x in vector):
-        raise ValueError("vector contains non-finite values")
-    if not any(vector):
-        raise ZeroVectorError("vector is all zeros")
+            cache.put(embedder.embedder_id, [(texts[i], out[i]) for i in batch])
+    return out
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:

@@ -12,7 +12,10 @@ index over each example's own context documents (the distractor setting);
 ``pooled`` builds one index over the union of all contexts, where a title
 shared by several examples is indexed once. Reported index time covers
 index construction only. Examples whose retrieval fails are scored zero and
-counted, never silently dropped.
+counted, never silently dropped: a ProviderError, including a reply that
+fails the rules of :mod:`slimrag.remote` (ProviderProtocolError), fails
+that example only, and the others are scored as usual. A provider failure
+while an index is built aborts the run.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Two providers sit behind the same contract. The ``remote`` provider asks a
 chat-completions endpoint (see :mod:`slimrag.remote`) using the prompt
-templates below. The ``local`` provider is a deterministic offline
+templates below; its reply must pass ``remote.parse_json_array``, and its
+blank strings are dropped. The ``local`` provider is a deterministic offline
 stand-in whose rules are fixed so tests can apply them by hand:
 
 * A candidate entity is a maximal span of capitalized words within one
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from . import remote
 from .corpus import read_lines, split_sentences
-from .errors import MalformedRecordError, ProviderProtocolError
+from .errors import MalformedRecordError
 from .tokenization import count_tokens
 
 PRONOUNS_PERSON = frozenset(
@@ -267,12 +268,7 @@ def _remote_extract(text: str, config: ExtractorConfig) -> tuple[set[str], Token
         user=text,
     )
     items = remote.parse_json_array(reply)
-    entities = set()
-    for item in items:
-        if not isinstance(item, str):
-            raise ProviderProtocolError(f"entity reply item is not a string: {item!r}")
-        if item.strip():
-            entities.add(normalize_entity(item))
+    entities = {normalize_entity(item) for item in items if item.strip()}
     usage = TokenUsage(
         input_tokens=count_tokens(system), output_tokens=count_tokens(reply)
     )
@@ -339,7 +335,7 @@ def decompose_query_with_usage(
             user=q,
         )
         items = remote.parse_json_array(reply)
-        subs = [s.strip() for s in items if isinstance(s, str) and s.strip()]
+        subs = [s.strip() for s in items if s.strip()]
         usage = TokenUsage(
             input_tokens=count_tokens(DECOMP_SYSTEM_PROMPT) + count_tokens(q),
             output_tokens=count_tokens(reply),

@@ -5,11 +5,27 @@ bearer token and ``SLIMRAG_API_BASE`` the service base URL (for example
 ``https://api.openai.com/v1``). Transport failures and 429/5xx responses are
 retried with backoff, each retry logged at WARNING on this module's logger,
 then surfaced as ProviderError.
+
+Every provider reply is read here, by one rule per shape, and every fault
+one reply can show raises ProviderProtocolError with a reason and at most
+200 characters of the reply:
+
+* a 200 body is decoded by :func:`~slimrag.corpus.parse_json` (not UTF-8,
+  not JSON, nested too deeply, an integer past the digit limit);
+* a vector, whether an embeddings row or a cache line, is judged by
+  :func:`json_vector`: JSON numbers (not booleans), all finite, not all zero;
+* a list reply (entities, sub-questions) is judged by
+  :func:`parse_json_array`: a JSON array of strings, none holding a lone
+  surrogate.
+
+Vectors of different lengths are not a fault of one reply; they raise
+DimensionMismatchError where they meet.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 
@@ -46,7 +62,7 @@ def _headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
 
-def _post(path: str, payload: dict) -> dict:
+def _post(path: str, payload: dict) -> object:
     # Imported here so that importing slimrag, and every local run, does
     # without it.
     import requests
@@ -65,11 +81,11 @@ def _post(path: str, payload: dict) -> dict:
         else:
             if response.status_code == 200:
                 try:
-                    return response.json()
-                except (ValueError, RecursionError) as exc:
+                    return parse_json(response.content)
+                except ValueError as exc:
                     raise ProviderProtocolError(
-                        f"non-JSON response from {url}"
-                    ) from exc
+                        f"non-JSON response from {url}: {exc}"
+                    ) from None
             if response.status_code not in (429,) and response.status_code < 500:
                 raise ProviderError(
                     f"{url} returned {response.status_code}: {response.text[:200]}"
@@ -104,7 +120,9 @@ def chat_completion(model: str, system: str, user: str) -> str:
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ProviderProtocolError(f"malformed chat response: {body!r}") from exc
+        raise ProviderProtocolError(
+            f"chat response has no choices[0].message.content: {body!r:.200}"
+        ) from exc
     if not isinstance(content, str):
         raise ProviderProtocolError("chat response content is not a string")
     return content
@@ -113,15 +131,18 @@ def chat_completion(model: str, system: str, user: str) -> str:
 def embed_batch(
     texts: list[str], model: str = DEFAULT_EMBED_MODEL
 ) -> list[list[float]]:
-    """Embed a batch of texts; vectors come back in input order."""
+    """Embed a batch of texts; vectors come back in input order, each
+    passing :func:`json_vector`."""
     if not texts:
         return []
     body = _post("/embeddings", {"model": model, "input": texts})
     try:
-        rows = body["data"]
-        vectors = [json_vector(row["embedding"]) for row in rows]
+        vectors = [json_vector(row["embedding"]) for row in body["data"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ProviderProtocolError(f"malformed embeddings response: {body!r}") from exc
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ProviderProtocolError(
+            f"malformed embeddings response ({reason}): {body!r:.200}"
+        ) from exc
     if len(vectors) != len(texts):
         raise ProviderProtocolError(
             f"embeddings response has {len(vectors)} rows for {len(texts)} inputs"
@@ -130,16 +151,22 @@ def embed_batch(
 
 
 def json_vector(value: object) -> list[float]:
-    """A parsed JSON array of numbers as floats. Raises TypeError for any
-    other value, including strings and booleans, which ``float`` would
-    convert, and OverflowError for an integer past the float range."""
+    """A parsed JSON vector from outside, a reply row or a cache line, as
+    floats: an array of numbers (strings and booleans, which ``float``
+    would convert, are not), all finite and not all zero, so a similarity
+    can be taken with it. Raises ValueError naming the fault, or
+    OverflowError for an integer past the float range."""
     if type(value) is not list or not all(type(x) in (int, float) for x in value):
-        raise TypeError("vector is not a JSON array of numbers")
-    return [float(x) for x in value]
+        raise ValueError("vector is not a JSON array of numbers")
+    vector = [float(x) for x in value]
+    if not all(map(math.isfinite, vector)) or not any(vector):
+        raise ValueError("vector holds a non-finite value, or only zeros")
+    return vector
 
 
-def parse_json_array(reply: str) -> list:
-    """Parse a strict JSON array reply, tolerating a fenced code block."""
+def parse_json_array(reply: str) -> list[str]:
+    """Parse a strict JSON array of strings, tolerating a fenced code
+    block; blank strings are kept for the caller to drop."""
     text = reply.strip()
     if text.startswith("```"):
         text = text.strip("`")
@@ -154,7 +181,11 @@ def parse_json_array(reply: str) -> list:
         ) from exc
     if not isinstance(parsed, list):
         raise ProviderProtocolError(f"provider reply is not a JSON array: {reply[:200]!r}")
-    if any(isinstance(item, str) and has_lone_surrogate(item) for item in parsed):
+    if not all(isinstance(item, str) for item in parsed):
+        raise ProviderProtocolError(
+            f"provider reply holds an item that is not a string: {reply[:200]!r}"
+        )
+    if any(has_lone_surrogate(item) for item in parsed):
         raise ProviderProtocolError(
             f"provider reply holds a lone surrogate: {reply[:200]!r}"
         )

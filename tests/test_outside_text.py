@@ -1,6 +1,8 @@
-"""The two rules for reading outside text, ``corpus.parse_json`` and
-``corpus.read_lines``: hostile JSON against every parser and every CLI
-command that reads one, and the one line rule (only ``\\n`` ends a line)."""
+"""The rules for reading outside text, ``corpus.parse_json`` and
+``corpus.read_lines``, and for reading provider replies, in
+:mod:`slimrag.remote`: hostile JSON against every parser and every CLI
+command that reads one, hostile replies against every caller of a
+provider, and the one line rule (only ``\\n`` ends a line)."""
 
 import contextlib
 import io
@@ -8,20 +10,28 @@ import json
 import sys
 
 import pytest
+import requests
 
 from slimrag import remote
 from slimrag.cli import main
 from slimrag.corpus import ingest_corpus, parse_json, read_lines
-from slimrag.embedding import EmbeddingCache
+from slimrag.embedding import EmbedderConfig, EmbeddingCache, embed, embed_many
 from slimrag.errors import (
     DuplicateDocumentError,
     MalformedRecordError,
+    ProviderError,
     ProviderProtocolError,
     SlimRagError,
 )
-from slimrag.evalharness import load_hotpotqa_detailed
-from slimrag.extraction import load_aliases, load_gazetteer
-from slimrag.index import load_index
+from slimrag.evalharness import EvalExample, load_hotpotqa_detailed, run_eval
+from slimrag.extraction import (
+    ExtractorConfig,
+    decompose_query,
+    extract_entities,
+    load_aliases,
+    load_gazetteer,
+)
+from slimrag.index import build_index, load_index
 
 # Hostile JSON texts. Each goes into an input as the whole document (or
 # line), and in place of HOSTILE in that input's otherwise valid record.
@@ -176,6 +186,152 @@ def test_index_nested_as_deep_as_the_parser_allows_is_an_index_error(
                             encoding="utf-8")
             with pytest.raises(SlimRagError):
                 load_index(path)
+
+
+# Hostile provider replies. A value case stands as one row's vector in an
+# embeddings reply, as the content of a chat reply and as a cache line's
+# vector; a body case spoils a whole reply (or cache line) that is
+# otherwise good.
+HOSTILE_VALUES = {
+    "string": '"0.5"',
+    "bool": "[true]",
+    "null": "[null]",
+    "nan": "[NaN]",
+    "infinity": "[Infinity, 0.5]",
+    "all-zeros": "[0, 0.0, -0.0]",
+    "int-past-float-range": "[1" + "0" * 400 + "]",
+    "non-string-item": '["vertex labs", 1]',
+}
+HOSTILE_REPLIES = sorted([*HOSTILE_VALUES, "not-utf8", "nested-100000-deep"])
+LOCAL_16 = EmbedderConfig(dimension=16)
+
+
+def _spoiled(case: str | None, make, good: str) -> bytes:
+    """``make(value)``, a JSON object's text, with the hostile value of
+    ``case`` or, for no case or a body case, with ``good``; a body case
+    then spoils the whole text."""
+    if case == "nested-100000-deep":
+        return b"[" * 100_000
+    text = make(HOSTILE_VALUES.get(case, good)).encode()
+    if case == "not-utf8":
+        return text[:-1] + b', "model": "caf\xe9"}'
+    return text
+
+
+class _Provider:
+    """Answers provider requests in-process: with good replies (local
+    vectors of dimension 16, one entity), spoiled by ``case`` for each
+    request that holds ``poisoned``, or for every request when it is
+    None."""
+
+    def __init__(self):
+        self.case: str | None = None
+        self.poisoned: str | None = None
+
+    def post(self, url, **kwargs):
+        payload = kwargs["json"]
+        texts = payload.get("input") or [payload["messages"][-1]["content"]]
+        case = self.case if self.poisoned in (None, *texts) else None
+        if url.endswith("/embeddings"):
+            rows = [json.dumps(list(embed(t, LOCAL_16))) for t in texts]
+            bad = texts.index(self.poisoned) if self.poisoned in texts else 0
+
+            def make(value):
+                rows[bad] = value
+                return '{"data": [%s]}' % ", ".join('{"embedding": %s}' % r for r in rows)
+
+            body = _spoiled(case, make, rows[bad])
+        else:
+            body = _spoiled(
+                case,
+                lambda value: '{"choices": [{"message": {"content": %s}}]}'
+                % json.dumps(value),
+                '["vertex labs"]',
+            )
+        response = requests.Response()
+        response.status_code = 200
+        response._content = body
+        return response
+
+
+@pytest.fixture
+def provider(monkeypatch):
+    fake = _Provider()
+    monkeypatch.setattr(requests, "post", fake.post)
+    monkeypatch.setenv(remote.API_BASE_ENV, "http://127.0.0.1:9/v1")
+    monkeypatch.setenv(remote.API_KEY_ENV, "test-key")
+    return fake
+
+
+@pytest.mark.parametrize("case", HOSTILE_REPLIES)
+class TestHostileReply:
+    """Every hostile reply is a ProviderProtocolError wherever it arrives,
+    with the outcome documented for its caller. Fixes: a zero, NaN or
+    Infinity vector passed ``embed_batch``, and ``embed_many`` then raised
+    ZeroVectorError or a bare ValueError; a decomposition reply dropped an
+    item that is not a string; a body that is not UTF-8 was decoded by
+    guessing its encoding. Every other pair is a pin."""
+
+    REMOTE = EmbedderConfig(provider="remote")
+
+    def test_embed_batch(self, provider, case):
+        provider.case = case
+        with pytest.raises(ProviderProtocolError):
+            remote.embed_batch(["vertex labs", "ember corp"])
+
+    def test_embed_many_caches_nothing(self, provider, tmp_path, case):
+        provider.case = case
+        cache = EmbeddingCache(tmp_path / "cache.jsonl")
+        with pytest.raises(ProviderProtocolError):
+            embed_many(["vertex labs", "ember corp"], self.REMOTE, cache)
+        assert len(cache) == 0 and not cache.path.exists()
+
+    @pytest.mark.parametrize("call", [extract_entities, decompose_query])
+    def test_list_reply(self, provider, case, call):
+        provider.case = case
+        with pytest.raises(ProviderProtocolError):
+            call("Who built the annex for Vertex Labs?", ExtractorConfig(provider="remote"))
+
+    @pytest.mark.parametrize("stage, done", [("extraction", 0), ("embedding", 2)])
+    def test_build_index_aborts_with_its_progress(self, provider, case, stage, done):
+        provider.case = case
+        corpus = ingest_corpus(
+            [CORPUS_LINE, '{"doc_id": "d2", "text": "Analysts met Ember Corp."}']
+        )
+        extractor = ExtractorConfig(provider="remote" if stage == "extraction" else "local")
+        with pytest.raises(ProviderError) as caught:
+            build_index(corpus, extractor, self.REMOTE)
+        assert str(caught.value).startswith(
+            f"index build aborted ({done}/2 chunks processed): "
+        )
+        assert type(caught.value.__cause__) is ProviderProtocolError
+
+    def test_run_eval_counts_the_example_as_failed(self, provider, case):
+        examples = [
+            EvalExample(
+                f"q{n}", f"Who built the annex for {name}?", frozenset({(name, 0)}),
+                ((name, (f"{name} built the annex.",)),),
+            )
+            for n, name in enumerate(["Vertex Labs", "Ember Corp"])
+        ]
+        good = run_eval(examples, ExtractorConfig(), self.REMOTE)
+        provider.case, provider.poisoned = case, examples[0].question
+        report = run_eval(examples, ExtractorConfig(), self.REMOTE)
+        assert report.failed_count == 1 and report.per_example[0].failed
+        assert report.per_example[1] == good.per_example[1]
+        assert not good.per_example[1].failed and good.per_example[1].score.recall == 1.0
+
+    def test_cache_line_is_damaged(self, tmp_path, case):
+        path = tmp_path / "cache.jsonl"
+        line = _spoiled(
+            case,
+            lambda value: '{"embedder": "e", "digest": "d2", "vector": %s}' % value,
+            "[0.5]",
+        )
+        path.write_bytes(b'{"embedder": "e", "digest": "d1", "vector": [0.5]}\n' + line + b"\n")
+        with pytest.raises(ValueError) as caught:
+            EmbeddingCache(path)
+        assert str(caught.value) == f"embedding cache {path}: line 2 is damaged"
 
 
 class TestLineRule:

@@ -21,7 +21,6 @@ from slimrag.errors import (
     DimensionMismatchError,
     ProviderError,
     ProviderProtocolError,
-    ZeroVectorError,
 )
 from slimrag.extraction import ExtractorConfig, decompose_query, extract_entities
 
@@ -228,7 +227,7 @@ class TestEmbeddingsProtocol:
         cache = EmbeddingCache(tmp_path / "cache.jsonl")
         config = EmbedderConfig(provider="remote")
         server.enqueue(200, {"data": [{"embedding": [0.0, -0.0]}]})
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ProviderProtocolError):
             embed_many(["a"], config, cache)
         assert len(cache) == 0 and not cache.path.exists()
 
@@ -247,6 +246,34 @@ class TestEmbeddingsProtocol:
         with pytest.raises(ProviderProtocolError):
             embed_many(["a"], EmbedderConfig(provider="remote"), cache)
         assert len(cache) == 0 and not cache.path.exists()
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_rejected(self, batch_size):
+        """Fix: 0 raised a bare ``range()`` error at the first remote
+        request, and -1 a KeyError from embed_many."""
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            EmbedderConfig(provider="remote", batch_size=batch_size)
+
+    @pytest.mark.parametrize("reply", ["chat", "embeddings"])
+    def test_error_message_holds_at_most_200_characters_of_the_reply(
+        self, server, reply
+    ):
+        """Fix: the whole reply went into the message, 23,132 characters
+        for 3 rows of 1,536 strings."""
+        rows = [{"embedding": ["0.125"] * 1536}] * 3
+        body = {"data": rows} if reply == "embeddings" else {"choices": rows}
+        server.enqueue(200, body)
+        with pytest.raises(ProviderProtocolError) as caught:
+            if reply == "embeddings":
+                remote.embed_batch(["a", "b", "c"])
+            else:
+                remote.chat_completion("m", "s", "u")
+        reason = {
+            "chat": "chat response has no choices[0].message.content",
+            "embeddings": "malformed embeddings response "
+                          "(ValueError: vector is not a JSON array of numbers)",
+        }[reply]
+        assert str(caught.value) == f"{reason}: {repr(body)[:200]}"
 
     def test_embed_many_rejects_empty_text_before_any_request(self, server):
         config = EmbedderConfig(provider="remote")
@@ -410,12 +437,13 @@ class TestRetrieveRequestBound:
 
 class TestRetrieveChunkVectors:
     """A remote reply may hold chunk vectors of another dimension or a zero
-    vector; retrieve raises the package's error for it, as the per-pair
-    cosine did, never numpy's."""
+    vector; retrieve raises the package's error for it, never numpy's: a
+    zero vector is a fault of the reply, and a dimension mismatch one
+    between vectors, found where they meet."""
 
     @pytest.mark.parametrize(
         "bad, error",
-        [([0.5] * 15, DimensionMismatchError), ([0.0] * 16, ZeroVectorError)],
+        [([0.5] * 15, DimensionMismatchError), ([0.0] * 16, ProviderProtocolError)],
         ids=["mixed-dimension", "zero-vector"],
     )
     def test_bad_chunk_vector_raises_package_error(self, server, bad, error):
