@@ -1,5 +1,12 @@
 r"""Command-line interface: index build/add/stats, retrieve, eval.
 
+``index build`` and ``eval`` choose the providers with ``--extractor``,
+``--embedder``, ``--model``, ``--embed-model``, ``--dimension``, ``--coref``,
+``--gazetteer`` and ``--aliases``. ``index add`` and ``retrieve`` take no
+provider flags: they use the extractor and embedder the index records.
+``retrieve`` and ``eval`` take ``--decomp``; every subcommand but
+``index stats`` takes ``--cache``.
+
 Exit codes: 0 success, 1 usage error, 2 runtime failure. With
 ``--output json`` exactly one JSON document goes to stdout; diagnostics go
 to stderr. Secrets are environment-only (SLIMRAG_API_KEY, SLIMRAG_API_BASE).
@@ -15,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import SegmentationPolicy, has_lone_surrogate, ingest_corpus, read_lines
@@ -29,6 +37,17 @@ from .retrieval import RetrievalParams, retrieve
 
 
 _DEFAULTS = RetrievalParams()
+# --show-config entries: each key shows the flag (an argparse dest) it names,
+# and an entry shows only the flags its command takes.
+_SHOWN = {
+    "extractor": {"provider": "extractor", "coreference_enabled": "coref",
+                  "decomposition_enabled": "decomp", "gazetteer": "gazetteer",
+                  "aliases": "aliases", "model": "model"},
+    "embedder": {"provider": "embedder", "dimension": "dimension",
+                 "model": "embed_model"},
+    "paths": {flag: flag for flag in ("corpus", "out", "index", "query", "dataset",
+                                      "report", "csv", "trace", "cache", "policy")},
+}
 _CSV_COLUMNS = ("question_id", "accuracy", "recall", "f1", "retrieved_count",
                 "gold_count", "failed", "trace_digest")
 
@@ -76,24 +95,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="slimrag", description=__doc__)
     subs = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, providers=False, decomp=False, cache=True):
         p.add_argument("--output", choices=("human", "json"), default="human")
         p.add_argument(
             "--show-config",
             action="store_true",
             help="print the effective configuration as JSON and exit",
         )
-        p.add_argument("--extractor", choices=("local", "remote"), default="local")
-        p.add_argument("--embedder", choices=("local", "remote"), default="local")
-        p.add_argument("--model", default=None, help="remote chat model name")
-        p.add_argument("--embed-model", default=None, help="remote embedding model")
-        p.add_argument("--dimension", type=_positive, default=None,
-                       help=f"local embedder dimension (default {DEFAULT_DIMENSION})")
-        p.add_argument("--coref", type=_on_off, default=True, metavar="on|off")
-        p.add_argument("--decomp", type=_on_off, default=True, metavar="on|off")
-        p.add_argument("--gazetteer", default=None, help="entity-per-line file")
-        p.add_argument("--aliases", default=None, help="alias<TAB>canonical file")
-        p.add_argument("--cache", default=None, help="embedding cache file")
+        if providers:
+            p.add_argument("--extractor", choices=("local", "remote"), default="local")
+            p.add_argument("--embedder", choices=("local", "remote"), default="local")
+            p.add_argument("--model", default=None, help="remote chat model name")
+            p.add_argument("--embed-model", default=None,
+                           help="remote embedding model")
+            p.add_argument("--dimension", type=_positive, default=DEFAULT_DIMENSION,
+                           help="local embedder dimension (default %(default)s)")
+            p.add_argument("--coref", type=_on_off, default=True, metavar="on|off")
+            p.add_argument("--gazetteer", default=None, help="entity-per-line file")
+            p.add_argument("--aliases", default=None, help="alias<TAB>canonical file")
+        if decomp:
+            p.add_argument("--decomp", type=_on_off, default=True, metavar="on|off")
+        if cache:
+            p.add_argument("--cache", default=None, help="embedding cache file")
 
     def retrieval_knobs(p):
         p.add_argument("--k", type=_positive, default=_DEFAULTS.k)
@@ -109,7 +132,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--out", default=None, help="index output path")
     p_build.add_argument("--policy", type=_policy, default="sentence",
                          help="sentence | fixed:N | passthrough")
-    common(p_build)
+    common(p_build, providers=True)
     p_build.set_defaults(handler=_cmd_index_build)
 
     p_add = index_subs.add_parser("add")
@@ -120,7 +143,7 @@ def build_parser() -> _Parser:
 
     p_stats = index_subs.add_parser("stats")
     p_stats.add_argument("--index", default=None)
-    common(p_stats)
+    common(p_stats, cache=False)
     p_stats.set_defaults(handler=_cmd_index_stats)
 
     p_retrieve = subs.add_parser("retrieve", help="run a query against an index")
@@ -130,7 +153,7 @@ def build_parser() -> _Parser:
     p_retrieve.add_argument("--weights", type=_on_off,
                             default=_DEFAULTS.use_entity_weights, metavar="on|off")
     p_retrieve.add_argument("--trace", default=None, help="write the trace JSON here")
-    common(p_retrieve)
+    common(p_retrieve, decomp=True)
     p_retrieve.set_defaults(handler=_cmd_retrieve)
 
     p_eval = subs.add_parser("eval", help="evaluate over a HotpotQA-format dataset")
@@ -140,32 +163,26 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--scope", choices=("per-example", "pooled"),
                         default="per-example")
     retrieval_knobs(p_eval)
-    common(p_eval)
+    common(p_eval, providers=True, decomp=True)
     p_eval.set_defaults(handler=_cmd_eval)
 
     return parser
 
 
 def _extractor_config(args) -> ExtractorConfig:
-    gazetteer = load_gazetteer(args.gazetteer) if args.gazetteer else ()
-    aliases = load_aliases(args.aliases) if args.aliases else ()
     return ExtractorConfig(
         provider=args.extractor,
         coreference_enabled=args.coref,
-        decomposition_enabled=args.decomp,
-        gazetteer=gazetteer,
-        aliases=aliases,
+        decomposition_enabled=getattr(args, "decomp", True),
+        gazetteer=load_gazetteer(args.gazetteer) if args.gazetteer else (),
+        aliases=load_aliases(args.aliases) if args.aliases else (),
         remote_model=args.model if args.extractor == "remote" else None,
     )
 
 
 def _embedder_config(args) -> EmbedderConfig:
-    kwargs = {}
-    if args.dimension is not None:
-        kwargs["dimension"] = args.dimension
-    if args.embed_model is not None:
-        kwargs["remote_model"] = args.embed_model
-    return EmbedderConfig(provider=args.embedder, **kwargs)
+    model = {} if args.embed_model is None else {"remote_model": args.embed_model}
+    return EmbedderConfig(provider=args.embedder, dimension=args.dimension, **model)
 
 
 def _params(args) -> RetrievalParams:
@@ -178,36 +195,21 @@ def _params(args) -> RetrievalParams:
 
 
 def _effective_config(args) -> dict:
-    return {
+    config = {
         "command": args.command,
         "params": _params(args).to_document(),
-        "extractor": {
-            "provider": args.extractor,
-            "coreference_enabled": args.coref,
-            "decomposition_enabled": args.decomp,
-            "gazetteer": args.gazetteer,
-            "aliases": args.aliases,
-            "model": args.model,
-        },
-        "embedder": {
-            "provider": args.embedder,
-            "dimension": (
-                args.dimension if args.dimension is not None else DEFAULT_DIMENSION
-            ),
-            "model": args.embed_model,
-        },
-        "paths": {
-            key: getattr(args, key)
-            for key in ("corpus", "out", "index", "query", "dataset", "report",
-                        "csv", "trace", "cache", "policy")
-            if hasattr(args, key)
-        },
         "output": args.output,
         "env": {
             API_KEY_ENV: "set" if os.environ.get(API_KEY_ENV) else "unset",
             API_BASE_ENV: os.environ.get(API_BASE_ENV) or "unset",
         },
     }
+    for entry, flags in _SHOWN.items():
+        shown = {key: getattr(args, flag) for key, flag in flags.items()
+                 if hasattr(args, flag)}
+        if shown:
+            config[entry] = shown
+    return config
 
 
 def _require(args, *names) -> None:
@@ -260,8 +262,9 @@ def _cmd_index_add(args) -> int:
     corpus = ingest_corpus(
         read_lines(args.corpus), SegmentationPolicy.parse(index.config.segmentation)
     )
-    updated = add_chunks(index, list(corpus.chunks), _extractor_config(args),
-                         _embedder_config(args), cache=_cache(args))
+    embedder = EmbedderConfig.from_id(index.config.embedder_id)
+    updated = add_chunks(index, list(corpus.chunks), index.config.extractor,
+                         embedder, cache=_cache(args))
     save_index(updated, args.index)
     document = {
         "index": args.index,
@@ -280,6 +283,7 @@ def _cmd_index_stats(args) -> int:
     _require(args, "index")
     index = load_index(args.index)
     report = compute_ritu(index.accounting)
+    extractor = index.config.extractor
     document = {
         "chunks": len(index.chunk_catalog),
         "entities": len(index.inverted_map),
@@ -287,6 +291,7 @@ def _cmd_index_stats(args) -> int:
         "tctc": report.tctc,
         "ritu": report.ritu,
         "breakdown": dict(sorted(report.breakdown.items())),
+        "extractor": extractor.fingerprint_fields(),
         "embedder_id": index.config.embedder_id,
         "tokenizer": index.config.tokenizer,
         "segmentation": index.config.segmentation,
@@ -298,6 +303,9 @@ def _cmd_index_stats(args) -> int:
         f"TUIC: {report.tuic}",
         f"TCTC: {report.tctc}",
         f"RITU: {report.ritu:.4f}",
+        f"providers: extractor {extractor.provider}, coreference "
+        f"{'on' if extractor.coreference_enabled else 'off'}, "
+        f"embedder {index.config.embedder_id}",
     ])
     return 0
 
@@ -305,8 +313,8 @@ def _cmd_index_stats(args) -> int:
 def _cmd_retrieve(args) -> int:
     _require(args, "index", "query")
     index = load_index(args.index)
-    context = retrieve(index, args.query, _params(args), _extractor_config(args),
-                       _embedder_config(args), _cache(args))
+    extractor = replace(index.config.extractor, decomposition_enabled=args.decomp)
+    context = retrieve(index, args.query, _params(args), extractor, cache=_cache(args))
     if args.trace:
         Path(args.trace).write_text(
             canonical_json(context.trace.to_document()) + "\n", encoding="utf-8"

@@ -135,6 +135,18 @@ class EmbedderConfig:
             return f"local-hash/v1:{self.dimension}:{DEFAULT_SEED:#x}"
         return f"remote:{self.remote_model}"
 
+    @classmethod
+    def from_id(cls, embedder_id: str) -> "EmbedderConfig":
+        """The config whose :attr:`embedder_id` is ``embedder_id``. ValueError
+        when none is: the parsed config must give back the same id, so another
+        seed or a padded dimension fails that one check."""
+        name, _, rest = embedder_id.partition(":")
+        config = (cls(provider="remote", remote_model=rest) if name == "remote"
+                  else cls(dimension=int(rest.partition(":")[0])))
+        if config.embedder_id != embedder_id:
+            raise ValueError(f"not an embedder id: {embedder_id!r}")
+        return config
+
 
 def _fnv1a64(data: bytes) -> int:
     h = _FNV_INITIAL

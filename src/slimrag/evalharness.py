@@ -6,16 +6,17 @@ sentence lists. Sentences become pre-chunked corpus records with
 ``doc_id = title`` and ``position = sentence index``, so gold facts map
 directly onto chunk ids.
 
-A title may appear once in an entry's context, and no sentence may be
-blank. The scope only groups the examples: ``per-example`` builds a fresh
-index over each example's own context documents (the distractor setting);
-``pooled`` builds one index over the union of all contexts, where a title
-shared by several examples is indexed once. Reported index time covers
-index construction only. Examples whose retrieval fails are scored zero and
-counted, never silently dropped: a ProviderError, including a reply that
-fails the rules of :mod:`slimrag.remote` (ProviderProtocolError), fails
-that example only, and the others are scored as usual. A provider failure
-while an index is built aborts the run.
+A title must be non-empty and may appear once in an entry's context, and no
+sentence may be blank. The scope only groups the examples: ``per-example``
+builds a fresh index over each example's own context documents (the
+distractor setting); ``pooled`` builds one index over the union of all
+contexts, where a title shared by several examples is indexed once and must
+hold the same sentences in each (MalformedRecordError otherwise). Reported
+index time covers index construction only. Examples whose retrieval fails
+are scored zero and counted, never silently dropped: a ProviderError,
+including a reply that fails the rules of :mod:`slimrag.remote`
+(ProviderProtocolError), fails that example only, and the others are scored
+as usual. A provider failure while an index is built aborts the run.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def _parse_example(entry: dict, position: int) -> EvalExample:
         )
     titles: set[str] = set()
     for title, sentences in context:
+        if not title:
+            raise MalformedRecordError(f"entry {position}: a context title is empty")
         if title in titles:
             raise MalformedRecordError(
                 f"entry {position}: context title {title!r} appears twice"
@@ -216,14 +219,20 @@ def load_hotpotqa(path: str | Path) -> list[EvalExample]:
 
 def _corpus(examples: list[EvalExample]) -> Corpus:
     """The pre-chunked corpus of the examples' context documents; a title an
-    earlier example already brought is indexed once."""
-    seen: set[str] = set()
+    earlier example already brought is indexed once, and MalformedRecordError
+    is raised when it brings other sentences."""
+    first: dict[str, tuple[tuple[str, ...], str]] = {}
     rows = []
     for example in examples:
         for title, sentences in example.context_docs:
-            if title not in seen:
-                seen.add(title)
+            if title not in first:
+                first[title] = (sentences, example.question_id)
                 rows.extend((title, idx, s) for idx, s in enumerate(sentences))
+            elif first[title][0] != sentences:
+                raise MalformedRecordError(
+                    f"context title {title!r} has other sentences in question "
+                    f"{example.question_id!r} than in {first[title][1]!r}"
+                )
     return corpus_from_chunks(rows)
 
 

@@ -269,12 +269,16 @@ def retrieve(
     embedder: EmbedderConfig | None = None,
     cache: EmbeddingCache | None = None,
 ) -> Context:
-    """Run the full entity-guided retrieval pipeline for one query."""
+    """Run the full entity-guided retrieval pipeline for one query. The
+    extractor and embedder default to the ones the index records
+    (``index.config.extractor`` and ``index.config.embedder_id``). Providers
+    the index does not record raise ConfigMismatchError; the extractor's
+    ``decomposition_enabled`` may differ, since it shapes queries only."""
     if not q.strip():
         raise ValueError("query is empty")
     params = params or RetrievalParams()
     extractor = extractor or index.config.extractor
-    embedder = embedder or EmbedderConfig()
+    embedder = embedder or EmbedderConfig.from_id(index.config.embedder_id)
     check_compatible(index, extractor, embedder)
 
     trace = Trace(query=q, params=params.to_document())

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, rewrite_index
 from slimrag.cli import main
+from slimrag.corpus import SegmentationPolicy, ingest_corpus, read_lines
 from slimrag.embedding import EmbedderConfig
 from slimrag.evalharness import load_hotpotqa, run_eval
-from slimrag.extraction import ExtractorConfig
-from slimrag.retrieval import RetrievalParams
+from slimrag.extraction import ExtractorConfig, load_aliases, load_gazetteer
+from slimrag.index import add_chunks, canonical_json, load_index
+from slimrag.retrieval import RetrievalParams, retrieve
 
 
 @pytest.fixture
@@ -395,11 +398,94 @@ class TestRetrieveCommand:
         main(["retrieve", "--index", str(built_index), "--query", "Ember Corp?"])
         assert built_index.read_bytes() == before
 
-    def test_coref_flag_must_match_index(self, built_index, capsys):
-        code = main(["retrieve", "--index", str(built_index),
-                     "--query", "x?", "--coref", "off"])
-        assert code == 2
-        assert "fingerprint" in capsys.readouterr().err
+
+
+class TestProvidersFromIndex:
+    """``index add`` and ``retrieve`` use the extractor and embedder the
+    index records; only ``index build`` and ``eval`` choose them."""
+
+    @pytest.fixture
+    def plain_index(self, tmp_path, corpus_file, capsys):
+        gazetteer = tmp_path / "gazetteer.txt"
+        gazetteer.write_text("mill district\nannex\n", encoding="utf-8")
+        path = tmp_path / "index.json"
+        assert main(["index", "build", "--corpus", str(corpus_file), "--out", str(path),
+                     "--dimension", "64", "--coref", "off",
+                     "--gazetteer", str(gazetteer),
+                     "--aliases", str(DATA_DIR / "aliases.tsv")]) == 0
+        capsys.readouterr()
+        extractor = ExtractorConfig(
+            coreference_enabled=False,
+            gazetteer=load_gazetteer(gazetteer),
+            aliases=load_aliases(DATA_DIR / "aliases.tsv"),
+        )
+        return path, extractor, EmbedderConfig(dimension=64)
+
+    def test_bare_add_retrieve_and_stats_use_the_index_providers(
+        self, plain_index, tmp_path, capsys
+    ):
+        path, extractor, embedder = plain_index
+        extra = tmp_path / "extra.jsonl"
+        extra.write_text(json.dumps({
+            "doc_id": "d3", "text": "Crews from Garnet Works repaired the annex.",
+        }) + "\n", encoding="utf-8")
+        expected = add_chunks(load_index(path), list(ingest_corpus(
+            read_lines(extra), SegmentationPolicy("sentence")).chunks),
+            extractor, embedder)
+        assert main(["index", "add", "--index", str(path),
+                     "--corpus", str(extra)]) == 0
+        assert load_index(path) == expected
+
+        trace = tmp_path / "trace.json"
+        query = "Who repaired the annex in the mill district?"
+        assert main(["retrieve", "--index", str(path), "--query", query,
+                     "--trace", str(trace), "--decomp", "off"]) == 0
+        context = retrieve(expected, query, RetrievalParams(),
+                           replace(extractor, decomposition_enabled=False), embedder)
+        document = canonical_json(context.trace.to_document()) + "\n"
+        assert trace.read_bytes() == document.encode("utf-8")
+        assert context.trace.hit_entities and context.chunks
+
+        capsys.readouterr()
+        assert main(["index", "stats", "--index", str(path), "--output", "json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        fields = canonical_json(extractor.fingerprint_fields())
+        assert stats["extractor"] == json.loads(fields)
+        assert stats["embedder_id"] == embedder.embedder_id
+        assert main(["index", "stats", "--index", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"providers: extractor local, coreference off, "
+            f"embedder {embedder.embedder_id}"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "stats", "--dimension", "3"],
+        ["index", "stats", "--cache", "cache.jsonl"],
+        ["index", "add", "--coref", "off"],
+        ["index", "add", "--decomp", "off"],
+        ["retrieve", "--embedder", "remote"],
+        ["retrieve", "--coref", "off"],
+        ["index", "build", "--decomp", "off"],
+    ], ids=" ".join)
+    def test_removed_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, entries", [
+        (["index", "build"], {"extractor", "embedder"}),
+        (["eval"], {"extractor", "embedder"}),
+        (["retrieve", "--decomp", "off"], {"extractor"}),
+        (["index", "add"], set()),
+        (["index", "stats"], set()),
+    ], ids=["index build", "eval", "retrieve", "index add", "index stats"])
+    def test_show_config_names_only_the_providers_a_command_takes(
+        self, argv, entries, capsys
+    ):
+        assert main([*argv, "--show-config"]) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert entries == {"extractor", "embedder"} & set(config)
+        if argv[0] == "retrieve":
+            assert config["extractor"] == {"decomposition_enabled": False}
 
 
 class TestBuildFailure:

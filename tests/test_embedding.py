@@ -128,6 +128,43 @@ class TestLocalEmbedder:
         assert int(np.abs(counts).sum()) % 2 == 1
 
 
+class TestEmbedderId:
+    @given(st.one_of(
+        st.builds(EmbedderConfig, dimension=st.integers(1, 4096)),
+        st.builds(EmbedderConfig, provider=st.just("remote"), remote_model=st.one_of(
+            st.sampled_from(["", ":", "a:b", "remote:x", "local-hash/v1:64:0x1"]),
+            st.text(),
+        )),
+    ))
+    def test_from_id_inverts_embedder_id(self, config):
+        assert EmbedderConfig.from_id(config.embedder_id) == config
+
+    @pytest.mark.parametrize("embedder_id", [
+        "",
+        "remote",
+        "local",
+        "local-hash/v1",
+        "local-hash/v1:",
+        "local-hash/v1:64",
+        f"local-hash/v1:064:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:+64:{DEFAULT_SEED:#x}",
+        f"local-hash/v1: 64:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:6_4:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:0:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:-64:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:sixty:{DEFAULT_SEED:#x}",
+        "local-hash/v1:64:0x1",
+        f"local-hash/v1:64:{DEFAULT_SEED}",
+        f"local-hash/v1:64:{DEFAULT_SEED:#x}:",
+        f"local-hash/v2:64:{DEFAULT_SEED:#x}",
+        f"Local-hash/v1:64:{DEFAULT_SEED:#x}",
+        "remote-x:model",
+    ])
+    def test_malformed_id_is_rejected(self, embedder_id):
+        with pytest.raises(ValueError):
+            EmbedderConfig.from_id(embedder_id)
+
+
 class TestCosine:
     def test_identity(self):
         vec = embed("self", LOCAL64)

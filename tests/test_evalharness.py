@@ -128,6 +128,13 @@ class TestLoad:
         with pytest.raises(MalformedRecordError):
             load_hotpotqa_detailed(_write_dataset(tmp_path, [bad]))
 
+    def test_empty_context_title_is_named_by_entry(self, tmp_path):
+        bad = _entry()
+        bad["context"] = bad["context"] + [["", ["A sentence."]]]
+        with pytest.raises(MalformedRecordError,
+                           match="^entry 1: a context title is empty$"):
+            load_hotpotqa_detailed(_write_dataset(tmp_path, [_entry(), bad]))
+
     def test_empty_gold_facts_skipped(self, tmp_path):
         bad = _entry()
         bad["supporting_facts"] = []
@@ -194,6 +201,27 @@ class TestRunEval:
             for sentence in sentences
         )
         assert pooled.ritu.tctc == expected
+
+    def test_pooled_title_with_other_sentences_is_rejected(self, tmp_path):
+        second = _entry("Where is Ember Corp?")
+        second["_id"] = "fixture-1"
+        second["context"][1][1][0] = "the filings were long."
+        examples = load_hotpotqa(_write_dataset(tmp_path, [_entry(), second]))
+        with pytest.raises(
+            MalformedRecordError,
+            match="'Ember Corp' has other sentences in question 'fixture-1' "
+                  "than in 'fixture-0'",
+        ):
+            run_eval(examples, LOCAL, EMB, scope="pooled")
+        assert not run_eval(examples, LOCAL, EMB).failed_count
+
+    def test_pooled_title_with_the_same_sentences_is_indexed_once(self, tmp_path):
+        second = _entry("Where is Ember Corp?")
+        second["_id"] = "fixture-1"
+        examples = load_hotpotqa(_write_dataset(tmp_path, [_entry(), second]))
+        pooled = run_eval(examples, LOCAL, EMB, scope="pooled")
+        alone = run_eval(examples[:1], LOCAL, EMB, scope="pooled")
+        assert pooled.ritu.tctc == alone.ritu.tctc
 
     @pytest.mark.parametrize("name", ["smoke", "ablation"])
     def test_one_example_scores_alike_in_both_scopes(self, name):

@@ -103,6 +103,17 @@ class TestRetrieveExamples:
         with pytest.raises(ValueError):
             retrieve(index, "  ", RetrievalParams(), LOCAL, EMB)
 
+    def test_default_providers_are_the_ones_the_index_records(self):
+        _, index = _six_chunk_index()
+        q = "What did Vertex Labs build and who runs Ember Corp?"
+        explicit = retrieve(index, q, RetrievalParams(), LOCAL, EMB)
+        default = retrieve(index, q)
+        assert explicit.trace.hit_entities
+        assert canonical_json(default.trace.to_document()) == canonical_json(
+            explicit.trace.to_document()
+        )
+        assert (default.chunks, default.text) == (explicit.chunks, explicit.text)
+
 
 class TestMatchQueryEntities:
     def test_empty_query_set(self):
