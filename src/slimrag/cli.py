@@ -5,7 +5,12 @@ r"""Command-line interface: index build/add/stats, retrieve, eval.
 ``--gazetteer`` and ``--aliases``. ``index add`` and ``retrieve`` take no
 provider flags: they use the extractor and embedder the index records.
 ``retrieve`` and ``eval`` take ``--decomp``; every subcommand but
-``index stats`` takes ``--cache``.
+``index stats`` takes ``--cache``. ``--model`` needs ``--extractor remote``
+and ``--embed-model`` needs ``--embedder remote``.
+
+``--show-config`` prints ``command`` (the subcommand path), ``flags`` (every
+value the subcommand's parser produced), ``env`` and, on ``retrieve`` and
+``eval``, the retrieval ``params``.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. With
 ``--output json`` exactly one JSON document goes to stdout; diagnostics go
@@ -37,19 +42,8 @@ from .retrieval import RetrievalParams, retrieve
 
 
 _DEFAULTS = RetrievalParams()
-# --show-config entries: each key shows the flag (an argparse dest) it names,
-# and an entry shows only the flags its command takes.
-_SHOWN = {
-    "extractor": {"provider": "extractor", "coreference_enabled": "coref",
-                  "decomposition_enabled": "decomp", "gazetteer": "gazetteer",
-                  "aliases": "aliases", "model": "model"},
-    "embedder": {"provider": "embedder", "dimension": "dimension",
-                 "model": "embed_model"},
-    "paths": {flag: flag for flag in ("corpus", "out", "index", "query", "dataset",
-                                      "report", "csv", "trace", "cache", "policy")},
-}
-_CSV_COLUMNS = ("question_id", "accuracy", "recall", "f1", "retrieved_count",
-                "gold_count", "failed", "trace_digest")
+# Namespace entries that pick the handler rather than configure it.
+_DISPATCH = ("command", "handler", "show_config")
 
 
 class _UsageError(Exception):
@@ -93,7 +87,12 @@ def _text(value: str) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="slimrag", description=__doc__)
-    subs = parser.add_subparsers(dest="command")
+    subs = parser.add_subparsers(required=True)
+
+    def command(group, name, handler, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(command=p.prog.partition(" ")[2], handler=handler)
+        return p
 
     def common(p, providers=False, decomp=False, cache=True):
         p.add_argument("--output", choices=("human", "json"), default="human")
@@ -125,28 +124,26 @@ def build_parser() -> _Parser:
                        default=_DEFAULTS.token_limit)
 
     index_parser = subs.add_parser("index", help="build, extend, or inspect an index")
-    index_subs = index_parser.add_subparsers(dest="index_command")
+    index_subs = index_parser.add_subparsers(required=True)
 
-    p_build = index_subs.add_parser("build")
+    p_build = command(index_subs, "build", _cmd_index_build)
     p_build.add_argument("--corpus", default=None, help="corpus JSONL path")
     p_build.add_argument("--out", default=None, help="index output path")
     p_build.add_argument("--policy", type=_policy, default="sentence",
                          help="sentence | fixed:N | passthrough")
     common(p_build, providers=True)
-    p_build.set_defaults(handler=_cmd_index_build)
 
-    p_add = index_subs.add_parser("add")
+    p_add = command(index_subs, "add", _cmd_index_add)
     p_add.add_argument("--index", default=None)
     p_add.add_argument("--corpus", default=None, help="corpus JSONL of new chunks")
     common(p_add)
-    p_add.set_defaults(handler=_cmd_index_add)
 
-    p_stats = index_subs.add_parser("stats")
+    p_stats = command(index_subs, "stats", _cmd_index_stats)
     p_stats.add_argument("--index", default=None)
     common(p_stats, cache=False)
-    p_stats.set_defaults(handler=_cmd_index_stats)
 
-    p_retrieve = subs.add_parser("retrieve", help="run a query against an index")
+    p_retrieve = command(subs, "retrieve", _cmd_retrieve,
+                         help="run a query against an index")
     p_retrieve.add_argument("--index", default=None)
     p_retrieve.add_argument("--query", type=_text, default=None)
     retrieval_knobs(p_retrieve)
@@ -154,9 +151,9 @@ def build_parser() -> _Parser:
                             default=_DEFAULTS.use_entity_weights, metavar="on|off")
     p_retrieve.add_argument("--trace", default=None, help="write the trace JSON here")
     common(p_retrieve, decomp=True)
-    p_retrieve.set_defaults(handler=_cmd_retrieve)
 
-    p_eval = subs.add_parser("eval", help="evaluate over a HotpotQA-format dataset")
+    p_eval = command(subs, "eval", _cmd_eval,
+                     help="evaluate over a HotpotQA-format dataset")
     p_eval.add_argument("--dataset", default=None)
     p_eval.add_argument("--report", default=None, help="report JSON output path")
     p_eval.add_argument("--csv", default=None, help="optional per-example CSV path")
@@ -164,7 +161,6 @@ def build_parser() -> _Parser:
                         default="per-example")
     retrieval_knobs(p_eval)
     common(p_eval, providers=True, decomp=True)
-    p_eval.set_defaults(handler=_cmd_eval)
 
     return parser
 
@@ -176,7 +172,7 @@ def _extractor_config(args) -> ExtractorConfig:
         decomposition_enabled=getattr(args, "decomp", True),
         gazetteer=load_gazetteer(args.gazetteer) if args.gazetteer else (),
         aliases=load_aliases(args.aliases) if args.aliases else (),
-        remote_model=args.model if args.extractor == "remote" else None,
+        remote_model=args.model,
     )
 
 
@@ -186,29 +182,30 @@ def _embedder_config(args) -> EmbedderConfig:
 
 
 def _params(args) -> RetrievalParams:
-    return RetrievalParams(
-        k=getattr(args, "k", _DEFAULTS.k),
-        h=getattr(args, "h", _DEFAULTS.h),
-        token_limit=getattr(args, "token_limit", _DEFAULTS.token_limit),
-        use_entity_weights=getattr(args, "weights", _DEFAULTS.use_entity_weights),
+    return RetrievalParams(  # eval has no --weights flag
+        k=args.k, h=args.h, token_limit=args.token_limit,
+        use_entity_weights=args.command == "retrieve" and args.weights,
     )
+
+
+def _check_models(args) -> None:
+    for flag, provider in (("model", "extractor"), ("embed_model", "embedder")):
+        if vars(args).get(flag) is not None and vars(args)[provider] != "remote":
+            raise _UsageError(f"--{flag.replace('_', '-')} needs --{provider} remote")
 
 
 def _effective_config(args) -> dict:
     config = {
         "command": args.command,
-        "params": _params(args).to_document(),
-        "output": args.output,
+        "flags": {dest: value for dest, value in vars(args).items()
+                  if dest not in _DISPATCH},
         "env": {
             API_KEY_ENV: "set" if os.environ.get(API_KEY_ENV) else "unset",
             API_BASE_ENV: os.environ.get(API_BASE_ENV) or "unset",
         },
     }
-    for entry, flags in _SHOWN.items():
-        shown = {key: getattr(args, flag) for key, flag in flags.items()
-                 if hasattr(args, flag)}
-        if shown:
-            config[entry] = shown
+    if args.command in ("retrieve", "eval"):
+        config["params"] = _params(args).to_document()
     return config
 
 
@@ -291,10 +288,7 @@ def _cmd_index_stats(args) -> int:
         "tctc": report.tctc,
         "ritu": report.ritu,
         "breakdown": dict(sorted(report.breakdown.items())),
-        "extractor": extractor.fingerprint_fields(),
-        "embedder_id": index.config.embedder_id,
-        "tokenizer": index.config.tokenizer,
-        "segmentation": index.config.segmentation,
+        **index.config.to_document(),
         "config_fingerprint": index.config.fingerprint,
     }
     _emit(args, document, [
@@ -348,9 +342,10 @@ def _cmd_eval(args) -> int:
     Path(args.report).write_text(canonical_json(document) + "\n", encoding="utf-8")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, _CSV_COLUMNS)
+            rows = [row.to_document() for row in report.per_example]
+            writer = csv.DictWriter(handle, list(rows[0]))
             writer.writeheader()
-            writer.writerows(row.to_document() for row in report.per_example)
+            writer.writerows(rows)
     _emit(args, document, [
         f"examples: {len(report.per_example)} (failed: {report.failed_count})",
         f"accuracy: {report.aggregate.accuracy:.4f}",
@@ -368,11 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a subcommand is required")
-        if args.command == "index" and args.index_command is None:
-            raise _UsageError("an index subcommand is required (build/add/stats)")
-        if getattr(args, "show_config", False):
+        _check_models(args)
+        if args.show_config:
             print(canonical_json(_effective_config(args)))
             return 0
         return args.handler(args)

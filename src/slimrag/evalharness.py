@@ -75,8 +75,8 @@ class ExampleResult:
             "f1": self.score.f1,
             "retrieved_count": self.score.retrieved_count,
             "gold_count": self.score.gold_count,
-            "trace_digest": self.trace_digest,
             "failed": self.failed,
+            "trace_digest": self.trace_digest,
         }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, rewrite_index
-from slimrag.cli import main
+from slimrag.cli import build_parser, main
 from slimrag.corpus import SegmentationPolicy, ingest_corpus, read_lines
 from slimrag.embedding import EmbedderConfig
 from slimrag.evalharness import load_hotpotqa, run_eval
@@ -59,16 +59,39 @@ class TestShowConfig:
         assert config["params"] == RetrievalParams(k=7).to_document()
 
     def test_valid_flag_values_are_shown_as_given(self, capsys):
-        argv = ["index", "build", "--policy", "fixed:2", "--dimension", "8"]
+        argv = ["index", "build", "--policy", "fixed:2", "--dimension", "8",
+                "--extractor", "remote", "--model", "m"]
         assert main([*argv, "--show-config"]) == 0
         config = json.loads(capsys.readouterr().out)
-        assert config["paths"]["policy"] == "fixed:2"
-        assert config["embedder"]["dimension"] == 8
-        argv = ["eval", "--k", "1", "--h", "2", "--token-limit", "3"]
+        assert config["flags"]["policy"] == "fixed:2"
+        assert config["flags"]["dimension"] == 8
+        assert config["flags"]["model"] == "m"
+        argv = ["eval", "--k", "1", "--h", "2", "--token-limit", "3",
+                "--scope", "pooled"]
         assert main([*argv, "--show-config"]) == 0
         config = json.loads(capsys.readouterr().out)
+        assert config["flags"]["scope"] == "pooled"
         params = RetrievalParams(k=1, h=2, token_limit=3)
         assert config["params"] == params.to_document()
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "build", "--model", "m", "--corpus", "{corpus}", "--out", "{out}"],
+        ["eval", "--embed-model", "e", "--dataset", "{dataset}", "--report", "{out}"],
+        ["index", "build", "--model", "m", "--show-config"],
+    ], ids=["index build --model", "eval --embed-model",
+            "index build --model --show-config"])
+    def test_model_without_remote_provider_is_usage_error(
+        self, argv, corpus_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json"
+        paths = {"corpus": corpus_file, "out": out,
+                 "dataset": DATA_DIR / "smoke_dataset.json"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        flag, provider = (("--model", "--extractor") if "--model" in argv
+                          else ("--embed-model", "--embedder"))
+        assert captured.err == f"usage error: {flag} needs {provider} remote\n"
+        assert captured.out == "" and not out.exists()
 
     def test_secrets_masked(self, capsys, monkeypatch):
         monkeypatch.setenv("SLIMRAG_API_KEY", "super-secret")
@@ -88,6 +111,14 @@ class TestExitCodes:
 
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, choices", [
+        ([], "{index,retrieve,eval}"),
+        (["index"], "{build,add,stats}"),
+    ], ids=["slimrag", "slimrag index"])
+    def test_missing_subcommand_names_the_choices(self, argv, choices, capsys):
+        assert main(argv) == 1
+        assert choices in capsys.readouterr().err
 
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code = main(["index", "stats", "--index", str(tmp_path / "absent.json")])
@@ -343,6 +374,15 @@ class TestIndexCommands:
         assert stats["entities"] == 3
         assert stats["ritu"] > 0
 
+    def test_stats_json_carries_the_index_config_document(self, built_index, capsys):
+        assert main(["index", "stats", "--index", str(built_index),
+                     "--output", "json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        config = load_index(built_index).config
+        document = config.to_document()
+        assert {key: stats[key] for key in document} == document
+        assert stats["config_fingerprint"] == config.fingerprint
+
     def test_stats_on_empty_corpus_index(self, tmp_path, capsys):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("", encoding="utf-8")
@@ -474,18 +514,27 @@ class TestProvidersFromIndex:
     @pytest.mark.parametrize("argv, entries", [
         (["index", "build"], {"extractor", "embedder"}),
         (["eval"], {"extractor", "embedder"}),
-        (["retrieve", "--decomp", "off"], {"extractor"}),
+        (["retrieve", "--decomp", "off"], set()),
         (["index", "add"], set()),
         (["index", "stats"], set()),
     ], ids=["index build", "eval", "retrieve", "index add", "index stats"])
     def test_show_config_names_only_the_providers_a_command_takes(
         self, argv, entries, capsys
     ):
+        """``flags`` is what the subcommand's parser produced, dispatch
+        fields aside; ``params`` appears only where ``--k`` is a flag."""
         assert main([*argv, "--show-config"]) == 0
         config = json.loads(capsys.readouterr().out)
-        assert entries == {"extractor", "embedder"} & set(config)
+        parsed = vars(build_parser().parse_args(argv))
+        assert config["command"] == parsed["command"] == " ".join(
+            argv[:2 if argv[0] == "index" else 1])
+        dispatch = {"command", "handler", "show_config"}
+        assert config["flags"] == {dest: value for dest, value in parsed.items()
+                                   if dest not in dispatch}
+        assert entries == {"extractor", "embedder"} & set(config["flags"])
+        assert ("params" in config) == ("k" in config["flags"])
         if argv[0] == "retrieve":
-            assert config["extractor"] == {"decomposition_enabled": False}
+            assert config["flags"]["decomp"] is False
 
 
 class TestBuildFailure:
