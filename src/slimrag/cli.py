@@ -5,8 +5,9 @@ r"""Command-line interface: index build/add/stats, retrieve, eval.
 ``--gazetteer`` and ``--aliases``. ``index add`` and ``retrieve`` take no
 provider flags: they use the extractor and embedder the index records.
 ``retrieve`` and ``eval`` take ``--decomp``; every subcommand but
-``index stats`` takes ``--cache``. ``--model`` needs ``--extractor remote``
-and ``--embed-model`` needs ``--embedder remote``.
+``index stats`` takes ``--cache``. ``--model`` needs ``--extractor remote``,
+``--embed-model`` needs ``--embedder remote`` and ``--dimension`` needs
+``--embedder local``.
 
 ``--show-config`` prints ``command`` (the subcommand path), ``flags`` (every
 value the subcommand's parser produced), ``env`` and, on ``retrieve`` and
@@ -107,8 +108,8 @@ def build_parser() -> _Parser:
             p.add_argument("--model", default=None, help="remote chat model name")
             p.add_argument("--embed-model", default=None,
                            help="remote embedding model")
-            p.add_argument("--dimension", type=_positive, default=DEFAULT_DIMENSION,
-                           help="local embedder dimension (default %(default)s)")
+            p.add_argument("--dimension", type=_positive, default=None,
+                           help=f"local embedder dimension (default {DEFAULT_DIMENSION})")
             p.add_argument("--coref", type=_on_off, default=True, metavar="on|off")
             p.add_argument("--gazetteer", default=None, help="entity-per-line file")
             p.add_argument("--aliases", default=None, help="alias<TAB>canonical file")
@@ -178,7 +179,8 @@ def _extractor_config(args) -> ExtractorConfig:
 
 def _embedder_config(args) -> EmbedderConfig:
     model = {} if args.embed_model is None else {"remote_model": args.embed_model}
-    return EmbedderConfig(provider=args.embedder, dimension=args.dimension, **model)
+    dimension = DEFAULT_DIMENSION if args.dimension is None else args.dimension
+    return EmbedderConfig(provider=args.embedder, dimension=dimension, **model)
 
 
 def _params(args) -> RetrievalParams:
@@ -188,10 +190,14 @@ def _params(args) -> RetrievalParams:
     )
 
 
-def _check_models(args) -> None:
-    for flag, provider in (("model", "extractor"), ("embed_model", "embedder")):
-        if vars(args).get(flag) is not None and vars(args)[provider] != "remote":
-            raise _UsageError(f"--{flag.replace('_', '-')} needs --{provider} remote")
+def _check_providers(args) -> None:
+    for flag, provider, kind in (
+        ("model", "extractor", "remote"),
+        ("embed_model", "embedder", "remote"),
+        ("dimension", "embedder", "local"),
+    ):
+        if vars(args).get(flag) is not None and vars(args)[provider] != kind:
+            raise _UsageError(f"--{flag.replace('_', '-')} needs --{provider} {kind}")
 
 
 def _effective_config(args) -> dict:
@@ -363,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_models(args)
+        _check_providers(args)
         if args.show_config:
             print(canonical_json(_effective_config(args)))
             return 0

@@ -32,10 +32,14 @@ For ASCII text of at least 2 characters the implementation computes steps
 * The sum of squares is exact for the same reason, for any text under
   2^25 characters, so its ``math.sqrt`` is the spec's norm.
 
-Each component is then divided by the norm with Python float division, once
-per distinct count. Non-ASCII text (a character gram is 2 to 12 UTF-8
+The counts array is then divided by the norm in one numpy division: each
+count is a whole number, so each quotient has the bits of Python's
+``float(count) / norm``. Non-ASCII text (a character gram is 2 to 12 UTF-8
 bytes) and text shorter than 2 characters take a per-gram Python loop.
-``embed`` is ``embed_many`` of one text, for both providers.
+The local cache (``_local_embed``) holds each (text, dimension)'s unit
+vector as a read-only float64 array, with its ``math.hypot``. ``embed`` is
+``embed_many`` of one text, for both providers, and both return tuples of
+Python floats: for local text, the array's floats.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
 format in :mod:`slimrag.remote`, which rejects a reply vector that is not
@@ -58,17 +62,23 @@ result equals ``cosine_similarity`` bit for bit:
   zero row, which adds in the same order; wider ones take a loop of two
   numpy calls per dimension, whose cost hardly grows with the width.
 
-Rows become columns in one pass over each row (``_columns``): its length
-is checked, its ``math.hypot`` taken from the Python floats it arrived as,
-and it is packed with ``struct``, a block of rows at a time that is then
-transposed into place; packing a component as ``d`` stores
-``float(component)`` exactly. An entity store keeps its raw vectors that
-way, as float64 dimension × n column blocks (one per index write, one for a
-loaded file), with those norms. Its unit columns, built on its first
-search, are the blocks divided by the norms: one division per element, the
-bytes ``_unit_columns`` gives for the same rows. An index write extends
-built columns into the next store (:meth:`EntityVectorStore.extended`), so
-a search after a write divides only the new entities' block.
+Many texts become similarity columns without passing through tuples
+(``_embedded``, for a query's candidate chunks and an index write's new
+entities): local vectors are copied from their cached arrays into the
+rows of an array, a block at a time, and from it transposed into the
+columns, beside their cached norms. Vectors that arrive as rows (remote replies, a loaded file) become
+columns in one pass over each row (``_columns``): its length is checked,
+its ``math.hypot`` taken from the Python floats it arrived as, and it is
+packed with ``struct``, a block of rows at a time that is then transposed
+into place; packing a component as ``d`` stores ``float(component)``
+exactly. Both give the same bytes and norms for the same vectors. An entity store keeps its
+raw vectors as such float64 dimension × n column blocks (one per index
+write, one for a loaded file), with those norms. Its unit columns, built on
+its first search, are the blocks divided by the norms: one division per
+element, the bytes ``_unit_columns`` gives for the same rows. An index
+write extends built columns into the next store
+(:meth:`EntityVectorStore.extended`), so a search after a write divides
+only the new entities' block.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -104,8 +114,8 @@ _MASK64 = (1 << 64) - 1
 _FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
-# Rows packed per block when rows become columns: only one block of packed
-# bytes (512 KB at 256 dimensions) is held beside the columns.
+# Rows packed or copied per block when rows become columns: only one block
+# (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
 # Widest array whose dot products ``_dots`` takes in one accumulate. At 256
 # dimensions on a 2-core VM (numpy 2.4.6) the accumulate costs 0.04 ms at 30
@@ -179,16 +189,14 @@ def _gram_counts(normalized: str, dimension: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=65536)
-def _local_embed(text: str, dimension: int) -> Vector:
+def _local_embed(text: str, dimension: int) -> tuple[np.ndarray, float]:
+    """The text's unit vector as a read-only float64 array, and its
+    ``math.hypot``. The counts are whole numbers, so numpy's division of
+    each by the norm is Python's ``float(count) / norm``, bit for bit."""
     counts = _gram_counts(normalize_entity(text), dimension)
-    norm = math.sqrt(counts @ counts)  # never 0.0: the grams are odd in number
-    # Each distinct count is divided once and its float shared by every
-    # component that holds it: the same division, a quarter of the memory.
-    # Counts are whole numbers, so they are keyed as ints, which hash faster
-    # than floats; ``k / norm`` divides ``float(k)``, which is exact.
-    values = counts.astype(np.intp).tolist()
-    unit = {k: k / norm for k in set(values)}
-    return tuple(map(unit.__getitem__, values))
+    unit = counts / math.sqrt(counts @ counts)  # never 0.0: odd number of grams
+    unit.flags.writeable = False
+    return unit, math.hypot(*unit.tolist())
 
 
 class EmbeddingCache:
@@ -287,10 +295,9 @@ def embed_many(
     in batches of ``batch_size``; a reply that fails the rules of
     :mod:`slimrag.remote` raises ProviderProtocolError, and only the batches
     before it are cached."""
-    if not all(t.strip() for t in texts):
-        raise ValueError("cannot embed empty text")
+    _check_texts(texts)
     if embedder.provider == "local":
-        return [_local_embed(t, embedder.dimension) for t in texts]
+        return [tuple(_local_embed(t, embedder.dimension)[0].tolist()) for t in texts]
     out = [
         cache.get(embedder.embedder_id, t) if cache is not None else None
         for t in texts
@@ -306,6 +313,35 @@ def embed_many(
         if cache is not None:
             cache.put(embedder.embedder_id, [(texts[i], out[i]) for i in batch])
     return out
+
+
+def _check_texts(texts: list[str]) -> None:
+    if not all(t.strip() for t in texts):
+        raise ValueError("cannot embed empty text")
+
+
+def _embedded(
+    texts: list[str],
+    embedder: EmbedderConfig,
+    cache: EmbeddingCache | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of ``embed_many(texts, embedder, cache)`` as the columns
+    of a C-contiguous dimension × len(texts) float64 array, and each one's
+    ``math.hypot``: what :func:`_columns` gives for them. Local vectors go
+    from their cached arrays into the rows of an array ``_PACKED_ROWS`` at a
+    time, which is copied transposed into place (faster than one
+    ``np.stack`` into columns, and only one block is held beside them);
+    remote ones are ``embed_many``'s rows, whose first sets the dimension."""
+    if embedder.provider != "local":
+        rows = embed_many(texts, embedder, cache)
+        return _columns(rows, len(rows), len(rows[0]) if rows else 0)
+    _check_texts(texts)
+    pairs = [_local_embed(t, embedder.dimension) for t in texts]
+    columns = np.empty((embedder.dimension, len(pairs)))
+    for start in range(0, len(pairs), _PACKED_ROWS):
+        block = [unit for unit, _ in pairs[start:start + _PACKED_ROWS]]
+        columns[:, start:start + len(block)] = np.array(block).T
+    return columns, np.array([norm for _, norm in pairs])
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
@@ -330,17 +366,17 @@ def _columns(
     rows: Iterable[Vector],
     count: int,
     dimension: int,
-    partner_norm: float | None = None,
+    nonzero: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``count`` rows as the columns of a C-contiguous
     dimension × count float64 array, and each row's ``math.hypot``.
 
     One pass over each row checks its length (DimensionMismatchError),
-    takes its norm and, given ``partner_norm``, checks it the way
-    ``cosine_similarity`` checks a pair whose other vector has that norm
-    (ZeroVectorError), then packs it. Rows are packed ``_PACKED_ROWS`` at a
-    time with ``struct`` and transposed into place, so besides the array
-    only one block of rows and their packed bytes is held. Packing a
+    takes its norm and, with ``nonzero``, checks it is not 0.0 the way
+    ``cosine_similarity`` does (ZeroVectorError), then packs it. Rows are
+    packed ``_PACKED_ROWS`` at a time with ``struct`` and transposed into
+    place, so besides the array only one block of rows and their packed
+    bytes is held. Packing a
     component as ``d`` stores ``float(component)`` exactly. Each norm goes
     straight into a float64 array: a list of norm objects made while a load
     frees the parsed rows would sit in the freed memory and keep it from
@@ -358,7 +394,7 @@ def _columns(
                     f"dimensions differ: {len(row)} vs {dimension}"
                 )
             norms[i] = norm = math.hypot(*row)
-            if partner_norm is not None and (norm == 0.0 or partner_norm == 0.0):
+            if nonzero and norm == 0.0:
                 raise ZeroVectorError(
                     "cosine similarity is undefined for a zero vector"
                 )
@@ -368,13 +404,11 @@ def _columns(
     return columns, norms
 
 
-def _unit_columns(
-    rows: list[Vector], dimension: int, partner_norm: float = 1.0
-) -> np.ndarray:
+def _unit_columns(rows: list[Vector], dimension: int) -> np.ndarray:
     """The rows, each divided by its own ``math.hypot``, as the columns of
     a C-contiguous dimension × len(rows) array; each row is checked in order
-    as :func:`_columns` checks it against ``partner_norm``."""
-    columns, norms = _columns(rows, len(rows), dimension, partner_norm)
+    as :func:`_columns` checks it with ``nonzero``."""
+    columns, norms = _columns(rows, len(rows), dimension, nonzero=True)
     columns /= norms
     return columns
 
@@ -407,15 +441,25 @@ def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return sums[-1]
 
 
-def cosine_similarities(query_vec: Vector, vectors: list[Vector]) -> list[float]:
+def cosine_similarities(
+    query_vec: Vector, columns: np.ndarray, norms: np.ndarray
+) -> list[float]:
     """``[cosine_similarity(v, query_vec) for v in vectors]`` bit for bit,
-    in one kernel call; raises what the first failing pair would raise."""
-    if not vectors:
+    in one kernel call, for the ``vectors`` whose columns and norms
+    :func:`_columns` gives; raises what the first failing pair would raise.
+    The columns share one dimension, so that is a DimensionMismatchError
+    when it is not the query's, else a ZeroVectorError for a zero norm."""
+    if not len(norms):
         return []
     dimension = len(query_vec)
-    columns = _unit_columns(vectors, dimension, math.hypot(*query_vec))
-    query = _unit_columns([query_vec], dimension)[:, 0]
-    return _dots(query, columns).tolist()
+    if columns.shape[0] != dimension:
+        raise DimensionMismatchError(
+            f"dimensions differ: {columns.shape[0]} vs {dimension}"
+        )
+    query = _unit_columns([query_vec], dimension)[:, 0]  # a zero query raises
+    if not norms.all():
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    return _dots(query, columns / norms).tolist()
 
 
 @dataclass(eq=False)
@@ -446,22 +490,30 @@ class EntityVectorStore:
     _unit: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def extended(
-        self, entities: list[str], vectors: list[Vector]
+        self, entities: list[str], block: np.ndarray, norms: np.ndarray
     ) -> EntityVectorStore:
         """A new store of these entries followed by ``entities``, none of
-        them in this store, with their ``vectors`` as one new block."""
-        dimension = len(vectors[0]) if vectors and not self.names else self.dimension
-        block, norms = _columns(vectors, len(vectors), dimension)
+        them in this store, whose vectors are the columns of ``block`` with
+        their ``norms``, as :func:`_columns` or :func:`_embedded` gives
+        them. The block is kept, not copied. Its dimension settles an
+        empty store's; a non-empty store raises DimensionMismatchError for
+        another."""
+        width = len(norms)
+        if width and self.names and block.shape[0] != self.dimension:
+            raise DimensionMismatchError(
+                f"dimensions differ: {block.shape[0]} vs {self.dimension}"
+            )
         store = EntityVectorStore(
-            dimension,
+            block.shape[0] if width and not self.names else self.dimension,
             self.names + list(entities),
-            [*self.blocks, block] if vectors else self.blocks,
+            [*self.blocks, block] if width else self.blocks,
             np.concatenate([self.norms, norms]),
         )
         # A zero vector leaves the new store unbuilt, so its first search
         # raises ZeroVectorError.
         if self._unit is not None and self.names and norms.all():
-            store._unit = np.concatenate([self._unit, block / norms], axis=1)
+            new = [block / norms] if width else []
+            store._unit = np.concatenate([self._unit, *new], axis=1)
         return store
 
     def unit_columns(self) -> tuple[list[str], np.ndarray]:

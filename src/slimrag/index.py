@@ -58,7 +58,7 @@ from .embedding import (
     EmbeddingCache,
     EntityVectorStore,
     _columns,
-    embed_many,
+    _embedded,
 )
 from .errors import (
     ConfigMismatchError,
@@ -203,7 +203,7 @@ def _extended(
             for entity in entities:
                 added.setdefault(entity, set()).add(chunk.chunk_id)
         new_entities = sorted(added.keys() - index.inverted_map.keys())
-        new_vectors = embed_many(new_entities, embedder, cache)
+        block, norms = _embedded(new_entities, embedder, cache)
     except ProviderError as exc:
         done = len(catalog) - len(index.chunk_catalog)
         raise ProviderError(
@@ -215,7 +215,7 @@ def _extended(
         inverted_map[entity] = inverted_map.get(entity, frozenset()) | ids
     for entity in new_entities:
         accounting.record(EMBEDDING_IN, count_tokens(entity))
-    vectors = index.vectors.extended(new_entities, new_vectors)
+    vectors = index.vectors.extended(new_entities, block, norms)
     return EntityIndex(index.config, inverted_map, vectors, catalog, accounting)
 
 
@@ -417,6 +417,7 @@ def _from_document(document: dict) -> EntityIndex:
     vectors_doc = document.pop("vectors")
     dimension = int(vectors_doc["dimension"])
     entries = vectors_doc["entries"]
+    _require(isinstance(entries, dict), "entity vectors are not an object")
     names = list(entries)
     _require(
         not names or len(entries[names[0]]) == dimension,

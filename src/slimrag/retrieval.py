@@ -13,11 +13,13 @@ Queries that yield no usable entities always fall back to every chunk as a
 candidate with no hit entities, scored by ``phi_q`` alone (trace-labeled);
 the fallback cannot be disabled. Both paths share one scoring loop and one
 ranking; every candidate's ``phi_q`` comes from one
-:func:`~slimrag.embedding.cosine_similarities` call. Query entities and
-candidate chunks are each embedded with one ``embed_many`` call, so a remote
-embedder with batch size ``b`` makes at most ``1 + ceil(E / b) + ceil(C / b)``
-requests for a query with ``E`` query entities and ``C`` candidates
-(``1 + ceil(N / b)`` on the fallback over ``N`` chunks), retries aside.
+:func:`~slimrag.embedding.cosine_similarities` call. Query entities are
+embedded with one ``embed_many`` call, and candidate chunks straight into
+similarity columns with one ``_embedded`` call, which is ``embed_many`` for a
+remote embedder. So a remote embedder with batch size ``b`` makes at most
+``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
+entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
+``N`` chunks), retries aside.
 
 Every intermediate set lands in the trace, which is canonically
 serializable, so a run can be replayed and audited bit for bit.
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
+    _embedded,
     cosine_similarities,
     embed,
     embed_many,
@@ -327,8 +330,8 @@ def retrieve(
 
     chunk_ids = sorted(candidates)
     records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
-    vectors = embed_many([record.text for record in records], embedder, cache)
-    phis = cosine_similarities(q_vec, vectors)
+    columns, norms = _embedded([record.text for record in records], embedder, cache)
+    phis = cosine_similarities(q_vec, columns, norms)
     scored = []
     for chunk_id, record, phi_q in zip(chunk_ids, records, phis):
         hit_set = candidates[chunk_id]

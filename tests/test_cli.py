@@ -12,13 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, rewrite_index
-from slimrag.cli import build_parser, main
+from slimrag import remote
+from slimrag.cli import _embedder_config, build_parser, main
 from slimrag.corpus import SegmentationPolicy, ingest_corpus, read_lines
 from slimrag.embedding import EmbedderConfig
 from slimrag.evalharness import load_hotpotqa, run_eval
 from slimrag.extraction import ExtractorConfig, load_aliases, load_gazetteer
 from slimrag.index import add_chunks, canonical_json, load_index
 from slimrag.retrieval import RetrievalParams, retrieve
+
+
+def _no_request(path, payload):
+    raise AssertionError(f"a request was sent to {path}")
 
 
 @pytest.fixture
@@ -93,6 +98,36 @@ class TestShowConfig:
         assert captured.err == f"usage error: {flag} needs {provider} remote\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["index", "build", "--embedder", "remote", "--dimension", "8",
+         "--corpus", "{corpus}", "--out", "{out}"],
+        ["eval", "--embedder", "remote", "--dimension", "256",
+         "--dataset", "{dataset}", "--report", "{out}"],
+        ["index", "build", "--embedder", "remote", "--dimension", "8", "--show-config"],
+    ], ids=["index build", "eval", "index build --show-config"])
+    def test_dimension_with_remote_embedder_is_usage_error(
+        self, argv, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        """Rejected before any file is read or any request is sent; 256,
+        the local default, too."""
+        monkeypatch.setattr(remote, "_post", _no_request)
+        out = tmp_path / "out.json"
+        paths = {"corpus": corpus_file, "out": out,
+                 "dataset": DATA_DIR / "smoke_dataset.json"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --dimension needs --embedder local\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_dimension_is_null_until_given(self, capsys):
+        """One place maps a missing ``--dimension`` to the default."""
+        assert main(["index", "build", "--show-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"]["dimension"] is None
+        args = build_parser().parse_args(["eval"])
+        assert _embedder_config(args) == EmbedderConfig()
+        args = build_parser().parse_args(["eval", "--dimension", "8"])
+        assert _embedder_config(args) == EmbedderConfig(dimension=8)
+
     def test_secrets_masked(self, capsys, monkeypatch):
         monkeypatch.setenv("SLIMRAG_API_KEY", "super-secret")
         assert main(["eval", "--show-config"]) == 0
@@ -130,6 +165,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: index file is damaged")
         assert "Traceback" not in err
+
+    def test_vectors_entries_array_is_runtime_error(self, built_index, capsys):
+        rewrite_index(built_index, lambda d: d["vectors"].update(entries=[True]))
+        assert main(["index", "stats", "--index", str(built_index)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index file is damaged")
+        assert err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DEEP_JSON, damaged, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
@@ -28,8 +28,10 @@ from slimrag.embedding import (
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
+    _columns,
     _dot_loop,
     _dots,
+    _embedded,
     _gram_counts,
     _local_embed,
     _unit_columns,
@@ -109,14 +111,13 @@ class TestLocalEmbedder:
     @settings(max_examples=400)
     def test_shared_unit_floats_keep_the_bits_of_dividing_each(self, text, dim):
         """The numpy kernel (ASCII text) and the per-gram loop (the rest)
-        give the oracle's bits, and equal components are one float object:
-        one division per distinct count gives the bits of dividing each."""
+        give the oracle's bits: one numpy division of the counts array gives
+        the bits of dividing each count in Python."""
         if not text.strip():
             return
-        got = _local_embed.__wrapped__(text, dim)
+        got = _local_embed.__wrapped__(text, dim)[0].tolist()
         want = embed_oracle(text, dim, DEFAULT_SEED)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert len({id(x) for x in got}) == len(set(got))
 
     @given(_EMBED_TEXT, st.integers(1, 8))
     def test_counts_never_cancel_to_zero(self, text, dim):
@@ -126,6 +127,70 @@ class TestLocalEmbedder:
             return
         counts = _gram_counts(normalize_entity(text), dim)
         assert int(np.abs(counts).sum()) % 2 == 1
+
+
+def _tuple_embed(text: str, dim: int) -> tuple[float, ...]:
+    """The tuple path the array cache replaced: each distinct count divided
+    once in Python and its float shared by every component that holds it.
+    The reference for ``_local_embed``'s arrays and ``_embedded``'s
+    columns."""
+    counts = _gram_counts(normalize_entity(text), dim)
+    norm = math.sqrt(counts @ counts)
+    values = counts.astype(np.intp).tolist()
+    unit = {k: k / norm for k in set(values)}
+    return tuple(map(unit.__getitem__, values))
+
+
+def _tuple_columns(texts: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' tuples packed into columns by ``_columns``, after the
+    empty-text check ``embed_many`` makes."""
+    if not all(t.strip() for t in texts):
+        raise ValueError("cannot embed empty text")
+    return _columns([_tuple_embed(t, dim) for t in texts], len(texts), dim)
+
+
+class TestEmbeddedColumns:
+    """Local texts become similarity columns straight from their cached
+    arrays: the bytes and norms the tuple path gives, and its errors."""
+
+    @given(
+        st.lists(_EMBED_TEXT, max_size=6),
+        st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3])),
+        st.sampled_from([1, 2, 4, embedding._PACKED_ROWS]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_tuple_path(self, texts, dim, block_rows):
+        """Blocks smaller than the input's rows are drawn too, so the rows
+        cross block edges."""
+        embedder = EmbedderConfig(dimension=dim)
+        try:
+            want = _tuple_columns(texts, dim)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _embedded(texts, embedder)
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                embed_many(texts, embedder)
+            return
+        with mock.patch.object(embedding, "_PACKED_ROWS", block_rows):
+            columns, norms = _embedded(texts, embedder)
+        assert columns.flags.c_contiguous and columns.shape == (dim, len(texts))
+        assert columns.tobytes() == want[0].tobytes()
+        assert [x.hex() for x in norms.tolist()] == [x.hex() for x in want[1].tolist()]
+        got = embed_many(texts, embedder)
+        assert [[x.hex() for x in row] for row in got] == [
+            [x.hex() for x in _tuple_embed(t, dim)] for t in texts
+        ]
+        assert all(type(row) is tuple for row in got)
+
+    def test_cached_arrays_are_read_only(self):
+        unit, _ = _local_embed("read only", 16)
+        assert not unit.flags.writeable
+        with pytest.raises(ValueError):
+            unit[0] = 2.0
+        columns, _ = _embedded(["read only"], EmbedderConfig(dimension=16))
+        columns[0, 0] = 2.0  # the columns are a copy
+        assert _local_embed("read only", 16)[0].tobytes() == unit.tobytes()
+        assert embed("read only", EmbedderConfig(dimension=16))[0] != 2.0
 
 
 class TestEmbedderId:
@@ -203,6 +268,7 @@ class TestCosine:
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         st.floats(0.1, 100),
     )
+    @example([0.0, 0.0, 5e-324], [1.0, 0.0, 0.0], 0.5)
     def test_scale_invariance(self, a, b, c):
         a, b = tuple(a), tuple(b)
         if all(x == 0 for x in a) or all(x == 0 for x in b):
@@ -218,10 +284,16 @@ class TestCosine:
         )
 
 
+def _block(rows, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as a block of columns and its norms, as vectors that arrive as
+    rows (remote replies, a loaded file) become them."""
+    return _columns(rows, len(rows), dimension)
+
+
 def _random_store(rng: random.Random, size: int, dim: int = 16) -> EntityVectorStore:
     names = [f"entity-{i:04d}" for i in range(size)]
     vectors = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in names]
-    return EntityVectorStore(dimension=dim).extended(names, vectors)
+    return EntityVectorStore(dimension=dim).extended(names, *_block(vectors, dim))
 
 
 class TestTopK:
@@ -238,7 +310,7 @@ class TestTopK:
     def test_equal_similarity_breaks_lexicographically(self):
         # Same direction, same cosine.
         store = EntityVectorStore(dimension=2).extended(
-            ["bravo", "alpha"], [(1.0, 0.0), (2.0, 0.0)]
+            ["bravo", "alpha"], *_block([(1.0, 0.0), (2.0, 0.0)], 2)
         )
         result = top_k_entities((1.0, 0.0), store, 2)
         assert [e for e, _ in result] == ["alpha", "bravo"]
@@ -252,7 +324,7 @@ class TestTopK:
             "e": (0.5, 0.5),
         }
         store = EntityVectorStore(dimension=2).extended(
-            list(vectors), list(vectors.values())
+            list(vectors), *_block(list(vectors.values()), 2)
         )
         got = top_k_entities((1.0, 0.0), store, 2)
         want = brute_force_top_k((1.0, 0.0), vectors, 2)
@@ -278,7 +350,7 @@ class TestTopK:
         # Many exact ties.
         store = EntityVectorStore(dimension=2).extended(
             [f"e{i:02d}" for i in range(20)],
-            [(float(1 + i % 3), 0.0) for i in range(20)],
+            *_block([(float(1 + i % 3), 0.0) for i in range(20)], 2),
         )
         query = (1.0, 0.0)
         assert top_k_entities(query, store, 7) == brute_force_top_k(
@@ -371,9 +443,11 @@ class TestSharedCache:
 
 class TestStoreAndCache:
     def test_dimension_enforced(self):
-        store = EntityVectorStore(dimension=4).extended(["ok"], [(1.0, 0.0, 0.0, 0.0)])
+        store = EntityVectorStore(dimension=4).extended(
+            ["ok"], *_block([(1.0, 0.0, 0.0, 0.0)], 4)
+        )
         with pytest.raises(DimensionMismatchError):
-            store.extended(["bad"], [(1.0, 0.0)])
+            store.extended(["bad"], *_block([(1.0, 0.0)], 2))
 
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -543,7 +617,7 @@ def _store_and_query(draw):
             vec = _vector(draw, dim)
         rows.append(vec)
         names.append(f"e{draw(st.integers(0, 99)):02d}-{i}")
-    store = EntityVectorStore(dimension=dim).extended(names, rows)
+    store = EntityVectorStore(dimension=dim).extended(names, *_block(rows, dim))
     return store, _vector(draw, dim)
 
 
@@ -585,7 +659,7 @@ class TestSimilarityKernel:
         query = _vector(data.draw, dim)
         count = data.draw(st.integers(0, 12))
         vectors = [_vector(data.draw, dim) for _ in range(count)]
-        got = cosine_similarities(query, vectors)
+        got = cosine_similarities(query, *_block(vectors, dim))
         want = [cosine_similarity(vec, query) for vec in vectors]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert all(type(x) is float for x in got)
@@ -595,8 +669,9 @@ class TestSimilarityKernel:
         0.0, where a sum starting from the first product gets -0.0."""
         query, other = (1.0, -0.0), (-0.0, 1.0)
         assert cosine_similarity(query, other).hex() == "0x0.0p+0"
-        assert [x.hex() for x in cosine_similarities(query, [other])] == ["0x0.0p+0"]
-        store = EntityVectorStore(dimension=2).extended(["other"], [other])
+        got = cosine_similarities(query, *_block([other], 2))
+        assert [x.hex() for x in got] == ["0x0.0p+0"]
+        store = EntityVectorStore(dimension=2).extended(["other"], *_block([other], 2))
         assert _hex(top_k_entities(query, store, 1)) == [("other", "0x0.0p+0")]
 
     @given(st.integers(0, 2**32))
@@ -620,7 +695,7 @@ class TestSimilarityKernel:
         store, query = store_and_query
         top_k_entities(query, store, 3)
         new = data.draw(st.sampled_from([query, _vector(data.draw, len(query))]))
-        store = store.extended(["zz-new"], [new])
+        store = store.extended(["zz-new"], *_block([new], len(query)))
         got = top_k_entities(query, store, 3)
         assert _hex(got) == _hex(brute_force_top_k(query, store.entries, 3))
         assert "zz-new" in store.unit_columns()[0]
@@ -647,7 +722,7 @@ class TestSimilarityKernel:
         assert top_k_entities(query, parent.vectors, 4) == before
 
     def test_errors_come_from_the_same_call(self):
-        store = EntityVectorStore(dimension=2).extended(["a"], [(1.0, 0.0)])
+        store = EntityVectorStore(dimension=2).extended(["a"], *_block([(1.0, 0.0)], 2))
         # k < 1 is checked before anything else, also on an empty store.
         for bad_store in (store, EntityVectorStore(2)):
             with pytest.raises(ValueError, match="k must be"):
@@ -660,15 +735,19 @@ class TestSimilarityKernel:
             with pytest.raises(DimensionMismatchError) as caught:
                 top_k_entities(query, store, 1)
             assert type(caught.value) is DimensionMismatchError
-        store = store.extended(["zero"], [(0.0, 0.0)])
+        store = store.extended(["zero"], *_block([(0.0, 0.0)], 2))
         with pytest.raises(ZeroVectorError):
             top_k_entities((1.0, 0.0), store, 1)
-        assert cosine_similarities((0.0, 0.0), []) == []
+        assert cosine_similarities((0.0, 0.0), *_block([], 2)) == []
         with pytest.raises(ZeroVectorError):
-            cosine_similarities((0.0, 0.0), [(1.0, 0.0)])
+            cosine_similarities((0.0, 0.0), *_block([(1.0, 0.0)], 2))
+        # The columns share one dimension: a query of another fails on the
+        # first pair, before a zero column is reached.
         with pytest.raises(DimensionMismatchError) as caught:
-            cosine_similarities((1.0, 0.0), [(1.0, 0.0), (1.0, 0.0, 0.0)])
+            cosine_similarities((1.0, 0.0), *_block([(1.0, 0.0, 0.0), (0.0,) * 3], 3))
         assert type(caught.value) is DimensionMismatchError
+        with pytest.raises(DimensionMismatchError):
+            _block([(1.0, 0.0), (1.0, 0.0, 0.0)], 2)
 
     @given(st.data(), st.integers(-1, 4))
     @settings(max_examples=300)
@@ -686,16 +765,19 @@ class TestSimilarityKernel:
         query = vector()
         rows = [vector() for _ in range(data.draw(st.integers(0, 5)))]
         same_dim = [row for row in rows if len(row) == dim]
+        block = _block(same_dim, dim)
         store = EntityVectorStore(dimension=dim).extended(
-            [f"e{i}" for i in range(len(same_dim))], same_dim
+            [f"e{i}" for i in range(len(same_dim))], *block
         )
         got = _outcome(top_k_entities, query, store, k)
         want = _outcome(_loop_top_k, query, store, k)
         assert (_hex(got) if isinstance(got, list) else got) == (
             _hex(want) if isinstance(want, list) else want
         )
-        got = _outcome(cosine_similarities, query, rows)
-        want = _outcome(lambda: [cosine_similarity(row, query) for row in rows])
+        # Rows of other dimensions cannot form a block: ``_columns`` raises
+        # on them (``TestUnitColumns``).
+        got = _outcome(cosine_similarities, query, *block)
+        want = _outcome(lambda: [cosine_similarity(row, query) for row in same_dim])
         assert ([x.hex() for x in got] if isinstance(got, list) else got) == (
             [x.hex() for x in want] if isinstance(want, list) else want
         )
@@ -765,7 +847,7 @@ class TestDots:
         count = data.draw(st.integers(_ACCUMULATE_COLUMNS + 1, _ACCUMULATE_COLUMNS + 40))
         pool = [_vector(data.draw, dim) for _ in range(8)]
         vectors = [data.draw(st.sampled_from(pool)) for _ in range(count)]
-        got = cosine_similarities(query, vectors)
+        got = cosine_similarities(query, *_block(vectors, dim))
         want = [cosine_similarity(vec, query) for vec in vectors]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert all(type(x) is float for x in got)
@@ -775,17 +857,24 @@ class TestDots:
         "count", [_ACCUMULATE_COLUMNS, _ACCUMULATE_COLUMNS + 1, 3 * _ACCUMULATE_COLUMNS]
     )
     def test_wide_errors_equal_the_per_pair_loop(self, bad, count):
+        """A zero row among the columns, or a query shorter or longer than
+        the columns' one dimension, each with a nonzero and a zero query."""
         rng = random.Random(count)
         rows = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(count)]
-        rows[rng.randrange(count)] = {
-            "zero": (0.0, -0.0, 0.0), "short": (1.0, 2.0), "long": (1.0, 2.0, 3.0, 4.0)
+        queries = {
+            "zero": [(0.5, -1.0, 2.0), (0.0, 0.0, 0.0)],
+            "short": [(0.5, -1.0), (0.0, 0.0)],
+            "long": [(0.5, -1.0, 2.0, 4.0), (0.0, 0.0, 0.0, 0.0)],
         }[bad]
-        for query in ((0.5, -1.0, 2.0), (0.0, 0.0, 0.0)):
-            got = _outcome(cosine_similarities, query, rows)
+        if bad == "zero":
+            rows[rng.randrange(count)] = (0.0, -0.0, 0.0)
+        block = _block(rows, 3)
+        for query in queries:
+            got = _outcome(cosine_similarities, query, *block)
             want = _outcome(lambda: [cosine_similarity(row, query) for row in rows])
             assert got is want and issubclass(got, Exception)
 
-def _column_fill(rows, dimension, partner_norm=1.0):
+def _column_fill(rows, dimension):
     """The column-by-column fill ``_unit_columns`` replaced: the reference
     for its bytes and its errors."""
     columns = np.empty((dimension, len(rows)))
@@ -796,7 +885,7 @@ def _column_fill(rows, dimension, partner_norm=1.0):
                 f"dimensions differ: {len(row)} vs {dimension}"
             )
         norm = math.hypot(*row)
-        if norm == 0.0 or partner_norm == 0.0:
+        if norm == 0.0:
             raise ZeroVectorError("cosine similarity is undefined for a zero vector")
         columns[:, i] = row
         norms.append(norm)
@@ -864,10 +953,6 @@ class TestUnitColumns:
         got = _outcome(_unit_columns, rows, dim)
         assert got is (ZeroVectorError if zero_first else DimensionMismatchError)
         assert got is _outcome(_column_fill, rows, dim)
-        for partner_norm in (0.0, 2.0):
-            assert _outcome(_unit_columns, rows, dim, partner_norm) is _outcome(
-                _column_fill, rows, dim, partner_norm
-            )
 
     @given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=8, max_size=8))
     @settings(max_examples=20, deadline=None)
@@ -930,7 +1015,7 @@ class TestUnitColumns:
         store = EntityVectorStore(dim)
         for stop in itertools.accumulate(counts):
             start = len(store)
-            store = store.extended(names[start:stop], rows[start:stop])
+            store = store.extended(names[start:stop], *_block(rows[start:stop], dim))
         want = [math.hypot(*row).hex() for row in rows]
         assert [x.hex() for x in store.norms.tolist()] == want
         index = EntityIndex(
@@ -947,9 +1032,9 @@ class TestUnitColumns:
         assert [x.hex() for x in loaded.norms.tolist()] == want
 
     def test_zero_vector_added_after_a_search_raises_on_search(self):
-        store = EntityVectorStore(dimension=2).extended(["a"], [(1.0, 0.0)])
+        store = EntityVectorStore(dimension=2).extended(["a"], *_block([(1.0, 0.0)], 2))
         top_k_entities((1.0, 0.0), store, 1)
-        child = store.extended(["b"], [(0.0, -0.0)])
+        child = store.extended(["b"], *_block([(0.0, -0.0)], 2))
         assert list(child.entries) == ["a", "b"]
         with pytest.raises(ZeroVectorError):
             top_k_entities((1.0, 0.0), child, 1)

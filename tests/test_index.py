@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DEEP_JSON, damaged, random_corpus, rewrite_index
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
-from slimrag.embedding import EmbedderConfig, EntityVectorStore
+from slimrag.embedding import EmbedderConfig, EntityVectorStore, _columns
 from slimrag.errors import (
     ConfigMismatchError,
     DuplicateChunkError,
@@ -334,7 +334,8 @@ class TestPersistence:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(names)), max_size=3)))
         store = EntityVectorStore(data.draw(st.sampled_from([0, dim])))
         for start, stop in zip([0, *cuts], [*cuts, len(names)]):
-            store = store.extended(names[start:stop], rows[start:stop])
+            block = _columns(rows[start:stop], stop - start, dim)
+            store = store.extended(names[start:stop], *block)
         document = {
             "embedder_id": "remote:model",
             "dimension": store.dimension,
@@ -381,7 +382,8 @@ class TestPersistence:
         cuts = sorted(rng.randint(0, len(names)) for _ in range(writes - 1))
         store = EntityVectorStore(rng.choice([0, dim]))
         for start, stop in zip([0, *cuts], [*cuts, len(names)]):
-            store = store.extended(names[start:stop], rows[start:stop])
+            block = _columns(rows[start:stop], stop - start, dim)
+            store = store.extended(names[start:stop], *block)
         document = {
             "embedder_id": "remote:model",
             "dimension": store.dimension,
@@ -567,6 +569,16 @@ class TestPersistence:
         save_index(index, path)
         rewrite_index(path, lambda d: None)
         assert load_index(path) == index
+
+    @pytest.mark.parametrize("entries", [[True], [False, 1.0], [], "entries"])
+    def test_vectors_entries_that_are_not_an_object_are_damage(self, tmp_path, entries):
+        """With the digest recomputed. ``[True]`` once escaped as a bare
+        IndexError: the first row's check indexed the list by its first item."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rewrite_index(path, lambda d: d["vectors"].update(entries=entries))
+        with pytest.raises(IndexIntegrityError, match="entity vectors are not an object"):
+            load_index(path)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
