@@ -37,9 +37,7 @@ count is a whole number, so each quotient has the bits of Python's
 ``float(count) / norm``. Non-ASCII text (a character gram is 2 to 12 UTF-8
 bytes) and text shorter than 2 characters take a per-gram Python loop.
 The local cache (``_local_embed``) holds each (text, dimension)'s unit
-vector as a read-only float64 array, with its ``math.hypot``. ``embed`` is
-``embed_many`` of one text, for both providers, and both return tuples of
-Python floats: for local text, the array's floats.
+vector as a read-only float64 array, with its ``math.hypot``.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
 format in :mod:`slimrag.remote`, which rejects a reply vector that is not
@@ -62,21 +60,25 @@ result equals ``cosine_similarity`` bit for bit:
   zero row, which adds in the same order; wider ones take a loop of two
   numpy calls per dimension, whose cost hardly grows with the width.
 
-Many texts become similarity columns without passing through tuples
-(``_embedded``, for a query's candidate chunks and an index write's new
-entities): local vectors are copied from their cached arrays into the
-rows of an array, a block at a time, and from it transposed into the
-columns, beside their cached norms. Vectors that arrive as rows (remote replies, a loaded file) become
-columns in one pass over each row (``_columns``): its length is checked,
-its ``math.hypot`` taken from the Python floats it arrived as, and it is
-packed with ``struct``, a block of rows at a time that is then transposed
-into place; packing a component as ``d`` stores ``float(component)``
-exactly. Both give the same bytes and norms for the same vectors. An entity store keeps its
-raw vectors as such float64 dimension × n column blocks (one per index
-write, one for a loaded file), with those norms. Its unit columns, built on
-its first search, are the blocks divided by the norms: one division per
-element, the bytes ``_unit_columns`` gives for the same rows. An index
-write extends built columns into the next store
+Every vector travels one way from its source to a similarity. Texts
+become similarity columns through :func:`embed_many` (a query's text,
+its entities and its candidate chunks, an index write's new entities):
+local vectors are copied from their cached arrays into the rows of an
+array, a block at a time, and from it transposed into the columns, beside
+their cached norms. Vectors that arrive as rows (remote replies, a loaded
+file) become columns in one pass over each row (``_columns``): its length
+is checked, its ``math.hypot`` taken from the Python floats it arrived
+as, and it is packed with ``struct``, a block of rows at a time that is
+then transposed into place; packing a component as ``d`` stores
+``float(component)`` exactly. Both give the same bytes and norms for the
+same vectors. Only :func:`embed`, for callers outside the library, makes
+a tuple from an embedding. A query vector, a tuple or one such column, is
+divided by its own ``math.hypot`` before a search (``_unit_vector``). An
+entity store keeps its raw vectors as float64 dimension × n column blocks
+(one per index write, one for a loaded file), with their norms. Its unit
+columns, built on its first search, are the blocks divided by the norms:
+one division per element, the bytes ``_unit_vector`` gives for each
+vector. An index write extends built columns into the next store
 (:meth:`EntityVectorStore.extended`), so a search after a write divides
 only the new entities' block.
 
@@ -282,60 +284,45 @@ def embed(
     embedder: EmbedderConfig,
     cache: EmbeddingCache | None = None,
 ) -> Vector:
-    """Embed one text; deterministic for the local provider."""
-    return embed_many([text], embedder, cache)[0]
+    """Embed one text as a tuple of floats; deterministic for the local
+    provider. The library itself embeds through :func:`embed_many`."""
+    return tuple(embed_many([text], embedder, cache)[0][:, 0].tolist())
 
 
 def embed_many(
     texts: list[str],
     embedder: EmbedderConfig,
     cache: EmbeddingCache | None = None,
-) -> list[Vector]:
-    """Embed texts in order. Remote texts missing from the cache are sent
-    in batches of ``batch_size``; a reply that fails the rules of
-    :mod:`slimrag.remote` raises ProviderProtocolError, and only the batches
-    before it are cached."""
-    _check_texts(texts)
-    if embedder.provider == "local":
-        return [tuple(_local_embed(t, embedder.dimension)[0].tolist()) for t in texts]
-    out = [
-        cache.get(embedder.embedder_id, t) if cache is not None else None
-        for t in texts
-    ]
-    missing = [i for i, vector in enumerate(out) if vector is None]
-    for start in range(0, len(missing), embedder.batch_size):
-        batch = missing[start:start + embedder.batch_size]
-        vectors = remote.embed_batch(
-            [texts[i] for i in batch], model=embedder.remote_model
-        )
-        for i, vector in zip(batch, vectors):
-            out[i] = tuple(vector)
-        if cache is not None:
-            cache.put(embedder.embedder_id, [(texts[i], out[i]) for i in batch])
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' vectors, in order, as the columns of a C-contiguous
+    dimension × len(texts) float64 array, and each one's ``math.hypot``.
 
-
-def _check_texts(texts: list[str]) -> None:
+    Local vectors go from their cached arrays into the rows of an array
+    ``_PACKED_ROWS`` at a time, which is copied transposed into place
+    (faster than one ``np.stack`` into columns, and only one block is held
+    beside them). Remote texts missing from the cache are sent in batches
+    of ``batch_size``; a reply that fails the rules of :mod:`slimrag.remote`
+    raises ProviderProtocolError, and only the batches before it are
+    cached. The remote rows become columns by :func:`_columns`, the first
+    row setting the dimension."""
     if not all(t.strip() for t in texts):
         raise ValueError("cannot embed empty text")
-
-
-def _embedded(
-    texts: list[str],
-    embedder: EmbedderConfig,
-    cache: EmbeddingCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors of ``embed_many(texts, embedder, cache)`` as the columns
-    of a C-contiguous dimension × len(texts) float64 array, and each one's
-    ``math.hypot``: what :func:`_columns` gives for them. Local vectors go
-    from their cached arrays into the rows of an array ``_PACKED_ROWS`` at a
-    time, which is copied transposed into place (faster than one
-    ``np.stack`` into columns, and only one block is held beside them);
-    remote ones are ``embed_many``'s rows, whose first sets the dimension."""
     if embedder.provider != "local":
-        rows = embed_many(texts, embedder, cache)
+        rows = [
+            cache.get(embedder.embedder_id, t) if cache is not None else None
+            for t in texts
+        ]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        for start in range(0, len(missing), embedder.batch_size):
+            batch = missing[start:start + embedder.batch_size]
+            vectors = remote.embed_batch(
+                [texts[i] for i in batch], model=embedder.remote_model
+            )
+            for i, vector in zip(batch, vectors):
+                rows[i] = tuple(vector)
+            if cache is not None:
+                cache.put(embedder.embedder_id, [(texts[i], rows[i]) for i in batch])
         return _columns(rows, len(rows), len(rows[0]) if rows else 0)
-    _check_texts(texts)
     pairs = [_local_embed(t, embedder.dimension) for t in texts]
     columns = np.empty((embedder.dimension, len(pairs)))
     for start in range(0, len(pairs), _PACKED_ROWS):
@@ -363,20 +350,15 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
 
 
 def _columns(
-    rows: Iterable[Vector],
-    count: int,
-    dimension: int,
-    nonzero: bool = False,
+    rows: Iterable[Vector], count: int, dimension: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``count`` rows as the columns of a C-contiguous
     dimension × count float64 array, and each row's ``math.hypot``.
 
     One pass over each row checks its length (DimensionMismatchError),
-    takes its norm and, with ``nonzero``, checks it is not 0.0 the way
-    ``cosine_similarity`` does (ZeroVectorError), then packs it. Rows are
-    packed ``_PACKED_ROWS`` at a time with ``struct`` and transposed into
-    place, so besides the array only one block of rows and their packed
-    bytes is held. Packing a
+    takes its norm, then packs it. Rows are packed ``_PACKED_ROWS`` at a
+    time with ``struct`` and transposed into place, so besides the array
+    only one block of rows and their packed bytes is held. Packing a
     component as ``d`` stores ``float(component)`` exactly. Each norm goes
     straight into a float64 array: a list of norm objects made while a load
     frees the parsed rows would sit in the freed memory and keep it from
@@ -393,24 +375,27 @@ def _columns(
                 raise DimensionMismatchError(
                     f"dimensions differ: {len(row)} vs {dimension}"
                 )
-            norms[i] = norm = math.hypot(*row)
-            if nonzero and norm == 0.0:
-                raise ZeroVectorError(
-                    "cosine similarity is undefined for a zero vector"
-                )
+            norms[i] = math.hypot(*row)
             block.append(pack(*row))
         packed = np.frombuffer(b"".join(block)).reshape(len(block), dimension)
         columns[:, start:start + len(block)] = packed.T
     return columns, norms
 
 
-def _unit_columns(rows: list[Vector], dimension: int) -> np.ndarray:
-    """The rows, each divided by its own ``math.hypot``, as the columns of
-    a C-contiguous dimension × len(rows) array; each row is checked in order
-    as :func:`_columns` checks it with ``nonzero``."""
-    columns, norms = _columns(rows, len(rows), dimension, nonzero=True)
-    columns /= norms
-    return columns
+def _unit_vector(vector: Vector | np.ndarray, dimension: int) -> np.ndarray:
+    """A query vector, a tuple or a 1-D float64 column, divided by its own
+    ``math.hypot``: a float64 array of the bytes :func:`_columns` packs for
+    the same floats, each divided once. Its length is checked first
+    (DimensionMismatchError), then its norm as ``cosine_similarity`` checks
+    it (ZeroVectorError). A column is not copied, and the norm of its
+    ``tolist()`` floats costs half of ``math.hypot`` over its elements."""
+    if len(vector) != dimension:
+        raise DimensionMismatchError(f"dimensions differ: {len(vector)} vs {dimension}")
+    column = np.asarray(vector, dtype=np.float64)
+    norm = math.hypot(*column.tolist())
+    if norm == 0.0:
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    return column / norm
 
 
 def _dot_loop(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -442,11 +427,12 @@ def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def cosine_similarities(
-    query_vec: Vector, columns: np.ndarray, norms: np.ndarray
+    query_vec: Vector | np.ndarray, columns: np.ndarray, norms: np.ndarray
 ) -> list[float]:
     """``[cosine_similarity(v, query_vec) for v in vectors]`` bit for bit,
     in one kernel call, for the ``vectors`` whose columns and norms
-    :func:`_columns` gives; raises what the first failing pair would raise.
+    :func:`embed_many` or :func:`_columns` gives; the query is a tuple or a
+    1-D float64 column. Raises what the first failing pair would raise.
     The columns share one dimension, so that is a DimensionMismatchError
     when it is not the query's, else a ZeroVectorError for a zero norm."""
     if not len(norms):
@@ -456,7 +442,7 @@ def cosine_similarities(
         raise DimensionMismatchError(
             f"dimensions differ: {columns.shape[0]} vs {dimension}"
         )
-    query = _unit_columns([query_vec], dimension)[:, 0]  # a zero query raises
+    query = _unit_vector(query_vec, dimension)  # a zero query raises
     if not norms.all():
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     return _dots(query, columns / norms).tolist()
@@ -494,7 +480,7 @@ class EntityVectorStore:
     ) -> EntityVectorStore:
         """A new store of these entries followed by ``entities``, none of
         them in this store, whose vectors are the columns of ``block`` with
-        their ``norms``, as :func:`_columns` or :func:`_embedded` gives
+        their ``norms``, as :func:`embed_many` or :func:`_columns` gives
         them. The block is kept, not copied. Its dimension settles an
         empty store's; a non-empty store raises DimensionMismatchError for
         another."""
@@ -520,7 +506,7 @@ class EntityVectorStore:
         """Entity names in store order, and their unit vectors as columns:
         the blocks side by side in one new array, each column divided by its
         norm with one IEEE division per element, the division
-        ``_unit_columns`` makes. A zero norm raises ZeroVectorError before
+        ``_unit_vector`` makes. A zero norm raises ZeroVectorError before
         any division."""
         if self._unit is not None:
             return self.names, self._unit
@@ -552,11 +538,12 @@ class EntityVectorStore:
 
 
 def top_k_entities(
-    query_vec: Vector,
+    query_vec: Vector | np.ndarray,
     store: EntityVectorStore,
     k: int,
 ) -> list[tuple[str, float]]:
-    """The K most similar stored entities, exhaustively and exactly.
+    """The K most similar stored entities to ``query_vec`` (a tuple or a
+    1-D float64 column), exhaustively and exactly.
 
     Sorted by similarity descending, ties by entity string ascending. Every
     entity whose similarity reaches the K-th largest is kept before the
@@ -566,7 +553,7 @@ def top_k_entities(
         raise ValueError("k must be >= 1")
     if not store.names:
         return []
-    query = _unit_columns([query_vec], store.dimension)[:, 0]
+    query = _unit_vector(query_vec, store.dimension)
     names, columns = store.unit_columns()
     sims = _dots(query, columns)
     if k < len(names):

@@ -27,17 +27,19 @@ the file), so neither holds the whole text. The entity vectors load into
 one float64 block in one pass over the parsed rows, and are serialized in
 slices of rows in entity order: each slice is one ``np.stack`` of its
 entities' column views of the store's blocks, and each distinct component
-of a slice is written once (see ``_rows_json``). A
-file loads iff it parses into an index whose ``save_index`` form has the
-stored digest and passes the relational checks: finite vectors that are not
-all zeros, non-empty posting lists of chunk ids in the catalog, exactly one
-vector per entity of the store's dimension, and catalog keys that are
-``<doc_id>#<position>`` of their record with a position >= 0 (so no two
-records share a document and position). Any other file raises IndexIntegrityError (SchemaVersionError for another
-schema). Derived fields (entity list, fingerprint, TUIC, TCTC as the catalog's
-token sum) are recomputed, not read. The loader trusts, unchecked, each
-chunk's ``token_count`` against its text and the accounting breakdown beyond
-the three indexing labels.
+of a slice is written once (see ``_rows_json``). A file loads iff it
+parses into an index whose ``save_index`` form has the stored digest and
+passes the relational checks: an embedder id that
+``EmbedderConfig.from_id`` parses, with a store of the id's dimension for
+a local embedder; finite vectors that are not all zeros, non-empty posting
+lists of chunk ids in the catalog, exactly one vector per entity of the
+store's dimension, and catalog keys that are ``<doc_id>#<position>`` of
+their record with a position >= 0 (so no two records share a document and
+position). Any other file raises IndexIntegrityError (SchemaVersionError
+for another schema). Derived fields (entity list, fingerprint, TUIC, TCTC
+as the catalog's token sum) are recomputed, not read. The loader trusts,
+unchecked, each chunk's ``token_count`` against its text and the accounting
+breakdown beyond the three indexing labels.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .embedding import (
     EmbeddingCache,
     EntityVectorStore,
     _columns,
-    _embedded,
+    embed_many,
 )
 from .errors import (
     ConfigMismatchError,
@@ -203,7 +205,7 @@ def _extended(
             for entity in entities:
                 added.setdefault(entity, set()).add(chunk.chunk_id)
         new_entities = sorted(added.keys() - index.inverted_map.keys())
-        block, norms = _embedded(new_entities, embedder, cache)
+        block, norms = embed_many(new_entities, embedder, cache)
     except ProviderError as exc:
         done = len(catalog) - len(index.chunk_catalog)
         raise ProviderError(
@@ -379,6 +381,8 @@ def _from_document(document: dict) -> EntityIndex:
     back to the system whole instead of staying pinned by the loaded
     index's objects."""
     config_doc = document.pop("config")
+    embedder_id = str(config_doc["embedder_id"])
+    embedder = EmbedderConfig.from_id(embedder_id)
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
     config = IndexConfig(
@@ -392,7 +396,7 @@ def _from_document(document: dict) -> EntityIndex:
             ),
             remote_model=None if model is None else str(model),
         ),
-        embedder_id=str(config_doc["embedder_id"]),
+        embedder_id=embedder_id,
     )
     chunk_catalog = {
         chunk_id: ChunkRecord(
@@ -416,6 +420,10 @@ def _from_document(document: dict) -> EntityIndex:
     )
     vectors_doc = document.pop("vectors")
     dimension = int(vectors_doc["dimension"])
+    _require(
+        embedder.provider != "local" or dimension == embedder.dimension,
+        "entity vectors do not have the embedder's dimension",
+    )
     entries = vectors_doc["entries"]
     _require(isinstance(entries, dict), "entity vectors are not an object")
     names = list(entries)

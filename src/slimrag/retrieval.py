@@ -13,10 +13,10 @@ Queries that yield no usable entities always fall back to every chunk as a
 candidate with no hit entities, scored by ``phi_q`` alone (trace-labeled);
 the fallback cannot be disabled. Both paths share one scoring loop and one
 ranking; every candidate's ``phi_q`` comes from one
-:func:`~slimrag.embedding.cosine_similarities` call. Query entities are
-embedded with one ``embed_many`` call, and candidate chunks straight into
-similarity columns with one ``_embedded`` call, which is ``embed_many`` for a
-remote embedder. So a remote embedder with batch size ``b`` makes at most
+:func:`~slimrag.embedding.cosine_similarities` call. Every text becomes
+similarity columns through :func:`~slimrag.embedding.embed_many`, in three
+calls kept apart: the query text, the query entities, and the candidate
+chunks. So a remote embedder with batch size ``b`` makes at most
 ``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
 entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
 ``N`` chunks), retries aside.
@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
-    _embedded,
     cosine_similarities,
-    embed,
     embed_many,
     top_k_entities,
 )
@@ -187,9 +185,10 @@ def match_query_entities(
     per_source: dict[str, list[tuple[str, float]]] = {}
     spent = 0
     ordered = sorted(query_entities)
-    for query_entity, vector in zip(ordered, embed_many(ordered, embedder, cache)):
+    columns, _ = embed_many(ordered, embedder, cache)
+    for query_entity, column in zip(ordered, columns.T):
         spent += count_tokens(query_entity)
-        matches = top_k_entities(vector, index.vectors, k)
+        matches = top_k_entities(column, index.vectors, k)
         per_source[query_entity] = matches
         for entity, similarity in matches:
             if entity not in hits or similarity > hits[entity]:
@@ -302,7 +301,7 @@ def retrieve(
         trace.empty_index = True
         return Context(chunks=[], total_tokens=0, text="", trace=trace)
 
-    q_vec = embed(q, embedder, cache)
+    q_column = embed_many([q], embedder, cache)[0][:, 0]
     usage[EMBEDDING_IN] += count_tokens(q)
 
     weights: dict[str, float] | None = None
@@ -330,8 +329,8 @@ def retrieve(
 
     chunk_ids = sorted(candidates)
     records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
-    columns, norms = _embedded([record.text for record in records], embedder, cache)
-    phis = cosine_similarities(q_vec, columns, norms)
+    columns, norms = embed_many([record.text for record in records], embedder, cache)
+    phis = cosine_similarities(q_column, columns, norms)
     scored = []
     for chunk_id, record, phi_q in zip(chunk_ids, records, phis):
         hit_set = candidates[chunk_id]

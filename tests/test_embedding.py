@@ -31,10 +31,9 @@ from slimrag.embedding import (
     _columns,
     _dot_loop,
     _dots,
-    _embedded,
     _gram_counts,
     _local_embed,
-    _unit_columns,
+    _unit_vector,
     cosine_similarities,
     cosine_similarity,
     embed,
@@ -132,8 +131,8 @@ class TestLocalEmbedder:
 def _tuple_embed(text: str, dim: int) -> tuple[float, ...]:
     """The tuple path the array cache replaced: each distinct count divided
     once in Python and its float shared by every component that holds it.
-    The reference for ``_local_embed``'s arrays and ``_embedded``'s
-    columns."""
+    The reference for ``_local_embed``'s arrays, ``embed_many``'s columns
+    and ``embed``'s tuples."""
     counts = _gram_counts(normalize_entity(text), dim)
     norm = math.sqrt(counts @ counts)
     values = counts.astype(np.intp).tolist()
@@ -150,8 +149,9 @@ def _tuple_columns(texts: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestEmbeddedColumns:
-    """Local texts become similarity columns straight from their cached
-    arrays: the bytes and norms the tuple path gives, and its errors."""
+    """``embed_many`` makes local texts' similarity columns straight from
+    their cached arrays: the bytes and norms the tuple path gives, and its
+    errors; ``embed`` gives the tuple path's tuples."""
 
     @given(
         st.lists(_EMBED_TEXT, max_size=6),
@@ -167,16 +167,16 @@ class TestEmbeddedColumns:
             want = _tuple_columns(texts, dim)
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{exc}$"):
-                _embedded(texts, embedder)
-            with pytest.raises(ValueError, match=f"^{exc}$"):
                 embed_many(texts, embedder)
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                embed(next(t for t in texts if not t.strip()), embedder)
             return
         with mock.patch.object(embedding, "_PACKED_ROWS", block_rows):
-            columns, norms = _embedded(texts, embedder)
+            columns, norms = embed_many(texts, embedder)
         assert columns.flags.c_contiguous and columns.shape == (dim, len(texts))
         assert columns.tobytes() == want[0].tobytes()
         assert [x.hex() for x in norms.tolist()] == [x.hex() for x in want[1].tolist()]
-        got = embed_many(texts, embedder)
+        got = [embed(t, embedder) for t in texts]
         assert [[x.hex() for x in row] for row in got] == [
             [x.hex() for x in _tuple_embed(t, dim)] for t in texts
         ]
@@ -187,7 +187,7 @@ class TestEmbeddedColumns:
         assert not unit.flags.writeable
         with pytest.raises(ValueError):
             unit[0] = 2.0
-        columns, _ = _embedded(["read only"], EmbedderConfig(dimension=16))
+        columns, _ = embed_many(["read only"], EmbedderConfig(dimension=16))
         columns[0, 0] = 2.0  # the columns are a copy
         assert _local_embed("read only", 16)[0].tobytes() == unit.tobytes()
         assert embed("read only", EmbedderConfig(dimension=16))[0] != 2.0
@@ -514,11 +514,11 @@ class TestStoreAndCache:
 
         monkeypatch.setattr(Path, "open", counting_open)
         texts = [f"text {i}" for i in range(5)]
-        vectors = embed_many(texts, config, cache)
+        columns, _ = embed_many(texts, config, cache)
         assert modes == ["a+b"]
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["digest"] for r in records] == [cache.digest(t) for t in texts]
-        assert [tuple(r["vector"]) for r in records] == vectors
+        assert np.array([r["vector"] for r in records]).T.tobytes() == columns.tobytes()
 
     def test_cache_damaged_inner_line_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -875,8 +875,8 @@ class TestDots:
             assert got is want and issubclass(got, Exception)
 
 def _column_fill(rows, dimension):
-    """The column-by-column fill ``_unit_columns`` replaced: the reference
-    for its bytes and its errors."""
+    """The column-by-column fill: the reference for the bytes and the
+    errors of ``_unit_vector`` taken row by row."""
     columns = np.empty((dimension, len(rows)))
     norms = []
     for i, row in enumerate(rows):
@@ -917,9 +917,18 @@ def _random_rows(seed: int, count: int, dim: int, scale: float, kind: str):
     return rows
 
 
+def _unit_fill(rows, dimension):
+    """``_unit_vector`` of each row, in order, as the columns of one array."""
+    columns = np.empty((dimension, len(rows)))
+    for i, row in enumerate(rows):
+        columns[:, i] = _unit_vector(row, dimension)
+    return columns
+
+
 class TestUnitColumns:
-    """``_unit_columns`` equals the column-by-column fill byte for byte, and
-    index writes keep every store's columns equal to a fresh build."""
+    """``_unit_vector`` equals the column-by-column fill byte for byte, for
+    tuples and for float64 columns, and index writes keep every store's
+    columns equal to a fresh build."""
 
     @given(
         st.integers(1, 300),
@@ -931,10 +940,13 @@ class TestUnitColumns:
     @settings(max_examples=40, deadline=None)
     def test_equals_the_column_fill(self, dim, count, scale, kind, seed):
         rows = _random_rows(seed, count, dim, scale, kind)
-        got = _unit_columns(rows, dim)
+        got = _unit_fill(rows, dim)
         want = _column_fill(rows, dim)
         assert got.flags.c_contiguous and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # The same vectors as the strided column views of one block.
+        columns = list(_block(rows, dim)[0].T)
+        assert _unit_fill(columns, dim).tobytes() == want.tobytes()
 
     @given(st.integers(1, 8), _ROW_COUNTS, st.data(), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -950,7 +962,7 @@ class TestUnitColumns:
         zero_at, wrong_at = (first, second) if zero_first else (second, first)
         rows[zero_at] = (-0.0,) * dim
         rows[wrong_at] = wrong
-        got = _outcome(_unit_columns, rows, dim)
+        got = _outcome(_unit_fill, rows, dim)
         assert got is (ZeroVectorError if zero_first else DimensionMismatchError)
         assert got is _outcome(_column_fill, rows, dim)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DEEP_JSON, damaged, random_corpus, rewrite_index
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
-from slimrag.embedding import EmbedderConfig, EntityVectorStore, _columns
+from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
 from slimrag.errors import (
     ConfigMismatchError,
     DuplicateChunkError,
@@ -578,6 +578,44 @@ class TestPersistence:
         save_index(_SMALL_INDEX, path)
         rewrite_index(path, lambda d: d["vectors"].update(entries=entries))
         with pytest.raises(IndexIntegrityError, match="entity vectors are not an object"):
+            load_index(path)
+
+    @staticmethod
+    def _saved_with_embedder_id(path, embedder_id):
+        """``_SMALL_INDEX`` (dimension 32) saved with another embedder id in
+        both places the file holds it, fingerprint and digest recomputed."""
+        save_index(_SMALL_INDEX, path)
+
+        def mutate(document):
+            document["config"]["embedder_id"] = embedder_id
+            document["vectors"]["embedder_id"] = embedder_id
+
+        rewrite_index(path, mutate)
+
+    def test_embedder_id_that_is_not_an_id_is_damage(self, tmp_path):
+        """It loaded, and retrieve failed late with ``invalid literal for
+        int()``."""
+        path = tmp_path / "index.json"
+        self._saved_with_embedder_id(path, "bogus")
+        with pytest.raises(IndexIntegrityError, match="^index file is damaged: "):
+            load_index(path)
+
+    def test_embedder_id_with_a_padded_dimension_is_damage(self, tmp_path):
+        """It loaded, and retrieve failed late with ``not an embedder id``."""
+        path = tmp_path / "index.json"
+        self._saved_with_embedder_id(path, f"local-hash/v1:0032:{DEFAULT_SEED:#x}")
+        with pytest.raises(IndexIntegrityError, match="not an embedder id"):
+            load_index(path)
+
+    def test_local_embedder_id_of_another_dimension_is_damage(self, tmp_path):
+        """A valid local id of dimension 16 over vectors of dimension 32 loaded:
+        ``index add`` re-saved it and retrieve failed with ``dimensions
+        differ``."""
+        path = tmp_path / "index.json"
+        self._saved_with_embedder_id(path, f"local-hash/v1:16:{DEFAULT_SEED:#x}")
+        with pytest.raises(
+            IndexIntegrityError, match="entity vectors do not have the embedder's"
+        ):
             load_index(path)
 
     @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 import requests
 
@@ -213,12 +214,15 @@ class TestEmbeddingsProtocol:
             {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]},
         ]})
         server.enqueue(200, {"data": [{"embedding": [0.5, 0.5]}]})
-        out = embed_many(["a", "b", "c"], config, cache)
-        assert len(out) == 3
+        columns, norms = embed_many(["a", "b", "c"], config, cache)
+        want = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+        assert columns.flags.c_contiguous and columns.tobytes() == want.tobytes()
+        assert norms.tolist() == [1.0, 1.0, math.hypot(0.5, 0.5)]
         assert len(server.requests) == 2  # 2 + 1 under batch_size=2
         # Second call is fully served by the cache.
-        out_again = embed_many(["a", "b", "c"], config, cache)
-        assert out_again == out
+        columns_again, norms_again = embed_many(["a", "b", "c"], config, cache)
+        assert columns_again.tobytes() == columns.tobytes()
+        assert norms_again.tobytes() == norms.tobytes()
         assert len(server.requests) == 2
 
     def test_zero_vector_reply_is_rejected_and_not_cached(self, server, tmp_path):
