@@ -55,10 +55,14 @@ result equals ``cosine_similarity`` bit for bit:
   index order over a dimension × N array, starting from zeros as the loop
   starts from ``0.0`` (so a zero result keeps the loop's sign). A BLAS
   product or a numpy reduction sums in another order or starts from the
-  first term, and differs in the last bits. Arrays of up to 256 columns
-  take these sums in one ``np.add.accumulate`` down the products below a
-  zero row, which adds in the same order; wider ones take a loop of two
-  numpy calls per dimension, whose cost hardly grows with the width.
+  first term, and differs in the last bits. Arrays of up to 2,048 columns
+  take these sums 64 dimensions at a time: the running sums sit in row 0
+  of a C-contiguous block, the 64 rows of products below them, and one
+  ``np.add.reduce`` down the block adds each column's rows in index order
+  into the sums. A reduce down one column would run along the contiguous
+  axis, which numpy sums pairwise, so a single column is padded with a
+  zero column. Wider arrays take a loop of two numpy calls per dimension,
+  whose cost grows more slowly with the width.
 
 Every vector travels one way from its source to a similarity. Texts
 become similarity columns through :func:`embed_many` (a query's text,
@@ -119,11 +123,17 @@ _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
 # Rows packed or copied per block when rows become columns: only one block
 # (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
-# Widest array whose dot products ``_dots`` takes in one accumulate. At 256
-# dimensions on a 2-core VM (numpy 2.4.6) the accumulate costs 0.04 ms at 30
-# columns and 0.31 ms at 256, the per-dimension loop about 0.5 ms at either;
-# the two meet near 450 columns, and at 1,300 the loop is 2-3x faster.
-_ACCUMULATE_COLUMNS = 256
+# Widest array whose dot products ``_dots`` takes in the block reduce, which
+# works ``_REDUCE_ROWS`` dimensions at a time. At 256 dimensions on a 2-core
+# VM (numpy 2.4.6; per-call medians over several runs) the reduce takes
+# 0.06-0.08 ms at 118 columns (the accumulate it replaced 0.13-0.16 ms),
+# 0.45-0.73 ms at 1,316 and 0.77-0.99 ms at 2,048, where the per-dimension
+# loop takes 0.48-0.94 and 0.65-1.05 ms. Run in turn, the reduce won 5 of 5
+# times up to 2,048 columns, 3 of 5 at 2,200 and none at 2,400 (none at
+# 2,200 at 64 dimensions). The largest store a benchmark workload searches
+# has 1,748 entities.
+_REDUCE_COLUMNS = 2048
+_REDUCE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -149,14 +159,20 @@ class EmbedderConfig:
 
     @classmethod
     def from_id(cls, embedder_id: str) -> "EmbedderConfig":
-        """The config whose :attr:`embedder_id` is ``embedder_id``. ValueError
-        when none is: the parsed config must give back the same id, so another
-        seed or a padded dimension fails that one check."""
+        """The config whose :attr:`embedder_id` is ``embedder_id``. Any other
+        text raises ``ValueError("not an embedder id: ...")``: the parsed
+        config must give back the same id, so another seed or a padded
+        dimension fails that one check, and text with no dimension to parse
+        or a dimension below 1 fails before it."""
+        error = ValueError(f"not an embedder id: {embedder_id!r}")
         name, _, rest = embedder_id.partition(":")
-        config = (cls(provider="remote", remote_model=rest) if name == "remote"
-                  else cls(dimension=int(rest.partition(":")[0])))
+        try:
+            config = (cls(provider="remote", remote_model=rest) if name == "remote"
+                      else cls(dimension=int(rest.partition(":")[0])))
+        except ValueError:
+            raise error from None
         if config.embedder_id != embedder_id:
-            raise ValueError(f"not an embedder id: {embedder_id!r}")
+            raise error
         return config
 
 
@@ -411,19 +427,33 @@ def _dot_loop(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """:func:`_dot_loop`'s bytes. Up to ``_ACCUMULATE_COLUMNS`` columns, one
-    ``np.add.accumulate`` down a zero row stacked on the products makes
-    every partial sum the loop makes, in the same order, and its last row
-    is the result; its cost grows with the width, so wider arrays take the
-    loop."""
+    """:func:`_dot_loop`'s bytes. Up to ``_REDUCE_COLUMNS`` columns, the
+    running sums are carried through ``_REDUCE_ROWS`` dimensions at a time:
+    row 0 of a C-contiguous block holds them, the rows below it take that
+    block's products, and ``np.add.reduce`` down axis 0 adds each column's
+    rows in order into the sums, which are their own array (an ``out`` that
+    overlaps the input makes numpy copy the input first). The sums start
+    at ``+0.0``, as the loop's do, and never become ``-0.0``. A reduce down
+    a single column would run along the contiguous axis, which numpy sums
+    pairwise, so the block and the sums have a zero column of padding when
+    the width is 1. Wider arrays take the loop: the reduce's cost grows
+    faster with the width."""
     dimension, width = columns.shape
-    if width > _ACCUMULATE_COLUMNS:
+    if width > _REDUCE_COLUMNS:
         return _dot_loop(query, columns)
-    sums = np.empty((dimension + 1, width))
-    sums[0] = 0.0
-    np.multiply(query[:, None], columns, out=sums[1:])
-    np.add.accumulate(sums, axis=0, out=sums)
-    return sums[-1]
+    sums = np.zeros(max(width, 2))
+    block = np.empty((_REDUCE_ROWS + 1, len(sums)))
+    block[:, width:] = 0.0  # only the pad column; np.zeros of 1 MB maps fresh pages
+    for start in range(0, dimension, _REDUCE_ROWS):
+        rows = min(_REDUCE_ROWS, dimension - start)
+        block[0] = sums
+        np.multiply(
+            query[start:start + rows, None],
+            columns[start:start + rows],
+            out=block[1:rows + 1, :width],
+        )
+        np.add.reduce(block[:rows + 1], axis=0, out=sums)
+    return sums[:width]
 
 
 def cosine_similarities(

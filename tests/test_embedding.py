@@ -23,7 +23,8 @@ import slimrag
 from slimrag import embedding, remote
 from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
-    _ACCUMULATE_COLUMNS,
+    _REDUCE_COLUMNS,
+    _REDUCE_ROWS,
     DEFAULT_SEED,
     EmbedderConfig,
     EmbeddingCache,
@@ -206,6 +207,7 @@ class TestEmbedderId:
 
     @pytest.mark.parametrize("embedder_id", [
         "",
+        "bogus",
         "remote",
         "local",
         "local-hash/v1",
@@ -217,6 +219,9 @@ class TestEmbedderId:
         f"local-hash/v1:6_4:{DEFAULT_SEED:#x}",
         f"local-hash/v1:0:{DEFAULT_SEED:#x}",
         f"local-hash/v1:-64:{DEFAULT_SEED:#x}",
+        f"local-hash/v1:-5:{DEFAULT_SEED:#x}",
+        f"local-hash/v1::{DEFAULT_SEED:#x}",
+        f"local-hash/v1:{'9' * 5000}:{DEFAULT_SEED:#x}",
         f"local-hash/v1:sixty:{DEFAULT_SEED:#x}",
         "local-hash/v1:64:0x1",
         f"local-hash/v1:64:{DEFAULT_SEED}",
@@ -226,8 +231,11 @@ class TestEmbedderId:
         "remote-x:model",
     ])
     def test_malformed_id_is_rejected(self, embedder_id):
-        with pytest.raises(ValueError):
+        """Every malformed id fails the same way, whether its dimension does
+        not parse, is below 1 or does not give back the id."""
+        with pytest.raises(ValueError) as caught:
             EmbedderConfig.from_id(embedder_id)
+        assert str(caught.value) == f"not an embedder id: {embedder_id!r}"
 
 
 class TestCosine:
@@ -784,15 +792,21 @@ class TestSimilarityKernel:
 
 
 
-# Column counts on both sides of the switch from one accumulate to the loop.
+# Column counts on both sides of the switch from the block reduce to the loop.
 _WIDTHS = st.one_of(
     st.sampled_from([
-        1, 2, _ACCUMULATE_COLUMNS - 1, _ACCUMULATE_COLUMNS,
-        _ACCUMULATE_COLUMNS + 1, _ACCUMULATE_COLUMNS + 2,
+        1, 2, 3, _REDUCE_COLUMNS - 1, _REDUCE_COLUMNS,
+        _REDUCE_COLUMNS + 1, _REDUCE_COLUMNS + 2,
     ]),
-    st.integers(1, 2 * _ACCUMULATE_COLUMNS),
+    st.integers(1, 2 * _REDUCE_COLUMNS),
 )
 _EXTREMES = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+# Dimensions at the edges of the reduce's blocks (1, 63, 64, 65, 128, 255,
+# 256 and 257 for blocks of 64).
+_BLOCK_EDGES = [
+    1, _REDUCE_ROWS - 1, _REDUCE_ROWS, _REDUCE_ROWS + 1, 2 * _REDUCE_ROWS,
+    4 * _REDUCE_ROWS - 1, 4 * _REDUCE_ROWS, 4 * _REDUCE_ROWS + 1,
+]
 
 
 @st.composite
@@ -822,9 +836,9 @@ def _dot_operands(draw):
 
 class TestDots:
     """``_dots`` equals ``_dot_loop``, the per-dimension loop it switches
-    to above ``_ACCUMULATE_COLUMNS`` columns, byte for byte on both sides
-    of the switch; the accumulate is also checked at every width by moving
-    the switch past it."""
+    to above ``_REDUCE_COLUMNS`` columns, byte for byte on both sides of
+    the switch; the block reduce is also checked at every width by moving
+    the switch past it, and the loop by moving the switch below it."""
 
     @given(_dot_operands())
     @settings(max_examples=150, deadline=None)
@@ -836,25 +850,29 @@ class TestDots:
             want = _dot_loop(query, columns).tobytes()
             assert _dots(query, columns).tobytes() == want
             for switch in (width, width - 1):
-                with mock.patch.object(embedding, "_ACCUMULATE_COLUMNS", switch):
+                with mock.patch.object(embedding, "_REDUCE_COLUMNS", switch):
                     assert _dots(query, columns).tobytes() == want
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_cosine_similarities_wider_than_the_switch(self, data):
+        """The switch is moved below the width, so the loop branch runs
+        without drawing thousands of vectors."""
         dim = data.draw(st.integers(1, 6))
         query = _vector(data.draw, dim)
-        count = data.draw(st.integers(_ACCUMULATE_COLUMNS + 1, _ACCUMULATE_COLUMNS + 40))
+        switch = data.draw(st.integers(0, 256))
+        count = data.draw(st.integers(switch + 1, switch + 40))
         pool = [_vector(data.draw, dim) for _ in range(8)]
         vectors = [data.draw(st.sampled_from(pool)) for _ in range(count)]
-        got = cosine_similarities(query, *_block(vectors, dim))
+        with mock.patch.object(embedding, "_REDUCE_COLUMNS", switch):
+            got = cosine_similarities(query, *_block(vectors, dim))
         want = [cosine_similarity(vec, query) for vec in vectors]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert all(type(x) is float for x in got)
 
     @pytest.mark.parametrize("bad", ["zero", "short", "long"])
     @pytest.mark.parametrize(
-        "count", [_ACCUMULATE_COLUMNS, _ACCUMULATE_COLUMNS + 1, 3 * _ACCUMULATE_COLUMNS]
+        "count", [_REDUCE_COLUMNS, _REDUCE_COLUMNS + 1, 3 * _REDUCE_COLUMNS]
     )
     def test_wide_errors_equal_the_per_pair_loop(self, bad, count):
         """A zero row among the columns, or a query shorter or longer than
@@ -873,6 +891,60 @@ class TestDots:
             got = _outcome(cosine_similarities, query, *block)
             want = _outcome(lambda: [cosine_similarity(row, query) for row in rows])
             assert got is want and issubclass(got, Exception)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
+    def test_block_edges_and_layouts_equal_the_loop(self, dimension, width, layout):
+        """Dimensions at the edges of the reduce's blocks, the narrowest
+        widths (one column is reduced beside a zero pad column, not summed
+        pairwise), and a strided query with strided or column-major columns.
+        Products of magnitudes 1e-8 to 1e8 make any other order of addition
+        show in the last bits."""
+        rng = np.random.default_rng([dimension, width])
+        query = rng.standard_normal(2 * dimension) * 10 ** rng.uniform(-4, 4, 2 * dimension)
+        columns = rng.standard_normal((3 * dimension, 2 * width))
+        columns *= 10 ** rng.uniform(-4, 4, columns.shape)
+        if layout == "contiguous":
+            query, columns = query[:dimension].copy(), columns[:dimension, :width].copy()
+        else:
+            query, columns = query[::2], columns[::3, ::2]
+            if layout == "fortran":
+                columns = np.asfortranarray(columns)
+        want = _dot_loop(query, columns).tobytes()
+        assert _dots(query, columns).tobytes() == want
+        with mock.patch.object(embedding, "_REDUCE_COLUMNS", width - 1):
+            assert _dots(query, columns).tobytes() == want
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
+    def test_all_negative_zero_products_sum_to_positive_zero(self, dimension, width):
+        """The last column's products are all -0.0; the loop adds them to
+        0.0 and gets 0.0, where a sum that starts from a product gets -0.0."""
+        rng = np.random.default_rng([dimension, width])
+        query = rng.standard_normal(dimension)
+        columns = rng.standard_normal((dimension, width))
+        columns[:, -1] = np.copysign(0.0, -query)
+        got = _dots(query, columns)
+        assert got.tobytes() == _dot_loop(query, columns).tobytes()
+        assert got[-1:].tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
+    def test_one_column_equals_cosine_bit_for_bit(self, dimension):
+        """``cosine_similarities`` of one vector and ``top_k_entities`` over
+        a store of one entity take the reduce at width 1."""
+        rng = random.Random(dimension)
+        query, other = (
+            tuple(rng.uniform(0.5, 1.0) * rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 4)
+                  for _ in range(dimension))
+            for _ in range(2)
+        )
+        want = cosine_similarity(other, query).hex()
+        block = _block([other], dimension)
+        assert [x.hex() for x in cosine_similarities(query, *block)] == [want]
+        store = EntityVectorStore(dimension=dimension).extended(["other"], *block)
+        assert _hex(top_k_entities(query, store, 1)) == [("other", want)]
+
 
 def _column_fill(rows, dimension):
     """The column-by-column fill: the reference for the bytes and the

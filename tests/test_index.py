@@ -597,7 +597,9 @@ class TestPersistence:
         int()``."""
         path = tmp_path / "index.json"
         self._saved_with_embedder_id(path, "bogus")
-        with pytest.raises(IndexIntegrityError, match="^index file is damaged: "):
+        with pytest.raises(
+            IndexIntegrityError, match="^index file is damaged: not an embedder id: 'bogus'$"
+        ):
             load_index(path)
 
     def test_embedder_id_with_a_padded_dimension_is_damage(self, tmp_path):
