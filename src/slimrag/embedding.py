@@ -55,14 +55,14 @@ result equals ``cosine_similarity`` bit for bit:
   index order over a dimension × N array, starting from zeros as the loop
   starts from ``0.0`` (so a zero result keeps the loop's sign). A BLAS
   product or a numpy reduction sums in another order or starts from the
-  first term, and differs in the last bits. Arrays of up to 2,048 columns
-  take these sums 64 dimensions at a time: the running sums sit in row 0
-  of a C-contiguous block, the 64 rows of products below them, and one
-  ``np.add.reduce`` down the block adds each column's rows in index order
-  into the sums. A reduce down one column would run along the contiguous
-  axis, which numpy sums pairwise, so a single column is padded with a
-  zero column. Wider arrays take a loop of two numpy calls per dimension,
-  whose cost grows more slowly with the width.
+  first term, and differs in the last bits. The sums are taken a block of
+  dimensions at a time, as many as fit in 65,536 products whatever the
+  width (256 dimensions up to 256 columns, one per block past 65,536):
+  the running sums sit in row 0 of a C-contiguous block, that block's
+  products in the rows below them, and one ``np.add.reduce`` down the
+  block adds each column's rows in index order into the sums. A reduce
+  down one column would run along the contiguous axis, which numpy sums
+  pairwise, so a single column is padded with a zero column.
 
 Every vector travels one way from its source to a similarity. Texts
 become similarity columns through :func:`embed_many` (a query's text,
@@ -123,17 +123,10 @@ _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
 # Rows packed or copied per block when rows become columns: only one block
 # (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
-# Widest array whose dot products ``_dots`` takes in the block reduce, which
-# works ``_REDUCE_ROWS`` dimensions at a time. At 256 dimensions on a 2-core
-# VM (numpy 2.4.6; per-call medians over several runs) the reduce takes
-# 0.06-0.08 ms at 118 columns (the accumulate it replaced 0.13-0.16 ms),
-# 0.45-0.73 ms at 1,316 and 0.77-0.99 ms at 2,048, where the per-dimension
-# loop takes 0.48-0.94 and 0.65-1.05 ms. Run in turn, the reduce won 5 of 5
-# times up to 2,048 columns, 3 of 5 at 2,200 and none at 2,400 (none at
-# 2,200 at 64 dimensions). The largest store a benchmark workload searches
-# has 1,748 entities.
-_REDUCE_COLUMNS = 2048
-_REDUCE_ROWS = 64
+# Products per block of ``_dots`` (512 KB): the block is as many dimensions
+# high as fit. At 256 dimensions and 1,316 columns (a 49-row block) heights
+# of 32-64 rows were level and 99-256 rows 7-24% slower.
+_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -230,9 +223,9 @@ class EmbeddingCache:
     it and truncate the file to the last complete record, so an append
     starts on a fresh line also after another process died mid-append. Any
     other damaged line, including one that does not decode as JSON (see
-    :func:`~slimrag.corpus.parse_json`) or whose vector fails
-    :func:`~slimrag.remote.json_vector`, the rule for provider replies,
-    raises ValueError naming that line.
+    :func:`~slimrag.corpus.parse_json`), whose ``embedder`` or ``digest`` is
+    not a string or whose vector fails :func:`~slimrag.remote.json_vector`,
+    the rule for provider replies, raises ValueError naming that line.
     """
 
     def __init__(self, path: str | Path):
@@ -248,6 +241,8 @@ class EmbeddingCache:
                 try:
                     record = parse_json(line)
                     key = (record["embedder"], record["digest"])
+                    if not all(isinstance(part, str) for part in key):
+                        raise ValueError("key is not two strings")
                     self._entries[key] = tuple(remote.json_vector(record["vector"]))
                 except (ValueError, KeyError, TypeError, OverflowError):
                     raise ValueError(
@@ -414,38 +409,25 @@ def _unit_vector(vector: Vector | np.ndarray, dimension: int) -> np.ndarray:
     return column / norm
 
 
-def _dot_loop(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``sum(query[j] * columns[j])`` per column, added in index order from
-    zero exactly as ``cosine_similarity``'s loop adds: two numpy calls per
-    dimension, whatever the number of columns."""
-    acc = np.zeros(columns.shape[1])
-    term = np.empty_like(acc)
-    for j in range(columns.shape[0]):
-        np.multiply(query[j], columns[j], out=term)
-        acc += term
-    return acc
-
-
 def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """:func:`_dot_loop`'s bytes. Up to ``_REDUCE_COLUMNS`` columns, the
-    running sums are carried through ``_REDUCE_ROWS`` dimensions at a time:
-    row 0 of a C-contiguous block holds them, the rows below it take that
-    block's products, and ``np.add.reduce`` down axis 0 adds each column's
-    rows in order into the sums, which are their own array (an ``out`` that
-    overlaps the input makes numpy copy the input first). The sums start
-    at ``+0.0``, as the loop's do, and never become ``-0.0``. A reduce down
-    a single column would run along the contiguous axis, which numpy sums
-    pairwise, so the block and the sums have a zero column of padding when
-    the width is 1. Wider arrays take the loop: the reduce's cost grows
-    faster with the width."""
+    """``sum(query[j] * columns[j])`` per column, added in index order from
+    ``+0.0`` exactly as ``cosine_similarity``'s loop adds. The running sums
+    are carried through blocks of as many dimensions as fit in
+    ``_BLOCK_CELLS`` (at least one): row 0 of a C-contiguous block holds
+    them, the rows below it take that block's products, and
+    ``np.add.reduce`` down axis 0 adds each column's rows in order into the
+    sums, which are their own array (an ``out`` that overlaps the input
+    makes numpy copy the input first). The sums start at ``+0.0`` and never
+    become ``-0.0``. A reduce down a single column would run along the
+    contiguous axis, which numpy sums pairwise, so the block and the sums
+    have a zero column of padding when the width is 1."""
     dimension, width = columns.shape
-    if width > _REDUCE_COLUMNS:
-        return _dot_loop(query, columns)
     sums = np.zeros(max(width, 2))
-    block = np.empty((_REDUCE_ROWS + 1, len(sums)))
-    block[:, width:] = 0.0  # only the pad column; np.zeros of 1 MB maps fresh pages
-    for start in range(0, dimension, _REDUCE_ROWS):
-        rows = min(_REDUCE_ROWS, dimension - start)
+    step = max(1, min(dimension, _BLOCK_CELLS // len(sums)))
+    block = np.empty((step + 1, len(sums)))
+    block[:, width:] = 0.0  # only the pad column; np.zeros of 512 KB maps fresh pages
+    for start in range(0, dimension, step):
+        rows = min(step, dimension - start)
         block[0] = sums
         np.multiply(
             query[start:start + rows, None],
@@ -467,12 +449,7 @@ def cosine_similarities(
     when it is not the query's, else a ZeroVectorError for a zero norm."""
     if not len(norms):
         return []
-    dimension = len(query_vec)
-    if columns.shape[0] != dimension:
-        raise DimensionMismatchError(
-            f"dimensions differ: {columns.shape[0]} vs {dimension}"
-        )
-    query = _unit_vector(query_vec, dimension)  # a zero query raises
+    query = _unit_vector(query_vec, columns.shape[0])
     if not norms.all():
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     return _dots(query, columns / norms).tolist()
@@ -586,11 +563,8 @@ def top_k_entities(
     query = _unit_vector(query_vec, store.dimension)
     names, columns = store.unit_columns()
     sims = _dots(query, columns)
-    if k < len(names):
-        kth = np.partition(sims, len(names) - k)[len(names) - k]
-        picked = np.flatnonzero(sims >= kth)
-    else:
-        picked = np.arange(len(names))
+    at = max(len(names) - k, 0)
+    picked = np.flatnonzero(sims >= np.partition(sims, at)[at])
     scored = [
         (names[i], sim) for i, sim in zip(picked.tolist(), sims[picked].tolist())
     ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from pathlib import Path
 
@@ -13,6 +14,16 @@ from hypothesis import strategies as st
 from slimrag.corpus import Corpus, SegmentationPolicy, ingest_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# The fuzz tests of outside input and of the dot-product kernel draw
+# ``fuzz_examples(n)`` hypothesis examples: n in Tier-1, n times
+# SLIMRAG_FUZZ_SCALE where that is set (CI's deep-fuzz job sets 20).
+_FUZZ_SCALE = int(os.environ.get("SLIMRAG_FUZZ_SCALE", "1"))
+
+
+def fuzz_examples(count: int) -> int:
+    return count * _FUZZ_SCALE
+
 
 # JSON nested far deeper than the interpreter's recursion limit: json.loads
 # raises RecursionError on it, not a ValueError.

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, SAMPLE_INPUTS, damaged
+from conftest import DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples
 from slimrag.corpus import (
     Chunk,
     Corpus,
@@ -250,7 +250,7 @@ def test_chunk_id_format():
     assert Chunk("d", 0, "x").chunk_id == "d#0"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fuzz_examples(300), deadline=None)
 @given(form=st.sampled_from(["corpus", "prechunked"]), data=st.data())
 def test_cut_or_changed_corpus_loads_or_raises_the_documented_error(form, data):
     """Pin: a JSONL corpus cut at a drawn offset, or with one byte changed,

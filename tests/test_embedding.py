@@ -17,20 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import DEEP_JSON, damaged, random_corpus, random_query
+from conftest import DEEP_JSON, damaged, fuzz_examples, random_corpus, random_query
 from oracles import brute_force_top_k, embed_oracle
 import slimrag
 from slimrag import embedding, remote
 from slimrag.corpus import ingest_corpus
 from slimrag.embedding import (
-    _REDUCE_COLUMNS,
-    _REDUCE_ROWS,
+    _BLOCK_CELLS,
     DEFAULT_SEED,
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
     _columns,
-    _dot_loop,
     _dots,
     _gram_counts,
     _local_embed,
@@ -541,9 +539,15 @@ class TestStoreAndCache:
         not_numbers = b'{"embedder": "e", "digest": "b", "vector": ["1.5", true, " 2 "]}'
         boolean = b'{"embedder": "e", "digest": "b", "vector": [0.5, true]}'
         huge_int = b'{"embedder": "e", "digest": "b", "vector": [1%s]}' % (b"0" * 400)
+        # Keys that are not strings: ``get`` could never find the line.
+        keys = [
+            b'{"embedder": null, "digest": "b", "vector": [0.5, 1.0]}',
+            b'{"embedder": "e", "digest": 7, "vector": [0.5]}',
+            b'{"embedder": 0.5, "digest": true, "vector": [0.5]}',
+        ]
         for damaged in (
             b"not json", nonfinite, not_utf8, DEEP_JSON.encode(), zero,
-            not_numbers, boolean, huge_int,
+            not_numbers, boolean, huge_int, *keys,
         ):
             path.write_bytes(damaged + b"\n" + good)
             with pytest.raises(ValueError, match="line 1"):
@@ -578,7 +582,7 @@ class TestDamagedCache:
                 assert cache.get("e", text) == tuple(map(float, vector))
             assert path.read_bytes() == original[:original.rfind(b"\n", 0, at) + 1]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_changed_byte_loads_or_names_a_line(self, tmp_path_factory, data):
         directory = tmp_path_factory.mktemp("cache")
@@ -792,21 +796,46 @@ class TestSimilarityKernel:
 
 
 
-# Column counts on both sides of the switch from the block reduce to the loop.
+def _dot_loop(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The oracle of ``_dots``: ``sum(query[j] * columns[j])`` per column,
+    added in index order from zero exactly as ``cosine_similarity``'s loop
+    adds, two numpy calls per dimension."""
+    acc = np.zeros(columns.shape[1])
+    term = np.empty_like(acc)
+    for j in range(columns.shape[0]):
+        np.multiply(query[j], columns[j], out=term)
+        acc += term
+    return acc
+
+
+def _heights(dimension: int) -> list[int]:
+    """Block heights for ``_dots`` to take: the edges of one and of 64
+    rows, and one short of, equal to and past the whole dimension (0 asks
+    for less than one row, so it takes one)."""
+    return sorted({1, 2, 63, 64, 65, dimension - 1, dimension, dimension + 1})
+
+
+def _dots_at_every_height(query: np.ndarray, columns: np.ndarray):
+    """``_dots`` at the real ``_BLOCK_CELLS``, then with it patched so the
+    array is taken each of ``_heights`` dimensions per block (at most the
+    whole dimension)."""
+    dimension, width = columns.shape
+    yield _dots(query, columns)
+    for height in _heights(dimension):
+        with mock.patch.object(embedding, "_BLOCK_CELLS", height * max(width, 2)):
+            got = _dots(query, columns)
+        yield got
+
+
+# Column counts from one to past 4,096, so the real ``_BLOCK_CELLS`` gives
+# blocks from the whole dimension down to 16 rows at 256 dimensions.
 _WIDTHS = st.one_of(
-    st.sampled_from([
-        1, 2, 3, _REDUCE_COLUMNS - 1, _REDUCE_COLUMNS,
-        _REDUCE_COLUMNS + 1, _REDUCE_COLUMNS + 2,
-    ]),
-    st.integers(1, 2 * _REDUCE_COLUMNS),
+    st.sampled_from([1, 2, 3, 255, 256, 257, 2047, 2048, 2049, 4097]),
+    st.integers(1, 4096),
 )
 _EXTREMES = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
-# Dimensions at the edges of the reduce's blocks (1, 63, 64, 65, 128, 255,
-# 256 and 257 for blocks of 64).
-_BLOCK_EDGES = [
-    1, _REDUCE_ROWS - 1, _REDUCE_ROWS, _REDUCE_ROWS + 1, 2 * _REDUCE_ROWS,
-    4 * _REDUCE_ROWS - 1, 4 * _REDUCE_ROWS, 4 * _REDUCE_ROWS + 1,
-]
+# Dimensions at the edges of blocks of 64 rows.
+_BLOCK_EDGES = [1, 63, 64, 65, 128, 255, 256, 257]
 
 
 @st.composite
@@ -835,36 +864,33 @@ def _dot_operands(draw):
 
 
 class TestDots:
-    """``_dots`` equals ``_dot_loop``, the per-dimension loop it switches
-    to above ``_REDUCE_COLUMNS`` columns, byte for byte on both sides of
-    the switch; the block reduce is also checked at every width by moving
-    the switch past it, and the loop by moving the switch below it."""
+    """``_dots`` equals ``_dot_loop``, the per-dimension loop kept here as
+    its oracle, byte for byte at every width and every block height; the
+    height is set by patching ``_BLOCK_CELLS``."""
 
     @given(_dot_operands())
-    @settings(max_examples=150, deadline=None)
-    def test_both_branches_equal_the_loop(self, operands):
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_every_block_height_equals_the_loop(self, operands):
         query, columns = operands
-        width = columns.shape[1]
         # Overflow to inf and inf - inf are drawn on purpose.
         with np.errstate(over="ignore", invalid="ignore"):
             want = _dot_loop(query, columns).tobytes()
-            assert _dots(query, columns).tobytes() == want
-            for switch in (width, width - 1):
-                with mock.patch.object(embedding, "_REDUCE_COLUMNS", switch):
-                    assert _dots(query, columns).tobytes() == want
+            for got in _dots_at_every_height(query, columns):
+                assert got.tobytes() == want
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_cosine_similarities_wider_than_the_switch(self, data):
-        """The switch is moved below the width, so the loop branch runs
-        without drawing thousands of vectors."""
+    @settings(max_examples=fuzz_examples(40), deadline=None)
+    def test_cosine_similarities_at_every_block_height(self, data):
+        """``_BLOCK_CELLS`` is drawn from 0 to past the whole array, so
+        every block height runs, one dimension per block included, without
+        drawing thousands of vectors."""
         dim = data.draw(st.integers(1, 6))
         query = _vector(data.draw, dim)
-        switch = data.draw(st.integers(0, 256))
-        count = data.draw(st.integers(switch + 1, switch + 40))
+        count = data.draw(st.integers(1, 60))
+        cells = data.draw(st.integers(0, (dim + 1) * max(count, 2)))
         pool = [_vector(data.draw, dim) for _ in range(8)]
         vectors = [data.draw(st.sampled_from(pool)) for _ in range(count)]
-        with mock.patch.object(embedding, "_REDUCE_COLUMNS", switch):
+        with mock.patch.object(embedding, "_BLOCK_CELLS", cells):
             got = cosine_similarities(query, *_block(vectors, dim))
         want = [cosine_similarity(vec, query) for vec in vectors]
         assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -872,11 +898,12 @@ class TestDots:
 
     @pytest.mark.parametrize("bad", ["zero", "short", "long"])
     @pytest.mark.parametrize(
-        "count", [_REDUCE_COLUMNS, _REDUCE_COLUMNS + 1, 3 * _REDUCE_COLUMNS]
+        "count", [2048, _BLOCK_CELLS // 2, _BLOCK_CELLS + 1]
     )
     def test_wide_errors_equal_the_per_pair_loop(self, bad, count):
         """A zero row among the columns, or a query shorter or longer than
-        the columns' one dimension, each with a nonzero and a zero query."""
+        the columns' one dimension, each with a nonzero and a zero query;
+        at 3 dimensions the counts take blocks of 3, 2 and 1 rows."""
         rng = random.Random(count)
         rows = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(count)]
         queries = {
@@ -893,14 +920,34 @@ class TestDots:
             assert got is want and issubclass(got, Exception)
 
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_wider_than_a_block_takes_one_dimension_per_block(self, layout):
+        """Past ``_BLOCK_CELLS`` columns no two dimensions fit in a block,
+        so each block is one row of products under the sums."""
+        rng = np.random.default_rng(_BLOCK_CELLS)
+        width = _BLOCK_CELLS + 1
+        query = rng.standard_normal(10) * 10 ** rng.uniform(-4, 4, 10)
+        columns = rng.standard_normal((15, 2 * width))
+        columns *= 10 ** rng.uniform(-4, 4, columns.shape)
+        if layout == "contiguous":
+            query, columns = query[:5].copy(), columns[:5, :width].copy()
+        else:
+            query, columns = query[::2], columns[::3, ::2]
+            if layout == "fortran":
+                columns = np.asfortranarray(columns)
+        columns[:, -1] = np.copysign(0.0, -query)
+        got = _dots(query, columns)
+        assert got.tobytes() == _dot_loop(query, columns).tobytes()
+        assert got[-1:].tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
     def test_block_edges_and_layouts_equal_the_loop(self, dimension, width, layout):
-        """Dimensions at the edges of the reduce's blocks, the narrowest
-        widths (one column is reduced beside a zero pad column, not summed
-        pairwise), and a strided query with strided or column-major columns.
-        Products of magnitudes 1e-8 to 1e8 make any other order of addition
-        show in the last bits."""
+        """Dimensions at the edges of blocks of 64 rows, taken at every
+        height, the narrowest widths (one column is reduced beside a zero
+        pad column, not summed pairwise), and a strided query with strided
+        or column-major columns. Products of magnitudes 1e-8 to 1e8 make
+        any other order of addition show in the last bits."""
         rng = np.random.default_rng([dimension, width])
         query = rng.standard_normal(2 * dimension) * 10 ** rng.uniform(-4, 4, 2 * dimension)
         columns = rng.standard_normal((3 * dimension, 2 * width))
@@ -912,22 +959,23 @@ class TestDots:
             if layout == "fortran":
                 columns = np.asfortranarray(columns)
         want = _dot_loop(query, columns).tobytes()
-        assert _dots(query, columns).tobytes() == want
-        with mock.patch.object(embedding, "_REDUCE_COLUMNS", width - 1):
-            assert _dots(query, columns).tobytes() == want
+        for got in _dots_at_every_height(query, columns):
+            assert got.tobytes() == want
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
     def test_all_negative_zero_products_sum_to_positive_zero(self, dimension, width):
         """The last column's products are all -0.0; the loop adds them to
-        0.0 and gets 0.0, where a sum that starts from a product gets -0.0."""
+        0.0 and gets 0.0, where a sum that starts from a product gets -0.0;
+        at every block height."""
         rng = np.random.default_rng([dimension, width])
         query = rng.standard_normal(dimension)
         columns = rng.standard_normal((dimension, width))
         columns[:, -1] = np.copysign(0.0, -query)
-        got = _dots(query, columns)
-        assert got.tobytes() == _dot_loop(query, columns).tobytes()
-        assert got[-1:].tobytes() == np.zeros(1).tobytes()
+        want = _dot_loop(query, columns).tobytes()
+        for got in _dots_at_every_height(query, columns):
+            assert got.tobytes() == want
+            assert got[-1:].tobytes() == np.zeros(1).tobytes()
 
     @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
     def test_one_column_equals_cosine_bit_for_bit(self, dimension):

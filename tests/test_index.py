@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, damaged, random_corpus, rewrite_index
+from conftest import DEEP_JSON, damaged, fuzz_examples, random_corpus, rewrite_index
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
@@ -319,7 +319,7 @@ class TestPersistence:
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fuzz_examples(150), deadline=None)
     @given(data=st.data())
     def test_vectors_member_is_canonical_json_of_its_dict_form(self, data):
         """A store made by one to four writes, with names out of order
@@ -348,7 +348,7 @@ class TestPersistence:
             [x.hex() for x in row] for row in rows
         ]
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=fuzz_examples(120), deadline=None)
     @given(
         count=st.integers(0, 600),
         dim=st.integers(0, 8),
@@ -393,7 +393,7 @@ class TestPersistence:
         assert "".join(parts) == canonical_json(document)
         assert len(parts) == 2 + -(-len(names) // _SLICE_ROWS)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=fuzz_examples(5), deadline=None)
     @given(seed=st.integers(0, 2**32))
     def test_remote_sized_vectors_serialize_and_load_exactly(self, seed):
         """1,536-dimension rows from a stubbed remote embedder, holding
@@ -546,7 +546,7 @@ class TestPersistence:
         with pytest.raises(IndexIntegrityError, match="is not finite"):
             load_index(path)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_cut_or_changed_file_loads_or_raises_the_documented_error(self, data):
         """Pin: a saved small index cut at any offset, or with one byte
@@ -620,7 +620,7 @@ class TestPersistence:
         ):
             load_index(path)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_mutated_file_loads_only_as_its_canonical_form(self, data):
         """One random set, delete or duplicate anywhere in a saved index,
