@@ -262,12 +262,9 @@ def _cmd_index_build(args) -> int:
 def _cmd_index_add(args) -> int:
     _require(args, "index", "corpus")
     index = load_index(args.index)
-    corpus = ingest_corpus(
-        read_lines(args.corpus), SegmentationPolicy.parse(index.config.segmentation)
-    )
-    embedder = EmbedderConfig.from_id(index.config.embedder_id)
+    corpus = ingest_corpus(read_lines(args.corpus), index.config.segmentation)
     updated = add_chunks(index, list(corpus.chunks), index.config.extractor,
-                         embedder, cache=_cache(args))
+                         index.config.embedder, cache=_cache(args))
     save_index(updated, args.index)
     document = {
         "index": args.index,
@@ -305,7 +302,7 @@ def _cmd_index_stats(args) -> int:
         f"RITU: {report.ritu:.4f}",
         f"providers: extractor {extractor.provider}, coreference "
         f"{'on' if extractor.coreference_enabled else 'off'}, "
-        f"embedder {index.config.embedder_id}",
+        f"embedder {document['embedder_id']}",
     ])
     return 0
 

@@ -55,7 +55,9 @@ class SegmentationPolicy:
 
     kind: "sentence" (one sentence per chunk), "fixed" (groups of ``size``
     sentences joined by a single space), or "passthrough" (the input is
-    already chunked and is not re-split).
+    already chunked and is not re-split). A policy is exactly its
+    :attr:`policy_id`: only "fixed" takes a ``size`` other than 1, so
+    :meth:`parse` gives back every policy that constructs.
     """
 
     kind: str = "sentence"
@@ -64,8 +66,10 @@ class SegmentationPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("sentence", "fixed", "passthrough"):
             raise ValueError(f"unknown segmentation policy {self.kind!r}")
-        if self.kind == "fixed" and self.size < 1:
-            raise ValueError("fixed policy requires size >= 1")
+        if self.kind == "fixed" and (type(self.size) is not int or self.size < 1):
+            raise ValueError("fixed policy requires an integer size >= 1")
+        if self.kind != "fixed" and self.size != 1:
+            raise ValueError(f"{self.kind} policy takes no size")
 
     @property
     def policy_id(self) -> str:
@@ -115,7 +119,7 @@ class Chunk:
 class Corpus:
     documents: tuple[Document, ...]
     chunks: tuple[Chunk, ...]
-    segmentation: str = "sentence"
+    segmentation: SegmentationPolicy = SegmentationPolicy()
     tokenizer: ClassVar[str] = DEFAULT_TOKENIZER
 
     @property
@@ -326,5 +330,5 @@ def _assemble(
     return Corpus(
         documents=tuple(documents),
         chunks=tuple(chunks),
-        segmentation=policy.policy_id,
+        segmentation=policy,
     )

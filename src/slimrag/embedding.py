@@ -131,18 +131,24 @@ _BLOCK_CELLS = 65_536
 
 @dataclass(frozen=True)
 class EmbedderConfig:
+    """An embedder, which is exactly its :attr:`embedder_id`: a local config
+    keeps the default ``remote_model`` and a remote one the default
+    ``dimension``, so :meth:`from_id` gives back every config that
+    constructs."""
+
     provider: str = "local"
     dimension: int = DEFAULT_DIMENSION
     remote_model: str = remote.DEFAULT_EMBED_MODEL
-    batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.provider not in ("local", "remote"):
             raise ValueError(f"unknown provider {self.provider!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        if type(self.dimension) is not int or self.dimension < 1:
+            raise ValueError("dimension must be an integer >= 1")
+        if self.provider == "local" and self.remote_model != remote.DEFAULT_EMBED_MODEL:
+            raise ValueError("remote_model is only valid with provider='remote'")
+        if self.provider == "remote" and self.dimension != DEFAULT_DIMENSION:
+            raise ValueError("dimension is only valid with provider='local'")
 
     @property
     def embedder_id(self) -> str:
@@ -312,10 +318,10 @@ def embed_many(
     ``_PACKED_ROWS`` at a time, which is copied transposed into place
     (faster than one ``np.stack`` into columns, and only one block is held
     beside them). Remote texts missing from the cache are sent in batches
-    of ``batch_size``; a reply that fails the rules of :mod:`slimrag.remote`
-    raises ProviderProtocolError, and only the batches before it are
-    cached. The remote rows become columns by :func:`_columns`, the first
-    row setting the dimension."""
+    of ``remote.EMBED_BATCH``; a reply that fails the rules of
+    :mod:`slimrag.remote` raises ProviderProtocolError, and only the
+    batches before it are cached. The remote rows become columns by
+    :func:`_columns`, the first row setting the dimension."""
     if not all(t.strip() for t in texts):
         raise ValueError("cannot embed empty text")
     if embedder.provider != "local":
@@ -324,8 +330,8 @@ def embed_many(
             for t in texts
         ]
         missing = [i for i, row in enumerate(rows) if row is None]
-        for start in range(0, len(missing), embedder.batch_size):
-            batch = missing[start:start + embedder.batch_size]
+        for start in range(0, len(missing), remote.EMBED_BATCH):
+            batch = missing[start:start + remote.EMBED_BATCH]
             vectors = remote.embed_batch(
                 [texts[i] for i in batch], model=embedder.remote_model
             )

@@ -29,12 +29,14 @@ slices of rows in entity order: each slice is one ``np.stack`` of its
 entities' column views of the store's blocks, and each distinct component
 of a slice is written once (see ``_rows_json``). A file loads iff it
 parses into an index whose ``save_index`` form has the stored digest and
-passes the relational checks: an embedder id that
-``EmbedderConfig.from_id`` parses, with a store of the id's dimension for
-a local embedder; finite vectors that are not all zeros, non-empty posting
-lists of chunk ids in the catalog, exactly one vector per entity of the
-store's dimension, and catalog keys that are ``<doc_id>#<position>`` of
-their record with a position >= 0 (so no two records share a document and
+passes the relational checks: a segmentation policy id and an embedder
+id that ``SegmentationPolicy.parse`` and ``EmbedderConfig.from_id`` parse
+(the index holds the configs, so the loader is where the library reads
+either id), with a store of the id's dimension for a local embedder;
+finite vectors that are not all zeros, non-empty posting lists of chunk
+ids in the catalog, exactly one vector per entity of the store's
+dimension, and catalog keys that are ``<doc_id>#<position>`` of their
+record with a position >= 0 (so no two records share a document and
 position). Any other file raises IndexIntegrityError (SchemaVersionError
 for another schema). Derived fields (entity list, fingerprint, TUIC, TCTC
 as the catalog's token sum) are recomputed, not read. The loader trusts,
@@ -54,7 +56,7 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Chunk, Corpus, make_chunk_id, parse_json
+from .corpus import Chunk, Corpus, SegmentationPolicy, make_chunk_id, parse_json
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
@@ -141,19 +143,21 @@ class ChunkRecord:
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """The fingerprint preimage: everything that shapes index content."""
+    """The fingerprint preimage: everything that shapes index content. It
+    holds the segmentation policy and the embedder themselves; its document
+    writes them as their ids, which only the loader parses back."""
 
-    segmentation: str
+    segmentation: SegmentationPolicy
     extractor: ExtractorConfig
-    embedder_id: str
+    embedder: EmbedderConfig
     tokenizer: ClassVar[str] = DEFAULT_TOKENIZER
 
     def to_document(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "segmentation": self.segmentation,
+            "segmentation": self.segmentation.policy_id,
             "extractor": self.extractor.fingerprint_fields(),
-            "embedder_id": self.embedder_id,
+            "embedder_id": self.embedder.embedder_id,
             "tokenizer": self.tokenizer,
         }
 
@@ -233,7 +237,7 @@ def build_index(
     config = IndexConfig(
         segmentation=corpus.segmentation,
         extractor=replace(extractor, decomposition_enabled=True),
-        embedder_id=embedder.embedder_id,
+        embedder=embedder,
     )
     vectors = EntityVectorStore(
         dimension=embedder.dimension if embedder.provider == "local" else 0
@@ -266,11 +270,7 @@ def check_compatible(
     index: EntityIndex, extractor: ExtractorConfig, embedder: EmbedderConfig
 ) -> None:
     """Raise ConfigMismatchError unless these providers built the index."""
-    expected = IndexConfig(
-        segmentation=index.config.segmentation,
-        extractor=extractor,
-        embedder_id=embedder.embedder_id,
-    )
+    expected = replace(index.config, extractor=extractor, embedder=embedder)
     if expected.fingerprint != index.config.fingerprint:
         raise ConfigMismatchError(
             "extractor/embedder do not match the index fingerprint"
@@ -381,12 +381,11 @@ def _from_document(document: dict) -> EntityIndex:
     back to the system whole instead of staying pinned by the loaded
     index's objects."""
     config_doc = document.pop("config")
-    embedder_id = str(config_doc["embedder_id"])
-    embedder = EmbedderConfig.from_id(embedder_id)
+    embedder = EmbedderConfig.from_id(str(config_doc["embedder_id"]))
     extractor = config_doc["extractor"]
     model = extractor["remote_model"]
     config = IndexConfig(
-        segmentation=str(config_doc["segmentation"]),
+        segmentation=SegmentationPolicy.parse(str(config_doc["segmentation"])),
         extractor=ExtractorConfig(
             provider=str(extractor["provider"]),
             coreference_enabled=bool(extractor["coreference_enabled"]),
@@ -396,7 +395,7 @@ def _from_document(document: dict) -> EntityIndex:
             ),
             remote_model=None if model is None else str(model),
         ),
-        embedder_id=embedder_id,
+        embedder=embedder,
     )
     chunk_catalog = {
         chunk_id: ChunkRecord(
@@ -445,7 +444,9 @@ def _members(index: EntityIndex) -> dict[str, Iterable[str]]:
     members: dict[str, Iterable[str]] = {
         key: [canonical_json(value)] for key, value in _to_document(index).items()
     }
-    members["vectors"] = _vectors_json(index.vectors, index.config.embedder_id)
+    members["vectors"] = _vectors_json(
+        index.vectors, index.config.embedder.embedder_id
+    )
     return members
 
 

@@ -41,6 +41,7 @@ DEFAULT_CHAT_MODEL = "gpt-4o-mini"
 DEFAULT_EMBED_MODEL = "text-embedding-3-small"
 TIMEOUT_SECONDS = 30.0
 MAX_ATTEMPTS = 3
+EMBED_BATCH = 64
 BACKOFF_SECONDS = 0.5
 
 

@@ -16,10 +16,10 @@ ranking; every candidate's ``phi_q`` comes from one
 :func:`~slimrag.embedding.cosine_similarities` call. Every text becomes
 similarity columns through :func:`~slimrag.embedding.embed_many`, in three
 calls kept apart: the query text, the query entities, and the candidate
-chunks. So a remote embedder with batch size ``b`` makes at most
-``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
-entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
-``N`` chunks), retries aside.
+chunks. A remote embedder sends at most ``b = remote.EMBED_BATCH`` texts
+per request, so it makes at most ``1 + ceil(E / b) + ceil(C / b)``
+requests for a query with ``E`` query entities and ``C`` candidates
+(``1 + ceil(N / b)`` on the fallback over ``N`` chunks), retries aside.
 
 Every intermediate set lands in the trace, which is canonically
 serializable, so a run can be replayed and audited bit for bit.
@@ -273,14 +273,14 @@ def retrieve(
 ) -> Context:
     """Run the full entity-guided retrieval pipeline for one query. The
     extractor and embedder default to the ones the index records
-    (``index.config.extractor`` and ``index.config.embedder_id``). Providers
+    (``index.config.extractor`` and ``index.config.embedder``). Providers
     the index does not record raise ConfigMismatchError; the extractor's
     ``decomposition_enabled`` may differ, since it shapes queries only."""
     if not q.strip():
         raise ValueError("query is empty")
     params = params or RetrievalParams()
     extractor = extractor or index.config.extractor
-    embedder = embedder or EmbedderConfig.from_id(index.config.embedder_id)
+    embedder = embedder or index.config.embedder
     check_compatible(index, extractor, embedder)
 
     trace = Trace(query=q, params=params.to_document())

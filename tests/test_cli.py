@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, rewrite_index
+from conftest import (
+    DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples, rewrite_index,
+)
 from slimrag import remote
 from slimrag.cli import _embedder_config, build_parser, main
 from slimrag.corpus import SegmentationPolicy, ingest_corpus, read_lines
@@ -173,7 +175,19 @@ class TestExitCodes:
         assert err.startswith("error: index file is damaged")
         assert err.count("\n") == 1
 
-    @settings(max_examples=60, deadline=None)
+    def test_segmentation_that_is_not_a_policy_id_is_runtime_error(
+        self, built_index, capsys
+    ):
+        """With fingerprint and digest recomputed. ``index stats`` exited 0
+        on it, and ``index add`` failed with ``unknown segmentation
+        policy``."""
+        rewrite_index(built_index, lambda d: d["config"].update(segmentation="bogus"))
+        assert main(["index", "stats", "--index", str(built_index)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index file is damaged")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=fuzz_examples(60), deadline=None)
     @given(data=st.data())
     def test_cut_or_changed_index_is_runtime_error(self, data):
         """Pin: ``retrieve`` on a saved index cut at a drawn offset, or with
@@ -200,7 +214,7 @@ class TestExitCodes:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fuzz_examples(150), deadline=None)
     @given(kind=st.sampled_from(sorted(SAMPLE_INPUTS)), data=st.data())
     def test_cut_or_changed_input_is_runtime_error(self, kind, data):
         """Pin: ``index build`` on a corpus, gazetteer or alias file, and
@@ -349,7 +363,9 @@ class TestExitCodes:
             ["retrieve", "--query", "Who?", "--token-limit", "0"],
             ["eval", "--report", "{output}", "--k", "0"],
             ["eval", "--report", "{output}", "--token-limit", "-5"],
+            ["retrieve", "--query", "Who?", "--k", "x"],
             ["index", "build", "--out", "{output}", "--dimension", "0"],
+            ["index", "build", "--out", "{output}", "--coref", "maybe"],
             ["index", "build", "--out", "{output}", "--policy", "paragraphs"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:x"],
             ["index", "build", "--out", "{output}", "--policy", "fixed:0"],
@@ -363,7 +379,8 @@ class TestExitCodes:
         ],
         ids=[
             "k-0", "k-negative", "h-0", "token-limit-0", "eval-k-0",
-            "eval-token-limit-negative", "dimension-0", "policy-unknown",
+            "eval-token-limit-negative", "k-not-an-integer", "dimension-0",
+            "coref-maybe", "policy-unknown",
             "policy-fixed-x", "policy-fixed-0", "policy-fixed-bare",
             "policy-fixed-underscore", "policy-fixed-space", "policy-fixed-leading-zero",
             "policy-fixed-plus", "query-not-utf8",

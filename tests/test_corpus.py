@@ -143,7 +143,7 @@ class TestIngest:
             json.dumps({"doc_id": "t", "position": 1, "text": "Second sentence."}),
         ]
         corpus = ingest_corpus(lines)
-        assert corpus.segmentation == "passthrough"
+        assert corpus.segmentation == SegmentationPolicy("passthrough")
         assert [c.chunk_id for c in corpus.chunks] == ["t#0", "t#1"]
 
     def test_prechunked_out_of_order_positions(self):
@@ -210,6 +210,23 @@ class TestIngest:
         ]
         assert ingest_corpus(list(lines)) == ingest_corpus(list(lines))
 
+    def test_passthrough_keeps_each_document_whole(self):
+        """Raw documents under ``--policy passthrough`` become one chunk
+        each, unsplit; a blank document becomes none."""
+        lines = [
+            json.dumps({"doc_id": "d1", "text": "A b. C d."}),
+            json.dumps({"doc_id": "d2", "text": " \t "}),
+        ]
+        corpus = ingest_corpus(lines, SegmentationPolicy("passthrough"))
+        assert [(c.chunk_id, c.text) for c in corpus.chunks] == [("d1#0", "A b. C d.")]
+        assert [d.sentences for d in corpus.documents] == [("A b. C d.",), ()]
+        assert corpus.segmentation == SegmentationPolicy("passthrough")
+
+    def test_negative_position_rejected(self):
+        lines = [json.dumps({"doc_id": "t", "position": -1, "text": "A."})]
+        with pytest.raises(MalformedRecordError, match="^line 1: position must be >= 0$"):
+            ingest_corpus(lines)
+
     def test_chunk_texts_nonempty(self):
         lines = [json.dumps({"doc_id": "d", "text": "Alpha. Beta."})]
         corpus = ingest_corpus(lines)
@@ -221,6 +238,40 @@ def test_policy_parse_round_trip():
         assert SegmentationPolicy.parse(spec).policy_id == spec
     with pytest.raises(ValueError):
         SegmentationPolicy.parse("paragraphs")
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["sentence", "fixed", "passthrough", "paragraphs"]),
+    size=st.one_of(st.sampled_from([1, True, 2.0]), st.integers(-2, 10_000)),
+)
+def test_parse_gives_back_every_policy_that_constructs(kind, size):
+    """A policy is exactly its id: the fields of one that constructs are
+    the ones its id names."""
+    try:
+        policy = SegmentationPolicy(kind, size)
+    except ValueError:
+        return
+    assert SegmentationPolicy.parse(policy.policy_id) == policy
+
+
+@pytest.mark.parametrize(
+    "kind, size, problem",
+    [
+        ("sentence", 3, "sentence policy takes no size"),
+        ("passthrough", 2, "passthrough policy takes no size"),
+        ("sentence", 0, "sentence policy takes no size"),
+        ("fixed", True, "fixed policy requires an integer size >= 1"),
+        ("fixed", 2.0, "fixed policy requires an integer size >= 1"),
+    ],
+    ids=["sentence-3", "passthrough-2", "sentence-0", "fixed-true", "fixed-float"],
+)
+def test_policy_that_is_not_its_id_is_rejected(kind, size, problem):
+    """``SegmentationPolicy("sentence", 3)`` constructed, and its id
+    ``sentence`` dropped the size; ``SegmentationPolicy("fixed", True)``
+    built an index whose file, segmentation ``fixed:True``, did not load."""
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        SegmentationPolicy(kind, size)
 
 
 @pytest.mark.parametrize("spec", ["fixed:x", "fixed:", "fixed:0", "fixed:-2"])

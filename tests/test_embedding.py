@@ -21,9 +21,10 @@ from conftest import DEEP_JSON, damaged, fuzz_examples, random_corpus, random_qu
 from oracles import brute_force_top_k, embed_oracle
 import slimrag
 from slimrag import embedding, remote
-from slimrag.corpus import ingest_corpus
+from slimrag.corpus import SegmentationPolicy, ingest_corpus
 from slimrag.embedding import (
     _BLOCK_CELLS,
+    DEFAULT_DIMENSION,
     DEFAULT_SEED,
     EmbedderConfig,
     EmbeddingCache,
@@ -193,15 +194,47 @@ class TestEmbeddedColumns:
 
 
 class TestEmbedderId:
-    @given(st.one_of(
-        st.builds(EmbedderConfig, dimension=st.integers(1, 4096)),
-        st.builds(EmbedderConfig, provider=st.just("remote"), remote_model=st.one_of(
+    @settings(max_examples=300)
+    @given(
+        provider=st.sampled_from(["local", "remote"]),
+        dimension=st.one_of(
+            st.sampled_from([DEFAULT_DIMENSION, True, 64.0]), st.integers(-2, 4096)
+        ),
+        remote_model=st.one_of(
+            st.just(remote.DEFAULT_EMBED_MODEL),
             st.sampled_from(["", ":", "a:b", "remote:x", "local-hash/v1:64:0x1"]),
             st.text(),
-        )),
-    ))
-    def test_from_id_inverts_embedder_id(self, config):
+        ),
+    )
+    def test_from_id_inverts_embedder_id(self, provider, dimension, remote_model):
+        """A config is exactly its id: every one that constructs comes back
+        from its id."""
+        try:
+            config = EmbedderConfig(provider, dimension, remote_model)
+        except ValueError:
+            return
         assert EmbedderConfig.from_id(config.embedder_id) == config
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"provider": "remote", "dimension": 8},
+         "dimension is only valid with provider='local'"),
+        ({"remote_model": "other"}, "remote_model is only valid with provider='remote'"),
+        ({"provider": "other"}, "unknown provider 'other'"),
+        ({"dimension": True}, "dimension must be an integer >= 1"),
+    ], ids=["remote-with-dimension", "local-with-model", "unknown-provider",
+            "bool-dimension"])
+    def test_config_that_is_not_its_id_is_rejected(self, fields, problem):
+        """The first two constructed, and their ids dropped the value; a
+        ``True`` dimension constructed, and failed at the first embedding
+        with a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            EmbedderConfig(**fields)
+
+    def test_batch_size_is_not_a_field(self):
+        """Remote batches are ``remote.EMBED_BATCH`` texts; the id never
+        held a batch size."""
+        with pytest.raises(TypeError):
+            EmbedderConfig(provider="remote", batch_size=8)
 
     @pytest.mark.parametrize("embedder_id", [
         "",
@@ -505,7 +538,8 @@ class TestStoreAndCache:
     def test_batch_of_misses_appends_with_one_open(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        config = EmbedderConfig(provider="remote", batch_size=8)
+        config = EmbedderConfig(provider="remote")
+        monkeypatch.setattr(remote, "EMBED_BATCH", 8)
         monkeypatch.setattr(
             remote,
             "embed_batch",
@@ -1151,7 +1185,10 @@ class TestUnitColumns:
         want = [math.hypot(*row).hex() for row in rows]
         assert [x.hex() for x in store.norms.tolist()] == want
         index = EntityIndex(
-            IndexConfig("sentence", ExtractorConfig(), "remote:model"),
+            IndexConfig(
+                SegmentationPolicy(), ExtractorConfig(),
+                EmbedderConfig(provider="remote", remote_model="model"),
+            ),
             {name: frozenset({"d#0"}) for name in names},
             store,
             {"d#0": ChunkRecord("d", 0, "Some text.", 3)},

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged
+from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples
 from slimrag import evalharness
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import MalformedRecordError, ProviderError
@@ -83,7 +83,7 @@ class TestLoad:
             with pytest.raises(MalformedRecordError, match="not UTF-8"):
                 load_hotpotqa_detailed(path)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_cut_or_changed_dataset_loads_or_raises_the_documented_error(self, data):
         """Pin: a HotpotQA dataset cut at a drawn offset, or with one byte
@@ -134,6 +134,10 @@ class TestLoad:
         with pytest.raises(MalformedRecordError,
                            match="^entry 1: a context title is empty$"):
             load_hotpotqa_detailed(_write_dataset(tmp_path, [_entry(), bad]))
+
+    def test_entry_that_is_not_an_object_is_named(self, tmp_path):
+        with pytest.raises(MalformedRecordError, match="^entry 1 is not an object$"):
+            load_hotpotqa_detailed(_write_dataset(tmp_path, [_entry(), ["q1"]]))
 
     def test_empty_gold_facts_skipped(self, tmp_path):
         bad = _entry()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SAMPLE_INPUTS, damaged
+from conftest import SAMPLE_INPUTS, damaged, fuzz_examples
 from slimrag.corpus import split_sentences
 from slimrag.errors import MalformedRecordError
 from slimrag.extraction import (
@@ -138,7 +138,7 @@ class TestExtractEntities:
         path.write_text("Anna Berg\u2028Lund\tAnna Lund\r\n", encoding="utf-8")
         assert load_aliases(path) == (("anna berg lund", "anna lund"),)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(kind=st.sampled_from(["gazetteer", "aliases"]), data=st.data())
     def test_cut_or_changed_term_file_loads_or_raises_the_documented_error(
         self, kind, data

@@ -620,6 +620,43 @@ class TestPersistence:
         ):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "segmentation, problem",
+        [
+            ("bogus", "unknown segmentation policy 'bogus'"),
+            ("fixed:03", "'fixed:03' is not a policy id; write 'fixed:3'"),
+            ("fixed", "'fixed' is not a policy id; write 'fixed:1'"),
+        ],
+        ids=["unknown-kind", "padded-size", "fixed-without-size"],
+    )
+    def test_segmentation_that_is_not_a_policy_id_is_damage(
+        self, tmp_path, segmentation, problem
+    ):
+        """With fingerprint and digest recomputed. It loaded, ``index stats``
+        and ``retrieve`` answered, and only ``index add`` failed, naming the
+        policy instead of the damage."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rewrite_index(path, lambda d: d["config"].update(segmentation=segmentation))
+        with pytest.raises(IndexIntegrityError) as caught:
+            load_index(path)
+        assert str(caught.value) == f"index file is damaged: {problem}"
+
+    def test_index_holds_the_configs_its_ids_name(self, tmp_path, monkeypatch):
+        """A fixed-size policy and a remote embedder come back from a file as
+        the configs, not as their ids."""
+        monkeypatch.setattr(
+            remote, "embed_batch", lambda texts, model: [[1.0]] * len(texts)
+        )
+        policy = SegmentationPolicy("fixed", 3)
+        embedder = EmbedderConfig(provider="remote", remote_model="m:1")
+        record = {"doc_id": "d1", "text": "Vertex Labs met Ember Corp."}
+        corpus = ingest_corpus([json.dumps(record)], policy)
+        path = tmp_path / "index.json"
+        save_index(build_index(corpus, LOCAL, embedder), path)
+        config = load_index(path).config
+        assert (config.segmentation, config.embedder) == (policy, embedder)
+
     @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_mutated_file_loads_only_as_its_canonical_form(self, data):

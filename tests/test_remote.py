@@ -179,6 +179,13 @@ class TestChatProtocol:
         with pytest.raises(ProviderProtocolError):
             remote.chat_completion("m", "s", "u")
 
+    def test_content_that_is_not_a_string_is_protocol_error(self, server):
+        server.enqueue(200, _chat_body(["paris"]))
+        with pytest.raises(
+            ProviderProtocolError, match="^chat response content is not a string$"
+        ):
+            remote.chat_completion("m", "s", "u")
+
 
 class TestEmbeddingsProtocol:
     def test_request_and_response(self, server):
@@ -205,11 +212,12 @@ class TestEmbeddingsProtocol:
         config = EmbedderConfig(provider="remote")
         assert embed("hello", config) == (0.6, 0.8)
 
-    def test_embed_many_batches_and_caches(self, server, tmp_path):
+    def test_embed_many_batches_and_caches(self, server, tmp_path, monkeypatch):
         from slimrag.embedding import EmbeddingCache
 
         cache = EmbeddingCache(tmp_path / "cache.jsonl")
-        config = EmbedderConfig(provider="remote", batch_size=2)
+        config = EmbedderConfig(provider="remote")
+        monkeypatch.setattr(remote, "EMBED_BATCH", 2)
         server.enqueue(200, {"data": [
             {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]},
         ]})
@@ -218,7 +226,7 @@ class TestEmbeddingsProtocol:
         want = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
         assert columns.flags.c_contiguous and columns.tobytes() == want.tobytes()
         assert norms.tolist() == [1.0, 1.0, math.hypot(0.5, 0.5)]
-        assert len(server.requests) == 2  # 2 + 1 under batch_size=2
+        assert len(server.requests) == 2  # 2 + 1 under EMBED_BATCH = 2
         # Second call is fully served by the cache.
         columns_again, norms_again = embed_many(["a", "b", "c"], config, cache)
         assert columns_again.tobytes() == columns.tobytes()
@@ -250,13 +258,6 @@ class TestEmbeddingsProtocol:
         with pytest.raises(ProviderProtocolError):
             embed_many(["a"], EmbedderConfig(provider="remote"), cache)
         assert len(cache) == 0 and not cache.path.exists()
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_is_rejected(self, batch_size):
-        """Fix: 0 raised a bare ``range()`` error at the first remote
-        request, and -1 a KeyError from embed_many."""
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            EmbedderConfig(provider="remote", batch_size=batch_size)
 
     @pytest.mark.parametrize("reply", ["chat", "embeddings"])
     def test_error_message_holds_at_most_200_characters_of_the_reply(
@@ -321,7 +322,7 @@ class TestRemoteExtraction:
 
 
 class TestRemoteIndexBuild:
-    def test_build_index_with_remote_providers(self, server):
+    def test_build_index_with_remote_providers(self, server, monkeypatch):
         import json as _json
 
         from slimrag.corpus import ingest_corpus
@@ -339,7 +340,8 @@ class TestRemoteIndexBuild:
             {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]},
         ]})
         extractor = ExtractorConfig(provider="remote", remote_model="gpt-4o-mini")
-        embedder = EmbedderConfig(provider="remote", batch_size=8)
+        embedder = EmbedderConfig(provider="remote")
+        monkeypatch.setattr(remote, "EMBED_BATCH", 8)
         index = build_index(corpus, extractor, embedder)
         assert index.entities == {"vertex labs", "ember corp"}
         assert index.vectors.dimension == 2
@@ -386,7 +388,7 @@ class TestRemoteIndexBuild:
 
 class TestRetrieveRequestBound:
     """Per query: one request for the query, then the query entities and the
-    candidate chunks each in batches of the embedder's batch_size."""
+    candidate chunks each in batches of ``remote.EMBED_BATCH``."""
 
     LINES = [
         json.dumps({"doc_id": "d1", "text": (
@@ -399,20 +401,21 @@ class TestRetrieveRequestBound:
         )}),
     ]
 
-    def _setup(self, server, batch_size):
+    def _setup(self, server):
         from slimrag.corpus import ingest_corpus
         from slimrag.index import build_index
 
         server.auto_embed()
-        embedder = EmbedderConfig(provider="remote", batch_size=batch_size)
+        embedder = EmbedderConfig(provider="remote")
         index = build_index(ingest_corpus(self.LINES), ExtractorConfig(), embedder)
         return index, embedder, len(server.requests)
 
-    def test_entity_path(self, server):
+    def test_entity_path(self, server, monkeypatch):
         from slimrag.retrieval import RetrievalParams, retrieve
 
         b = 2
-        index, embedder, before = self._setup(server, b)
+        monkeypatch.setattr(remote, "EMBED_BATCH", b)
+        index, embedder, before = self._setup(server)
         q = "Who sued Vertex Labs, and who bought Ember Corp from Garnet Works?"
         trace = retrieve(index, q, RetrievalParams(k=1), None, embedder).trace
         assert not trace.fallback_used
@@ -426,11 +429,12 @@ class TestRetrieveRequestBound:
             + math.ceil(trace.candidate_count / b)
         )
 
-    def test_fallback(self, server):
+    def test_fallback(self, server, monkeypatch):
         from slimrag.retrieval import retrieve
 
         b = 4
-        index, embedder, before = self._setup(server, b)
+        monkeypatch.setattr(remote, "EMBED_BATCH", b)
+        index, embedder, before = self._setup(server)
         trace = retrieve(index, "what happened next?", None, None, embedder).trace
         assert trace.fallback_used
         assert trace.candidate_count == len(index.chunk_catalog) == 5
@@ -453,7 +457,7 @@ class TestRetrieveChunkVectors:
     def test_bad_chunk_vector_raises_package_error(self, server, bad, error):
         from slimrag.retrieval import retrieve
 
-        index, embedder, _ = TestRetrieveRequestBound()._setup(server, 64)
+        index, embedder, _ = TestRetrieveRequestBound()._setup(server)
         server.enqueue(200, {"data": [{"embedding": [0.25] * 16}]})
         chunks = [[0.25] * 16] * len(index.chunk_catalog)
         chunks[2] = bad

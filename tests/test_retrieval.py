@@ -103,6 +103,11 @@ class TestRetrieveExamples:
         with pytest.raises(ValueError):
             retrieve(index, "  ", RetrievalParams(), LOCAL, EMB)
 
+    @pytest.mark.parametrize("knob", ["k", "h", "token_limit"])
+    def test_knob_below_one_is_rejected(self, knob):
+        with pytest.raises(ValueError, match="^k, h, and token_limit must all be >= 1$"):
+            RetrievalParams(**{knob: 0})
+
     def test_default_providers_are_the_ones_the_index_records(self):
         _, index = _six_chunk_index()
         q = "What did Vertex Labs build and who runs Ember Corp?"
@@ -358,7 +363,7 @@ class TestPipelineProperties:
             index = build_index(corpus, LOCAL, EMB)
             save_index(index, path)
             saved = json.loads(path.read_text(encoding="utf-8"))
-            assert saved["vectors"]["embedder_id"] == index.config.embedder_id
+            assert saved["vectors"]["embedder_id"] == EMB.embedder_id
             params = RetrievalParams(
                 k=rng.randint(1, 4), use_entity_weights=rng.random() < 0.5
             )
