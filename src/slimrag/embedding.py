@@ -145,6 +145,8 @@ class EmbedderConfig:
             raise ValueError(f"unknown provider {self.provider!r}")
         if type(self.dimension) is not int or self.dimension < 1:
             raise ValueError("dimension must be an integer >= 1")
+        if type(self.remote_model) is not str:
+            raise ValueError("remote_model must be a string")
         if self.provider == "local" and self.remote_model != remote.DEFAULT_EMBED_MODEL:
             raise ValueError("remote_model is only valid with provider='remote'")
         if self.provider == "remote" and self.dimension != DEFAULT_DIMENSION:

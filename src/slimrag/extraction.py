@@ -115,16 +115,23 @@ def normalize_entity(raw: str) -> str:
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    """Provider selection plus the two ablation toggles.
+    """Provider selection plus the two ablation toggles; every config that
+    constructs is exactly its :meth:`fingerprint_fields` (and its
+    ``decomposition_enabled``, which only shapes queries and so takes no
+    part in ``==``).
 
-    ``gazetteer`` entries and ``aliases`` pairs are stored normalized; use
+    ``gazetteer`` entries and ``aliases`` terms must be normalized
+    (:func:`normalize_entity` gives them back unchanged); no entry may
+    repeat and no alias may name two canonical forms. Both are stored
+    sorted, so configs that fingerprint alike are ``==``. Use
     :func:`load_gazetteer` / :func:`load_aliases` to read the file formats.
-    Remote fields must be unset for the local provider.
+    Remote fields must be unset for the local provider. A flag, model or
+    term of another type or form raises ValueError.
     """
 
     provider: str = "local"
     coreference_enabled: bool = True
-    decomposition_enabled: bool = True
+    decomposition_enabled: bool = field(default=True, compare=False)
     gazetteer: tuple[str, ...] = ()
     aliases: tuple[tuple[str, str], ...] = ()
     remote_model: str | None = None
@@ -132,8 +139,22 @@ class ExtractorConfig:
     def __post_init__(self) -> None:
         if self.provider not in ("local", "remote"):
             raise ValueError(f"unknown provider {self.provider!r}")
+        if not type(self.coreference_enabled) is type(self.decomposition_enabled) is bool:
+            raise ValueError("coreference_enabled and decomposition_enabled must be bools")
+        if not (self.remote_model is None or type(self.remote_model) is str):
+            raise ValueError("remote_model must be a string or None")
         if self.provider == "local" and self.remote_model is not None:
             raise ValueError("remote_model is only valid with provider='remote'")
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in self.aliases):
+            raise ValueError("each alias must be an (alias, name) pair")
+        terms = [*self.gazetteer, *(term for pair in self.aliases for term in pair)]
+        if not all(type(term) is str and normalize_entity(term) == term for term in terms):
+            raise ValueError("gazetteer and alias terms must be normalized entities")
+        if (len(set(self.gazetteer)) < len(self.gazetteer)
+                or len(dict(self.aliases)) < len(self.aliases)):
+            raise ValueError("a gazetteer entry or an alias repeats")
+        object.__setattr__(self, "gazetteer", tuple(sorted(self.gazetteer)))
+        object.__setattr__(self, "aliases", tuple(sorted(map(tuple, self.aliases))))
 
     def fingerprint_fields(self) -> dict:
         # decomposition_enabled is retrieval-only and deliberately excluded:
@@ -141,8 +162,8 @@ class ExtractorConfig:
         return {
             "provider": self.provider,
             "coreference_enabled": self.coreference_enabled,
-            "gazetteer": sorted(self.gazetteer),
-            "aliases": sorted(self.aliases),
+            "gazetteer": list(self.gazetteer),
+            "aliases": list(self.aliases),
             "remote_model": self.remote_model,
         }
 
@@ -169,17 +190,20 @@ class QueryPlan:
 
 
 def load_gazetteer(path: str | Path) -> tuple[str, ...]:
-    """One entity per line, UTF-8; entries are normalized and deduplicated."""
-    entries = set()
+    """One entity per line, UTF-8; entries are normalized and deduplicated,
+    in the order they first appear (:class:`ExtractorConfig` sorts them)."""
+    entries = {}
     for line in read_lines(path):
         line = line.strip()
         if line:
-            entries.add(normalize_entity(line))
-    return tuple(sorted(entries))
+            entries[normalize_entity(line)] = None
+    return tuple(entries)
 
 
 def load_aliases(path: str | Path) -> tuple[tuple[str, str], ...]:
-    """Tab-separated ``alias<TAB>canonical`` pairs, one per line, UTF-8."""
+    """Tab-separated ``alias<TAB>canonical`` pairs, one per line, UTF-8;
+    a repeated alias keeps its last canonical form, in the order the alias
+    first appears (:class:`ExtractorConfig` sorts them)."""
     pairs = {}
     for line_number, line in enumerate(read_lines(path), start=1):
         line = line.strip()
@@ -191,7 +215,7 @@ def load_aliases(path: str | Path) -> tuple[tuple[str, str], ...]:
                 f"alias line without tab separator in {path}: {line!r}", line_number
             )
         pairs[normalize_entity(alias)] = normalize_entity(canonical)
-    return tuple(sorted(pairs.items()))
+    return tuple(pairs.items())
 
 
 def _gazetteer_hits(words: list[str], gazetteer: tuple[str, ...]) -> set[str]:

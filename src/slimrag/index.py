@@ -14,8 +14,11 @@ processing order. Token accounting records all provider-bound traffic
 tokenizer; retrieval-time traffic never lands here.
 
 Chunk records, TCTC and the extraction input reuse each chunk's own token
-count. One fingerprint check, :func:`check_compatible`, guards both
-``add_chunks`` and retrieval.
+count. One compatibility check, :func:`check_compatible`, guards both
+``add_chunks`` and retrieval: the providers must equal the configs the index
+holds, which is the same as equal fingerprints, since every config is
+exactly its document. The fingerprint itself is computed only where a
+document is written.
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
@@ -32,11 +35,13 @@ parses into an index whose ``save_index`` form has the stored digest and
 passes the relational checks: a segmentation policy id and an embedder
 id that ``SegmentationPolicy.parse`` and ``EmbedderConfig.from_id`` parse
 (the index holds the configs, so the loader is where the library reads
-either id), with a store of the id's dimension for a local embedder;
-finite vectors that are not all zeros, non-empty posting lists of chunk
-ids in the catalog, exactly one vector per entity of the store's
-dimension, and catalog keys that are ``<doc_id>#<position>`` of their
-record with a position >= 0 (so no two records share a document and
+either id), with a store of the id's dimension for a local embedder; an
+extractor document that ``ExtractorConfig`` takes as it is (normalized
+gazetteer entries and alias terms, none repeated, no alias naming two
+canonical forms); finite vectors that are not all zeros, non-empty
+posting lists of chunk ids in the catalog, exactly one vector per entity
+of the store's dimension, and catalog keys that are
+``<doc_id>#<position>`` of their record with a position >= 0 (so no two records share a document and
 position). Any other file raises IndexIntegrityError (SchemaVersionError
 for another schema). Derived fields (entity list, fingerprint, TUIC, TCTC
 as the catalog's token sum) are recomputed, not read. The loader trusts,
@@ -269,9 +274,11 @@ def add_chunks(
 def check_compatible(
     index: EntityIndex, extractor: ExtractorConfig, embedder: EmbedderConfig
 ) -> None:
-    """Raise ConfigMismatchError unless these providers built the index."""
-    expected = replace(index.config, extractor=extractor, embedder=embedder)
-    if expected.fingerprint != index.config.fingerprint:
+    """Raise ConfigMismatchError unless these providers built the index.
+    Each config is exactly its document (its constructor checks that), so
+    equal configs are equal fingerprints; ``decomposition_enabled`` takes no
+    part in an extractor's ``==``."""
+    if extractor != index.config.extractor or embedder != index.config.embedder:
         raise ConfigMismatchError(
             "extractor/embedder do not match the index fingerprint"
         )
@@ -364,10 +371,12 @@ def _rows_json(rows: np.ndarray) -> list[str]:
 
 def _from_document(document: dict) -> EntityIndex:
     """The index a parsed file describes, each object built by its own
-    constructor from scalars coerced to their types. Members are popped as
-    they are read. Derived and constant fields (``entities``,
-    ``config_fingerprint``, TUIC, TCTC, the tokenizer, the vectors' embedder
-    id) are not read: re-serializing the result shows whether they agree.
+    constructor: the extractor from the file's values as they are (its
+    constructor rejects any it would not write back), the rest from scalars
+    coerced to their types. Members are popped as they are read. Derived
+    and constant fields (``entities``, ``config_fingerprint``, TUIC, TCTC,
+    the tokenizer, the vectors' embedder id) are not read: re-serializing
+    the result shows whether they agree.
 
     The entity vectors become one float64 block, built last in one pass
     over the rows (``_columns``): each row's length is checked, its norm
@@ -382,19 +391,9 @@ def _from_document(document: dict) -> EntityIndex:
     index's objects."""
     config_doc = document.pop("config")
     embedder = EmbedderConfig.from_id(str(config_doc["embedder_id"]))
-    extractor = config_doc["extractor"]
-    model = extractor["remote_model"]
     config = IndexConfig(
         segmentation=SegmentationPolicy.parse(str(config_doc["segmentation"])),
-        extractor=ExtractorConfig(
-            provider=str(extractor["provider"]),
-            coreference_enabled=bool(extractor["coreference_enabled"]),
-            gazetteer=tuple(map(str, extractor["gazetteer"])),
-            aliases=tuple(
-                (str(alias), str(name)) for alias, name in extractor["aliases"]
-            ),
-            remote_model=None if model is None else str(model),
-        ),
+        extractor=ExtractorConfig(**config_doc["extractor"]),
         embedder=embedder,
     )
     chunk_catalog = {

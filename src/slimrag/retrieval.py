@@ -55,7 +55,10 @@ CHUNK_SEPARATOR = "\n"
 
 @dataclass(frozen=True)
 class RetrievalParams:
-    """Knobs of the retrieval phase; defaults match the evaluated setup."""
+    """Knobs of the retrieval phase; defaults match the evaluated setup.
+    Every params that constructs is exactly its :meth:`to_document`: ``k``,
+    ``h`` and ``token_limit`` are ints (not bools) and ``use_entity_weights``
+    is a bool, or the constructor raises ValueError."""
 
     k: int = 5
     h: int = 10
@@ -63,8 +66,12 @@ class RetrievalParams:
     use_entity_weights: bool = False
 
     def __post_init__(self) -> None:
+        if not all(type(knob) is int for knob in (self.k, self.h, self.token_limit)):
+            raise ValueError("k, h, and token_limit must all be integers")
         if self.k < 1 or self.h < 1 or self.token_limit < 1:
             raise ValueError("k, h, and token_limit must all be >= 1")
+        if type(self.use_entity_weights) is not bool:
+            raise ValueError("use_entity_weights must be a bool")
 
     def to_document(self) -> dict:
         """The params document shared by the trace, the eval report config,

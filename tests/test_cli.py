@@ -187,6 +187,17 @@ class TestExitCodes:
         assert err.startswith("error: index file is damaged")
         assert err.count("\n") == 1
 
+    def test_extractor_that_is_not_a_config_is_runtime_error(self, built_index, capsys):
+        """With fingerprint and digest recomputed. ``index stats`` exited 0
+        on a gazetteer entry that is not normalized."""
+        rewrite_index(
+            built_index, lambda d: d["config"]["extractor"].update(gazetteer=["Vertex Labs"])
+        )
+        assert main(["index", "stats", "--index", str(built_index)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index file is damaged")
+        assert err.count("\n") == 1
+
     @settings(max_examples=fuzz_examples(60), deadline=None)
     @given(data=st.data())
     def test_cut_or_changed_index_is_runtime_error(self, data):

@@ -221,12 +221,14 @@ class TestEmbedderId:
         ({"remote_model": "other"}, "remote_model is only valid with provider='remote'"),
         ({"provider": "other"}, "unknown provider 'other'"),
         ({"dimension": True}, "dimension must be an integer >= 1"),
+        ({"provider": "remote", "remote_model": 5}, "remote_model must be a string"),
     ], ids=["remote-with-dimension", "local-with-model", "unknown-provider",
-            "bool-dimension"])
+            "bool-dimension", "int-remote-model"])
     def test_config_that_is_not_its_id_is_rejected(self, fields, problem):
         """The first two constructed, and their ids dropped the value; a
         ``True`` dimension constructed, and failed at the first embedding
-        with a bare TypeError."""
+        with a bare TypeError; an int ``remote_model`` constructed with the
+        id ``remote:5``, which ``from_id`` read back as the model ``"5"``."""
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
             EmbedderConfig(**fields)
 

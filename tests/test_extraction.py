@@ -95,7 +95,7 @@ class TestExtractEntities:
         path.write_text(
             "  Graphene \n\nGRAPHENE\nNew   York\n   \nCafe\u0301\n", encoding="utf-8"
         )
-        assert load_gazetteer(path) == ("caf\u00e9", "graphene", "new york")
+        assert load_gazetteer(path) == ("graphene", "new york", "caf\u00e9")
 
     @pytest.mark.parametrize(
         "loader, content, problem",
@@ -134,7 +134,7 @@ class TestExtractEntities:
             "Anna Berg\u2028Lund\r\nGraphene\x85Oxide\nA\x1cB\x1dC\x1eD\n",
             encoding="utf-8",
         )
-        assert load_gazetteer(path) == ("a b c d", "anna berg lund", "graphene oxide")
+        assert load_gazetteer(path) == ("anna berg lund", "graphene oxide", "a b c d")
         path.write_text("Anna Berg\u2028Lund\tAnna Lund\r\n", encoding="utf-8")
         assert load_aliases(path) == (("anna berg lund", "anna lund"),)
 
@@ -275,6 +275,46 @@ class TestPlanQuery:
             ExtractorConfig(provider="local", remote_model="gpt-4o-mini")
         with pytest.raises(ValueError):
             ExtractorConfig(provider="cloud")
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"coreference_enabled": 1},
+         "coreference_enabled and decomposition_enabled must be bools"),
+        ({"decomposition_enabled": "no"},
+         "coreference_enabled and decomposition_enabled must be bools"),
+        ({"provider": "remote", "remote_model": 5}, "remote_model must be a string or None"),
+        ({"gazetteer": ("Vertex Labs",)},
+         "gazetteer and alias terms must be normalized entities"),
+        ({"aliases": (("VL", "vertex labs"),)},
+         "gazetteer and alias terms must be normalized entities"),
+        ({"gazetteer": ("b", "b")}, "a gazetteer entry or an alias repeats"),
+        ({"aliases": (("x", "y"), ("x", "z"))}, "a gazetteer entry or an alias repeats"),
+        ({"aliases": (("x", "y", "z"),)}, "each alias must be an (alias, name) pair"),
+    ], ids=["int-coreference", "str-decomposition", "int-remote-model",
+            "gazetteer-not-normalized", "alias-not-normalized", "gazetteer-repeat",
+            "alias-with-two-names", "alias-not-a-pair"])
+    def test_config_that_is_not_its_document_is_rejected(self, fields, problem):
+        """Each constructed. ``coreference_enabled=1`` was written as ``1``
+        into an index that ``load_index`` then rejected as corrupt (it read
+        the flag back as ``true``); a non-normalized gazetteer entry never
+        matched the normalized text; a repeated entry was fingerprinted
+        twice; an alias with two names was fingerprinted with both, but
+        extraction kept only the last."""
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ExtractorConfig(**fields)
+
+    def test_terms_are_stored_sorted(self):
+        """So configs that fingerprint alike are ``==``; ``decomposition_enabled``
+        shapes queries only and takes no part in ``==``."""
+        config = ExtractorConfig(
+            gazetteer=["lund", "graphene"], aliases=[["vl", "vertex labs"], ["ec", "ember corp"]]
+        )
+        assert config.gazetteer == ("graphene", "lund")
+        assert config.aliases == (("ec", "ember corp"), ("vl", "vertex labs"))
+        assert config == ExtractorConfig(
+            decomposition_enabled=False,
+            gazetteer=("graphene", "lund"),
+            aliases=(("ec", "ember corp"), ("vl", "vertex labs")),
+        )
 
 
 # The local extractor as it was written before it made one pass over each

@@ -8,6 +8,7 @@ import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from slimrag.index import (
     lookup,
     save_index,
 )
-from slimrag.retrieval import retrieve
+from slimrag.retrieval import RetrievalParams, retrieve
 from slimrag.tokenization import count_tokens
 
 LOCAL = ExtractorConfig()
@@ -206,6 +207,19 @@ class TestAddChunks:
         no_decomp = ExtractorConfig(decomposition_enabled=False)
         grown = add_chunks(index, [Chunk("x", 0, "Plain text here.")], no_decomp, EMB)
         assert len(grown.chunk_catalog) == len(index.chunk_catalog) + 1
+
+    def test_unsorted_terms_do_not_mismatch_a_loaded_index(self, tmp_path):
+        """The loaded index holds its extractor with the terms sorted; the
+        check compares configs, which store their terms sorted."""
+        terms = {"gazetteer": ("paris", "ember corp"), "aliases": (("vl", "vertex labs"),
+                                                                   ("ec", "ember corp"))}
+        path = tmp_path / "index.json"
+        save_index(build_index(_small_corpus(), ExtractorConfig(**terms), EMB), path)
+        loaded = load_index(path)
+        for extractor in (ExtractorConfig(**terms),
+                          ExtractorConfig(decomposition_enabled=False, **terms)):
+            grown = add_chunks(loaded, [Chunk("x", 0, "Plain text here.")], extractor, EMB)
+            assert len(grown.chunk_catalog) == len(loaded.chunk_catalog) + 1
 
     def test_accounting_monotone(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
@@ -642,6 +656,27 @@ class TestPersistence:
             load_index(path)
         assert str(caught.value) == f"index file is damaged: {problem}"
 
+    @pytest.mark.parametrize(
+        "extractor, problem",
+        [
+            ({"gazetteer": ["Vertex Labs"]},
+             "gazetteer and alias terms must be normalized entities"),
+            ({"gazetteer": ["b", "b"]}, "a gazetteer entry or an alias repeats"),
+            ({"aliases": [["x", "y"], ["x", "z"]]}, "a gazetteer entry or an alias repeats"),
+        ],
+        ids=["gazetteer-not-normalized", "gazetteer-repeat", "alias-with-two-names"],
+    )
+    def test_extractor_that_is_not_a_config_is_damage(self, tmp_path, extractor, problem):
+        """With fingerprint and digest recomputed. Each loaded: the loader
+        coerced the file's values, and the fingerprint writes the terms as
+        the file holds them."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rewrite_index(path, lambda d: d["config"]["extractor"].update(extractor))
+        with pytest.raises(IndexIntegrityError) as caught:
+            load_index(path)
+        assert str(caught.value) == f"index file is damaged: {problem}"
+
     def test_index_holds_the_configs_its_ids_name(self, tmp_path, monkeypatch):
         """A fixed-size policy and a remote embedder come back from a file as
         the configs, not as their ids."""
@@ -736,3 +771,108 @@ class TestPersistence:
         index = build_index(_small_corpus(), LOCAL, EMB)
         save_index(index, tmp_path / "index.json")
         assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+
+# Each config field's right values and its wrong ones: bools, floats and
+# infinity for ints, ints and strings for flags, names that are not
+# normalized (case, spacing, decomposed accents, blanks, non-strings),
+# repeated names, an alias with two names and aliases that are not pairs.
+_NORMAL = st.sampled_from(["paris", "vertex labs", "ember corp", "x", "café"])
+_NOT_NORMAL = st.one_of(
+    st.sampled_from(["Vertex Labs", "ember  corp", " paris", "", "cafe\u0301", 5, None]),
+    st.text(max_size=3),
+)
+_INT = (
+    st.integers(1, 3),
+    st.one_of(st.integers(-1, 0), st.booleans(), st.sampled_from([2.0, 2.5, float("inf")])),
+)
+_FLAG = (st.booleans(), st.sampled_from([0, 1, "no", None]))
+_MODEL = (
+    st.one_of(st.sampled_from([None, remote.DEFAULT_EMBED_MODEL, "m:1"]), st.text(max_size=3)),
+    st.sampled_from([5, 2.5, True]),
+)
+_FIELDS = {
+    SegmentationPolicy: {
+        "kind": (st.sampled_from(["sentence", "fixed", "passthrough"]), st.text(max_size=3)),
+        "size": _INT,
+    },
+    EmbedderConfig: {
+        "provider": (st.sampled_from(["local", "remote"]), st.just("other")),
+        "dimension": (st.sampled_from([EMB.dimension, EmbedderConfig().dimension]), _INT[1]),
+        "remote_model": _MODEL,
+    },
+    ExtractorConfig: {
+        "provider": (st.sampled_from(["local", "remote"]), st.just("cloud")),
+        "coreference_enabled": _FLAG,
+        "decomposition_enabled": _FLAG,
+        "gazetteer": (
+            st.lists(_NORMAL, unique=True, max_size=3),
+            st.one_of(
+                st.lists(_NOT_NORMAL, min_size=1, max_size=2),
+                st.lists(_NORMAL, min_size=1, max_size=2).map(lambda names: names + names[:1]),
+            ),
+        ),
+        "aliases": (
+            st.lists(st.tuples(_NORMAL, _NORMAL), unique_by=lambda pair: pair[0], max_size=2),
+            st.one_of(
+                st.lists(st.tuples(_NORMAL, _NOT_NORMAL), min_size=1, max_size=2),
+                st.tuples(_NORMAL, _NORMAL, _NORMAL).map(lambda t: [t[:2], (t[0], t[2])]),
+                st.lists(_NORMAL, max_size=3).filter(lambda pair: len(pair) != 2).map(
+                    lambda pair: [pair]
+                ),
+            ),
+        ),
+        "remote_model": _MODEL,
+    },
+    RetrievalParams: {"k": _INT, "h": _INT, "token_limit": _INT, "use_entity_weights": _FLAG},
+}
+
+
+def _draw_fields(data, fields: dict) -> dict:
+    """Each field from its right values, then, for about half the draws,
+    one field from its wrong ones."""
+    drawn = {name: data.draw(right) for name, (right, _) in fields.items()}
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(sorted(fields)))
+        drawn[name] = data.draw(fields[name][1])
+    return drawn
+
+
+class TestConfigsAreTheirDocuments:
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    @given(data=st.data())
+    def test_config_is_rejected_or_round_trips(self, data):
+        """Each config raises ValueError at construction or is exactly its
+        document: the policy and the embedder come back from their ids, an
+        index built with them saves and loads with an equal config, and the
+        params come back from their document and retrieve on that index as
+        it says (weighted iff ``use_entity_weights`` is ``true``)."""
+        configs = {}
+        for cls, fields in _FIELDS.items():
+            try:
+                configs[cls] = cls(**_draw_fields(data, fields))
+            except ValueError:
+                pass
+        segmentation = configs.get(SegmentationPolicy, SegmentationPolicy())
+        assert SegmentationPolicy.parse(segmentation.policy_id) == segmentation
+        embedder = configs.get(EmbedderConfig, EMB)
+        assert EmbedderConfig.from_id(embedder.embedder_id) == embedder
+        p = configs.get(RetrievalParams, RetrievalParams())
+        document = {k: v for k, v in p.to_document().items() if k != "fallback_on_no_entities"}
+        assert RetrievalParams(**document) == p
+
+        record = {"doc_id": "d1", "text": "Vertex Labs toured Paris. Ember Corp met them."}
+        corpus = ingest_corpus([json.dumps(record)], segmentation)
+        with mock.patch.object(
+            remote, "chat_completion", lambda model, system, user: '["vertex labs"]'
+        ), mock.patch.object(
+            remote, "embed_batch", lambda texts, model: [[1.0, 0.5]] * len(texts)
+        ), tempfile.TemporaryDirectory() as tmp:
+            index = build_index(corpus, configs.get(ExtractorConfig, LOCAL), embedder)
+            path = Path(tmp) / "index.json"
+            save_index(index, path)
+            loaded = load_index(path)
+            assert loaded.config == index.config
+            trace = retrieve(loaded, "Who did Vertex Labs meet?", p).trace
+        assert not trace.fallback_used
+        assert trace.scoring_variant == ("weighted" if p.use_entity_weights is True else "count")

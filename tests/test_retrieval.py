@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,22 @@ class TestRetrieveExamples:
     def test_knob_below_one_is_rejected(self, knob):
         with pytest.raises(ValueError, match="^k, h, and token_limit must all be >= 1$"):
             RetrievalParams(**{knob: 0})
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"k": 1.5}, "k, h, and token_limit must all be integers"),
+        ({"h": 2.5}, "k, h, and token_limit must all be integers"),
+        ({"k": float("inf")}, "k, h, and token_limit must all be integers"),
+        ({"k": True}, "k, h, and token_limit must all be integers"),
+        ({"token_limit": 10.0}, "k, h, and token_limit must all be integers"),
+        ({"use_entity_weights": "no"}, "use_entity_weights must be a bool"),
+    ], ids=["float-k", "float-h", "infinite-k", "bool-k", "float-token-limit",
+            "str-weights"])
+    def test_params_that_are_not_their_document_are_rejected(self, fields, problem):
+        """Each constructed. A float ``k`` or ``h`` failed inside
+        ``retrieve`` with a bare TypeError; ``k=True`` was written into the
+        trace as ``true``; ``use_entity_weights="no"`` turned weighting on."""
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            RetrievalParams(**fields)
 
     def test_default_providers_are_the_ones_the_index_records(self):
         _, index = _six_chunk_index()
