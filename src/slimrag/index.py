@@ -4,7 +4,7 @@
 index and leaves its input untouched. It walks each new chunk once: extract
 entities and gather the chunk id under each, then embed every entity the
 index lacks exactly once. Posting lists are frozensets, so the new index
-shares every posting list, vector and chunk record it does not change, and
+shares every posting list, vector and chunk it does not change, and
 ``lookup`` hands out the stored posting list itself. When the input's entity
 unit columns (what top-K search reads) are built, the write extends them
 into a new array with the new entities' columns, so the new index does not
@@ -13,12 +13,14 @@ processing order. Token accounting records all provider-bound traffic
 (extraction in/out and embedding inputs) measured by the accounting
 tokenizer; retrieval-time traffic never lands here.
 
-Chunk records, TCTC and the extraction input reuse each chunk's own token
-count. One compatibility check, :func:`check_compatible`, guards both
-``add_chunks`` and retrieval: the providers must equal the configs the index
-holds, which is the same as equal fingerprints, since every config is
-exactly its document. The fingerprint itself is computed only where a
-document is written.
+The chunk catalog holds the corpus's own frozen
+:class:`~slimrag.corpus.Chunk` objects, so TCTC and the extraction input
+reuse each chunk's own token count, derived once from its text. One
+compatibility check, :func:`check_compatible`, guards both ``add_chunks``
+and retrieval: the providers must equal the configs the index holds, which
+is the same as equal fingerprints, since every config is exactly its
+document. The fingerprint itself is computed only where a document is
+written.
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically. Identical
@@ -40,13 +42,14 @@ extractor document that ``ExtractorConfig`` takes as it is (normalized
 gazetteer entries and alias terms, none repeated, no alias naming two
 canonical forms); finite vectors that are not all zeros, non-empty
 posting lists of chunk ids in the catalog, exactly one vector per entity
-of the store's dimension, and catalog keys that are
-``<doc_id>#<position>`` of their record with a position >= 0 (so no two records share a document and
-position). Any other file raises IndexIntegrityError (SchemaVersionError
-for another schema). Derived fields (entity list, fingerprint, TUIC, TCTC
-as the catalog's token sum) are recomputed, not read. The loader trusts,
-unchecked, each chunk's ``token_count`` against its text and the accounting
-breakdown beyond the three indexing labels.
+of the store's dimension, catalog keys that are their chunk's id (so no
+two chunks share a document and position) with a position >= 0, and chunks
+that a corpus could hold: a non-empty ``doc_id`` and text that is not
+blank. Any other file raises IndexIntegrityError (SchemaVersionError for
+another schema). Derived fields (entity list, fingerprint, each chunk's id
+and token count, TUIC, TCTC as the catalog's token sum) are recomputed, not
+read. The loader trusts, unchecked, only the accounting breakdown beyond
+the three indexing labels.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Chunk, Corpus, SegmentationPolicy, make_chunk_id, parse_json
+from .corpus import Chunk, Corpus, SegmentationPolicy, parse_json
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
@@ -139,14 +142,6 @@ class TokenAccounting:
 
 
 @dataclass(frozen=True)
-class ChunkRecord:
-    doc_id: str
-    position: int
-    text: str
-    token_count: int
-
-
-@dataclass(frozen=True)
 class IndexConfig:
     """The fingerprint preimage: everything that shapes index content. It
     holds the segmentation policy and the embedder themselves; its document
@@ -178,7 +173,7 @@ class EntityIndex:
     config: IndexConfig
     inverted_map: dict[str, frozenset[str]]
     vectors: EntityVectorStore
-    chunk_catalog: dict[str, ChunkRecord]
+    chunk_catalog: dict[str, Chunk]
     accounting: TokenAccounting
 
     @property
@@ -208,9 +203,7 @@ def _extended(
             entities, usage = extract_entities_with_usage(chunk.text, extractor)
             accounting.record(EXTRACTION_IN, chunk.token_count + usage.input_tokens)
             accounting.record(EXTRACTION_OUT, usage.output_tokens)
-            catalog[chunk.chunk_id] = ChunkRecord(
-                chunk.doc_id, chunk.position, chunk.text, chunk.token_count
-            )
+            catalog[chunk.chunk_id] = chunk
             for entity in entities:
                 added.setdefault(entity, set()).add(chunk.chunk_id)
         new_entities = sorted(added.keys() - index.inverted_map.keys())
@@ -260,8 +253,8 @@ def add_chunks(
 ) -> EntityIndex:
     """Extend an index with new chunks; equivalent to rebuilding over the
     concatenated corpus. The input index is not modified, also when a
-    provider fails; the result shares every posting list, vector and chunk
-    record the new chunks do not change."""
+    provider fails; the result shares every posting list and vector the new
+    chunks do not change, and holds each chunk itself."""
     check_compatible(index, extractor, embedder)
     seen = set(index.chunk_catalog)
     for chunk in new_chunks:
@@ -293,9 +286,9 @@ def lookup(index: EntityIndex, entity: str) -> frozenset[str]:
 def _to_document(index: EntityIndex) -> dict:
     """The index file's content but its ``vectors`` member, which
     :func:`_vectors_json` writes: with it, the one description of the
-    format, which save writes and load checks a file against. Chunk records
-    are read field by field: ``vars`` would attach a dict to each record
-    for the life of the index."""
+    format, which save writes and load checks a file against. Chunks are
+    read field by field: ``vars`` would also write each chunk's id, and
+    would attach a dict to each chunk for the life of the index."""
     return {
         "schema": SCHEMA_VERSION,
         "config": index.config.to_document(),
@@ -306,12 +299,12 @@ def _to_document(index: EntityIndex) -> dict:
         },
         "chunk_catalog": {
             chunk_id: {
-                "doc_id": record.doc_id,
-                "position": record.position,
-                "text": record.text,
-                "token_count": record.token_count,
+                "doc_id": chunk.doc_id,
+                "position": chunk.position,
+                "text": chunk.text,
+                "token_count": chunk.token_count,
             }
-            for chunk_id, record in index.chunk_catalog.items()
+            for chunk_id, chunk in index.chunk_catalog.items()
         },
         "accounting": index.accounting.to_document(),
     }
@@ -373,10 +366,12 @@ def _from_document(document: dict) -> EntityIndex:
     """The index a parsed file describes, each object built by its own
     constructor: the extractor from the file's values as they are (its
     constructor rejects any it would not write back), the rest from scalars
-    coerced to their types. Members are popped as they are read. Derived
-    and constant fields (``entities``, ``config_fingerprint``, TUIC, TCTC,
-    the tokenizer, the vectors' embedder id) are not read: re-serializing
-    the result shows whether they agree.
+    coerced to their types. Each chunk is ``Chunk(doc_id, position, text)``,
+    which derives its id and token count from those three as ingest does.
+    Members are popped as they are read. Derived and constant fields
+    (``entities``, ``config_fingerprint``, each chunk's ``token_count``,
+    TUIC, TCTC, the tokenizer, the vectors' embedder id) are not read:
+    re-serializing the result shows whether they agree.
 
     The entity vectors become one float64 block, built last in one pass
     over the rows (``_columns``): each row's length is checked, its norm
@@ -384,11 +379,10 @@ def _from_document(document: dict) -> EntityIndex:
     packing block at a time. Each parsed row is popped as it is read, so
     the parsed lists are freed as the block fills. The first row's length
     is checked before the block is allocated, so a damaged dimension
-    cannot size it. Building the block last means the chunk records and
-    posting sets are made while the parsed floats still fill the
-    allocator's pages, not in the pages those floats free, which then go
-    back to the system whole instead of staying pinned by the loaded
-    index's objects."""
+    cannot size it. Building the block last means the chunks and posting
+    sets are made while the parsed floats still fill the allocator's pages,
+    not in the pages those floats free, which then go back to the system
+    whole instead of staying pinned by the loaded index's objects."""
     config_doc = document.pop("config")
     embedder = EmbedderConfig.from_id(str(config_doc["embedder_id"]))
     config = IndexConfig(
@@ -397,20 +391,15 @@ def _from_document(document: dict) -> EntityIndex:
         embedder=embedder,
     )
     chunk_catalog = {
-        chunk_id: ChunkRecord(
-            str(record["doc_id"]),
-            int(record["position"]),
-            str(record["text"]),
-            int(record["token_count"]),
-        )
-        for chunk_id, record in document.pop("chunk_catalog").items()
+        chunk_id: Chunk(str(chunk["doc_id"]), int(chunk["position"]), str(chunk["text"]))
+        for chunk_id, chunk in document.pop("chunk_catalog").items()
     }
     inverted_map = {
         entity: frozenset(map(str, ids))
         for entity, ids in document.pop("inverted_map").items()
     }
     accounting = TokenAccounting(
-        tctc=sum(record.token_count for record in chunk_catalog.values()),
+        tctc=sum(chunk.token_count for chunk in chunk_catalog.values()),
         breakdown={
             label: int(tokens)
             for label, tokens in document.pop("accounting")["breakdown"].items()
@@ -495,12 +484,15 @@ def _check_relations(index: EntityIndex) -> None:
             entity = index.vectors.names[i]
             _require(finite[i], f"vector of {entity!r} is not finite")
             _require(False, f"vector of {entity!r} is all zeros")
-    for chunk_id, record in catalog.items():
-        _require(
-            record.position >= 0
-            and chunk_id == make_chunk_id(record.doc_id, record.position),
-            f"catalog key {chunk_id!r} is not <doc_id>#<position>, position >= 0",
-        )
+    for chunk_id, chunk in catalog.items():  # messages formatted only on damage
+        keyed = chunk_id == chunk.chunk_id and chunk.position >= 0
+        if not (keyed and chunk.doc_id and chunk.text.strip()):
+            _require(
+                keyed,
+                f"catalog key {chunk_id!r} is not <doc_id>#<position>, position >= 0",
+            )
+            _require(chunk.doc_id, f"chunk {chunk_id!r} has an empty doc_id")
+            _require(False, f"chunk {chunk_id!r} has no text")
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from slimrag.corpus import Corpus, SegmentationPolicy, ingest_corpus
+from slimrag.tokenization import count_tokens
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -117,6 +119,62 @@ def rewrite_index(path: Path, mutate) -> None:
     document["config_fingerprint"] = sha(document.get("config"))
     document["content_digest"] = sha(document)
     path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def move_chunk(document, old: str, new: str, **fields) -> None:
+    """In a saved index document, move the catalog record ``old`` to the key
+    ``new`` with ``fields`` changed, and repoint its posting lists. Its
+    ``token_count`` and the accounting's ``tctc`` follow its text, as in a
+    file that ``save_index`` wrote."""
+    catalog = document["chunk_catalog"]
+    record = catalog.pop(old)
+    record.update(fields)
+    tokens = count_tokens(record["text"])
+    document["accounting"]["tctc"] += tokens - record["token_count"]
+    record["token_count"] = tokens
+    catalog[new] = record
+    for ids in document["inverted_map"].values():
+        ids[:] = sorted(new if chunk_id == old else chunk_id for chunk_id in ids)
+
+
+# Scalars an index or cache file holds, neighbours of them, and small
+# containers: the values the node-mutation tests of those files set.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2, 32, 10**19, 0.5, 1.0, "", "d1#0", "d1", "paris"])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+NODE_OPERATIONS = ["set", "delete", "duplicate"]
+
+
+def mutate_node(data, parent, key, operation: str) -> None:
+    """Apply ``operation``, one of :data:`NODE_OPERATIONS`, to the node
+    ``parent[key]`` or to a node below it drawn from hypothesis ``data``; a
+    set draws the new value from :data:`JSON_VALUES`."""
+    while (
+        isinstance(parent[key], (dict, list))
+        and parent[key]
+        and data.draw(st.booleans())
+    ):
+        parent = parent[key]
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = data.draw(st.sampled_from(keys))
+    if operation == "set":
+        parent[key] = data.draw(JSON_VALUES)
+    elif operation == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[f"{key}+"] = copy.deepcopy(parent[key])
 
 
 def damaged(data, original: bytes) -> bytes:

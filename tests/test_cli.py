@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples, rewrite_index,
+    DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples, move_chunk,
+    rewrite_index,
 )
 from slimrag import remote
 from slimrag.cli import _embedder_config, build_parser, main
@@ -193,6 +194,23 @@ class TestExitCodes:
         rewrite_index(
             built_index, lambda d: d["config"]["extractor"].update(gazetteer=["Vertex Labs"])
         )
+        assert main(["index", "stats", "--index", str(built_index)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: index file is damaged")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old, new, fields",
+        [("d2#0", "d2#0", {"text": " "}), ("d2#0", "#0", {"doc_id": ""})],
+        ids=["blank-text", "empty-doc-id"],
+    )
+    def test_chunk_no_corpus_can_hold_is_runtime_error(
+        self, built_index, capsys, old, new, fields
+    ):
+        """With its token count, TCTC, fingerprint and digest recomputed.
+        ``index stats`` exited 0 on each, and ``retrieve`` raised ``cannot
+        embed empty text`` on the blank one."""
+        rewrite_index(built_index, lambda d: move_chunk(d, old, new, **fields))
         assert main(["index", "stats", "--index", str(built_index)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: index file is damaged")

@@ -17,11 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import DEEP_JSON, damaged, fuzz_examples, random_corpus, random_query
+from conftest import (
+    DEEP_JSON,
+    NODE_OPERATIONS,
+    damaged,
+    fuzz_examples,
+    mutate_node,
+    random_corpus,
+    random_query,
+)
 from oracles import brute_force_top_k, embed_oracle
 import slimrag
 from slimrag import embedding, remote
-from slimrag.corpus import SegmentationPolicy, ingest_corpus
+from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import (
     _BLOCK_CELLS,
     DEFAULT_DIMENSION,
@@ -42,7 +50,6 @@ from slimrag.embedding import (
 )
 from slimrag.extraction import ExtractorConfig, normalize_entity
 from slimrag.index import (
-    ChunkRecord,
     EntityIndex,
     IndexConfig,
     TokenAccounting,
@@ -603,8 +610,9 @@ def _cache_file(path: Path) -> tuple[bytes, list[tuple[str, tuple]]]:
 
 
 class TestDamagedCache:
-    """Pins: a cache file cut at any offset, or with one byte changed, loads
-    or raises ValueError naming a line, never another exception."""
+    """Pins: a cache file cut at any offset, with one byte changed, or with
+    one node of a line set, deleted or duplicated, loads or raises
+    ValueError naming a line, never another exception."""
 
     def test_cut_at_every_offset_loads_the_complete_lines(self, tmp_path):
         original, records = _cache_file(tmp_path / "original.jsonl")
@@ -632,6 +640,23 @@ class TestDamagedCache:
                 rf"embedding cache {re.escape(str(path))}: line \d+ is damaged",
                 str(exc),
             )
+
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_loads_or_names_it(self, tmp_path_factory, data):
+        """One random set, delete or duplicate of a line's record or of a
+        node in it: the cache loads, or raises ValueError naming that line."""
+        directory = tmp_path_factory.mktemp("cache")
+        original, _ = _cache_file(directory / "original.jsonl")
+        records = [json.loads(line) for line in original.splitlines()]
+        number = data.draw(st.integers(0, len(records) - 1))
+        mutate_node(data, records, number, data.draw(st.sampled_from(NODE_OPERATIONS)))
+        path = directory / "cache.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        try:
+            EmbeddingCache(path)
+        except ValueError as exc:
+            assert str(exc) == f"embedding cache {path}: line {number + 1} is damaged"
 
 
 # Components of every sign and both zeros, at magnitudes from 1e-150 to
@@ -1193,7 +1218,7 @@ class TestUnitColumns:
             ),
             {name: frozenset({"d#0"}) for name in names},
             store,
-            {"d#0": ChunkRecord("d", 0, "Some text.", 3)},
+            {"d#0": Chunk("d", 0, "Some text.")},
             TokenAccounting(tctc=3),
         )
         path = tmp_path_factory.mktemp("norms") / "index.json"

@@ -1,6 +1,5 @@
 """Index construction, incremental updates, persistence, accounting."""
 
-import copy
 import hashlib
 import json
 import math
@@ -14,7 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, damaged, fuzz_examples, random_corpus, rewrite_index
+from conftest import (
+    DEEP_JSON,
+    JSON_VALUES,
+    NODE_OPERATIONS,
+    damaged,
+    fuzz_examples,
+    move_chunk,
+    mutate_node,
+    random_corpus,
+    rewrite_index,
+)
 from slimrag import remote
 from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
@@ -59,13 +68,6 @@ def _small_corpus():
             json.dumps({"doc_id": "d2", "text": "The mayor of Paris met Ember Corp."}),
         ]
     )
-
-
-def _rename_chunk(document, old, new):
-    """Move a catalog record to another key and repoint its posting lists."""
-    document["chunk_catalog"][new] = document["chunk_catalog"].pop(old)
-    for ids in document["inverted_map"].values():
-        ids[:] = sorted(new if chunk_id == old else chunk_id for chunk_id in ids)
 
 
 class TestBuild:
@@ -141,6 +143,18 @@ class TestBuild:
         for chunk in corpus.chunks:
             for entity in extract_entities(chunk.text, LOCAL):
                 assert chunk.chunk_id in index.inverted_map[entity]
+
+    def test_catalog_holds_the_corpus_chunks(self):
+        """The index holds each chunk itself, not a copy; ``add_chunks``
+        shares the chunks it already held."""
+        corpus = _small_corpus()
+        index = build_index(corpus, LOCAL, EMB)
+        assert list(index.chunk_catalog) == [c.chunk_id for c in corpus.chunks]
+        assert all(index.chunk_catalog[c.chunk_id] is c for c in corpus.chunks)
+        new = Chunk("d3", 0, "Ember Corp sold the mill.")
+        grown = add_chunks(index, [new], LOCAL, EMB)
+        assert grown.chunk_catalog["d3#0"] is new
+        assert all(grown.chunk_catalog[c.chunk_id] is c for c in corpus.chunks)
 
 
 class TestLookup:
@@ -252,18 +266,6 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
 _COMPONENTS = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False),
-)
-# Scalars the index file holds, neighbours of them, and small containers.
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.sampled_from([0, 1, -1, 2, 32, 10**19, 0.5, 1.0, "", "d1#0", "d1", "paris"])
-    | st.integers()
-    | st.floats()
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=4,
 )
 
 
@@ -523,7 +525,7 @@ class TestPersistence:
             lambda d: d["inverted_map"]["paris"].clear(),
             lambda d: d["chunk_catalog"]["d1#0"].update(position=-1),
             lambda d: d["chunk_catalog"]["d1#1"].update(position=0),
-            lambda d: _rename_chunk(d, "d1#0", "zzz"),
+            lambda d: move_chunk(d, "d1#0", "zzz"),
         ],
         ids=[
             "missing-extractor", "missing-accounting", "mistyped-extractor-field",
@@ -677,6 +679,42 @@ class TestPersistence:
             load_index(path)
         assert str(caught.value) == f"index file is damaged: {problem}"
 
+    def test_forged_token_count_is_damage(self, tmp_path):
+        """A chunk's ``token_count`` and ``tctc`` shifted by the same amount,
+        fingerprint and digest recomputed. It loaded with that TCTC, and
+        retrieve dropped the chunk to fit the token budget."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+
+        def forge(document):
+            document["chunk_catalog"]["d1#0"]["token_count"] += 100_000
+            document["accounting"]["tctc"] += 100_000
+
+        rewrite_index(path, forge)
+        with pytest.raises(
+            IndexIntegrityError, match="^content digest mismatch; file is corrupt$"
+        ):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "old, new, fields, problem",
+        [
+            ("d2#0", "d2#0", {"text": " "}, "chunk 'd2#0' has no text"),
+            ("d2#0", "#0", {"doc_id": ""}, "chunk '#0' has an empty doc_id"),
+        ],
+        ids=["blank-text", "empty-doc-id"],
+    )
+    def test_chunk_no_corpus_can_hold_is_damage(self, tmp_path, old, new, fields, problem):
+        """With its token count, TCTC, fingerprint and digest recomputed.
+        Each loaded; on the blank text every retrieve then raised ``cannot
+        embed empty text``."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rewrite_index(path, lambda d: move_chunk(d, old, new, **fields))
+        with pytest.raises(IndexIntegrityError) as caught:
+            load_index(path)
+        assert str(caught.value) == f"index file is damaged: {problem}"
+
     def test_index_holds_the_configs_its_ids_name(self, tmp_path, monkeypatch):
         """A fixed-size policy and a remote embedder come back from a file as
         the configs, not as their ids."""
@@ -695,30 +733,24 @@ class TestPersistence:
     @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
     def test_mutated_file_loads_only_as_its_canonical_form(self, data):
-        """One random set, delete or duplicate anywhere in a saved index,
-        with the fingerprint and digest recomputed: the file is rejected
-        with a documented error, or it loads into an index that saves back
-        to exactly the file's canonical form."""
+        """One random set, delete or duplicate anywhere in a saved index, or
+        a chunk's ``token_count`` set to a drawn int with ``tctc`` moved to
+        match, with the fingerprint and digest recomputed: the file is
+        rejected with a documented error, or it loads into an index that
+        saves back to exactly the file's canonical form and whose token
+        counts are those of its chunks' texts."""
 
         def mutate(document):
-            parent, key = document, data.draw(st.sampled_from(sorted(document)))
-            while (
-                isinstance(parent[key], (dict, list))
-                and parent[key]
-                and data.draw(st.booleans())
-            ):
-                parent = parent[key]
-                keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
-                key = data.draw(st.sampled_from(keys))
-            operation = data.draw(st.sampled_from(["set", "delete", "duplicate"]))
-            if operation == "set":
-                parent[key] = data.draw(_JSON_VALUES)
-            elif operation == "delete":
-                del parent[key]
-            elif isinstance(parent, list):
-                parent.insert(key, copy.deepcopy(parent[key]))
+            operation = data.draw(st.sampled_from([*NODE_OPERATIONS, "retally"]))
+            if operation == "retally":
+                catalog = document["chunk_catalog"]
+                record = catalog[data.draw(st.sampled_from(sorted(catalog)))]
+                tokens = data.draw(st.integers())
+                document["accounting"]["tctc"] += tokens - record["token_count"]
+                record["token_count"] = tokens
             else:
-                parent[f"{key}+"] = copy.deepcopy(parent[key])
+                key = data.draw(st.sampled_from(sorted(document)))
+                mutate_node(data, document, key, operation)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.json"
@@ -732,6 +764,9 @@ class TestPersistence:
             save_index(loaded, resaved)
             canonical = canonical_json(json.loads(path.read_text(encoding="utf-8")))
             assert resaved.read_text(encoding="utf-8") == canonical + "\n"
+            chunks = loaded.chunk_catalog.values()
+            assert all(c.token_count == count_tokens(c.text) for c in chunks)
+            assert loaded.accounting.tctc == sum(c.token_count for c in chunks)
 
     def test_temp_file_synced_before_rename(self, tmp_path, monkeypatch):
         calls = []
