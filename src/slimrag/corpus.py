@@ -14,9 +14,11 @@ Input is JSONL, one object per line, in exactly one of two forms:
 * ``{"doc_id": ..., "position": ..., "text": ...}`` -- pre-chunked corpora
   (one line per chunk); positions must be contiguous from 0 per document.
 
-Mixing the two forms in one stream is an error. Each chunk's token count is
-derived once from its text by the ``ws-punct/v1`` accounting tokenizer; the
-corpus total (TCTC) and the index read it.
+Mixing the two forms in one stream is an error. Every chunk of either form
+is a :class:`Chunk`, whose constructor is the one rule for what a chunk is.
+Each chunk's token count is derived once from its text by the
+``ws-punct/v1`` accounting tokenizer; the corpus total (TCTC) and the index
+read it.
 
 This module also holds the two rules for reading text from outside the
 program, which every reader of a file or reply uses: :func:`read_lines`
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
 
@@ -101,8 +104,14 @@ class Document:
 
 @dataclass(frozen=True)
 class Chunk:
-    """``chunk_id`` is ``make_chunk_id(doc_id, position)``, and
-    ``token_count`` is derived from ``text`` by the accounting tokenizer."""
+    """A chunk a corpus can hold, and the one rule for what that is:
+    ``doc_id`` is a non-empty ``str``, ``position`` an ``int`` (not a
+    ``bool``) >= 0, ``text`` a ``str`` that is not blank, and neither string
+    holds a lone surrogate; ValueError otherwise. Ingest, the eval corpora,
+    index writes and index loads all hold chunks built here, so no other
+    layer checks one. ``chunk_id`` is ``make_chunk_id(doc_id, position)``,
+    and ``token_count`` is derived from ``text`` by the accounting
+    tokenizer."""
 
     chunk_id: str = field(init=False)
     doc_id: str
@@ -111,7 +120,20 @@ class Chunk:
     token_count: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not type(self.doc_id) is type(self.text) is str:
+            raise ValueError("doc_id and text must be strings")
+        if has_lone_surrogate(self.doc_id + self.text):  # one encode for both
+            name = "doc_id" if has_lone_surrogate(self.doc_id) else "text"
+            raise ValueError(f"{name} holds a lone surrogate")
+        if type(self.position) is not int:
+            raise ValueError("position must be an integer")
         object.__setattr__(self, "chunk_id", make_chunk_id(self.doc_id, self.position))
+        if not self.doc_id:
+            raise ValueError(f"chunk {self.chunk_id!r} has an empty doc_id")
+        if not self.text.strip():
+            raise ValueError(f"chunk {self.chunk_id!r} has no text")
+        if self.position < 0:
+            raise ValueError("position must be >= 0")
         object.__setattr__(self, "token_count", count_tokens(self.text))
 
 
@@ -231,26 +253,44 @@ def has_lone_surrogate(text: str) -> bool:
     return False
 
 
-def _decode(raw: str, line_number: int) -> object:
+def _record(raw: str, line_number: int) -> dict | Chunk:
+    """The record on a non-blank line, decoded and its shape checked. A
+    pre-chunked record is its :class:`Chunk`, built here. A raw document's
+    strings are checked for lone surrogates here, since a blank one yields
+    no chunk to check them."""
     try:
-        return parse_json(raw)
+        record = parse_json(raw)
     except ValueError as exc:
         raise MalformedRecordError(str(exc), line_number) from None
-
-
-def _check_record(record: object, line_number: int) -> dict:
     if not isinstance(record, dict):
         raise MalformedRecordError("record is not an object", line_number)
     if not isinstance(record.get("doc_id"), str) or not record["doc_id"]:
         raise MalformedRecordError("missing or empty doc_id", line_number)
     if not isinstance(record.get("text"), str):
         raise MalformedRecordError("missing text field", line_number)
+    if "position" in record:
+        return _chunk(line_number, record["doc_id"], record["position"], record["text"])
     for key in ("doc_id", "text"):
         if has_lone_surrogate(record[key]):
             raise MalformedRecordError(f"{key} holds a lone surrogate", line_number)
-    position = record.get("position", 0)
-    if not isinstance(position, int) or isinstance(position, bool):
-        raise MalformedRecordError("position must be an integer", line_number)
+    return record
+
+
+def _chunk(line_number: int, doc_id: object, position: object, text: object) -> Chunk:
+    """The chunk of a pre-chunked record or row; the chunk rule's ValueError
+    becomes MalformedRecordError naming the line."""
+    try:
+        return Chunk(doc_id, position, text)
+    except ValueError as exc:
+        raise MalformedRecordError(str(exc), line_number) from None
+
+
+def _of_form(record: dict | Chunk, line_number: int, prechunked: bool) -> dict | Chunk:
+    """``record`` itself, if it has the form the stream's first record set."""
+    if isinstance(record, Chunk) != prechunked:
+        raise MalformedRecordError(
+            "mixed document and pre-chunked records in one stream", line_number
+        )
     return record
 
 
@@ -258,77 +298,65 @@ def ingest_corpus(
     source: Iterable[str], segmentation: SegmentationPolicy | None = None
 ) -> Corpus:
     """Read a JSONL corpus stream (lines of text, as :func:`read_lines`
-    yields them) into an immutable Corpus.
+    yields them) into an immutable Corpus, in one pass. The first record
+    sets the form; a pre-chunked record is built into its :class:`Chunk`
+    on its line, and the chunks are assembled as :func:`corpus_from_chunks`
+    assembles them.
 
     Raises MalformedRecordError (with the offending line number) for bad
     records, including text :func:`parse_json` cannot decode, mixed record
-    forms, or non-contiguous pre-chunked positions, and
-    DuplicateDocumentError for a repeated doc_id. An empty stream yields an
-    empty corpus.
+    forms, a chunk :class:`Chunk` rejects, or non-contiguous pre-chunked
+    positions, and DuplicateDocumentError for a repeated doc_id. An empty
+    stream yields an empty corpus.
     """
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
-    records = ((n, _decode(raw, n)) for n, raw in lines if raw)
-    return _assemble(records, segmentation)
+    records = ((n, _record(raw, n)) for n, raw in lines if raw)
+    first = next(records, None)
+    prechunked = first is not None and isinstance(first[1], Chunk)
+    records = chain([first] if first else [], records)
+    records = ((n, _of_form(record, n, prechunked)) for n, record in records)
+    if prechunked:
+        return _prechunked(records)
+    policy = segmentation or SegmentationPolicy()
+    raw_docs: dict[str, str] = {}
+    for _, record in records:
+        if record["doc_id"] in raw_docs:
+            raise DuplicateDocumentError(f"duplicate doc_id {record['doc_id']!r}")
+        raw_docs[record["doc_id"]] = record["text"]
+    # Only one form is present, so the documents keep their input order.
+    documents = [build_document(d, text, policy) for d, text in raw_docs.items()]
+    chunks = [chunk for doc in documents for chunk in segment_document(doc, policy)]
+    return Corpus(tuple(documents), tuple(chunks), policy)
 
 
 def corpus_from_chunks(chunk_rows: Iterable[tuple[str, int, str]]) -> Corpus:
-    """Assemble a pre-chunked Corpus from (doc_id, position, text) rows,
-    checked as pre-chunked records with the row number as line number."""
-    records = ({"doc_id": d, "position": p, "text": t} for d, p, t in chunk_rows)
-    return _assemble(enumerate(records, start=1))
+    """Assemble a pre-chunked Corpus from (doc_id, position, text) rows, as
+    :func:`ingest_corpus` assembles pre-chunked records: each row is built
+    into its :class:`Chunk` once, and the row number is the line number of
+    its MalformedRecordError."""
+    return _prechunked((n, _chunk(n, *row)) for n, row in enumerate(chunk_rows, start=1))
 
 
-def _assemble(
-    records: Iterable[tuple[int, object]], policy: SegmentationPolicy | None = None
-) -> Corpus:
-    policy = policy or SegmentationPolicy()
-
-    form: str | None = None
-    raw_docs: dict[str, str] = {}
-    prechunked: dict[str, dict[int, str]] = {}
-
-    for line_number, record in records:
-        record = _check_record(record, line_number)
-        record_form = "prechunked" if "position" in record else "document"
-        if form is None:
-            form = record_form
-        elif form != record_form:
+def _prechunked(chunks: Iterable[tuple[int, Chunk]]) -> Corpus:
+    """The corpus of numbered chunks, each document's in position order. No
+    document may repeat a position, and each document's positions must run
+    from 0 without a gap."""
+    by_doc: dict[str, dict[int, Chunk]] = {}
+    for line_number, chunk in chunks:
+        positions = by_doc.setdefault(chunk.doc_id, {})
+        if positions.setdefault(chunk.position, chunk) is not chunk:
             raise MalformedRecordError(
-                "mixed document and pre-chunked records in one stream", line_number
+                f"duplicate position {chunk.position} for doc_id {chunk.doc_id!r}",
+                line_number,
             )
-        doc_id = record["doc_id"]
-        if form == "document":
-            if doc_id in raw_docs:
-                raise DuplicateDocumentError(f"duplicate doc_id {doc_id!r}")
-            raw_docs[doc_id] = record["text"]
-        else:
-            if not record["text"].strip():
-                raise MalformedRecordError("pre-chunked text is empty", line_number)
-            if record["position"] < 0:
-                raise MalformedRecordError("position must be >= 0", line_number)
-            positions = prechunked.setdefault(doc_id, {})
-            if record["position"] in positions:
-                raise MalformedRecordError(
-                    f"duplicate position {record['position']} for doc_id {doc_id!r}",
-                    line_number,
-                )
-            positions[record["position"]] = record["text"]
-
-    # Only one form is present, so the documents keep their input order.
-    documents = [build_document(d, text, policy) for d, text in raw_docs.items()]
-    for doc_id, positions in prechunked.items():
-        order = range(len(positions))
-        if sorted(positions) != list(order):
+    documents: list[Document] = []
+    ordered: list[Chunk] = []
+    for doc_id, positions in by_doc.items():
+        if max(positions) != len(positions) - 1:  # distinct ints >= 0: no gap iff so
             raise MalformedRecordError(
                 f"positions for doc_id {doc_id!r} are not contiguous from 0"
             )
-        documents.append(Document(doc_id, tuple(positions[i] for i in order)))
-    if form == "prechunked":
-        policy = SegmentationPolicy("passthrough")
-    chunks = [chunk for doc in documents for chunk in segment_document(doc, policy)]
-
-    return Corpus(
-        documents=tuple(documents),
-        chunks=tuple(chunks),
-        segmentation=policy,
-    )
+        here = [positions[i] for i in range(len(positions))]
+        ordered.extend(here)
+        documents.append(Document(doc_id, tuple(chunk.text for chunk in here)))
+    return Corpus(tuple(documents), tuple(ordered), SegmentationPolicy("passthrough"))

@@ -15,7 +15,9 @@ tokenizer; retrieval-time traffic never lands here.
 
 The chunk catalog holds the corpus's own frozen
 :class:`~slimrag.corpus.Chunk` objects, so TCTC and the extraction input
-reuse each chunk's own token count, derived once from its text. One
+reuse each chunk's own token count, derived once from its text. ``Chunk``'s
+constructor is the one rule for what a chunk is, so neither write can take
+a chunk that the loader would reject, and no layer here checks one. One
 compatibility check, :func:`check_compatible`, guards both ``add_chunks``
 and retrieval: the providers must equal the configs the index holds, which
 is the same as equal fingerprints, since every config is exactly its
@@ -43,9 +45,10 @@ gazetteer entries and alias terms, none repeated, no alias naming two
 canonical forms); finite vectors that are not all zeros, non-empty
 posting lists of chunk ids in the catalog, exactly one vector per entity
 of the store's dimension, catalog keys that are their chunk's id (so no
-two chunks share a document and position) with a position >= 0, and chunks
-that a corpus could hold: a non-empty ``doc_id`` and text that is not
-blank. Any other file raises IndexIntegrityError (SchemaVersionError for
+two chunks share a document and position), and chunks that ``Chunk``
+constructs from the file's values as they are (a non-empty ``doc_id``, an
+``int`` position >= 0, text that is not blank, no lone surrogate). Any
+other file raises IndexIntegrityError (SchemaVersionError for
 another schema). Derived fields (entity list, fingerprint, each chunk's id
 and token count, TUIC, TCTC as the catalog's token sum) are recomputed, not
 read. The loader trusts, unchecked, only the accounting breakdown beyond
@@ -364,10 +367,10 @@ def _rows_json(rows: np.ndarray) -> list[str]:
 
 def _from_document(document: dict) -> EntityIndex:
     """The index a parsed file describes, each object built by its own
-    constructor: the extractor from the file's values as they are (its
-    constructor rejects any it would not write back), the rest from scalars
-    coerced to their types. Each chunk is ``Chunk(doc_id, position, text)``,
-    which derives its id and token count from those three as ingest does.
+    constructor: the extractor and each chunk from the file's values as they
+    are (each constructor rejects any it would not write back; ``Chunk`` is
+    the one rule for a chunk, and derives its id and token count from its
+    text as ingest does), the rest from scalars coerced to their types.
     Members are popped as they are read. Derived and constant fields
     (``entities``, ``config_fingerprint``, each chunk's ``token_count``,
     TUIC, TCTC, the tokenizer, the vectors' embedder id) are not read:
@@ -391,7 +394,7 @@ def _from_document(document: dict) -> EntityIndex:
         embedder=embedder,
     )
     chunk_catalog = {
-        chunk_id: Chunk(str(chunk["doc_id"]), int(chunk["position"]), str(chunk["text"]))
+        chunk_id: Chunk(chunk["doc_id"], chunk["position"], chunk["text"])
         for chunk_id, chunk in document.pop("chunk_catalog").items()
     }
     inverted_map = {
@@ -484,15 +487,8 @@ def _check_relations(index: EntityIndex) -> None:
             entity = index.vectors.names[i]
             _require(finite[i], f"vector of {entity!r} is not finite")
             _require(False, f"vector of {entity!r} is all zeros")
-    for chunk_id, chunk in catalog.items():  # messages formatted only on damage
-        keyed = chunk_id == chunk.chunk_id and chunk.position >= 0
-        if not (keyed and chunk.doc_id and chunk.text.strip()):
-            _require(
-                keyed,
-                f"catalog key {chunk_id!r} is not <doc_id>#<position>, position >= 0",
-            )
-            _require(chunk.doc_id, f"chunk {chunk_id!r} has an empty doc_id")
-            _require(False, f"chunk {chunk_id!r} has no text")
+    for chunk_id in (key for key, chunk in catalog.items() if key != chunk.chunk_id):
+        _require(False, f"catalog key {chunk_id!r} is not <doc_id>#<position>")
 
 
 def save_index(index: EntityIndex, path: str | Path) -> None:

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples
+from conftest import (
+    DEEP_JSON,
+    NODE_OPERATIONS,
+    SAMPLE_INPUTS,
+    damaged,
+    fuzz_examples,
+    mutate_node,
+)
 from slimrag.corpus import (
     Chunk,
     Corpus,
@@ -134,7 +141,7 @@ class TestIngest:
             json.dumps({"doc_id": d, "position": p, "text": t}) for d, p, t in rows
         ]
         assert corpus_from_chunks(rows) == ingest_corpus(lines)
-        with pytest.raises(MalformedRecordError, match="line 2: pre-chunked text"):
+        with pytest.raises(MalformedRecordError, match="^line 2: chunk 'd1#1' has no text$"):
             corpus_from_chunks([("d1", 0, "Alpha."), ("d1", 1, "  ")])
 
     def test_prechunked_records(self):
@@ -299,6 +306,56 @@ def test_policy_parse_rejects_other_spellings_of_an_id(spec, policy_id):
 
 def test_chunk_id_format():
     assert Chunk("d", 0, "x").chunk_id == "d#0"
+
+
+@pytest.mark.parametrize(
+    "doc_id, position, text, problem",
+    [
+        ("", 0, "Ember Corp.", "chunk '#0' has an empty doc_id"),
+        ("d2", 0, " ", "chunk 'd2#0' has no text"),
+        ("d2", -1, "Ember Corp.", "position must be >= 0"),
+        ("d2", True, "Ember Corp.", "position must be an integer"),
+        ("d2", 0, "Ember \ud800 Corp.", "text holds a lone surrogate"),
+        ("d\udfff", 0, "Ember Corp.", "doc_id holds a lone surrogate"),
+        (5, 0, "x", "doc_id and text must be strings"),
+        ("d", 0, None, "doc_id and text must be strings"),
+    ],
+    ids=[
+        "empty-doc-id", "blank-text", "negative-position", "bool-position",
+        "lone-surrogate", "doc-id-lone-surrogate", "int-doc-id", "text-none",
+    ],
+)
+def test_chunk_no_corpus_can_hold_is_rejected(doc_id, position, text, problem):
+    """Each but the last built. ``add_chunks`` and ``save_index`` then wrote
+    an index that ``load_index`` rejected, except on a lone surrogate, where
+    ``save_index`` raised a bare UnicodeEncodeError; a ``None`` text raised
+    AttributeError in the tokenizer."""
+    with pytest.raises(ValueError) as caught:
+        Chunk(doc_id, position, text)
+    assert str(caught.value) == problem
+
+
+@settings(max_examples=fuzz_examples(300), deadline=None)
+@given(form=st.sampled_from(["corpus", "prechunked"]), data=st.data())
+def test_mutated_record_loads_or_names_its_line(form, data):
+    """One random set, delete or duplicate anywhere in one record of a JSONL
+    corpus, the value set drawn from ``JSON_VALUES``: the corpus ingests, or
+    raises MalformedRecordError (naming a line of the stream, or none for a
+    gap in a document's positions) or DuplicateDocumentError, never another
+    exception."""
+    records = [json.loads(line) for line in SAMPLE_INPUTS[form].splitlines()]
+    at = data.draw(st.integers(0, len(records) - 1))
+    mutate_node(data, records, at, data.draw(st.sampled_from(NODE_OPERATIONS)))
+    lines = [json.dumps(record) + "\n" for record in records]
+    try:
+        corpus = ingest_corpus(lines)
+    except MalformedRecordError as exc:
+        assert exc.line_number is None or 1 <= exc.line_number <= len(lines)
+        return
+    except DuplicateDocumentError:
+        return
+    assert corpus.total_corpus_tokens == sum(count_tokens(c.text) for c in corpus.chunks)
+    assert len({c.chunk_id for c in corpus.chunks}) == len(corpus.chunks)
 
 
 @settings(max_examples=fuzz_examples(300), deadline=None)

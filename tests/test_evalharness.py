@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples
+from conftest import (
+    DATA_DIR,
+    DEEP_JSON,
+    NODE_OPERATIONS,
+    SAMPLE_INPUTS,
+    damaged,
+    fuzz_examples,
+    mutate_node,
+)
 from slimrag import evalharness
 from slimrag.embedding import EmbedderConfig
 from slimrag.errors import MalformedRecordError, ProviderError
@@ -97,6 +105,25 @@ class TestLoad:
             except MalformedRecordError:
                 return
         assert len(examples) + skipped == 2
+
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @given(data=st.data())
+    def test_mutated_dataset_loads_only_examples_whose_corpus_builds(self, data):
+        """One random set, delete or duplicate anywhere in one entry of a
+        HotpotQA dataset, the value set drawn from ``JSON_VALUES``: the
+        loader raises MalformedRecordError, or each example it loads builds
+        its own pre-chunked corpus without an error. The second half pins
+        that the entry checks cover the chunk rule (:class:`Chunk`)."""
+        entries = json.loads(SAMPLE_INPUTS["dataset"])
+        at = data.draw(st.integers(0, len(entries) - 1))
+        mutate_node(data, entries, at, data.draw(st.sampled_from(NODE_OPERATIONS)))
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                examples, _ = load_hotpotqa_detailed(_write_dataset(Path(tmp), entries))
+            except MalformedRecordError:
+                return
+        for example in examples:
+            evalharness._corpus([example])
 
     def test_missing_question_rejected(self, tmp_path):
         with pytest.raises(MalformedRecordError):

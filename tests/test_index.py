@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     DEEP_JSON,
@@ -714,6 +714,33 @@ class TestPersistence:
         with pytest.raises(IndexIntegrityError) as caught:
             load_index(path)
         assert str(caught.value) == f"index file is damaged: {problem}"
+
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @given(
+        doc_id=st.one_of(
+            st.sampled_from(["d2", "Ember Corp", "d\udfff"]), st.text(), JSON_VALUES
+        ),
+        position=st.one_of(st.integers(0, 3), JSON_VALUES),
+        text=st.one_of(
+            st.sampled_from(["Vertex Labs met Ember Corp.", "Ember \ud800 Corp."]),
+            st.text(),
+            JSON_VALUES,
+        ),
+    )
+    @example(doc_id="", position=0, text="Vertex Labs met Ember Corp.")
+    def test_chunk_that_constructs_round_trips(self, doc_id, position, text):
+        """A chunk either fails its own rule with ValueError, or an index it
+        is added to saves and loads back with that chunk. ``Chunk("", 0,
+        ...)`` built, and its index did not load."""
+        try:
+            chunk = Chunk(doc_id, position, text)
+        except ValueError:
+            return
+        index = add_chunks(build_index(_corpus([]), LOCAL, EMB), [chunk], LOCAL, EMB)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(index, path)
+            assert load_index(path).chunk_catalog == index.chunk_catalog
 
     def test_index_holds_the_configs_its_ids_name(self, tmp_path, monkeypatch):
         """A fixed-size policy and a remote embedder come back from a file as
