@@ -14,8 +14,11 @@ Input is JSONL, one object per line, in exactly one of two forms:
 * ``{"doc_id": ..., "position": ..., "text": ...}`` -- pre-chunked corpora
   (one line per chunk); positions must be contiguous from 0 per document.
 
-Mixing the two forms in one stream is an error. Every chunk of either form
-is a :class:`Chunk`, whose constructor is the one rule for what a chunk is.
+Mixing the two forms in one stream is an error. Each record is built on its
+own line: a raw document is segmented there, and a pre-chunked record becomes
+its chunk, so an error names the line it comes from. Every chunk of either
+form is a :class:`Chunk`, whose constructor is the one rule for what a chunk
+is, and the one check of a record's text.
 Each chunk's token count is derived once from its text by the
 ``ws-punct/v1`` accounting tokenizer; the corpus total (TCTC) and the index
 read it.
@@ -137,6 +140,11 @@ class Chunk:
         object.__setattr__(self, "token_count", count_tokens(self.text))
 
 
+# A corpus record as built on its line: a raw document with its chunks, or
+# the chunk of a pre-chunked record.
+_Record = tuple[Document, list[Chunk]] | Chunk
+
+
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
@@ -253,11 +261,14 @@ def has_lone_surrogate(text: str) -> bool:
     return False
 
 
-def _record(raw: str, line_number: int) -> dict | Chunk:
-    """The record on a non-blank line, decoded and its shape checked. A
-    pre-chunked record is its :class:`Chunk`, built here. A raw document's
-    strings are checked for lone surrogates here, since a blank one yields
-    no chunk to check them."""
+def _record(raw: str, line_number: int, policy: SegmentationPolicy) -> _Record:
+    """The record on a non-blank line, decoded, its shape checked and built
+    on its line: a pre-chunked record into its :class:`Chunk`, a raw
+    document into its :class:`Document` and its chunks under ``policy``.
+    Either way the chunk rule's ValueError becomes MalformedRecordError
+    naming the line, so ``Chunk`` is the one check of a record's text. Only
+    a raw document's ``doc_id`` is checked for lone surrogates here, since
+    a blank document yields no chunk to check it."""
     try:
         record = parse_json(raw)
     except ValueError as exc:
@@ -270,10 +281,13 @@ def _record(raw: str, line_number: int) -> dict | Chunk:
         raise MalformedRecordError("missing text field", line_number)
     if "position" in record:
         return _chunk(line_number, record["doc_id"], record["position"], record["text"])
-    for key in ("doc_id", "text"):
-        if has_lone_surrogate(record[key]):
-            raise MalformedRecordError(f"{key} holds a lone surrogate", line_number)
-    return record
+    if has_lone_surrogate(record["doc_id"]):
+        raise MalformedRecordError("doc_id holds a lone surrogate", line_number)
+    document = build_document(record["doc_id"], record["text"], policy)
+    try:
+        return document, segment_document(document, policy)
+    except ValueError as exc:
+        raise MalformedRecordError(str(exc), line_number) from None
 
 
 def _chunk(line_number: int, doc_id: object, position: object, text: object) -> Chunk:
@@ -285,7 +299,7 @@ def _chunk(line_number: int, doc_id: object, position: object, text: object) -> 
         raise MalformedRecordError(str(exc), line_number) from None
 
 
-def _of_form(record: dict | Chunk, line_number: int, prechunked: bool) -> dict | Chunk:
+def _of_form(record: _Record, line_number: int, prechunked: bool) -> _Record:
     """``record`` itself, if it has the form the stream's first record set."""
     if isinstance(record, Chunk) != prechunked:
         raise MalformedRecordError(
@@ -298,10 +312,12 @@ def ingest_corpus(
     source: Iterable[str], segmentation: SegmentationPolicy | None = None
 ) -> Corpus:
     """Read a JSONL corpus stream (lines of text, as :func:`read_lines`
-    yields them) into an immutable Corpus, in one pass. The first record
-    sets the form; a pre-chunked record is built into its :class:`Chunk`
-    on its line, and the chunks are assembled as :func:`corpus_from_chunks`
-    assembles them.
+    yields them) into an immutable Corpus, in one pass. Each record is
+    built on its line (see :func:`_record`): a raw document is segmented
+    there, a pre-chunked record becomes its :class:`Chunk`. The first
+    record sets the form; pre-chunked chunks are assembled as
+    :func:`corpus_from_chunks` assembles them, and raw documents keep their
+    input order.
 
     Raises MalformedRecordError (with the offending line number) for bad
     records, including text :func:`parse_json` cannot decode, mixed record
@@ -309,24 +325,22 @@ def ingest_corpus(
     positions, and DuplicateDocumentError for a repeated doc_id. An empty
     stream yields an empty corpus.
     """
+    policy = segmentation or SegmentationPolicy()
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
-    records = ((n, _record(raw, n)) for n, raw in lines if raw)
+    records = ((n, _record(raw, n, policy)) for n, raw in lines if raw)
     first = next(records, None)
     prechunked = first is not None and isinstance(first[1], Chunk)
     records = chain([first] if first else [], records)
     records = ((n, _of_form(record, n, prechunked)) for n, record in records)
     if prechunked:
         return _prechunked(records)
-    policy = segmentation or SegmentationPolicy()
-    raw_docs: dict[str, str] = {}
-    for _, record in records:
-        if record["doc_id"] in raw_docs:
-            raise DuplicateDocumentError(f"duplicate doc_id {record['doc_id']!r}")
-        raw_docs[record["doc_id"]] = record["text"]
-    # Only one form is present, so the documents keep their input order.
-    documents = [build_document(d, text, policy) for d, text in raw_docs.items()]
-    chunks = [chunk for doc in documents for chunk in segment_document(doc, policy)]
-    return Corpus(tuple(documents), tuple(chunks), policy)
+    documents: dict[str, Document] = {}
+    chunks: list[Chunk] = []
+    for _, (document, here) in records:
+        if documents.setdefault(document.doc_id, document) is not document:
+            raise DuplicateDocumentError(f"duplicate doc_id {document.doc_id!r}")
+        chunks.extend(here)
+    return Corpus(tuple(documents.values()), tuple(chunks), policy)
 
 
 def corpus_from_chunks(chunk_rows: Iterable[tuple[str, int, str]]) -> Corpus:

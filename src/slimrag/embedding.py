@@ -234,6 +234,9 @@ class EmbeddingCache:
     :func:`~slimrag.corpus.parse_json`), whose ``embedder`` or ``digest`` is
     not a string or whose vector fails :func:`~slimrag.remote.json_vector`,
     the rule for provider replies, raises ValueError naming that line.
+    ``put`` holds each record to the same rule (:meth:`_entry`) before it
+    writes or keeps any of its batch, so it never writes a line the loader
+    rejects.
     """
 
     def __init__(self, path: str | Path):
@@ -247,11 +250,8 @@ class EmbeddingCache:
                 if not line.strip():
                     continue
                 try:
-                    record = parse_json(line)
-                    key = (record["embedder"], record["digest"])
-                    if not all(isinstance(part, str) for part in key):
-                        raise ValueError("key is not two strings")
-                    self._entries[key] = tuple(remote.json_vector(record["vector"]))
+                    key, vector = self._entry(parse_json(line))
+                    self._entries[key] = vector
                 except (ValueError, KeyError, TypeError, OverflowError):
                     raise ValueError(
                         f"embedding cache {self.path}: line {number} is damaged"
@@ -266,6 +266,18 @@ class EmbeddingCache:
         return data[:complete]
 
     @staticmethod
+    def _entry(record: dict) -> tuple[tuple[str, str], Vector]:
+        """The one rule for a record, loaded or put: its ``embedder`` and
+        ``digest`` are strings, and its ``vector`` passes
+        :func:`~slimrag.remote.json_vector`. Returns the key and the
+        vector's floats as a tuple; raises ValueError, or KeyError,
+        TypeError or OverflowError for a record of another shape."""
+        key = (record["embedder"], record["digest"])
+        if not all(isinstance(part, str) for part in key):
+            raise ValueError("key is not two strings")
+        return key, tuple(remote.json_vector(record["vector"]))
+
+    @staticmethod
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -274,15 +286,18 @@ class EmbeddingCache:
 
     def put(self, embedder_id: str, pairs: list[tuple[str, Vector]]) -> None:
         """Record each (text, vector) not cached yet, in order, with one
-        append to the file."""
+        append to the file. Each pair is held to the rule the loader reads
+        its line by (see :meth:`_entry`), so a batch with a bad pair raises
+        before any of it is written or held."""
+        new: dict[tuple[str, str], Vector] = {}
         lines = []
-        for text, vector in pairs:
-            key = (embedder_id, self.digest(text))
-            if key in self._entries:
-                continue
-            self._entries[key] = vector
-            record = {"embedder": key[0], "digest": key[1], "vector": list(vector)}
-            lines.append(json.dumps(record) + "\n")
+        for text, vec in pairs:
+            record = dict(embedder=embedder_id, digest=self.digest(text), vector=list(vec))
+            key, vector = self._entry(record)
+            if key not in self._entries and key not in new:
+                new[key] = vector
+                lines.append(json.dumps(record) + "\n")
+        self._entries.update(new)
         if lines:
             with self.path.open("a+b") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)

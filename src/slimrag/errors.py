@@ -43,7 +43,8 @@ class ProviderProtocolError(ProviderError):
 
 
 class DuplicateChunkError(SlimRagError):
-    """add_chunks received a chunk_id already present in the index."""
+    """An index write (build_index or add_chunks) received a chunk_id that
+    is already in the index or repeated among its chunks."""
 
 
 class ConfigMismatchError(SlimRagError):

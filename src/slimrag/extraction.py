@@ -281,22 +281,27 @@ def _local_extract(text: str, config: ExtractorConfig) -> set[str]:
     return found
 
 
+def _ask(config: ExtractorConfig, system: str, user: str) -> tuple[list[str], TokenUsage]:
+    """One chat with the remote provider: the reply's items as
+    ``remote.parse_json_array`` reads them, blank ones dropped, and the
+    system prompt and the raw reply as input and output tokens."""
+    reply = remote.chat_completion(
+        model=config.remote_model or remote.DEFAULT_CHAT_MODEL,
+        system=system,
+        user=user,
+    )
+    items = [item for item in remote.parse_json_array(reply) if item.strip()]
+    return items, TokenUsage(
+        input_tokens=count_tokens(system), output_tokens=count_tokens(reply)
+    )
+
+
 def _remote_extract(text: str, config: ExtractorConfig) -> tuple[set[str], TokenUsage]:
     coref_line = (
         ENTITY_COREF_LINE if config.coreference_enabled else ENTITY_NO_COREF_LINE
     )
-    system = ENTITY_SYSTEM_PROMPT + coref_line
-    reply = remote.chat_completion(
-        model=config.remote_model or remote.DEFAULT_CHAT_MODEL,
-        system=system,
-        user=text,
-    )
-    items = remote.parse_json_array(reply)
-    entities = {normalize_entity(item) for item in items if item.strip()}
-    usage = TokenUsage(
-        input_tokens=count_tokens(system), output_tokens=count_tokens(reply)
-    )
-    return entities, usage
+    items, usage = _ask(config, ENTITY_SYSTEM_PROMPT + coref_line, text)
+    return {normalize_entity(item) for item in items}, usage
 
 
 def extract_entities_with_usage(
@@ -353,18 +358,9 @@ def decompose_query_with_usage(
     if not config.decomposition_enabled:
         return [q], TokenUsage()
     if config.provider == "remote":
-        reply = remote.chat_completion(
-            model=config.remote_model or remote.DEFAULT_CHAT_MODEL,
-            system=DECOMP_SYSTEM_PROMPT,
-            user=q,
-        )
-        items = remote.parse_json_array(reply)
-        subs = [s.strip() for s in items if s.strip()]
-        usage = TokenUsage(
-            input_tokens=count_tokens(DECOMP_SYSTEM_PROMPT) + count_tokens(q),
-            output_tokens=count_tokens(reply),
-        )
-        return (subs or [q]), usage
+        items, usage = _ask(config, DECOMP_SYSTEM_PROMPT, q)
+        subs = [s.strip() for s in items]
+        return (subs or [q]), usage + TokenUsage(input_tokens=count_tokens(q))
     subs = _local_decompose(q)
     usage = TokenUsage(
         input_tokens=count_tokens(q),

@@ -1,9 +1,12 @@
 """Entity-to-chunk index: build, update incrementally, query, persist.
 
 ``build_index`` and ``add_chunks`` share one write path, which returns a new
-index and leaves its input untouched. It walks each new chunk once: extract
-entities and gather the chunk id under each, then embed every entity the
-index lacks exactly once. Posting lists are frozensets, so the new index
+index and leaves its input untouched. It first fills the new chunk catalog,
+which is the one check that each chunk id enters the index once (so the
+catalog, TCTC and the posting lists count each chunk once, and a written
+index loads back). It then walks each new chunk once: extract entities and
+gather the chunk id under each, then embed every entity the index lacks
+exactly once. Posting lists are frozensets, so the new index
 shares every posting list, vector and chunk it does not change, and
 ``lookup`` hands out the stored posting list itself. When the input's entity
 unit columns (what top-K search reads) are built, the write extends them
@@ -193,26 +196,39 @@ def _extended(
     action: str,
 ) -> EntityIndex:
     """The one index write: a new index holding ``index`` plus ``chunks``,
-    sharing what they do not change. ``index`` is never modified; a
-    ProviderError is re-raised with the number of chunks extracted before it."""
+    sharing what they do not change. ``index`` is never modified.
+
+    The new catalog is filled before any extraction, and it is the one
+    check that each chunk id enters the index once: if it grew by fewer
+    entries than there are chunks, an id is already indexed or repeated,
+    and DuplicateChunkError names the first such id in input order (looked
+    up only then). A ProviderError is re-raised with the number of chunks
+    extracted before it."""
+    catalog = dict(index.chunk_catalog)
+    catalog.update((chunk.chunk_id, chunk) for chunk in chunks)
+    if len(catalog) - len(index.chunk_catalog) < len(chunks):
+        seen = set(index.chunk_catalog)
+        for chunk in chunks:
+            if chunk.chunk_id in seen:
+                raise DuplicateChunkError(f"chunk_id {chunk.chunk_id!r} already indexed")
+            seen.add(chunk.chunk_id)
     accounting = TokenAccounting(
         tctc=index.accounting.tctc + sum(c.token_count for c in chunks),
         breakdown=dict(index.accounting.breakdown),
     )
-    catalog = dict(index.chunk_catalog)
     added: dict[str, set[str]] = {}
+    done = 0
     try:
         for chunk in chunks:
             entities, usage = extract_entities_with_usage(chunk.text, extractor)
             accounting.record(EXTRACTION_IN, chunk.token_count + usage.input_tokens)
             accounting.record(EXTRACTION_OUT, usage.output_tokens)
-            catalog[chunk.chunk_id] = chunk
             for entity in entities:
                 added.setdefault(entity, set()).add(chunk.chunk_id)
+            done += 1
         new_entities = sorted(added.keys() - index.inverted_map.keys())
         block, norms = embed_many(new_entities, embedder, cache)
     except ProviderError as exc:
-        done = len(catalog) - len(index.chunk_catalog)
         raise ProviderError(
             f"index {action} aborted ({done}/{len(chunks)} chunks processed): {exc}"
         ) from exc
@@ -232,7 +248,9 @@ def build_index(
     embedder: EmbedderConfig,
     cache: EmbeddingCache | None = None,
 ) -> EntityIndex:
-    """Build a fresh index over a corpus; TCTC is the corpus's own token total."""
+    """Build a fresh index over a corpus; TCTC is the corpus's own token
+    total. DuplicateChunkError if the corpus repeats a chunk id (a corpus
+    made by hand can), raised before any extraction."""
     # The recorded extractor config covers indexing-relevant fields only;
     # decomposition is a retrieval-time toggle and is normalized away.
     config = IndexConfig(
@@ -255,15 +273,13 @@ def add_chunks(
     cache: EmbeddingCache | None = None,
 ) -> EntityIndex:
     """Extend an index with new chunks; equivalent to rebuilding over the
-    concatenated corpus. The input index is not modified, also when a
-    provider fails; the result shares every posting list and vector the new
-    chunks do not change, and holds each chunk itself."""
+    concatenated corpus. ConfigMismatchError unless the providers built the
+    index, then DuplicateChunkError for a chunk id already indexed or
+    repeated among ``new_chunks``, both before any extraction. The input
+    index is not modified, also when a provider fails; the result shares
+    every posting list and vector the new chunks do not change, and holds
+    each chunk itself."""
     check_compatible(index, extractor, embedder)
-    seen = set(index.chunk_catalog)
-    for chunk in new_chunks:
-        if chunk.chunk_id in seen:
-            raise DuplicateChunkError(f"chunk_id {chunk.chunk_id!r} already indexed")
-        seen.add(chunk.chunk_id)
     return _extended(index, list(new_chunks), extractor, embedder, cache, "add")
 
 

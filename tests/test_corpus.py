@@ -15,6 +15,7 @@ from conftest import (
     fuzz_examples,
     mutate_node,
 )
+from slimrag import corpus as corpus_module
 from slimrag.corpus import (
     Chunk,
     Corpus,
@@ -233,6 +234,35 @@ class TestIngest:
         lines = [json.dumps({"doc_id": "t", "position": -1, "text": "A."})]
         with pytest.raises(MalformedRecordError, match="^line 1: position must be >= 0$"):
             ingest_corpus(lines)
+
+    @pytest.mark.parametrize(
+        "first",
+        [{"doc_id": "a", "text": "One."}, {"doc_id": "b", "position": 0, "text": "One."}],
+        ids=["repeated-doc-id", "mixed-forms"],
+    )
+    def test_lone_surrogate_is_found_before_the_stream_rules(self, first):
+        """A raw document's text is checked on its line, before its doc_id
+        is compared with the earlier ones and its form with the first."""
+        lines = [json.dumps(first), json.dumps({"doc_id": "a", "text": "Two \ud800."})]
+        with pytest.raises(
+            MalformedRecordError, match="^line 2: text holds a lone surrogate$"
+        ):
+            ingest_corpus(lines)
+
+    def test_raw_text_is_checked_once_by_the_chunk_rule(self, monkeypatch):
+        """``Chunk`` checks each chunk's strings; the record itself has only
+        its doc_id checked, for a blank document, which yields no chunk."""
+        checked = []
+        real = corpus_module.has_lone_surrogate
+        monkeypatch.setattr(
+            corpus_module, "has_lone_surrogate", lambda text: checked.append(text) or real(text)
+        )
+        lines = [
+            json.dumps({"doc_id": "d1", "text": "Alpha beta. Gamma delta."}),
+            json.dumps({"doc_id": "d2", "text": " "}),
+        ]
+        ingest_corpus(lines)
+        assert checked == ["d1", "d1Alpha beta.", "d1Gamma delta.", "d2"]
 
     def test_chunk_texts_nonempty(self):
         lines = [json.dumps({"doc_id": "d", "text": "Alpha. Beta."})]

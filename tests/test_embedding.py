@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     DEEP_JSON,
+    JSON_VALUES,
     NODE_OPERATIONS,
     damaged,
     fuzz_examples,
@@ -569,6 +570,23 @@ class TestStoreAndCache:
         assert [r["digest"] for r in records] == [cache.digest(t) for t in texts]
         assert np.array([r["vector"] for r in records]).T.tobytes() == columns.tobytes()
 
+    @pytest.mark.parametrize(
+        "vector", [(0.0, 0.0), (math.nan, 1.0), (True, False)], ids=["zeros", "nan", "bools"]
+    )
+    def test_put_of_a_record_the_loader_rejects_raises(self, tmp_path, vector):
+        """Fix: ``put`` wrote the line, and the next load of the file raised
+        ``line 3 is damaged``. A bad pair fails its whole batch before any
+        of it is written or held."""
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("e", [("a", (1.0,))])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="^vector "):
+            cache.put("e", [("b", (2.0, 1.0)), ("c", vector)])
+        assert path.read_bytes() == before
+        assert len(cache) == 1 and cache.get("e", "b") is None
+        assert len(EmbeddingCache(path)) == 1
+
     def test_cache_damaged_inner_line_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
@@ -657,6 +675,36 @@ class TestDamagedCache:
             EmbeddingCache(path)
         except ValueError as exc:
             assert str(exc) == f"embedding cache {path}: line {number + 1} is damaged"
+
+
+class TestJsonVector:
+    """``remote.json_vector``, the rule for a vector from outside (a reply
+    row or a cache line), on any parsed JSON value: it raises ValueError or
+    OverflowError, or gives back the value's numbers as floats, all finite
+    and not all zero."""
+
+    _ITEMS = st.one_of(
+        st.integers(),
+        st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, -0.0]),
+        st.floats(),
+        st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+        st.booleans(),
+        st.text(max_size=3),
+    )
+
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @given(value=st.one_of(JSON_VALUES, st.lists(_ITEMS, max_size=4)))
+    @example(value=[True])
+    @example(value=[0, 0.0])
+    @example(value=[10**400])
+    def test_returns_finite_nonzero_floats_or_raises(self, value):
+        try:
+            vector = remote.json_vector(value)
+        except (ValueError, OverflowError):
+            return
+        assert type(value) is list and not any(type(x) is bool for x in value)
+        assert list(map(float.hex, vector)) == [float(x).hex() for x in value]
+        assert all(map(math.isfinite, vector)) and any(vector)
 
 
 # Components of every sign and both zeros, at magnitudes from 1e-150 to

@@ -25,7 +25,7 @@ from conftest import (
     rewrite_index,
 )
 from slimrag import remote
-from slimrag.corpus import Chunk, SegmentationPolicy, ingest_corpus
+from slimrag.corpus import Chunk, Corpus, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
 from slimrag.errors import (
     ConfigMismatchError,
@@ -33,7 +33,11 @@ from slimrag.errors import (
     IndexIntegrityError,
     SchemaVersionError,
 )
-from slimrag.extraction import ExtractorConfig, extract_entities
+from slimrag.extraction import (
+    ExtractorConfig,
+    extract_entities,
+    extract_entities_with_usage,
+)
 from slimrag.index import (
     EMBEDDING_IN,
     EXTRACTION_IN,
@@ -156,6 +160,23 @@ class TestBuild:
         assert grown.chunk_catalog["d3#0"] is new
         assert all(grown.chunk_catalog[c.chunk_id] is c for c in corpus.chunks)
 
+    @pytest.mark.parametrize(
+        "second", [None, "Paris is far."], ids=["same-chunk-twice", "two-texts-one-id"]
+    )
+    def test_repeated_chunk_id_is_rejected_before_extraction(self, second):
+        """A corpus made by hand may hold one chunk id twice: the same chunk,
+        or a second text. Fix: the index built with TCTC 12 over a 6-token
+        catalog, its file then failed to load (``content digest mismatch``),
+        and with two texts ``vertex labs`` pointed at a ``d#0`` whose text
+        did not mention it."""
+        first = Chunk("d", 0, "Vertex Labs met Ember Corp.")
+        chunks = (first, first if second is None else Chunk("d", 0, second))
+        corpus = Corpus((), chunks, SegmentationPolicy("passthrough"))
+        with mock.patch("slimrag.index.extract_entities_with_usage") as extract:
+            with pytest.raises(DuplicateChunkError, match=r"^chunk_id 'd#0' already indexed$"):
+                build_index(corpus, LOCAL, EMB)
+        assert extract.call_count == 0
+
 
 class TestLookup:
     def test_unknown_entity(self):
@@ -202,6 +223,48 @@ class TestAddChunks:
         index = build_index(corpus, LOCAL, EMB)
         with pytest.raises(DuplicateChunkError):
             add_chunks(index, [corpus.chunks[0]], LOCAL, EMB)
+
+    @settings(max_examples=fuzz_examples(50), deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["d", "e"]),
+                st.integers(0, 2),
+                st.sampled_from(["Vertex Labs met Ember Corp.", "Paris is far.", "No names."]),
+            ),
+            max_size=6,
+        ),
+        cut=st.integers(0, 6),
+    )
+    @example(rows=[("d", 0, "Paris is far."), ("d", 0, "No names.")], cut=1)
+    def test_each_chunk_id_enters_the_index_once(self, rows, cut):
+        """Chunks whose ids may repeat, the first ``cut`` built and the rest
+        added: either DuplicateChunkError names the first repeated id in
+        input order before any extraction of that write, or the index saves
+        and loads back equal, with TCTC its catalog's token sum."""
+        chunks = [Chunk(*row) for row in rows]
+        ids = [chunk.chunk_id for chunk in chunks]
+        corpus = Corpus((), tuple(chunks[:cut]), SegmentationPolicy("passthrough"))
+        with mock.patch(
+            "slimrag.index.extract_entities_with_usage", wraps=extract_entities_with_usage
+        ) as extract:
+            try:
+                index = build_index(corpus, LOCAL, EMB)
+                extract.reset_mock()
+                index = add_chunks(index, chunks[cut:], LOCAL, EMB)
+            except DuplicateChunkError as exc:
+                repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+                assert str(exc) == f"chunk_id {repeated!r} already indexed"
+                assert extract.call_count == 0
+                return
+        assert len(set(ids)) == len(ids)
+        assert index.accounting.tctc == sum(
+            chunk.token_count for chunk in index.chunk_catalog.values()
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(index, path)
+            assert load_index(path) == index
 
     def test_config_mismatch_rejected(self):
         index = build_index(_small_corpus(), LOCAL, EMB)
