@@ -82,9 +82,13 @@ entity store keeps its raw vectors as float64 dimension × n column blocks
 (one per index write, one for a loaded file), with their norms. Its unit
 columns, built on its first search, are the blocks divided by the norms:
 one division per element, the bytes ``_unit_vector`` gives for each
-vector. An index write extends built columns into the next store
+vector. They are held as read-only tiers, column arrays side by side
+oldest first. An index write hands built tiers on to the next store
+without copying them and adds the new entities' block as one more tier
 (:meth:`EntityVectorStore.extended`), so a search after a write divides
-only the new entities' block.
+only that block. Search takes :func:`_dots` over each tier in turn: each
+column's sum runs in dimension order from ``+0.0`` whatever the width, so
+the similarities are the bytes one array would give.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -493,17 +497,20 @@ class EntityVectorStore:
     where they enter: provider replies, cache lines, index files.
 
     Top-K search reads the unit columns, the blocks divided by the norms,
-    built on the store's first search. :meth:`extended` makes the next
-    store of an index write: its columns, when this store's are built, are
-    a new array of this store's columns followed by the new entities', the
-    same bytes a fresh build gives. No two stores share a column array.
+    built on the store's first search as one array. They are held as a
+    tuple of tiers: column arrays that, laid side by side oldest first,
+    give the bytes a fresh build gives. No column array is written after
+    it is made: every tier is read-only, so stores share tiers as they
+    share blocks. :meth:`extended` keeps each tier at least twice as wide
+    as the next newer one, so a store of n entities has at most
+    ``floor(log2 n) + 1``.
     """
 
     dimension: int
     names: list[str] = field(default_factory=list)
     blocks: list[np.ndarray] = field(default_factory=list, repr=False)
     norms: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    _unit: np.ndarray | None = field(default=None, init=False, repr=False)
+    _tiers: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def extended(
         self, entities: list[str], block: np.ndarray, norms: np.ndarray
@@ -513,7 +520,15 @@ class EntityVectorStore:
         their ``norms``, as :func:`embed_many` or :func:`_columns` gives
         them. The block is kept, not copied. Its dimension settles an
         empty store's; a non-empty store raises DimensionMismatchError for
-        another."""
+        another.
+
+        When this store's tiers are built, the new store keeps them,
+        uncopied, and adds ``block / norms`` as its newest tier. While the
+        newest tier is more than half as wide as the one before it, the two
+        are merged into a new array, as a binary counter carries: so there
+        are at most ``floor(log2 n) + 1`` tiers, and each column is copied
+        O(log n) times over all the writes that follow it, not once per
+        write."""
         width = len(norms)
         if width and self.names and block.shape[0] != self.dimension:
             raise DimensionMismatchError(
@@ -527,19 +542,23 @@ class EntityVectorStore:
         )
         # A zero vector leaves the new store unbuilt, so its first search
         # raises ZeroVectorError.
-        if self._unit is not None and self.names and norms.all():
-            new = [block / norms] if width else []
-            store._unit = np.concatenate([self._unit, *new], axis=1)
+        if self._tiers is not None and self.names and norms.all():
+            tiers = [*self._tiers, block / norms] if width else list(self._tiers)
+            while len(tiers) > 1 and 2 * tiers[-1].shape[1] > tiers[-2].shape[1]:
+                tiers[-2:] = [np.concatenate(tiers[-2:], axis=1)]
+            tiers[-1].flags.writeable = False
+            store._tiers = tuple(tiers)
         return store
 
-    def unit_columns(self) -> tuple[list[str], np.ndarray]:
-        """Entity names in store order, and their unit vectors as columns:
-        the blocks side by side in one new array, each column divided by its
-        norm with one IEEE division per element, the division
-        ``_unit_vector`` makes. A zero norm raises ZeroVectorError before
-        any division."""
-        if self._unit is not None:
-            return self.names, self._unit
+    def unit_columns(self) -> tuple[list[str], tuple[np.ndarray, ...]]:
+        """Entity names in store order, and their unit vectors as the
+        columns of read-only tiers, oldest first. An unbuilt store builds
+        one tier: the blocks side by side in one new array, each column
+        divided by its norm with one IEEE division per element, the
+        division ``_unit_vector`` makes. A zero norm raises ZeroVectorError
+        before any division."""
+        if self._tiers is not None:
+            return self.names, self._tiers
         if not self.norms.all():
             raise ZeroVectorError("cosine similarity is undefined for a zero vector")
         columns = np.empty((self.dimension, len(self.names)))
@@ -548,8 +567,9 @@ class EntityVectorStore:
             stop = start + block.shape[1]
             np.divide(block, self.norms[start:stop], out=columns[:, start:stop])
             start = stop
-        self._unit = columns
-        return self.names, columns
+        columns.flags.writeable = False
+        self._tiers = (columns,)
+        return self.names, self._tiers
 
     @property
     def entries(self) -> Mapping[str, Vector]:
@@ -584,8 +604,8 @@ def top_k_entities(
     if not store.names:
         return []
     query = _unit_vector(query_vec, store.dimension)
-    names, columns = store.unit_columns()
-    sims = _dots(query, columns)
+    names, tiers = store.unit_columns()
+    sims = np.concatenate([_dots(query, tier) for tier in tiers])
     at = max(len(names) - k, 0)
     picked = np.flatnonzero(sims >= np.partition(sims, at)[at])
     scored = [

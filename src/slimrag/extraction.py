@@ -100,6 +100,7 @@ DECOMP_SYSTEM_PROMPT = (
 _WORD = re.compile(r"\w+(?:['’]\w+)*")
 _WORD_SPLIT = re.compile(f"({_WORD.pattern})")
 _CONJUNCTION = re.compile(r",?\s+(?:and|or|but)\s+", re.IGNORECASE)
+_SENTENCE_END = re.compile(r"(?<=[?;])\s+")
 
 
 def normalize_entity(raw: str) -> str:
@@ -332,7 +333,7 @@ def extract_entities(text: str, config: ExtractorConfig) -> set[str]:
 
 def _local_decompose(q: str) -> list[str]:
     parts: list[str] = []
-    for sentence_part in re.split(r"(?<=[?;])\s+", q.strip()):
+    for sentence_part in _SENTENCE_END.split(q.strip()):
         sentence_part = sentence_part.strip().rstrip(";").strip()
         if not sentence_part:
             continue

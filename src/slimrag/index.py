@@ -9,12 +9,12 @@ gather the chunk id under each, then embed every entity the index lacks
 exactly once. Posting lists are frozensets, so the new index
 shares every posting list, vector and chunk it does not change, and
 ``lookup`` hands out the stored posting list itself. When the input's entity
-unit columns (what top-K search reads) are built, the write extends them
-into a new array with the new entities' columns, so the new index does not
-rebuild them on its first search. The result is independent of chunk
-processing order. Token accounting records all provider-bound traffic
-(extraction in/out and embedding inputs) measured by the accounting
-tokenizer; retrieval-time traffic never lands here.
+unit columns (what top-K search reads) are built, the new index shares
+their read-only tiers and adds the new entities' columns as one more, so
+it neither copies nor rebuilds them on its first search. The result is
+independent of chunk processing order. Token accounting records all
+provider-bound traffic (extraction in/out and embedding inputs) measured
+by the accounting tokenizer; retrieval-time traffic never lands here.
 
 The chunk catalog holds the corpus's own frozen
 :class:`~slimrag.corpus.Chunk` objects, so TCTC and the extraction input

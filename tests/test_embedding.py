@@ -824,6 +824,8 @@ class TestSimilarityKernel:
     @given(st.integers(0, 2**32))
     @settings(max_examples=15, deadline=None)
     def test_index_write_never_reuses_the_parent_columns(self, seed):
+        """The child's write never uses the parent's column arrays as room
+        for its own: the parent keeps the same tiers with the same bytes."""
         rng = random.Random(seed)
         corpus, pool = random_corpus(rng, max_chunks=16, max_entities=12)
         half = len(corpus.chunks) // 2
@@ -832,13 +834,14 @@ class TestSimilarityKernel:
         parent = add_chunks(parent, first, ExtractorConfig(), LOCAL64)
         query = embed(rng.choice(pool), LOCAL64)
         before = top_k_entities(query, parent.vectors, 4)
+        _, tiers = parent.vectors.unit_columns()
+        kept = [tier.tobytes() for tier in tiers]
         child = add_chunks(parent, rest, ExtractorConfig(), LOCAL64)
         got = top_k_entities(query, child.vectors, 4)
         assert _hex(got) == _hex(brute_force_top_k(query, child.vectors.entries, 4))
         assert child.vectors.unit_columns()[0] == list(child.vectors.entries)
-        if parent.vectors.entries:
-            _, columns = child.vectors.unit_columns()
-            assert columns is not parent.vectors.unit_columns()[1]
+        assert parent.vectors.unit_columns()[1] is tiers
+        assert [tier.tobytes() for tier in tiers] == kept
         # The parent keeps answering from its own entities.
         assert top_k_entities(query, parent.vectors, 4) == before
 
@@ -1166,7 +1169,7 @@ class TestUnitColumns:
         st.sampled_from(["float", "int", "mixed"]),
         st.integers(0, 2**32),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=fuzz_examples(40), deadline=None)
     def test_equals_the_column_fill(self, dim, count, scale, kind, seed):
         rows = _random_rows(seed, count, dim, scale, kind)
         got = _unit_fill(rows, dim)
@@ -1178,7 +1181,7 @@ class TestUnitColumns:
         assert _unit_fill(columns, dim).tobytes() == want.tobytes()
 
     @given(st.integers(1, 8), _ROW_COUNTS, st.data(), st.booleans())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=fuzz_examples(60), deadline=None)
     def test_first_failing_row_raises(self, dim, count, data, zero_first):
         """A zero row and a wrong-dimension row in one input, in either
         order: the error is the first failing row's."""
@@ -1196,11 +1199,11 @@ class TestUnitColumns:
         assert got is _outcome(_column_fill, rows, dim)
 
     @given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=8, max_size=8))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=fuzz_examples(20), deadline=None)
     def test_index_writes_extend_the_columns(self, seed, searches):
         """A chain of add_chunks calls with searches at random before and
         after each: built columns always equal a fresh build, never change
-        and are never shared."""
+        and are held in few read-only tiers."""
         rng = random.Random(seed)
         corpus, pool = random_corpus(rng, max_chunks=30, max_entities=20)
         chunks = list(corpus.chunks)
@@ -1227,16 +1230,83 @@ class TestUnitColumns:
 
     @staticmethod
     def _check(stores, snapshots):
-        built = [store for store in stores if store._unit is not None]
-        for store in built:
-            names, columns = store.unit_columns()
+        """Each built store's tiers laid side by side are a fresh build's
+        bytes and the bytes first seen for it; each tier is read-only, at
+        least twice as wide as the next newer one, and there are at most
+        ``floor(log2 n) + 1`` of them (one for an empty store)."""
+        for store in stores:
+            if store._tiers is None:
+                continue
+            names, tiers = store.unit_columns()
             assert names == list(store.entries)
+            columns = np.concatenate(tiers, axis=1)
             fresh = _column_fill(list(store.entries.values()), store.dimension)
+            assert columns.shape == fresh.shape
             assert columns.tobytes() == fresh.tobytes()
             kept = snapshots.setdefault(id(store), columns.tobytes())
             assert kept == columns.tobytes()
-        for a, b in itertools.combinations(built, 2):
-            assert not np.shares_memory(a._unit, b._unit)
+            assert len(tiers) <= max(len(names).bit_length(), 1)
+            for older, newer in zip(tiers, tiers[1:]):
+                assert older.shape[1] >= 2 * newer.shape[1]
+            for tier in tiers:
+                with pytest.raises(ValueError, match="read-only"):
+                    tier[...] = 0.0
+
+    @staticmethod
+    def _search_equals_the_loop(store, rng):
+        query = _random_rows(rng.getrandbits(32), 1, store.dimension, 1.0, "float")[0]
+        k = rng.randint(1, 8)
+        assert _hex(top_k_entities(query, store, k)) == _hex(
+            brute_force_top_k(query, store.entries, k)
+        )
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=40),
+        st.integers(1, 8),
+        st.sampled_from([1e-150, 1e-3, 1.0, 1e150]),
+        st.sampled_from(["float", "int", "mixed"]),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    @settings(max_examples=fuzz_examples(40), deadline=None)
+    def test_writes_keep_few_tiers_equal_to_a_fresh_build(
+        self, writes, dim, scale, kind, seed, data
+    ):
+        """A chain of up to 40 writes of 0-5 new entities, each searched
+        or not, then one write of 1-5 entities branching from an older
+        store after a search of it, with a zero vector or not. Each search
+        answers as the per-pair loop does, and :meth:`_check` holds for
+        every store after all the writes. A zero vector leaves the branch
+        unbuilt, and its search raises ZeroVectorError."""
+        rng = random.Random(seed)
+        rows = iter(_random_rows(seed, sum(w for w, _ in writes) + 5, dim, scale, kind))
+        snapshots: dict[int, bytes] = {}
+        store = EntityVectorStore(dim)
+        stores = [store]
+        for number, (width, search) in enumerate(writes):
+            names = [f"w{number}-{i}" for i in range(width)]
+            store = store.extended(names, *_block([next(rows) for _ in names], dim))
+            stores.append(store)
+            if search and store.names:
+                self._search_equals_the_loop(store, rng)
+            self._check([store], snapshots)
+        older = data.draw(st.sampled_from(stores))
+        if older.names:
+            self._search_equals_the_loop(older, rng)
+        branch = [next(rows) for _ in range(data.draw(st.integers(1, 5)))]
+        zero = data.draw(st.booleans())
+        if zero:
+            branch[data.draw(st.integers(0, len(branch) - 1))] = (-0.0,) * dim
+        names = [f"b-{i}" for i in range(len(branch))]
+        child = older.extended(names, *_block(branch, dim))
+        if zero:
+            assert child._tiers is None
+            with pytest.raises(ZeroVectorError):
+                top_k_entities((1.0,) * dim, child, 3)
+        else:
+            self._search_equals_the_loop(child, rng)
+            stores.append(child)
+        self._check(stores, snapshots)
 
     @given(
         st.lists(_ROW_COUNTS, min_size=1, max_size=4),
@@ -1245,7 +1315,7 @@ class TestUnitColumns:
         st.sampled_from(["float", "int", "mixed"]),
         st.integers(0, 2**32),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=fuzz_examples(25), deadline=None)
     def test_norms_are_the_hypot_of_each_row(
         self, tmp_path_factory, counts, dim, scale, kind, seed
     ):
