@@ -18,25 +18,33 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure. With
 to stderr. Secrets are environment-only (SLIMRAG_API_KEY, SLIMRAG_API_BASE).
 Corpus files are streamed through :func:`slimrag.corpus.read_lines`, so a
 line ends at ``\n`` only and one that is not UTF-8 is named.
+
+Every file a subcommand writes (``index build --out``, the index ``index
+add`` extends, ``retrieve --trace``, ``eval --report`` and ``eval --csv``)
+is replaced atomically by :func:`slimrag.index.replacing`: a crash leaves
+the old file or the whole new one, a symlink's target is written, a
+replaced file keeps its mode, and a FIFO or device is written in place.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .corpus import SegmentationPolicy, has_lone_surrogate, ingest_corpus, read_lines
 from .embedding import DEFAULT_DIMENSION, EmbedderConfig, EmbeddingCache
 from .errors import SlimRagError
 from .evalharness import load_hotpotqa_detailed, run_eval
 from .extraction import ExtractorConfig, load_aliases, load_gazetteer
-from .index import add_chunks, build_index, canonical_json, load_index, save_index
+from .index import (
+    add_chunks, build_index, canonical_json, load_index, replacing, save_index,
+)
 from .metrics import compute_ritu
 from .remote import API_BASE_ENV, API_KEY_ENV
 from .retrieval import RetrievalParams, retrieve
@@ -229,6 +237,11 @@ def _emit(args, document: dict, human_lines: list[str]) -> None:
             print(line)
 
 
+def _write(path: str, text: str) -> None:
+    with replacing(path) as handle:
+        handle.write(text.encode("utf-8"))
+
+
 def _cache(args) -> EmbeddingCache | None:
     return EmbeddingCache(args.cache) if args.cache else None
 
@@ -313,9 +326,7 @@ def _cmd_retrieve(args) -> int:
     extractor = replace(index.config.extractor, decomposition_enabled=args.decomp)
     context = retrieve(index, args.query, _params(args), extractor, cache=_cache(args))
     if args.trace:
-        Path(args.trace).write_text(
-            canonical_json(context.trace.to_document()) + "\n", encoding="utf-8"
-        )
+        _write(args.trace, canonical_json(context.trace.to_document()) + "\n")
     document = {
         "query": args.query,
         "chunks": [{"chunk_id": cid, "text": text} for cid, text in context.chunks],
@@ -342,13 +353,14 @@ def _cmd_eval(args) -> int:
         cache=_cache(args),
     )
     document = report.to_document()
-    Path(args.report).write_text(canonical_json(document) + "\n", encoding="utf-8")
+    _write(args.report, canonical_json(document) + "\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            rows = [row.to_document() for row in report.per_example]
-            writer = csv.DictWriter(handle, list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        rows = [row.to_document() for row in report.per_example]
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args.csv, text.getvalue())
     _emit(args, document, [
         f"examples: {len(report.per_example)} (failed: {report.failed_count})",
         f"accuracy: {report.aggregate.accuracy:.4f}",

@@ -28,7 +28,8 @@ document. The fingerprint itself is computed only where a document is
 written.
 
 Persistence is a single canonical JSON document (sorted keys, fixed
-separators) with a SHA-256 content digest, written atomically. Identical
+separators) with a SHA-256 content digest, written atomically by
+:func:`replacing`, the one writer of every file slimrag writes. Identical
 indexes serialize to identical bytes. ``_to_document`` and ``_vectors_json``
 are the one description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
@@ -63,10 +64,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator
+from typing import BinaryIO, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -507,39 +510,101 @@ def _check_relations(index: EntityIndex) -> None:
         _require(False, f"catalog key {chunk_id!r} is not <doc_id>#<position>")
 
 
+# A temp file's name starts with at most this many characters of its
+# target's: 60 UTF-8 characters and the 13 added fit in 255 bytes, the
+# longest file name Linux takes, so any name the target can have fits.
+_NAME_CHARS = 60
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """The one way slimrag writes a file (the index, a trace, a report, a
+    CSV): a binary handle whose bytes replace ``path`` atomically, so a
+    reader, or a crash at any point, finds the old file or the whole new
+    one.
+
+    The bytes go to a temp file in the target's directory, named
+    ``<target name>.<8 random characters>.tmp`` (the name cut to its first
+    ``_NAME_CHARS`` characters). On a clean exit it is flushed, fsynced and
+    renamed over the target; on any exception it is unlinked. A process
+    killed mid-write leaves it behind, and nothing sweeps it: a sweep
+    cannot tell a dead writer's temp file from a live one's. Temp file plus
+    rename does not cover power loss before the directory entry reaches the
+    disk; the directory is not fsynced.
+
+    A symlink is followed: the file it resolves to is replaced and the
+    link stays. A replaced file keeps its mode; a new one gets
+    ``0o666 & ~umask``, as ``open()`` gives. A target that exists and is
+    not a regular file (a FIFO, a device such as ``/dev/null``) is opened
+    and written in place, with no temp file and no rename. An ``OSError``
+    with an errno names ``path``, not the temp file."""
+    try:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with os.fdopen(os.open(path, os.O_WRONLY), "wb") as handle:
+                yield handle
+            return
+        target = os.path.realpath(path)
+        directory, name = os.path.split(target)
+        fd, tmp_name = tempfile.mkstemp(
+            prefix=name[:_NAME_CHARS] + ".", suffix=".tmp", dir=directory
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                os.fchmod(fd, 0o666 & ~_umask() if mode is None else stat.S_IMODE(mode))
+                yield handle
+                handle.flush()
+                os.fsync(fd)
+            os.replace(tmp_name, target)
+        except BaseException:
+            os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
+def _umask() -> int:
+    """The process umask. Reading it means setting it, so it is set to a
+    strict value for that moment and set back."""
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return umask
+
+
 def save_index(index: EntityIndex, path: str | Path) -> None:
-    """Write the canonical index file atomically: temp file, fsync, rename.
+    """Write the canonical index file atomically through :func:`replacing`,
+    as every file slimrag writes is: temp file, fsync, rename, so a crash
+    leaves the old index or the new one. A save killed mid-write leaves its
+    temp file ``<target name>.<8 random characters>.tmp`` beside the target,
+    and nothing sweeps it (see :func:`replacing`).
+
     Each member is serialized once, part by part, into both the digest and
     the file; the digest member is written as a placeholder of its width
     and overwritten once the digest is known. It is never the first member,
     so skipping its parts (and its leading comma) hashes the document
-    without it."""
-    path = Path(path)
+    without it. A target that cannot seek (a FIFO) has no slot to come back
+    to, so there the digest is taken by a first pass."""
     members = _members(index)
-    members[_DIGEST] = [_DIGEST_SLOT]
     sha = hashlib.sha256()
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent if str(path.parent) else ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            for key, part in _object_parts(members):
-                data = part.encode("utf-8")
-                if key != _DIGEST:
-                    sha.update(data)
-                elif part == _DIGEST_SLOT:
-                    slot = handle.tell() + 1
-                handle.write(data)
-            handle.write(b"\n")
+    with replacing(path) as handle:
+        seekable = handle.seekable()
+        members[_DIGEST] = [_DIGEST_SLOT if seekable else canonical_json(_digest(index))]
+        for key, part in _object_parts(members):
+            data = part.encode("utf-8")
+            if key != _DIGEST:
+                sha.update(data)
+            elif part == _DIGEST_SLOT:
+                slot = handle.tell() + 1
+            handle.write(data)
+        handle.write(b"\n")
+        if seekable:
             handle.seek(slot)
             handle.write(sha.hexdigest().encode("ascii"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def load_index(path: str | Path) -> EntityIndex:

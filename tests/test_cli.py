@@ -4,7 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
+import signal
+import stat
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -693,3 +698,258 @@ class TestEvalCommand:
         document["index_time_seconds"] = 0.0
         golden = (DATA_DIR / "golden_ablation_report.json").read_bytes()
         assert (canonical_json(document) + "\n").encode("utf-8") == golden
+
+
+# The temp file ``replacing`` writes beside its target: the target's name,
+# then ``.``, 8 of ``mkstemp``'s random characters and ``.tmp``.
+_TEMP_TAIL = r"\.[a-z0-9_]{8}\.tmp"
+
+
+def _run_killed(run, n):
+    """Run ``run()`` in a forked child that kills itself with SIGKILL just
+    before its n-th write, fsync or rename of an output file (a write being
+    one write call on the file itself, not into its buffer), or after
+    ``run`` returns if it makes fewer. Returns what the child did before
+    the kill: ``("write", "")``, ``("fsync", "")`` or ``("replace", target)``
+    per call, then ``("done", repr(result))`` if ``run`` returned."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            made = 0
+
+            def reach(kind, detail=""):
+                nonlocal made
+                made += 1
+                if made == n:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os.write(write_end, f"{kind} {detail}\n".encode())
+
+            class CountedFile(io.FileIO):
+                def write(self, data):
+                    reach("write")
+                    return super().write(data)
+
+            real_fsync, real_replace = os.fsync, os.replace
+            os.fdopen = lambda fd, mode: io.BufferedWriter(CountedFile(fd, mode))
+            os.fsync = lambda fd: (reach("fsync"), real_fsync(fd))
+            os.replace = lambda src, dst: (
+                reach("replace", os.fspath(dst)), real_replace(src, dst)
+            )
+            result = run()
+            os.write(write_end, f"done {result!r}\n".encode())
+        finally:
+            os.kill(os.getpid(), signal.SIGKILL)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        lines = pipe.read().decode().splitlines()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    return [tuple(line.split(" ", 1)) for line in lines]
+
+
+def _loaded_bytes(path: Path) -> bytes:
+    load_index(path)
+    return path.read_bytes()
+
+
+def _report(path: Path) -> dict:
+    document = json.loads(path.read_bytes())
+    document["index_time_seconds"] = 0.0
+    return document
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+class TestOutputFiles:
+    """Every file the CLI writes goes through ``slimrag.index.replacing``:
+    temp file, fsync, rename; the target's mode; a symlink's target; a FIFO
+    written in place; errors that name the target."""
+
+    @pytest.fixture
+    def outputs(self, built_index, tmp_path):
+        """Each writer as (argv, {target: (old bytes, reader)}), every
+        target in ``out/`` and holding old bytes that its reader reads. A
+        reader reads a file back, into what an old and a new file are
+        compared by (a report's timing is zeroed)."""
+        out = tmp_path / "out"
+        out.mkdir()
+        extra = tmp_path / "extra.jsonl"
+        extra.write_text(json.dumps({
+            "doc_id": "d3", "text": "Crews from Garnet Works repaired the annex.",
+        }) + "\n", encoding="utf-8")
+        index, trace = out / "index.json", out / "trace.json"
+        report, table = out / "report.json", out / "per_example.csv"
+        old_json = (b'{"old":true}\n', _report)
+        dataset = str(DATA_DIR / "smoke_dataset.json")
+        outputs = {
+            "index": (
+                ["index", "add", "--index", str(index), "--corpus", str(extra)],
+                {index: (built_index.read_bytes(), _loaded_bytes)},
+            ),
+            "trace": (
+                ["retrieve", "--index", str(built_index),
+                 "--query", "Who built Vertex Labs?", "--trace", str(trace)],
+                {trace: old_json},
+            ),
+            "report": (
+                ["eval", "--dataset", dataset, "--report", str(report)],
+                {report: old_json},
+            ),
+            "csv": (
+                ["eval", "--dataset", dataset, "--report", str(report),
+                 "--csv", str(table)],
+                {report: old_json, table: (b"a,b\r\n1,2\r\n", _csv_rows)},
+            ),
+        }
+        for _, targets in outputs.values():
+            for path, (old, _) in targets.items():
+                path.write_bytes(old)
+        return outputs
+
+    @pytest.mark.parametrize("writer", ["index", "trace", "report", "csv"])
+    def test_a_kill_at_any_write_fsync_or_rename_leaves_the_old_or_the_new_file(
+        self, outputs, writer, capsys
+    ):
+        """Killed just before its n-th write, fsync or rename, for every n
+        up to a clean run's count, and once after its last: each target
+        holds its old bytes until its own rename and the complete new ones
+        after it, and reads back; the only leftover is a temp file named
+        after a target, beside it."""
+        argv, targets = outputs[writer]
+        out = next(iter(targets)).parent
+        clean = _run_killed(lambda: main(argv), 0)
+        assert clean[-1] == ("done", "0")
+        assert {kind for kind, _ in clean[:-1]} == {"write", "fsync", "replace"}
+        renamed_at = {
+            path: clean.index(("replace", os.path.realpath(path))) for path in targets
+        }
+        new = {path: read(path) for path, (_, read) in targets.items()}
+        patterns = [re.escape(path.name) + _TEMP_TAIL for path in targets]
+        files = {p.name for p in out.iterdir()}
+        calls = len(clean) - 1
+        for n in range(1, calls + 2):
+            for path, (old, _) in targets.items():
+                path.write_bytes(old)
+            made = _run_killed(lambda: main(argv), n)
+            assert made == (clean[:n - 1] if n <= calls else clean)
+            for path, (old, read) in targets.items():
+                if renamed_at[path] < n - 1:
+                    assert read(path) == new[path]
+                else:
+                    assert path.read_bytes() == old
+                    read(path)
+            for name in {p.name for p in out.iterdir()} - files:
+                assert any(re.fullmatch(pattern, name) for pattern in patterns), name
+                (out / name).unlink()
+
+    def test_a_missing_directory_is_named_as_the_target(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["index", "build", "--corpus", str(corpus_file),
+                     "--out", "missing/x.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \[Errno 2\] [^\n]*: 'missing/x\.json'\n", err), err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_target_name_of_255_bytes_takes_a_temp_file_beside_it(
+        self, outputs, capsys
+    ):
+        """The longest names Linux takes, in one- and four-byte characters:
+        the temp file, named after a name's first 60 characters, fits."""
+        argv, targets = outputs["trace"]
+        (target,) = targets
+        assert main(argv) == 0
+        files = set(target.parent.iterdir())
+        for name in ("a" * 250 + ".json", "\U0001F600" * 63 + "abc"):
+            path = target.with_name(name)
+            assert len(os.fsencode(name)) == 255
+            assert main([*argv[:-1], str(path)]) == 0
+            assert path.read_bytes() == target.read_bytes()
+            killed = _run_killed(lambda: main([*argv[:-1], str(path)]), 3)
+            assert [kind for kind, _ in killed] == ["write", "fsync"]
+            [temp] = set(target.parent.iterdir()) - files - {path}
+            assert re.fullmatch(re.escape(name[:60]) + _TEMP_TAIL, temp.name)
+            temp.unlink()
+            path.unlink()
+
+    def test_a_replaced_file_keeps_its_mode_and_a_new_one_takes_the_umask(
+        self, outputs, corpus_file, capsys
+    ):
+        for writer in ("index", "trace"):
+            argv, targets = outputs[writer]
+            (target,) = targets
+            target.chmod(0o604)
+            assert main(argv) == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o604
+        argv, targets = outputs["csv"]
+        index = next(iter(outputs["index"][1])).parent / "new-index.json"
+        build = ["index", "build", "--corpus", str(corpus_file), "--out", str(index)]
+        for umask in (0o022, 0o027):
+            for target in [*targets, index]:
+                target.unlink(missing_ok=True)
+            before = os.umask(umask)
+            try:
+                assert main(argv) == 0
+                assert main(build) == 0
+            finally:
+                os.umask(before)
+            for target in [*targets, index]:
+                assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("writer", ["index", "trace"])
+    def test_a_fifo_is_written_in_place(
+        self, outputs, writer, built_index, corpus_file, capsys
+    ):
+        """``index build --out`` or ``retrieve --trace`` to a FIFO: a reader
+        gets the bytes a regular file would hold, and the FIFO stays."""
+        argv, targets = outputs[writer]
+        (target,) = targets
+        if writer == "index":  # index add would read the FIFO as its input
+            argv = ["index", "build", "--corpus", str(corpus_file), "--out", str(target)]
+        assert main(argv) == 0
+        expected = target.read_bytes()
+        target.unlink()
+        os.mkfifo(target)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(target.read_bytes()), daemon=True
+        )
+        reader.start()
+        files = sorted(target.parent.iterdir())
+        assert main(argv) == 0
+        reader.join(timeout=20)
+        assert got == [expected]
+        assert stat.S_ISFIFO(target.stat().st_mode)
+        assert sorted(target.parent.iterdir()) == files
+
+    def test_a_symlink_stays_and_the_file_it_names_is_written(
+        self, built_index, corpus_file, tmp_path, capsys
+    ):
+        """An index and a trace written through symlinks, one relative and
+        dangling, one absolute to an existing file: both links stay, and
+        the files they name hold what a plain path would."""
+        real, links = tmp_path / "real", tmp_path / "links"
+        real.mkdir()
+        links.mkdir()
+        (links / "index.json").symlink_to(Path("..", "real", "index.json"))
+        (real / "trace.json").write_bytes(b"old")
+        (links / "trace.json").symlink_to(real / "trace.json")
+        query = ["retrieve", "--query", "Who built Vertex Labs?"]
+        assert main(["index", "build", "--corpus", str(corpus_file),
+                     "--out", str(links / "index.json")]) == 0
+        assert main([*query, "--index", str(links / "index.json"),
+                     "--trace", str(links / "trace.json")]) == 0
+        assert main([*query, "--index", str(built_index),
+                     "--trace", str(tmp_path / "trace.json")]) == 0
+        assert os.readlink(links / "index.json") == str(Path("..", "real", "index.json"))
+        assert os.readlink(links / "trace.json") == str(real / "trace.json")
+        assert (real / "index.json").read_bytes() == built_index.read_bytes()
+        assert (real / "trace.json").read_bytes() == (tmp_path / "trace.json").read_bytes()
+        assert sorted(p.name for p in real.iterdir()) == ["index.json", "trace.json"]
