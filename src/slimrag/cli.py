@@ -22,8 +22,12 @@ line ends at ``\n`` only and one that is not UTF-8 is named.
 Every file a subcommand writes (``index build --out``, the index ``index
 add`` extends, ``retrieve --trace``, ``eval --report`` and ``eval --csv``)
 is replaced atomically by :func:`slimrag.index.replacing`: a crash leaves
-the old file or the whole new one, a symlink's target is written, a
-replaced file keeps its mode, and a FIFO or device is written in place.
+the old file or the whole new one, a symlink's target is written, a new
+file takes the mode the kernel gives under the umask, a replaced file keeps
+its mode (the temp file is created under it, never more open, and gets
+it exactly before its first byte), the temp file is
+``<target name>.<8 random hex digits>.tmp``, and a FIFO or device is filled
+from memory once the output is whole.
 """
 
 from __future__ import annotations

@@ -29,9 +29,14 @@ written.
 
 Persistence is a single canonical JSON document (sorted keys, fixed
 separators) with a SHA-256 content digest, written atomically by
-:func:`replacing`, the one writer of every file slimrag writes. Identical
-indexes serialize to identical bytes. ``_to_document`` and ``_vectors_json``
-are the one description of the format: save serializes each member once,
+:func:`replacing`, the one writer of every file slimrag writes: a temp file
+``<target name>.<8 random hex digits>.tmp`` that the kernel creates under
+the umask (from a replaced file's mode, then set exactly before the first
+byte),
+renamed over the target; a FIFO or device target is filled from memory, so
+every handle can seek back to the digest slot. Identical indexes serialize
+to identical bytes. ``_to_document`` and ``_vectors_json`` are the one
+description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
 digests. Both stream the document in parts into the hash (and, for save,
 the file), so neither holds the whole text. The entity vectors load into
@@ -62,10 +67,10 @@ the three indexing labels.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import stat
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -472,15 +477,6 @@ def _object_parts(members: dict[str, Iterable[str]]) -> Iterator[tuple[str, str]
     yield "", "}"
 
 
-def _digest(index: EntityIndex) -> str:
-    """The SHA-256 of ``canonical_json`` of the index document, hashed part
-    by part."""
-    sha = hashlib.sha256()
-    for _, part in _object_parts(_members(index)):
-        sha.update(part.encode("utf-8"))
-    return sha.hexdigest()
-
-
 def _require(condition: bool, problem: str) -> None:
     if not condition:
         raise IndexIntegrityError(f"index file is damaged: {problem}")
@@ -519,25 +515,31 @@ _NAME_CHARS = 60
 @contextmanager
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """The one way slimrag writes a file (the index, a trace, a report, a
-    CSV): a binary handle whose bytes replace ``path`` atomically, so a
-    reader, or a crash at any point, finds the old file or the whole new
-    one.
+    CSV): a binary, seekable handle whose bytes replace ``path``
+    atomically, so a reader, or a crash at any point, finds the old file or
+    the whole new one.
 
     The bytes go to a temp file in the target's directory, named
-    ``<target name>.<8 random characters>.tmp`` (the name cut to its first
-    ``_NAME_CHARS`` characters). On a clean exit it is flushed, fsynced and
-    renamed over the target; on any exception it is unlinked. A process
-    killed mid-write leaves it behind, and nothing sweeps it: a sweep
-    cannot tell a dead writer's temp file from a live one's. Temp file plus
-    rename does not cover power loss before the directory entry reaches the
-    disk; the directory is not fsynced.
+    ``<target name>.<8 random hex digits>.tmp`` (the name cut to its first
+    ``_NAME_CHARS`` characters) and created with ``O_EXCL`` and the mode
+    of the file it replaces, or ``0o666`` for a new one, less the umask,
+    which the kernel applies. A replaced file's exact mode is then set on
+    the temp file before its first byte, so the temp file is never more
+    open than its target. On a clean exit it is flushed,
+    fsynced and renamed over the target; on any exception it is unlinked.
+    A process killed mid-write leaves it behind, and nothing sweeps it: a
+    sweep cannot tell a dead writer's temp file from a live one's. Temp
+    file plus rename does not cover power loss before the directory entry
+    reaches the disk; the directory is not fsynced.
 
     A symlink is followed: the file it resolves to is replaced and the
-    link stays. A replaced file keeps its mode; a new one gets
-    ``0o666 & ~umask``, as ``open()`` gives. A target that exists and is
-    not a regular file (a FIFO, a device such as ``/dev/null``) is opened
-    and written in place, with no temp file and no rename. An ``OSError``
-    with an errno names ``path``, not the temp file."""
+    link stays. A target that exists and is not a regular file (a FIFO, a
+    device such as ``/dev/null``) is opened for writing first, so a
+    directory fails before any work; the handle is then an in-memory
+    buffer, written to the target on a clean exit, with no temp file and no
+    rename. An ``OSError`` with an errno names ``path``, not the temp
+    file; that includes the ``FileExistsError`` of a leftover temp file
+    with the same 32 random bits, which is not retried."""
     try:
         try:
             mode = os.stat(path).st_mode
@@ -545,22 +547,25 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
             with os.fdopen(os.open(path, os.O_WRONLY), "wb") as handle:
-                yield handle
+                buffer = io.BytesIO()
+                yield buffer
+                handle.write(buffer.getvalue())
             return
         target = os.path.realpath(path)
         directory, name = os.path.split(target)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=name[:_NAME_CHARS] + ".", suffix=".tmp", dir=directory
-        )
+        tmp = os.path.join(directory, f"{name[:_NAME_CHARS]}.{os.urandom(4).hex()}.tmp")
+        perms = 0o666 if mode is None else stat.S_IMODE(mode)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, perms)
         try:
             with os.fdopen(fd, "wb") as handle:
-                os.fchmod(fd, 0o666 & ~_umask() if mode is None else stat.S_IMODE(mode))
+                if mode is not None:
+                    os.fchmod(fd, perms)
                 yield handle
                 handle.flush()
                 os.fsync(fd)
-            os.replace(tmp_name, target)
+            os.replace(tmp, target)
         except BaseException:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
             raise
     except OSError as exc:
         if exc.errno is None:
@@ -568,32 +573,23 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
-def _umask() -> int:
-    """The process umask. Reading it means setting it, so it is set to a
-    strict value for that moment and set back."""
-    umask = os.umask(0o077)
-    os.umask(umask)
-    return umask
-
-
 def save_index(index: EntityIndex, path: str | Path) -> None:
     """Write the canonical index file atomically through :func:`replacing`,
     as every file slimrag writes is: temp file, fsync, rename, so a crash
     leaves the old index or the new one. A save killed mid-write leaves its
-    temp file ``<target name>.<8 random characters>.tmp`` beside the target,
-    and nothing sweeps it (see :func:`replacing`).
+    temp file ``<target name>.<8 random hex digits>.tmp`` beside the
+    target, and nothing sweeps it (see :func:`replacing`).
 
     Each member is serialized once, part by part, into both the digest and
     the file; the digest member is written as a placeholder of its width
     and overwritten once the digest is known. It is never the first member,
     so skipping its parts (and its leading comma) hashes the document
-    without it. A target that cannot seek (a FIFO) has no slot to come back
-    to, so there the digest is taken by a first pass."""
+    without it. Every handle ``replacing`` gives can seek back to the slot:
+    a FIFO or device target gets an in-memory buffer."""
     members = _members(index)
+    members[_DIGEST] = [_DIGEST_SLOT]
     sha = hashlib.sha256()
     with replacing(path) as handle:
-        seekable = handle.seekable()
-        members[_DIGEST] = [_DIGEST_SLOT if seekable else canonical_json(_digest(index))]
         for key, part in _object_parts(members):
             data = part.encode("utf-8")
             if key != _DIGEST:
@@ -602,9 +598,8 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
                 slot = handle.tell() + 1
             handle.write(data)
         handle.write(b"\n")
-        if seekable:
-            handle.seek(slot)
-            handle.write(sha.hexdigest().encode("ascii"))
+        handle.seek(slot)
+        handle.write(sha.hexdigest().encode("ascii"))
 
 
 def load_index(path: str | Path) -> EntityIndex:
@@ -627,13 +622,15 @@ def load_index(path: str | Path) -> EntityIndex:
     stored_digest = document.pop(_DIGEST, None)
     try:
         index = _from_document(document)
-        digest = _digest(index)
+        sha = hashlib.sha256()
+        for _, part in _object_parts(_members(index)):
+            sha.update(part.encode("utf-8"))
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError,
         DimensionMismatchError,
     ) as exc:
         raise IndexIntegrityError(f"index file is damaged: {exc}") from None
-    if digest != stored_digest:
+    if sha.hexdigest() != stored_digest:
         raise IndexIntegrityError("content digest mismatch; file is corrupt")
     _check_relations(index)
     return index

@@ -701,8 +701,8 @@ class TestEvalCommand:
 
 
 # The temp file ``replacing`` writes beside its target: the target's name,
-# then ``.``, 8 of ``mkstemp``'s random characters and ``.tmp``.
-_TEMP_TAIL = r"\.[a-z0-9_]{8}\.tmp"
+# then ``.``, 4 random bytes as 8 lowercase hex digits and ``.tmp``.
+_TEMP_TAIL = r"\.[0-9a-f]{8}\.tmp"
 
 
 def _run_killed(run, n):
@@ -767,8 +767,10 @@ def _csv_rows(path: Path) -> list[list[str]]:
 
 class TestOutputFiles:
     """Every file the CLI writes goes through ``slimrag.index.replacing``:
-    temp file, fsync, rename; the target's mode; a symlink's target; a FIFO
-    written in place; errors that name the target."""
+    temp file, fsync, rename; a new file's mode from the kernel's umask,
+    with no writer touching the umask; a replaced file's mode, on the temp
+    file before its first byte; a symlink's target; a FIFO filled from
+    memory in place; errors that name the target, also for a directory."""
 
     @pytest.fixture
     def outputs(self, built_index, tmp_path):
@@ -858,6 +860,24 @@ class TestOutputFiles:
         assert re.fullmatch(r"error: \[Errno 2\] [^\n]*: 'missing/x\.json'\n", err), err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_a_leftover_temp_file_of_the_same_name_is_named_as_the_target(
+        self, outputs, monkeypatch, capsys
+    ):
+        """The temp name's 32 random bits repeat a leftover's: no retry,
+        exit 2 with one error line naming the target, which keeps its old
+        bytes, and the leftover stays."""
+        argv, targets = outputs["trace"]
+        ((target, (old, _)),) = targets.items()
+        leftover = target.with_name(target.name + ".00000000.tmp")
+        leftover.write_bytes(b"left")
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        pattern = r"error: \[Errno 17\] [^\n]*: " + re.escape(repr(str(target))) + "\n"
+        assert re.fullmatch(pattern, err), err
+        assert target.read_bytes() == old
+        assert leftover.read_bytes() == b"left"
+
     def test_a_target_name_of_255_bytes_takes_a_temp_file_beside_it(
         self, outputs, capsys
     ):
@@ -903,31 +923,116 @@ class TestOutputFiles:
             for target in [*targets, index]:
                 assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
-    @pytest.mark.parametrize("writer", ["index", "trace"])
-    def test_a_fifo_is_written_in_place(
-        self, outputs, writer, built_index, corpus_file, capsys
+    def test_no_writer_touches_the_umask(
+        self, outputs, corpus_file, monkeypatch, capsys
     ):
-        """``index build --out`` or ``retrieve --trace`` to a FIFO: a reader
-        gets the bytes a regular file would hold, and the FIFO stays."""
+        """Setting the umask to read it would change the mode of any file
+        another thread creates meanwhile; the kernel applies it instead."""
+        calls = []
+        real_umask = os.umask
+        monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or real_umask(mask))
+        new = next(iter(outputs["index"][1])).parent / "new-index.json"
+        argvs = [
+            ["index", "build", "--corpus", str(corpus_file), "--out", str(new)],
+            outputs["index"][0], outputs["trace"][0], outputs["csv"][0],
+        ]
+        for writer in ("trace", "csv"):
+            for target in outputs[writer][1]:
+                target.unlink(missing_ok=True)
+        for argv in argvs:
+            assert main(argv) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("writer", ["index", "trace"])
+    def test_the_temp_file_is_never_more_open_than_its_target(
+        self, outputs, writer, corpus_file
+    ):
+        """Killed as it creates the temp file (just before the ``fchmod``
+        that sets a replaced file's mode) or at its first write, the temp
+        file is no more open than its target will be: a replaced 0600
+        file's mode under umask 022 at both points, and 0640 for a new file
+        under umask 027, for which nothing runs between the two."""
         argv, targets = outputs[writer]
         (target,) = targets
+        if writer == "index":  # index add needs an index to read
+            argv = ["index", "build", "--corpus", str(corpus_file), "--out", str(target)]
+        files = set(target.parent.iterdir())
+        for umask, old_mode, at_fchmod, mode in (
+            (0o022, 0o600, True, 0o600),
+            (0o022, 0o600, False, 0o600),
+            (0o027, None, False, 0o640),
+        ):
+            if old_mode is None:
+                target.unlink()
+            else:
+                target.chmod(old_mode)
+
+            def run(umask=umask, at_fchmod=at_fchmod):
+                os.umask(umask)
+                if at_fchmod:
+                    os.fchmod = lambda fd, mode: os.kill(os.getpid(), signal.SIGKILL)
+                return main(argv)
+
+            assert _run_killed(run, 1) == []
+            [temp] = set(target.parent.iterdir()) - files
+            assert re.fullmatch(re.escape(target.name) + _TEMP_TAIL, temp.name)
+            assert stat.S_IMODE(temp.stat().st_mode) == mode
+            temp.unlink()
+
+    @pytest.mark.parametrize("writer", ["index", "trace", "report", "csv"])
+    def test_a_fifo_is_written_in_place(
+        self, outputs, writer, corpus_file, capsys
+    ):
+        """``index build --out``, ``retrieve --trace``, ``eval --report`` or
+        ``eval --csv`` to FIFOs: a reader of each gets the bytes a regular
+        file would hold (a report's with this run's timing, which differs
+        from run to run), and each FIFO stays."""
+        argv, targets = outputs[writer]
         if writer == "index":  # index add would read the FIFO as its input
+            (target,) = targets
             argv = ["index", "build", "--corpus", str(corpus_file), "--out", str(target)]
         assert main(argv) == 0
-        expected = target.read_bytes()
-        target.unlink()
-        os.mkfifo(target)
-        got = []
-        reader = threading.Thread(
-            target=lambda: got.append(target.read_bytes()), daemon=True
-        )
-        reader.start()
-        files = sorted(target.parent.iterdir())
+        expected = {path: path.read_bytes() for path in targets}
+        got = {}
+        readers = []
+        for path in targets:
+            path.unlink()
+            os.mkfifo(path)
+            readers.append(threading.Thread(
+                target=lambda path=path: got.update({path: path.read_bytes()}),
+                daemon=True,
+            ))
+        files = sorted(next(iter(targets)).parent.iterdir())
+        for reader in readers:
+            reader.start()
         assert main(argv) == 0
-        reader.join(timeout=20)
-        assert got == [expected]
-        assert stat.S_ISFIFO(target.stat().st_mode)
-        assert sorted(target.parent.iterdir()) == files
+        for reader in readers:
+            reader.join(timeout=20)
+        for path in targets:
+            if path.name == "report.json":  # the regular file's, with this run's timing
+                document = json.loads(expected[path])
+                document["index_time_seconds"] = json.loads(got[path])["index_time_seconds"]
+                expected[path] = (canonical_json(document) + "\n").encode("utf-8")
+            assert got[path] == expected[path]
+            assert stat.S_ISFIFO(path.stat().st_mode)
+        assert sorted(next(iter(targets)).parent.iterdir()) == files
+
+    def test_a_directory_target_is_named_and_left_as_it_was(self, outputs, capsys):
+        """``retrieve --trace`` naming a directory: exit 2, one error line
+        naming it, and the directory as it was, with no temp file."""
+        argv, targets = outputs["trace"]
+        (target,) = targets
+        target.unlink()
+        target.mkdir()
+        (target / "kept").write_bytes(b"kept")
+        files = sorted(target.parent.rglob("*"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        pattern = r"error: \[Errno 21\] [^\n]*: " + re.escape(repr(str(target))) + "\n"
+        assert re.fullmatch(pattern, err), err
+        assert sorted(target.parent.rglob("*")) == files
+        assert (target / "kept").read_bytes() == b"kept"
+        assert not list(target.parent.rglob("*.tmp"))
 
     def test_a_symlink_stays_and_the_file_it_names_is_written(
         self, built_index, corpus_file, tmp_path, capsys
