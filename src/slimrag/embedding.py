@@ -55,14 +55,22 @@ result equals ``cosine_similarity`` bit for bit:
   index order over a dimension × N array, starting from zeros as the loop
   starts from ``0.0`` (so a zero result keeps the loop's sign). A BLAS
   product or a numpy reduction sums in another order or starts from the
-  first term, and differs in the last bits. The sums are taken a block of
-  dimensions at a time, as many as fit in 65,536 products whatever the
-  width (256 dimensions up to 256 columns, one per block past 65,536):
-  the running sums sit in row 0 of a C-contiguous block, that block's
-  products in the rows below them, and one ``np.add.reduce`` down the
-  block adds each column's rows in index order into the sums. A reduce
-  down one column would run along the contiguous axis, which numpy sums
-  pairwise, so a single column is padded with a zero column.
+  first term, and differs in the last bits;
+* only the rows ``j`` where the query is nonzero are read (a local
+  entity's query has a median of 22 of 256). For a finite column entry a
+  zero ``q[j]`` gives a product of ``±0.0``, and adding ``±0.0`` to a sum
+  that starts at ``+0.0`` never changes its bits, because the sum never
+  becomes ``-0.0``; so the sums over those rows are the loop's sums over
+  all of them. Every column is finite: vectors are checked finite where
+  they enter, and unit columns are finite blocks divided by norms above
+  zero. The sums are taken a block of the rows read at a time, as many as
+  fit in 65,536 products whatever the width (256 rows up to 256 columns,
+  one per block past 65,536): the running sums sit in row 0 of a
+  C-contiguous block, that block's products in the rows below them, and
+  one ``np.add.reduce`` down the block adds each column's rows in index
+  order into the sums. A reduce down one column would run along the
+  contiguous axis, which numpy sums pairwise, so a single column is
+  padded with a zero column.
 
 Every vector travels one way from its source to a similarity. Texts
 become similarity columns through :func:`embed_many` (a query's text,
@@ -88,7 +96,10 @@ without copying them and adds the new entities' block as one more tier
 (:meth:`EntityVectorStore.extended`), so a search after a write divides
 only that block. Search takes :func:`_dots` over each tier in turn: each
 column's sum runs in dimension order from ``+0.0`` whatever the width, so
-the similarities are the bytes one array would give.
+the similarities are the bytes one array would give. Chunk scoring
+(:func:`cosine_similarities`) divides only the rows of the candidates'
+columns that the query's nonzero components read; each quotient is the
+division a whole-array one makes.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -127,8 +138,8 @@ _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
 # Rows packed or copied per block when rows become columns: only one block
 # (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
-# Products per block of ``_dots`` (512 KB): the block is as many dimensions
-# high as fit. At 256 dimensions and 1,316 columns (a 49-row block) heights
+# Products per block of ``_dots`` (512 KB): the block is as many of the rows
+# read high as fit. At 256 dimensions and 1,316 columns (a 49-row block) heights
 # of 32-64 rows were level and 99-256 rows 7-24% slower.
 _BLOCK_CELLS = 65_536
 
@@ -438,30 +449,51 @@ def _unit_vector(vector: Vector | np.ndarray, dimension: int) -> np.ndarray:
 
 def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """``sum(query[j] * columns[j])`` per column, added in index order from
-    ``+0.0`` exactly as ``cosine_similarity``'s loop adds. The running sums
-    are carried through blocks of as many dimensions as fit in
-    ``_BLOCK_CELLS`` (at least one): row 0 of a C-contiguous block holds
-    them, the rows below it take that block's products, and
+    ``+0.0`` exactly as ``cosine_similarity``'s loop adds, for finite
+    ``columns``.
+
+    Only the rows ``J = np.flatnonzero(query)`` are read. A zero query
+    component times a finite entry is ``±0.0``, and adding ``±0.0`` to a
+    sum that starts at ``+0.0`` never changes its bits: the sum never
+    becomes ``-0.0``, since a nonzero sum stays as it is and ``+0.0 + -0.0``
+    is ``+0.0``. So the sums over J are the loop's sums over every row (an
+    empty J gives ``+0.0`` everywhere). An infinite entry would make the
+    skipped product NaN; every column that reaches here is finite (unit
+    columns are finite blocks divided by norms above zero, and vectors are
+    checked finite where they enter).
+
+    The running sums are carried through blocks of as many rows of J as
+    fit in ``_BLOCK_CELLS`` (at least one): row 0 of a C-contiguous block
+    holds them, the rows below it take that block's products, and
     ``np.add.reduce`` down axis 0 adds each column's rows in order into the
     sums, which are their own array (an ``out`` that overlaps the input
-    makes numpy copy the input first). The sums start at ``+0.0`` and never
-    become ``-0.0``. A reduce down a single column would run along the
-    contiguous axis, which numpy sums pairwise, so the block and the sums
-    have a zero column of padding when the width is 1."""
+    makes numpy copy the input first). When J is every row (a remote
+    vector's query, or one :func:`cosine_similarities` has restricted to
+    its nonzero rows), the products are taken straight from the columns;
+    otherwise the rows are gathered into the block with ``np.take`` in
+    ``"clip"`` mode (``"raise"`` buffers a copy of them all; J is in range,
+    so clipping changes nothing) and multiplied there in place. A reduce
+    down a single column would run along the contiguous axis, which numpy
+    sums pairwise, so the block and the sums have a zero column of padding
+    when the width is 1."""
     dimension, width = columns.shape
+    nonzero = np.flatnonzero(query)
+    dense = len(nonzero) == dimension
     sums = np.zeros(max(width, 2))
-    step = max(1, min(dimension, _BLOCK_CELLS // len(sums)))
+    step = max(1, min(len(nonzero), _BLOCK_CELLS // len(sums)))
     block = np.empty((step + 1, len(sums)))
     block[:, width:] = 0.0  # only the pad column; np.zeros of 512 KB maps fresh pages
-    for start in range(0, dimension, step):
-        rows = min(step, dimension - start)
+    for start in range(0, len(nonzero), step):
+        rows = nonzero[start:start + step]
+        products = block[1:len(rows) + 1, :width]
         block[0] = sums
-        np.multiply(
-            query[start:start + rows, None],
-            columns[start:start + rows],
-            out=block[1:rows + 1, :width],
-        )
-        np.add.reduce(block[:rows + 1], axis=0, out=sums)
+        if dense:
+            stop = start + len(rows)
+            np.multiply(query[start:stop, None], columns[start:stop], out=products)
+        else:
+            np.take(columns, rows, axis=0, out=products, mode="clip")
+            products *= query[rows, None]
+        np.add.reduce(block[:len(rows) + 1], axis=0, out=sums)
     return sums[:width]
 
 
@@ -473,12 +505,18 @@ def cosine_similarities(
     :func:`embed_many` or :func:`_columns` gives; the query is a tuple or a
     1-D float64 column. Raises what the first failing pair would raise.
     The columns share one dimension, so that is a DimensionMismatchError
-    when it is not the query's, else a ZeroVectorError for a zero norm."""
+    when it is not the query's, else a ZeroVectorError for a zero norm.
+    Only the rows where the query is nonzero, the rows :func:`_dots`
+    reads, are divided by the norms; a dense query's columns are divided
+    whole, with no copy taken first."""
     if not len(norms):
         return []
     query = _unit_vector(query_vec, columns.shape[0])
     if not norms.all():
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    rows = np.flatnonzero(query)
+    if len(rows) < len(query):
+        query, columns = query[rows], np.take(columns, rows, axis=0, mode="clip")
     return _dots(query, columns / norms).tolist()
 
 

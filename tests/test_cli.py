@@ -8,6 +8,8 @@ import os
 import re
 import signal
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from dataclasses import replace
@@ -20,6 +22,7 @@ from conftest import (
     DATA_DIR, DEEP_JSON, SAMPLE_INPUTS, damaged, fuzz_examples, move_chunk,
     rewrite_index,
 )
+import slimrag
 from slimrag import remote
 from slimrag.cli import _embedder_config, build_parser, main
 from slimrag.corpus import SegmentationPolicy, ingest_corpus, read_lines
@@ -1016,6 +1019,27 @@ class TestOutputFiles:
             assert got[path] == expected[path]
             assert stat.S_ISFIFO(path.stat().st_mode)
         assert sorted(next(iter(targets)).parent.iterdir()) == files
+
+    def test_a_trace_to_dev_stdout_redirected_to_a_file_keeps_the_results(
+        self, outputs, tmp_path, capsys
+    ):
+        """``retrieve --trace /dev/stdout > out.txt`` in a child process:
+        ``out.txt`` holds the trace line, then the result lines, each as a
+        run with the trace in a file of its own writes them."""
+        argv, targets = outputs["trace"]
+        (target,) = targets
+        assert main(argv) == 0
+        results = capsys.readouterr().out.encode("utf-8")
+        argv[argv.index(str(target))] = "/dev/stdout"
+        out = tmp_path / "out.txt"
+        src = str(Path(slimrag.__file__).resolve().parent.parent)
+        with out.open("wb") as stdout:
+            subprocess.run(
+                [sys.executable, "-m", "slimrag.cli", *argv], stdout=stdout,
+                env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+            )
+        assert out.read_bytes() == target.read_bytes() + results
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_a_directory_target_is_named_and_left_as_it_was(self, outputs, capsys):
         """``retrieve --trace`` naming a directory: exit 2, one error line

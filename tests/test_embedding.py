@@ -10,6 +10,7 @@ import re
 import string
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -929,11 +930,12 @@ def _heights(dimension: int) -> list[int]:
 
 def _dots_at_every_height(query: np.ndarray, columns: np.ndarray):
     """``_dots`` at the real ``_BLOCK_CELLS``, then with it patched so the
-    array is taken each of ``_heights`` dimensions per block (at most the
-    whole dimension)."""
+    rows it reads, the query's nonzero dimensions, are taken each of
+    ``_heights`` of the dimension and of that row count per block."""
     dimension, width = columns.shape
     yield _dots(query, columns)
-    for height in _heights(dimension):
+    nonzero = np.count_nonzero(query)
+    for height in sorted(set(_heights(dimension) + _heights(nonzero)) - {-1}):
         with mock.patch.object(embedding, "_BLOCK_CELLS", height * max(width, 2)):
             got = _dots(query, columns)
         yield got
@@ -975,6 +977,51 @@ def _dot_operands(draw):
     return query, columns
 
 
+# Magnitudes of a subnormal sparse query's nonzero components: subnormals
+# and the smallest normal.
+_SUBNORMALS = np.array([5e-324, 1e-320, 2.5e-310, 2.2250738585072014e-308])
+
+
+@st.composite
+def _sparse_query_operands(draw):
+    """A query whose zero components (each +0.0 or -0.0) take a drawn
+    share of its dimensions, all but one or all of them, and a finite
+    dimension × width array with some ±0.0 entries, taken contiguous,
+    strided or column-major (a strided query with the latter two). The
+    nonzero components are normal draws, subnormals, or small integers
+    against integer columns, whose sums cancel to exact zeros."""
+    dimension = draw(st.integers(1, 300))
+    width = draw(st.one_of(st.sampled_from([1, 2, 3, 257, 2049]), st.integers(1, 600)))
+    values = draw(st.sampled_from(["normal", "subnormal", "integer"]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
+    pattern = draw(st.sampled_from(["drawn", "one", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (3 * dimension, 2 * width)
+    if values == "integer":
+        query = rng.integers(-3, 4, 2 * dimension).astype(float)
+        columns = rng.integers(-3, 4, shape).astype(float)
+    else:
+        query = rng.standard_normal(2 * dimension)
+        columns = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        if values == "subnormal":
+            query = np.copysign(rng.choice(_SUBNORMALS, 2 * dimension), query)
+    columns[rng.random(shape) < 0.1] = -0.0
+    if layout == "contiguous":
+        query, columns = query[:dimension].copy(), columns[:dimension, :width].copy()
+    else:
+        query, columns = query[::2], columns[::3, ::2]
+        if layout == "fortran":
+            columns = np.asfortranarray(columns)
+    if pattern == "drawn":
+        zero = rng.random(dimension) >= draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
+    else:
+        zero = np.ones(dimension, dtype=bool)
+        if pattern == "one":
+            zero[draw(st.integers(0, dimension - 1))] = False
+    query[zero] = np.where(rng.random(dimension) < 0.5, 0.0, -0.0)[zero]
+    return query, columns
+
+
 class TestDots:
     """``_dots`` equals ``_dot_loop``, the per-dimension loop kept here as
     its oracle, byte for byte at every width and every block height; the
@@ -989,6 +1036,52 @@ class TestDots:
             want = _dot_loop(query, columns).tobytes()
             for got in _dots_at_every_height(query, columns):
                 assert got.tobytes() == want
+
+    @given(_sparse_query_operands())
+    @settings(max_examples=fuzz_examples(100), deadline=None)
+    @example((np.array([0.0, -0.0, 0.0]), np.array([[1.0], [-2.0], [3.0]])))
+    @example((np.array([-0.0, 5e-324, 0.0, -0.0]), np.asfortranarray(
+        np.array([[1e300, 2.0], [-1.0, 3.0], [-0.0, 0.0], [5.0, -7.0]])
+    )))
+    def test_a_sparse_query_equals_the_loop(self, operands):
+        """``_dots`` reads only the query's nonzero rows; the loop adds the
+        ``±0.0`` products of the others, which leave its sums' bits as they
+        are. No row is nonzero in an all-zero query, whose sums are +0.0."""
+        query, columns = operands
+        want = _dot_loop(query, columns).tobytes()
+        for got in _dots_at_every_height(query, columns):
+            assert got.tobytes() == want
+        if not query.any():
+            assert want == np.zeros(columns.shape[1]).tobytes()
+
+    @pytest.mark.parametrize("nonzero", [22, DEFAULT_DIMENSION])
+    def test_one_call_holds_only_its_block_and_sums(self, nonzero):
+        """One ``_dots`` over a read-only 256 × 3,133 array (``build``'s
+        entity store) with 22 nonzero query components, a local entity's
+        median, or 256, a remote vector's: the traced peak is the block,
+        the sums, what one numpy multiply of the block's products allocates
+        for itself, and a few KB. A copy of the rows read, by fancy
+        indexing or by ``np.take`` in ``"raise"`` mode, adds about 500 KB."""
+        width = 3133
+        rng = np.random.default_rng(nonzero)
+        columns = rng.standard_normal((DEFAULT_DIMENSION, width))
+        columns.flags.writeable = False
+        query = np.zeros(DEFAULT_DIMENSION)
+        rows = rng.choice(DEFAULT_DIMENSION, nonzero, replace=False)
+        query[rows] = rng.standard_normal(nonzero)
+        height = min(nonzero, _BLOCK_CELLS // width)
+        block = np.empty((height + 1, width))
+        _dots(query, columns)  # set-up of numpy's first calls is not traced
+        tracemalloc.start()
+        try:
+            np.multiply(query[:height, None], columns[:height], out=block[1:])
+            multiply = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _dots(query, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block.nbytes + width * 8 + multiply + 4096
 
     @given(st.data())
     @settings(max_examples=fuzz_examples(40), deadline=None)
