@@ -27,9 +27,10 @@ file takes the mode the kernel gives under the umask, a replaced file keeps
 its mode (the temp file is created under it, never more open, and gets
 it exactly before its first byte), the temp file is
 ``<target name>.<8 random hex digits>.tmp``, and a FIFO or device is filled
-from memory once the output is whole. A trace, report or CSV whose path is
-standard output's own file (``--trace /dev/stdout``) is written through
-``sys.stdout``, in order with the lines printed after it.
+from memory once the output is whole. A file whose path is standard
+output's own file (``--trace /dev/stdout``, ``index build --out
+/dev/stdout``) is written through ``sys.stdout``, in order with the lines
+printed after it.
 """
 
 from __future__ import annotations
@@ -244,18 +245,6 @@ def _emit(args, document: dict, human_lines: list[str]) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text``; when ``path`` is standard output's
-    own file (``/dev/stdout`` while it is redirected to a file, say), the
-    text goes through ``sys.stdout`` instead, before the lines printed
-    after it, and no rename replaces that file."""
-    try:
-        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError, AttributeError):  # no such file, or no stdout file
-        to_stdout = False
-    if to_stdout:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
     with replacing(path) as handle:
         handle.write(text.encode("utf-8"))
 

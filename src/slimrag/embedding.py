@@ -46,31 +46,32 @@ verbatim.
 
 :func:`cosine_similarity` is the definition of similarity. Top-K entity
 search and chunk scoring compute it for many vectors at once with one numpy
-kernel that performs the same IEEE operations in the same order, so every
-result equals ``cosine_similarity`` bit for bit:
+kernel, :func:`_dots`, that performs the same IEEE operations in the same
+order, so every result equals ``cosine_similarity`` bit for bit:
 
-* each vector is divided element by element by its own ``math.hypot``
-  (the same function and the same correctly rounded divisions);
-* the dot products accumulate ``acc += q[j] * column[j]`` for ``j`` in
-  index order over a dimension × N array, starting from zeros as the loop
-  starts from ``0.0`` (so a zero result keeps the loop's sign). A BLAS
-  product or a numpy reduction sums in another order or starts from the
-  first term, and differs in the last bits;
-* only the rows ``j`` where the query is nonzero are read (a local
-  entity's query has a median of 22 of 256). For a finite column entry a
-  zero ``q[j]`` gives a product of ``±0.0``, and adding ``±0.0`` to a sum
+* each vector entry is divided by the vector's own ``math.hypot`` (the
+  same function and the same correctly rounded division), and the query
+  was divided by its own before the search (``_unit_vector``);
+* the dot products accumulate ``acc += q[j] * (column[j] / norm)`` for
+  ``j`` in index order over a dimension × N array, starting from zeros as
+  the loop starts from ``0.0`` (so a zero result keeps the loop's sign). A
+  BLAS product or a numpy reduction sums in another order or starts from
+  the first term, and differs in the last bits;
+* only the rows ``j`` where the query is nonzero are read and divided (a
+  local entity's query has a median of 22 of 256). For a finite quotient
+  a zero ``q[j]`` gives a product of ``±0.0``, and adding ``±0.0`` to a sum
   that starts at ``+0.0`` never changes its bits, because the sum never
   becomes ``-0.0``; so the sums over those rows are the loop's sums over
-  all of them. Every column is finite: vectors are checked finite where
-  they enter, and unit columns are finite blocks divided by norms above
-  zero. The sums are taken a block of the rows read at a time, as many as
-  fit in 65,536 products whatever the width (256 rows up to 256 columns,
-  one per block past 65,536): the running sums sit in row 0 of a
-  C-contiguous block, that block's products in the rows below them, and
-  one ``np.add.reduce`` down the block adds each column's rows in index
-  order into the sums. A reduce down one column would run along the
-  contiguous axis, which numpy sums pairwise, so a single column is
-  padded with a zero column.
+  all of them. Every quotient is finite: vectors are checked finite where
+  they enter, and a norm is at least as large as each entry of its vector.
+  The sums are taken a block of the rows read at a time, as many as fit in
+  65,536 products whatever the width (256 rows up to 256 columns, one per
+  block past 65,536): the running sums sit in row 0 of a C-contiguous
+  block, that block's quotients, multiplied in place into products, in the
+  rows below them, and one ``np.add.reduce`` down the block adds each
+  column's rows in index order into the sums. A reduce down one column
+  would run along the contiguous axis, which numpy sums pairwise, so a
+  single column is padded with a zero column.
 
 Every vector travels one way from its source to a similarity. Texts
 become similarity columns through :func:`embed_many` (a query's text,
@@ -84,22 +85,17 @@ as, and it is packed with ``struct``, a block of rows at a time that is
 then transposed into place; packing a component as ``d`` stores
 ``float(component)`` exactly. Both give the same bytes and norms for the
 same vectors. Only :func:`embed`, for callers outside the library, makes
-a tuple from an embedding. A query vector, a tuple or one such column, is
-divided by its own ``math.hypot`` before a search (``_unit_vector``). An
-entity store keeps its raw vectors as float64 dimension × n column blocks
-(one per index write, one for a loaded file), with their norms. Its unit
-columns, built on its first search, are the blocks divided by the norms:
-one division per element, the bytes ``_unit_vector`` gives for each
-vector. They are held as read-only tiers, column arrays side by side
-oldest first. An index write hands built tiers on to the next store
-without copying them and adds the new entities' block as one more tier
-(:meth:`EntityVectorStore.extended`), so a search after a write divides
-only that block. Search takes :func:`_dots` over each tier in turn: each
-column's sum runs in dimension order from ``+0.0`` whatever the width, so
-the similarities are the bytes one array would give. Chunk scoring
-(:func:`cosine_similarities`) divides only the rows of the candidates'
-columns that the query's nonzero components read; each quotient is the
-division a whole-array one makes.
+a tuple from an embedding. An entity store keeps one copy of its vectors:
+the raw columns as read-only float64 dimension × n blocks, with their
+norms. An index write hands the blocks on to the next store without
+copying them and adds the new entities' columns as one more block,
+concatenating the newest blocks as a binary counter carries
+(:meth:`EntityVectorStore.extended`). Search takes :func:`_dots` over
+each block with its slice of the norms: each column's sum runs in
+dimension order from ``+0.0`` whatever the width, so the similarities are
+the bytes one array would give. Chunk scoring
+(:func:`cosine_similarities`) takes the same kernel over the candidates'
+columns and norms.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -447,20 +443,23 @@ def _unit_vector(vector: Vector | np.ndarray, dimension: int) -> np.ndarray:
     return column / norm
 
 
-def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``sum(query[j] * columns[j])`` per column, added in index order from
-    ``+0.0`` exactly as ``cosine_similarity``'s loop adds, for finite
-    ``columns``.
+def _dots(query: np.ndarray, columns: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``sum(query[j] * (columns[j] / norms))`` per column, added in index
+    order from ``+0.0`` exactly as ``cosine_similarity``'s loop adds: each
+    entry is divided by its column's norm with one IEEE division, then
+    multiplied by the query component. A zero norm raises ZeroVectorError
+    before any division. This is the one place a similarity divides by a
+    norm.
 
-    Only the rows ``J = np.flatnonzero(query)`` are read. A zero query
-    component times a finite entry is ``±0.0``, and adding ``±0.0`` to a
-    sum that starts at ``+0.0`` never changes its bits: the sum never
+    Only the rows ``J = np.flatnonzero(query)`` are read and divided. A zero
+    query component times a finite quotient is ``±0.0``, and adding ``±0.0``
+    to a sum that starts at ``+0.0`` never changes its bits: the sum never
     becomes ``-0.0``, since a nonzero sum stays as it is and ``+0.0 + -0.0``
     is ``+0.0``. So the sums over J are the loop's sums over every row (an
-    empty J gives ``+0.0`` everywhere). An infinite entry would make the
-    skipped product NaN; every column that reaches here is finite (unit
-    columns are finite blocks divided by norms above zero, and vectors are
-    checked finite where they enter).
+    empty J gives ``+0.0`` everywhere). An infinite quotient would make the
+    skipped product NaN; every quotient that reaches here is finite, since
+    vectors are checked finite where they enter and each norm is its own
+    column's ``math.hypot``, at least as large as any of its entries.
 
     The running sums are carried through blocks of as many rows of J as
     fit in ``_BLOCK_CELLS`` (at least one): row 0 of a C-contiguous block
@@ -468,14 +467,16 @@ def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
     ``np.add.reduce`` down axis 0 adds each column's rows in order into the
     sums, which are their own array (an ``out`` that overlaps the input
     makes numpy copy the input first). When J is every row (a remote
-    vector's query, or one :func:`cosine_similarities` has restricted to
-    its nonzero rows), the products are taken straight from the columns;
-    otherwise the rows are gathered into the block with ``np.take`` in
-    ``"clip"`` mode (``"raise"`` buffers a copy of them all; J is in range,
-    so clipping changes nothing) and multiplied there in place. A reduce
-    down a single column would run along the contiguous axis, which numpy
-    sums pairwise, so the block and the sums have a zero column of padding
-    when the width is 1."""
+    vector's query), the quotients are divided straight from the columns
+    into the block; otherwise the rows are gathered into the block with
+    ``np.take`` in ``"clip"`` mode (``"raise"`` buffers a copy of them all;
+    J is in range, so clipping changes nothing) and divided there in place.
+    Either way the block is then multiplied in place by ``query[J]``, so no
+    array of all the rows read is made. A reduce down a single column would
+    run along the contiguous axis, which numpy sums pairwise, so the block
+    and the sums have a zero column of padding when the width is 1."""
+    if not norms.all():
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     dimension, width = columns.shape
     nonzero = np.flatnonzero(query)
     dense = len(nonzero) == dimension
@@ -488,11 +489,11 @@ def _dots(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
         products = block[1:len(rows) + 1, :width]
         block[0] = sums
         if dense:
-            stop = start + len(rows)
-            np.multiply(query[start:stop, None], columns[start:stop], out=products)
+            np.divide(columns[start:start + len(rows)], norms, out=products)
         else:
             np.take(columns, rows, axis=0, out=products, mode="clip")
-            products *= query[rows, None]
+            products /= norms
+        products *= query[rows, None]
         np.add.reduce(block[:len(rows) + 1], axis=0, out=sums)
     return sums[:width]
 
@@ -501,23 +502,14 @@ def cosine_similarities(
     query_vec: Vector | np.ndarray, columns: np.ndarray, norms: np.ndarray
 ) -> list[float]:
     """``[cosine_similarity(v, query_vec) for v in vectors]`` bit for bit,
-    in one kernel call, for the ``vectors`` whose columns and norms
+    in one :func:`_dots` call, for the ``vectors`` whose columns and norms
     :func:`embed_many` or :func:`_columns` gives; the query is a tuple or a
     1-D float64 column. Raises what the first failing pair would raise.
     The columns share one dimension, so that is a DimensionMismatchError
-    when it is not the query's, else a ZeroVectorError for a zero norm.
-    Only the rows where the query is nonzero, the rows :func:`_dots`
-    reads, are divided by the norms; a dense query's columns are divided
-    whole, with no copy taken first."""
+    when it is not the query's, else a ZeroVectorError for a zero norm."""
     if not len(norms):
         return []
-    query = _unit_vector(query_vec, columns.shape[0])
-    if not norms.all():
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    rows = np.flatnonzero(query)
-    if len(rows) < len(query):
-        query, columns = query[rows], np.take(columns, rows, axis=0, mode="clip")
-    return _dots(query, columns / norms).tolist()
+    return _dots(_unit_vector(query_vec, columns.shape[0]), columns, norms).tolist()
 
 
 @dataclass(eq=False)
@@ -525,30 +517,23 @@ class EntityVectorStore:
     """Entity surfaces and their vectors; an index write makes a new store.
 
     The store holds the names in store order, the raw vectors as
-    C-contiguous float64 dimension × n column blocks (one per index write,
-    one for a loaded file), and each vector's ``math.hypot`` norm as a
-    float64 array. Blocks are never changed or copied once made, so stores
-    share them. ``len(norms)`` equals ``len(names)`` and the blocks' widths
-    add up to it. An empty store's dimension is what its maker gives (0 for
-    a remote embedder, which does not announce it); the first vectors
-    written settle it. Vectors are checked to be finite and not all zeros
-    where they enter: provider replies, cache lines, index files.
-
-    Top-K search reads the unit columns, the blocks divided by the norms,
-    built on the store's first search as one array. They are held as a
-    tuple of tiers: column arrays that, laid side by side oldest first,
-    give the bytes a fresh build gives. No column array is written after
-    it is made: every tier is read-only, so stores share tiers as they
-    share blocks. :meth:`extended` keeps each tier at least twice as wide
-    as the next newer one, so a store of n entities has at most
-    ``floor(log2 n) + 1``.
+    C-contiguous float64 dimension × n column blocks, and each vector's
+    ``math.hypot`` norm as a float64 array: one copy of each vector, which
+    a search reads through :func:`_dots`, dividing only the rows it reads.
+    ``len(norms)`` equals ``len(names)`` and the blocks' widths add up to
+    it. Every block is read-only, so stores share blocks, and
+    :meth:`extended` keeps each block at least twice as wide as the next
+    newer one, so a store of n entities has at most ``floor(log2 n) + 1``.
+    An empty store's dimension is what its maker gives (0 for a remote
+    embedder, which does not announce it); the first vectors written settle
+    it. Vectors are checked to be finite and not all zeros where they
+    enter: provider replies, cache lines, index files.
     """
 
     dimension: int
     names: list[str] = field(default_factory=list)
     blocks: list[np.ndarray] = field(default_factory=list, repr=False)
     norms: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    _tiers: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def extended(
         self, entities: list[str], block: np.ndarray, norms: np.ndarray
@@ -556,58 +541,33 @@ class EntityVectorStore:
         """A new store of these entries followed by ``entities``, none of
         them in this store, whose vectors are the columns of ``block`` with
         their ``norms``, as :func:`embed_many` or :func:`_columns` gives
-        them. The block is kept, not copied. Its dimension settles an
-        empty store's; a non-empty store raises DimensionMismatchError for
-        another.
+        them. Its dimension settles an empty store's; a non-empty store
+        raises DimensionMismatchError for another.
 
-        When this store's tiers are built, the new store keeps them,
-        uncopied, and adds ``block / norms`` as its newest tier. While the
-        newest tier is more than half as wide as the one before it, the two
-        are merged into a new array, as a binary counter carries: so there
-        are at most ``floor(log2 n) + 1`` tiers, and each column is copied
-        O(log n) times over all the writes that follow it, not once per
-        write."""
+        The new store keeps this store's blocks, uncopied, and adds
+        ``block``, uncopied, as its newest. While the newest block is more
+        than half as wide as the one before it, the two are concatenated
+        into a new array, as a binary counter carries: so there are at most
+        ``floor(log2 n) + 1`` blocks, and each column is copied O(log n)
+        times over all the writes that follow it, not once per write. The
+        newest block is then set read-only, so every store's blocks are."""
         width = len(norms)
         if width and self.names and block.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"dimensions differ: {block.shape[0]} vs {self.dimension}"
             )
-        store = EntityVectorStore(
+        blocks = list(self.blocks)
+        if width:
+            blocks.append(block)
+            while len(blocks) > 1 and 2 * blocks[-1].shape[1] > blocks[-2].shape[1]:
+                blocks[-2:] = [np.concatenate(blocks[-2:], axis=1)]
+            blocks[-1].flags.writeable = False
+        return EntityVectorStore(
             block.shape[0] if width and not self.names else self.dimension,
             self.names + list(entities),
-            [*self.blocks, block] if width else self.blocks,
+            blocks,
             np.concatenate([self.norms, norms]),
         )
-        # A zero vector leaves the new store unbuilt, so its first search
-        # raises ZeroVectorError.
-        if self._tiers is not None and self.names and norms.all():
-            tiers = [*self._tiers, block / norms] if width else list(self._tiers)
-            while len(tiers) > 1 and 2 * tiers[-1].shape[1] > tiers[-2].shape[1]:
-                tiers[-2:] = [np.concatenate(tiers[-2:], axis=1)]
-            tiers[-1].flags.writeable = False
-            store._tiers = tuple(tiers)
-        return store
-
-    def unit_columns(self) -> tuple[list[str], tuple[np.ndarray, ...]]:
-        """Entity names in store order, and their unit vectors as the
-        columns of read-only tiers, oldest first. An unbuilt store builds
-        one tier: the blocks side by side in one new array, each column
-        divided by its norm with one IEEE division per element, the
-        division ``_unit_vector`` makes. A zero norm raises ZeroVectorError
-        before any division."""
-        if self._tiers is not None:
-            return self.names, self._tiers
-        if not self.norms.all():
-            raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-        columns = np.empty((self.dimension, len(self.names)))
-        start = 0
-        for block in self.blocks:
-            stop = start + block.shape[1]
-            np.divide(block, self.norms[start:stop], out=columns[:, start:stop])
-            start = stop
-        columns.flags.writeable = False
-        self._tiers = (columns,)
-        return self.names, self._tiers
 
     @property
     def entries(self) -> Mapping[str, Vector]:
@@ -642,12 +602,14 @@ def top_k_entities(
     if not store.names:
         return []
     query = _unit_vector(query_vec, store.dimension)
-    names, tiers = store.unit_columns()
-    sims = np.concatenate([_dots(query, tier) for tier in tiers])
-    at = max(len(names) - k, 0)
+    stops = itertools.accumulate(block.shape[1] for block in store.blocks[:-1])
+    norms = np.split(store.norms, list(stops))
+    sims = np.concatenate([_dots(query, *pair) for pair in zip(store.blocks, norms)])
+    at = max(len(store) - k, 0)
     picked = np.flatnonzero(sims >= np.partition(sims, at)[at])
     scored = [
-        (names[i], sim) for i, sim in zip(picked.tolist(), sims[picked].tolist())
+        (store.names[i], sim)
+        for i, sim in zip(picked.tolist(), sims[picked].tolist())
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

@@ -8,10 +8,10 @@ index loads back). It then walks each new chunk once: extract entities and
 gather the chunk id under each, then embed every entity the index lacks
 exactly once. Posting lists are frozensets, so the new index
 shares every posting list, vector and chunk it does not change, and
-``lookup`` hands out the stored posting list itself. When the input's entity
-unit columns (what top-K search reads) are built, the new index shares
-their read-only tiers and adds the new entities' columns as one more, so
-it neither copies nor rebuilds them on its first search. The result is
+``lookup`` hands out the stored posting list itself. The new index's entity
+store shares the input's read-only vector blocks and adds the new
+entities' columns as one more block, so a write copies an old vector only
+where blocks are concatenated, as a binary counter carries. The result is
 independent of chunk processing order. Token accounting records all
 provider-bound traffic (extraction in/out and embedding inputs) measured
 by the accounting tokenizer; retrieval-time traffic never lands here.
@@ -33,8 +33,9 @@ separators) with a SHA-256 content digest, written atomically by
 ``<target name>.<8 random hex digits>.tmp`` that the kernel creates under
 the umask (from a replaced file's mode, then set exactly before the first
 byte),
-renamed over the target; a FIFO or device target is filled from memory, so
-every handle can seek back to the digest slot. Identical indexes serialize
+renamed over the target; a FIFO, a device or standard output's own file
+is filled from memory, so every handle can seek back to the digest slot.
+Identical indexes serialize
 to identical bytes. ``_to_document`` and ``_vectors_json`` are the one
 description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
@@ -71,6 +72,7 @@ import io
 import json
 import os
 import stat
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -448,7 +450,7 @@ def _from_document(document: dict) -> EntityIndex:
     block, norms = _columns(
         (entries.pop(name) for name in names), len(names), dimension
     )
-    vectors = EntityVectorStore(dimension, names, [block] if names else [], norms)
+    vectors = EntityVectorStore(dimension).extended(names, block, norms)
     return EntityIndex(config, inverted_map, vectors, chunk_catalog, accounting)
 
 
@@ -512,6 +514,15 @@ def _check_relations(index: EntityIndex) -> None:
 _NAME_CHARS = 60
 
 
+def _is_stdout(status: os.stat_result) -> bool:
+    """Whether ``status`` is the file of this process's ``sys.stdout``
+    (never when it has no file descriptor, as under a captured stream)."""
+    try:
+        return os.path.samestat(status, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):  # no stdout file
+        return False
+
+
 @contextmanager
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """The one way slimrag writes a file (the index, a trace, a report, a
@@ -537,15 +548,28 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
     device such as ``/dev/null``) is opened for writing first, so a
     directory fails before any work; the handle is then an in-memory
     buffer, written to the target on a clean exit, with no temp file and no
-    rename. An ``OSError`` with an errno names ``path``, not the temp
-    file; that includes the ``FileExistsError`` of a leftover temp file
-    with the same 32 random bits, which is not retried."""
+    rename. A target that is standard output's own file (``/dev/stdout``,
+    whether standard output is a terminal, a pipe or redirected to a file)
+    also gets an in-memory buffer, written on a clean exit to
+    ``sys.stdout.buffer`` after ``sys.stdout`` is flushed: so the bytes
+    land in order with what the program prints before and after them, and
+    a file standard output is redirected to is not replaced. An
+    ``OSError`` with an errno names ``path``, not the temp file; that
+    includes the ``FileExistsError`` of a leftover temp file with the same
+    32 random bits, which is not retried."""
     try:
         try:
-            mode = os.stat(path).st_mode
+            status = os.stat(path)
         except FileNotFoundError:
-            mode = None
-        if mode is not None and not stat.S_ISREG(mode):
+            status = None
+        if status is not None and _is_stdout(status):
+            buffer = io.BytesIO()
+            yield buffer
+            sys.stdout.flush()
+            sys.stdout.buffer.write(buffer.getvalue())
+            sys.stdout.buffer.flush()
+            return
+        if status is not None and not stat.S_ISREG(status.st_mode):
             with os.fdopen(os.open(path, os.O_WRONLY), "wb") as handle:
                 buffer = io.BytesIO()
                 yield buffer
@@ -554,11 +578,11 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         target = os.path.realpath(path)
         directory, name = os.path.split(target)
         tmp = os.path.join(directory, f"{name[:_NAME_CHARS]}.{os.urandom(4).hex()}.tmp")
-        perms = 0o666 if mode is None else stat.S_IMODE(mode)
+        perms = 0o666 if status is None else stat.S_IMODE(status.st_mode)
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, perms)
         try:
             with os.fdopen(fd, "wb") as handle:
-                if mode is not None:
+                if status is not None:
                     os.fchmod(fd, perms)
                 yield handle
                 handle.flush()
@@ -585,7 +609,9 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
     and overwritten once the digest is known. It is never the first member,
     so skipping its parts (and its leading comma) hashes the document
     without it. Every handle ``replacing`` gives can seek back to the slot:
-    a FIFO or device target gets an in-memory buffer."""
+    a FIFO, a device or standard output's own file gets an in-memory
+    buffer, so ``--out /dev/stdout`` writes the index before the lines
+    printed after it."""
     members = _members(index)
     members[_DIGEST] = [_DIGEST_SLOT]
     sha = hashlib.sha256()

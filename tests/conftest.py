@@ -19,7 +19,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 # The fuzz tests of outside input (corpora, datasets, term files, caches,
 # indexes and the CLI on each), of the dot-product kernel and of the entity
-# store's unit columns draw ``fuzz_examples(n)`` hypothesis examples: n in
+# store's blocks draw ``fuzz_examples(n)`` hypothesis examples: n in
 # Tier-1, n times SLIMRAG_FUZZ_SCALE where that is set (CI's deep-fuzz job
 # sets 20).
 _FUZZ_SCALE = int(os.environ.get("SLIMRAG_FUZZ_SCALE", "1"))

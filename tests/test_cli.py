@@ -1041,6 +1041,30 @@ class TestOutputFiles:
         assert out.read_bytes() == target.read_bytes() + results
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_an_index_to_dev_stdout_redirected_to_a_file_keeps_the_summary(
+        self, built_index, corpus_file, tmp_path, capsys
+    ):
+        """``index build --out /dev/stdout > out.txt`` in a child process:
+        ``out.txt`` holds the index bytes, then the summary lines, each as a
+        build to a file of its own writes them, and its index part loads."""
+        argv = ["index", "build", "--corpus", str(corpus_file), "--out", str(built_index)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out.replace(str(built_index), "/dev/stdout")
+        argv[-1] = "/dev/stdout"
+        out = tmp_path / "out.txt"
+        src = str(Path(slimrag.__file__).resolve().parent.parent)
+        with out.open("wb") as stdout:
+            subprocess.run(
+                [sys.executable, "-m", "slimrag.cli", *argv], stdout=stdout,
+                env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+            )
+        index = built_index.read_bytes()
+        assert out.read_bytes() == index + summary.encode("utf-8")
+        part = tmp_path / "part.json"
+        part.write_bytes(out.read_bytes()[:len(index)])
+        assert load_index(part) == load_index(built_index)
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_a_directory_target_is_named_and_left_as_it_was(self, outputs, capsys):
         """``retrieve --trace`` naming a directory: exit 2, one error line
         naming it, and the directory as it was, with no temp file."""

@@ -820,13 +820,13 @@ class TestSimilarityKernel:
         store = store.extended(["zz-new"], *_block([new], len(query)))
         got = top_k_entities(query, store, 3)
         assert _hex(got) == _hex(brute_force_top_k(query, store.entries, 3))
-        assert "zz-new" in store.unit_columns()[0]
+        assert "zz-new" in store.names
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=15, deadline=None)
     def test_index_write_never_reuses_the_parent_columns(self, seed):
         """The child's write never uses the parent's column arrays as room
-        for its own: the parent keeps the same tiers with the same bytes."""
+        for its own: the parent keeps the same blocks with the same bytes."""
         rng = random.Random(seed)
         corpus, pool = random_corpus(rng, max_chunks=16, max_entities=12)
         half = len(corpus.chunks) // 2
@@ -835,14 +835,13 @@ class TestSimilarityKernel:
         parent = add_chunks(parent, first, ExtractorConfig(), LOCAL64)
         query = embed(rng.choice(pool), LOCAL64)
         before = top_k_entities(query, parent.vectors, 4)
-        _, tiers = parent.vectors.unit_columns()
-        kept = [tier.tobytes() for tier in tiers]
+        blocks = list(parent.vectors.blocks)
+        kept = [block.tobytes() for block in blocks]
         child = add_chunks(parent, rest, ExtractorConfig(), LOCAL64)
         got = top_k_entities(query, child.vectors, 4)
         assert _hex(got) == _hex(brute_force_top_k(query, child.vectors.entries, 4))
-        assert child.vectors.unit_columns()[0] == list(child.vectors.entries)
-        assert parent.vectors.unit_columns()[1] is tiers
-        assert [tier.tobytes() for tier in tiers] == kept
+        assert all(a is b for a, b in zip(parent.vectors.blocks, blocks, strict=True))
+        assert [block.tobytes() for block in blocks] == kept
         # The parent keeps answering from its own entities.
         assert top_k_entities(query, parent.vectors, 4) == before
 
@@ -900,7 +899,7 @@ class TestSimilarityKernel:
             _hex(want) if isinstance(want, list) else want
         )
         # Rows of other dimensions cannot form a block: ``_columns`` raises
-        # on them (``TestUnitColumns``).
+        # on them (``TestStoreBlocks``).
         got = _outcome(cosine_similarities, query, *block)
         want = _outcome(lambda: [cosine_similarity(row, query) for row in same_dim])
         assert ([x.hex() for x in got] if isinstance(got, list) else got) == (
@@ -909,15 +908,13 @@ class TestSimilarityKernel:
 
 
 
-def _dot_loop(query: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The oracle of ``_dots``: ``sum(query[j] * columns[j])`` per column,
-    added in index order from zero exactly as ``cosine_similarity``'s loop
-    adds, two numpy calls per dimension."""
+def _dot_loop(query: np.ndarray, columns: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The oracle of ``_dots``: ``acc += q[j] * (c[j, i] / n[i])`` for every
+    row ``j`` in index order, from zero exactly as ``cosine_similarity``'s
+    loop adds, one row of every column per step."""
     acc = np.zeros(columns.shape[1])
-    term = np.empty_like(acc)
     for j in range(columns.shape[0]):
-        np.multiply(query[j], columns[j], out=term)
-        acc += term
+        acc += query[j] * (columns[j] / norms)
     return acc
 
 
@@ -928,17 +925,26 @@ def _heights(dimension: int) -> list[int]:
     return sorted({1, 2, 63, 64, 65, dimension - 1, dimension, dimension + 1})
 
 
-def _dots_at_every_height(query: np.ndarray, columns: np.ndarray):
+def _dots_at_every_height(query: np.ndarray, columns: np.ndarray, norms: np.ndarray):
     """``_dots`` at the real ``_BLOCK_CELLS``, then with it patched so the
     rows it reads, the query's nonzero dimensions, are taken each of
     ``_heights`` of the dimension and of that row count per block."""
     dimension, width = columns.shape
-    yield _dots(query, columns)
+    yield _dots(query, columns, norms)
     nonzero = np.count_nonzero(query)
     for height in sorted(set(_heights(dimension) + _heights(nonzero)) - {-1}):
         with mock.patch.object(embedding, "_BLOCK_CELLS", height * max(width, 2)):
-            got = _dots(query, columns)
+            got = _dots(query, columns, norms)
         yield got
+
+
+def _hexes(sums: np.ndarray) -> list[str]:
+    return [x.hex() for x in sums.tolist()]
+
+
+# The scales norms are drawn at, the scales of the stores' entries: each
+# division by one of them rounds, or (by 1.0) keeps integer entries whole.
+_NORM_SCALES = np.array([1e-150, 1e-3, 1.0, 1e150])
 
 
 # Column counts from one to past 4,096, so the real ``_BLOCK_CELLS`` gives
@@ -954,11 +960,12 @@ _BLOCK_EDGES = [1, 63, 64, 65, 128, 255, 256, 257]
 
 @st.composite
 def _dot_operands(draw):
-    """A query and a dimension × width array mixing normal draws with
-    ±0.0 and ±1e±300 (products that overflow to ±inf, sums that become NaN,
-    products that underflow to ±0.0). The first ``prefix`` rows give -0.0
-    products in every column, and a column whose products are all -0.0
-    sums to -0.0 unless it starts from +0.0."""
+    """A query, a dimension × width array mixing normal draws with ±0.0 and
+    ±1e±300 (quotients and products that overflow to ±inf, sums that
+    become NaN, quotients and products that underflow to ±0.0), and its
+    norms. The first ``prefix`` rows give -0.0 products in every column,
+    and a column whose products are all -0.0 sums to -0.0 unless it starts
+    from +0.0."""
     dimension = draw(st.integers(1, 300))
     width = draw(_WIDTHS)
     extreme_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
@@ -974,7 +981,14 @@ def _dot_operands(draw):
     prefix = draw(st.sampled_from([0, 1, dimension // 2, dimension]))
     query[:prefix] = -0.0
     columns[:prefix] = np.abs(columns[:prefix])
-    return query, columns
+    norms = rng.choice(_NORM_SCALES, width)
+    # ``_dots`` skips the rows where the query is zero, so it needs their
+    # quotients finite, as a norm no smaller than its entries makes them; a
+    # column whose quotient overflows there takes the norm 1.0.
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(columns[query == 0] / norms).all(axis=0)
+    norms[overflows] = 1.0
+    return query, columns, norms
 
 
 # Magnitudes of a subnormal sparse query's nonzero components: subnormals
@@ -985,11 +999,13 @@ _SUBNORMALS = np.array([5e-324, 1e-320, 2.5e-310, 2.2250738585072014e-308])
 @st.composite
 def _sparse_query_operands(draw):
     """A query whose zero components (each +0.0 or -0.0) take a drawn
-    share of its dimensions, all but one or all of them, and a finite
+    share of its dimensions, all but one or all of them, a finite
     dimension × width array with some ±0.0 entries, taken contiguous,
-    strided or column-major (a strided query with the latter two). The
-    nonzero components are normal draws, subnormals, or small integers
-    against integer columns, whose sums cancel to exact zeros."""
+    strided or column-major (a strided query and norms with the latter
+    two), and its norms, whose quotients of these entries are all finite.
+    The nonzero components are normal draws, subnormals, or small integers
+    against integer columns, whose sums cancel to exact zeros where the
+    norm is 1.0."""
     dimension = draw(st.integers(1, 300))
     width = draw(st.one_of(st.sampled_from([1, 2, 3, 257, 2049]), st.integers(1, 600)))
     values = draw(st.sampled_from(["normal", "subnormal", "integer"]))
@@ -1006,10 +1022,12 @@ def _sparse_query_operands(draw):
         if values == "subnormal":
             query = np.copysign(rng.choice(_SUBNORMALS, 2 * dimension), query)
     columns[rng.random(shape) < 0.1] = -0.0
+    norms = rng.choice(_NORM_SCALES, 2 * width)
     if layout == "contiguous":
         query, columns = query[:dimension].copy(), columns[:dimension, :width].copy()
+        norms = norms[:width].copy()
     else:
-        query, columns = query[::2], columns[::3, ::2]
+        query, columns, norms = query[::2], columns[::3, ::2], norms[::2]
         if layout == "fortran":
             columns = np.asfortranarray(columns)
     if pattern == "drawn":
@@ -1019,40 +1037,44 @@ def _sparse_query_operands(draw):
         if pattern == "one":
             zero[draw(st.integers(0, dimension - 1))] = False
     query[zero] = np.where(rng.random(dimension) < 0.5, 0.0, -0.0)[zero]
-    return query, columns
+    return query, columns, norms
 
 
 class TestDots:
-    """``_dots`` equals ``_dot_loop``, the per-dimension loop kept here as
-    its oracle, byte for byte at every width and every block height; the
-    height is set by patching ``_BLOCK_CELLS``."""
+    """``_dots`` equals ``_dot_loop``, the per-row loop kept here as its
+    oracle, by ``float.hex`` and byte for byte, at every width and every
+    block height; the height is set by patching ``_BLOCK_CELLS``."""
 
     @given(_dot_operands())
     @settings(max_examples=fuzz_examples(150), deadline=None)
     def test_every_block_height_equals_the_loop(self, operands):
-        query, columns = operands
         # Overflow to inf and inf - inf are drawn on purpose.
         with np.errstate(over="ignore", invalid="ignore"):
-            want = _dot_loop(query, columns).tobytes()
-            for got in _dots_at_every_height(query, columns):
-                assert got.tobytes() == want
+            want = _dot_loop(*operands)
+            for got in _dots_at_every_height(*operands):
+                assert _hexes(got) == _hexes(want)
+                assert got.tobytes() == want.tobytes()
 
     @given(_sparse_query_operands())
     @settings(max_examples=fuzz_examples(100), deadline=None)
-    @example((np.array([0.0, -0.0, 0.0]), np.array([[1.0], [-2.0], [3.0]])))
+    @example((
+        np.array([0.0, -0.0, 0.0]), np.array([[1.0], [-2.0], [3.0]]), np.array([1e-150]),
+    ))
     @example((np.array([-0.0, 5e-324, 0.0, -0.0]), np.asfortranarray(
         np.array([[1e300, 2.0], [-1.0, 3.0], [-0.0, 0.0], [5.0, -7.0]])
-    )))
+    ), np.array([1e150, 1e-3])))
     def test_a_sparse_query_equals_the_loop(self, operands):
-        """``_dots`` reads only the query's nonzero rows; the loop adds the
-        ``±0.0`` products of the others, which leave its sums' bits as they
-        are. No row is nonzero in an all-zero query, whose sums are +0.0."""
-        query, columns = operands
-        want = _dot_loop(query, columns).tobytes()
-        for got in _dots_at_every_height(query, columns):
-            assert got.tobytes() == want
+        """``_dots`` reads and divides only the query's nonzero rows; the
+        loop adds the ``±0.0`` products of the others, which leave its sums'
+        bits as they are. No row is nonzero in an all-zero query, whose sums
+        are +0.0."""
+        query, columns, _ = operands
+        want = _dot_loop(*operands)
+        for got in _dots_at_every_height(*operands):
+            assert _hexes(got) == _hexes(want)
+            assert got.tobytes() == want.tobytes()
         if not query.any():
-            assert want == np.zeros(columns.shape[1]).tobytes()
+            assert want.tobytes() == np.zeros(columns.shape[1]).tobytes()
 
     @pytest.mark.parametrize("nonzero", [22, DEFAULT_DIMENSION])
     def test_one_call_holds_only_its_block_and_sums(self, nonzero):
@@ -1060,24 +1082,27 @@ class TestDots:
         entity store) with 22 nonzero query components, a local entity's
         median, or 256, a remote vector's: the traced peak is the block,
         the sums, what one numpy multiply of the block's products allocates
-        for itself, and a few KB. A copy of the rows read, by fancy
-        indexing or by ``np.take`` in ``"raise"`` mode, adds about 500 KB."""
+        for itself, and a few KB. The rows read are divided by the norms in
+        the block; a copy of them, by fancy indexing, by ``np.take`` in
+        ``"raise"`` mode or by a division that is not in place, adds about
+        500 KB."""
         width = 3133
         rng = np.random.default_rng(nonzero)
         columns = rng.standard_normal((DEFAULT_DIMENSION, width))
         columns.flags.writeable = False
+        norms = rng.choice(_NORM_SCALES, width)
         query = np.zeros(DEFAULT_DIMENSION)
         rows = rng.choice(DEFAULT_DIMENSION, nonzero, replace=False)
         query[rows] = rng.standard_normal(nonzero)
         height = min(nonzero, _BLOCK_CELLS // width)
         block = np.empty((height + 1, width))
-        _dots(query, columns)  # set-up of numpy's first calls is not traced
+        _dots(query, columns, norms)  # set-up of numpy's first calls is not traced
         tracemalloc.start()
         try:
             np.multiply(query[:height, None], columns[:height], out=block[1:])
             multiply = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            _dots(query, columns)
+            _dots(query, columns, norms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1133,15 +1158,19 @@ class TestDots:
         query = rng.standard_normal(10) * 10 ** rng.uniform(-4, 4, 10)
         columns = rng.standard_normal((15, 2 * width))
         columns *= 10 ** rng.uniform(-4, 4, columns.shape)
+        norms = rng.choice(_NORM_SCALES, 2 * width)
         if layout == "contiguous":
             query, columns = query[:5].copy(), columns[:5, :width].copy()
+            norms = norms[:width].copy()
         else:
-            query, columns = query[::2], columns[::3, ::2]
+            query, columns, norms = query[::2], columns[::3, ::2], norms[::2]
             if layout == "fortran":
                 columns = np.asfortranarray(columns)
         columns[:, -1] = np.copysign(0.0, -query)
-        got = _dots(query, columns)
-        assert got.tobytes() == _dot_loop(query, columns).tobytes()
+        got = _dots(query, columns, norms)
+        want = _dot_loop(query, columns, norms)
+        assert _hexes(got) == _hexes(want)
+        assert got.tobytes() == want.tobytes()
         assert got[-1:].tobytes() == np.zeros(1).tobytes()
 
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
@@ -1157,15 +1186,18 @@ class TestDots:
         query = rng.standard_normal(2 * dimension) * 10 ** rng.uniform(-4, 4, 2 * dimension)
         columns = rng.standard_normal((3 * dimension, 2 * width))
         columns *= 10 ** rng.uniform(-4, 4, columns.shape)
+        norms = rng.choice(_NORM_SCALES, 2 * width)
         if layout == "contiguous":
             query, columns = query[:dimension].copy(), columns[:dimension, :width].copy()
+            norms = norms[:width].copy()
         else:
-            query, columns = query[::2], columns[::3, ::2]
+            query, columns, norms = query[::2], columns[::3, ::2], norms[::2]
             if layout == "fortran":
                 columns = np.asfortranarray(columns)
-        want = _dot_loop(query, columns).tobytes()
-        for got in _dots_at_every_height(query, columns):
-            assert got.tobytes() == want
+        want = _dot_loop(query, columns, norms)
+        for got in _dots_at_every_height(query, columns, norms):
+            assert _hexes(got) == _hexes(want)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
@@ -1177,9 +1209,11 @@ class TestDots:
         query = rng.standard_normal(dimension)
         columns = rng.standard_normal((dimension, width))
         columns[:, -1] = np.copysign(0.0, -query)
-        want = _dot_loop(query, columns).tobytes()
-        for got in _dots_at_every_height(query, columns):
-            assert got.tobytes() == want
+        norms = rng.choice(_NORM_SCALES, width)
+        want = _dot_loop(query, columns, norms)
+        for got in _dots_at_every_height(query, columns, norms):
+            assert _hexes(got) == _hexes(want)
+            assert got.tobytes() == want.tobytes()
             assert got[-1:].tobytes() == np.zeros(1).tobytes()
 
     @pytest.mark.parametrize("dimension", _BLOCK_EDGES)
@@ -1250,10 +1284,10 @@ def _unit_fill(rows, dimension):
     return columns
 
 
-class TestUnitColumns:
+class TestStoreBlocks:
     """``_unit_vector`` equals the column-by-column fill byte for byte, for
     tuples and for float64 columns, and index writes keep every store's
-    columns equal to a fresh build."""
+    blocks read-only, few, and side by side the vectors written."""
 
     @given(
         st.integers(1, 300),
@@ -1293,10 +1327,10 @@ class TestUnitColumns:
 
     @given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=8, max_size=8))
     @settings(max_examples=fuzz_examples(20), deadline=None)
-    def test_index_writes_extend_the_columns(self, seed, searches):
+    def test_index_writes_extend_the_blocks(self, seed, searches):
         """A chain of add_chunks calls with searches at random before and
-        after each: built columns always equal a fresh build, never change
-        and are held in few read-only tiers."""
+        after each: every store keeps the block rule of :meth:`_check`, its
+        blocks side by side being its entities' embeddings."""
         rng = random.Random(seed)
         corpus, pool = random_corpus(rng, max_chunks=30, max_entities=20)
         chunks = list(corpus.chunks)
@@ -1316,34 +1350,34 @@ class TestUnitColumns:
             stores.append(index.vectors)
             if next(search):
                 top_k_entities(embed(rng.choice(pool), LOCAL64), index.vectors, 3)
-            self._check(stores, snapshots)
-        for store in stores:
-            store.unit_columns()
-        self._check(stores, snapshots)
+            for store in stores:
+                rows = [embed(name, LOCAL64) for name in store.names]
+                self._check(store, rows, snapshots)
 
     @staticmethod
-    def _check(stores, snapshots):
-        """Each built store's tiers laid side by side are a fresh build's
-        bytes and the bytes first seen for it; each tier is read-only, at
-        least twice as wide as the next newer one, and there are at most
-        ``floor(log2 n) + 1`` of them (one for an empty store)."""
-        for store in stores:
-            if store._tiers is None:
-                continue
-            names, tiers = store.unit_columns()
-            assert names == list(store.entries)
-            columns = np.concatenate(tiers, axis=1)
-            fresh = _column_fill(list(store.entries.values()), store.dimension)
-            assert columns.shape == fresh.shape
-            assert columns.tobytes() == fresh.tobytes()
-            kept = snapshots.setdefault(id(store), columns.tobytes())
-            assert kept == columns.tobytes()
-            assert len(tiers) <= max(len(names).bit_length(), 1)
-            for older, newer in zip(tiers, tiers[1:]):
-                assert older.shape[1] >= 2 * newer.shape[1]
-            for tier in tiers:
-                with pytest.raises(ValueError, match="read-only"):
-                    tier[...] = 0.0
+    def _check(store, rows, snapshots):
+        """The block rule: each block is a read-only C-contiguous float64
+        array, at least twice as wide as the next newer one; there are at
+        most ``floor(log2 n) + 1`` of them (none for an empty store); and
+        side by side they are the bytes of ``rows``, the vectors written to
+        the store, as columns, which are the bytes first seen for it and
+        the bytes of its ``entries``."""
+        blocks = store.blocks
+        assert sum(block.shape[1] for block in blocks) == len(store.norms) == len(store)
+        assert len(blocks) <= len(store).bit_length()
+        for older, newer in zip(blocks, blocks[1:]):
+            assert older.shape[1] >= 2 * newer.shape[1]
+        for block in blocks:
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.0
+        if not rows:
+            assert not blocks
+            return
+        side_by_side = np.concatenate(blocks, axis=1).tobytes()
+        assert side_by_side == _block(rows, store.dimension)[0].tobytes()
+        assert side_by_side == np.array(list(store.entries.values())).T.tobytes()
+        assert snapshots.setdefault(id(store), side_by_side) == side_by_side
 
     @staticmethod
     def _search_equals_the_loop(store, rng):
@@ -1362,27 +1396,29 @@ class TestUnitColumns:
         st.data(),
     )
     @settings(max_examples=fuzz_examples(40), deadline=None)
-    def test_writes_keep_few_tiers_equal_to_a_fresh_build(
-        self, writes, dim, scale, kind, seed, data
-    ):
+    def test_writes_keep_few_read_only_blocks(self, writes, dim, scale, kind, seed, data):
         """A chain of up to 40 writes of 0-5 new entities, each searched
         or not, then one write of 1-5 entities branching from an older
         store after a search of it, with a zero vector or not. Each search
         answers as the per-pair loop does, and :meth:`_check` holds for
-        every store after all the writes. A zero vector leaves the branch
-        unbuilt, and its search raises ZeroVectorError."""
+        each store when it is made and for every store after all the
+        writes, so older stores' blocks keep their first-seen bytes. A
+        search of a store that holds a zero vector raises ZeroVectorError."""
         rng = random.Random(seed)
         rows = iter(_random_rows(seed, sum(w for w, _ in writes) + 5, dim, scale, kind))
         snapshots: dict[int, bytes] = {}
         store = EntityVectorStore(dim)
+        written = {id(store): []}
         stores = [store]
         for number, (width, search) in enumerate(writes):
             names = [f"w{number}-{i}" for i in range(width)]
-            store = store.extended(names, *_block([next(rows) for _ in names], dim))
+            new = [next(rows) for _ in names]
+            store, parent = store.extended(names, *_block(new, dim)), store
+            written[id(store)] = written[id(parent)] + new
             stores.append(store)
             if search and store.names:
                 self._search_equals_the_loop(store, rng)
-            self._check([store], snapshots)
+            self._check(store, written[id(store)], snapshots)
         older = data.draw(st.sampled_from(stores))
         if older.names:
             self._search_equals_the_loop(older, rng)
@@ -1392,14 +1428,15 @@ class TestUnitColumns:
             branch[data.draw(st.integers(0, len(branch) - 1))] = (-0.0,) * dim
         names = [f"b-{i}" for i in range(len(branch))]
         child = older.extended(names, *_block(branch, dim))
+        written[id(child)] = written[id(older)] + branch
+        stores.append(child)
         if zero:
-            assert child._tiers is None
             with pytest.raises(ZeroVectorError):
                 top_k_entities((1.0,) * dim, child, 3)
         else:
             self._search_equals_the_loop(child, rng)
-            stores.append(child)
-        self._check(stores, snapshots)
+        for kept in stores:
+            self._check(kept, written[id(kept)], snapshots)
 
     @given(
         st.lists(_ROW_COUNTS, min_size=1, max_size=4),
