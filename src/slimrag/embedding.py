@@ -20,24 +20,29 @@ Step 5's zero case never arises: a text of L >= 2 characters has 2L - 3
 grams and a shorter one has one, an odd number, so some count is odd.
 
 For ASCII text of at least 2 characters the implementation computes steps
-2-4 with numpy over the text's bytes, and the result is exact:
+2-4 with numpy, many texts in one pass, and the result is exact:
 
-* The bytes are read as a ``uint64`` array, and every 2-gram hash is built
-  from its two bytes at once; each 3-gram hash extends its 2-gram prefix by
-  one byte. Array ``uint64`` multiplication wraps, which is the spec's
-  arithmetic modulo 2^64.
-* ``np.bincount`` adds the +1/-1 signs into the buckets. Every partial sum
-  is a whole number below 2^53, so the order of addition cannot change a
-  bit, and the counts are never -0.0.
-* The sum of squares is exact for the same reason, for any text under
-  2^25 characters, so its ``math.sqrt`` is the spec's norm.
+* The texts' bytes are joined and read as one ``uint64`` array, and every
+  2-gram hash is built from its two bytes at once; each 3-gram hash extends
+  its 2-gram prefix by one byte. Array ``uint64`` multiplication wraps,
+  which is the spec's arithmetic modulo 2^64. A gram whose first and last
+  bytes belong to different texts is dropped.
+* One ``np.bincount`` over ``text * dim + bucket`` adds the +1/-1 signs
+  into each text's row of buckets. Every partial sum is a whole number
+  below 2^53, so the order of addition cannot change a bit, and the counts
+  are never -0.0.
+* Each row's sum of squares is exact for the same reason, for any text
+  under 2^25 characters, so its square root is the spec's norm.
 
-The counts array is then divided by the norm in one numpy division: each
-count is a whole number, so each quotient has the bits of Python's
-``float(count) / norm``. Non-ASCII text (a character gram is 2 to 12 UTF-8
-bytes) and text shorter than 2 characters take a per-gram Python loop.
-The local cache (``_local_embed``) holds each (text, dimension)'s unit
-vector as a read-only float64 array, with its ``math.hypot``.
+Each row of counts is divided by its norm in numpy: each count is a whole
+number, so each quotient has the bits of Python's ``float(count) / norm``.
+Non-ASCII text (a character gram is 2 to 12 UTF-8 bytes) and text shorter
+than 2 characters take a per-gram Python loop, one text at a time
+(:func:`_local_embed`, which the tests keep as the pass's oracle). The
+local cache is one dict from (text, dimension) to the unit vector, its own
+read-only float64 array, with its ``math.hypot``: :func:`embed_many` looks
+every text up there and embeds only the misses, ``_LOCAL_BATCH`` texts per
+numpy pass.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
 format in :mod:`slimrag.remote`, which rejects a reply vector that is not
@@ -111,7 +116,6 @@ import os
 import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -131,6 +135,14 @@ _MASK64 = (1 << 64) - 1
 _FNV_INITIAL = (0xCBF29CE484222325 ^ DEFAULT_SEED) & _MASK64
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 _FNV_INITIAL_U64 = np.uint64(_FNV_INITIAL)
+# Local cache misses embedded per numpy pass (``_embed_batch``): a fixed cut
+# keeps the pass's temporaries small however many texts miss. In forked
+# ``cold`` children, cuts of 16, 32, 64 and 256 texts were within noise.
+_LOCAL_BATCH = 32
+# The local cache: (text, dimension) -> (read-only unit vector, its
+# ``math.hypot``), at most ``_LOCAL_CACHE_SIZE`` entries, oldest dropped first.
+_LOCAL_CACHE_SIZE = 65_536
+_local_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
 # Rows packed or copied per block when rows become columns: only one block
 # (512 KB at 256 dimensions) is held beside the columns.
 _PACKED_ROWS = 256
@@ -197,36 +209,81 @@ def _fnv1a64(data: bytes) -> int:
 
 
 def _gram_counts(normalized: str, dimension: int) -> np.ndarray:
-    """Steps 2-4 of the spec: the signed count in each bucket."""
-    if len(normalized) < 2 or not normalized.isascii():
-        grams = [
-            normalized[i:i + n]
-            for n in (2, 3)
-            for i in range(len(normalized) - n + 1)
-        ] or [normalized]
-        values = [0.0] * dimension
-        for gram in grams:
-            h = _fnv1a64(gram.encode("utf-8"))
-            values[h % dimension] += 1.0 if (h >> 63) == 0 else -1.0
-        return np.array(values)
-    b = np.frombuffer(normalized.encode("ascii"), dtype=np.uint8).astype(np.uint64)
-    h2 = (((_FNV_INITIAL_U64 ^ b[:-1]) * _FNV_PRIME_U64) ^ b[1:]) * _FNV_PRIME_U64
-    h3 = (h2[:-1] ^ b[2:]) * _FNV_PRIME_U64
-    h = np.concatenate([h2, h3])
-    signs = 1.0 - 2.0 * (h >> np.uint64(63)).astype(np.float64)
-    buckets = (h % np.uint64(dimension)).astype(np.intp)
-    return np.bincount(buckets, weights=signs, minlength=dimension)
+    """Steps 2-4 of the spec, one gram at a time: the signed count in each
+    bucket."""
+    grams = [
+        normalized[i:i + n]
+        for n in (2, 3)
+        for i in range(len(normalized) - n + 1)
+    ] or [normalized]
+    values = [0.0] * dimension
+    for gram in grams:
+        h = _fnv1a64(gram.encode("utf-8"))
+        values[h % dimension] += 1.0 if (h >> 63) == 0 else -1.0
+    return np.array(values)
 
 
-@lru_cache(maxsize=65536)
 def _local_embed(text: str, dimension: int) -> tuple[np.ndarray, float]:
     """The text's unit vector as a read-only float64 array, and its
-    ``math.hypot``. The counts are whole numbers, so numpy's division of
-    each by the norm is Python's ``float(count) / norm``, bit for bit."""
+    ``math.hypot``, by the per-gram rule, uncached: the path of the texts
+    :func:`_embed_batch` does not take, and its test oracle. The counts
+    are whole numbers, so numpy's division of each by the norm is Python's
+    ``float(count) / norm``, bit for bit."""
     counts = _gram_counts(normalize_entity(text), dimension)
     unit = counts / math.sqrt(counts @ counts)  # never 0.0: odd number of grams
     unit.flags.writeable = False
     return unit, math.hypot(*unit.tolist())
+
+
+def _embed_batch(texts: list[str], dimension: int) -> list[tuple[np.ndarray, float]]:
+    """``[_local_embed(t, dimension) for t in texts]``, bit for bit: the
+    texts whose normalized form is ASCII of at least 2 characters take one
+    :func:`_unit_rows` pass, the others :func:`_local_embed`. Each row of
+    the pass is copied into its own read-only array, so no cached vector
+    pins the batch. The pass's temporaries are freed before the copies are
+    made: copies made while they were live sat on the heap above them, and
+    raised the benchmark's ``eval`` peak RSS by about 3%."""
+    normalized = [normalize_entity(t) for t in texts]
+    pairs: list = [None] * len(texts)
+    fast = []
+    for i, text in enumerate(normalized):
+        if len(text) >= 2 and text.isascii():
+            fast.append(i)
+        else:
+            pairs[i] = _local_embed(texts[i], dimension)
+    if fast:
+        for i, row in zip(fast, _unit_rows([normalized[i] for i in fast], dimension)):
+            unit = row.copy()
+            unit.flags.writeable = False
+            pairs[i] = unit, math.hypot(*unit.tolist())
+    return pairs
+
+
+def _unit_rows(texts: list[str], dimension: int) -> np.ndarray:
+    """The unit vectors of normalized ASCII texts of at least 2 characters,
+    as the rows of one array, from one numpy pass.
+
+    The texts' bytes are joined and read as ``uint64``; each 2-gram hash is
+    built from its two bytes at once and each 3-gram hash extends its
+    2-gram prefix by one byte (array multiplication wraps modulo 2^64). A
+    gram is dropped when its first and last bytes belong to different
+    texts. One ``np.bincount`` over ``text * dimension + bucket`` adds the
+    signs, so each row holds its text's counts (whole numbers, added
+    exactly in any order), and each row's sum of squares is exact too: its
+    ``np.sqrt`` is the ``math.sqrt`` of one text."""
+    b = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8).astype(np.uint64)
+    owner = np.repeat(np.arange(len(texts)), [len(text) for text in texts])
+    h2 = (((_FNV_INITIAL_U64 ^ b[:-1]) * _FNV_PRIME_U64) ^ b[1:]) * _FNV_PRIME_U64
+    h3 = (h2[:-1] ^ b[2:]) * _FNV_PRIME_U64
+    inside2 = owner[:-1] == owner[1:]
+    inside3 = owner[:-2] == owner[2:]
+    h = np.concatenate([h2[inside2], h3[inside3]])
+    rows = np.concatenate([owner[:-1][inside2], owner[:-2][inside3]])
+    signs = 1.0 - 2.0 * (h >> np.uint64(63)).astype(np.float64)
+    cells = rows * dimension + (h % np.uint64(dimension)).astype(np.intp)
+    counts = np.bincount(cells, weights=signs, minlength=len(texts) * dimension)
+    counts = counts.reshape(len(texts), dimension)
+    return counts / np.sqrt(np.square(counts).sum(axis=1))[:, None]
 
 
 class EmbeddingCache:
@@ -342,17 +399,21 @@ def embed_many(
     """The texts' vectors, in order, as the columns of a C-contiguous
     dimension × len(texts) float64 array, and each one's ``math.hypot``.
 
-    Local vectors go from their cached arrays into the rows of an array
-    ``_PACKED_ROWS`` at a time, which is copied transposed into place
-    (faster than one ``np.stack`` into columns, and only one block is held
-    beside them). Remote texts missing from the cache are sent in batches
-    of ``remote.EMBED_BATCH``; a reply that fails the rules of
-    :mod:`slimrag.remote` raises ProviderProtocolError, and only the
+    Local texts are looked up in the local cache first. A blank text never
+    enters it, so only the misses are checked for blankness, all before any
+    is embedded; the distinct misses are then embedded ``_LOCAL_BATCH`` at a
+    time by :func:`_embed_batch` and cached, the oldest entries dropped past
+    ``_LOCAL_CACHE_SIZE``. The vectors go from their cached arrays into the
+    rows of an array ``_PACKED_ROWS`` at a time, which is copied transposed
+    into place (faster than one ``np.stack`` into columns, and only one
+    block is held beside them). Remote texts missing from the cache are
+    sent in batches of ``remote.EMBED_BATCH``; a reply that fails the rules
+    of :mod:`slimrag.remote` raises ProviderProtocolError, and only the
     batches before it are cached. The remote rows become columns by
     :func:`_columns`, the first row setting the dimension."""
-    if not all(t.strip() for t in texts):
-        raise ValueError("cannot embed empty text")
     if embedder.provider != "local":
+        if not all(t.strip() for t in texts):
+            raise ValueError("cannot embed empty text")
         rows = [
             cache.get(embedder.embedder_id, t) if cache is not None else None
             for t in texts
@@ -368,8 +429,22 @@ def embed_many(
             if cache is not None:
                 cache.put(embedder.embedder_id, [(texts[i], rows[i]) for i in batch])
         return _columns(rows, len(rows), len(rows[0]) if rows else 0)
-    pairs = [_local_embed(t, embedder.dimension) for t in texts]
-    columns = np.empty((embedder.dimension, len(pairs)))
+    dimension = embedder.dimension
+    pairs = [_local_cache.get((t, dimension)) for t in texts]
+    misses = list(dict.fromkeys(t for t, pair in zip(texts, pairs) if pair is None))
+    if misses:
+        if not all(t.strip() for t in misses):
+            raise ValueError("cannot embed empty text")
+        made = {}
+        for start in range(0, len(misses), _LOCAL_BATCH):
+            batch = misses[start:start + _LOCAL_BATCH]
+            made.update(zip(batch, _embed_batch(batch, dimension)))
+        _local_cache.update(((t, dimension), pair) for t, pair in made.items())
+        excess = max(len(_local_cache) - _LOCAL_CACHE_SIZE, 0)
+        for key in list(itertools.islice(_local_cache, excess)):
+            del _local_cache[key]
+        pairs = [made[t] if pair is None else pair for t, pair in zip(texts, pairs)]
+    columns = np.empty((dimension, len(pairs)))
     for start in range(0, len(pairs), _PACKED_ROWS):
         block = [unit for unit, _ in pairs[start:start + _PACKED_ROWS]]
         columns[:, start:start + len(block)] = np.array(block).T

@@ -118,12 +118,12 @@ class TestLocalEmbedder:
     @given(_EMBED_TEXT, st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3])))
     @settings(max_examples=400)
     def test_shared_unit_floats_keep_the_bits_of_dividing_each(self, text, dim):
-        """The numpy kernel (ASCII text) and the per-gram loop (the rest)
-        give the oracle's bits: one numpy division of the counts array gives
-        the bits of dividing each count in Python."""
+        """The per-gram rule gives the oracle's bits: one numpy division of
+        the counts array gives the bits of dividing each count in Python.
+        ``TestBatchedMisses`` holds the batch kernel to both."""
         if not text.strip():
             return
-        got = _local_embed.__wrapped__(text, dim)[0].tolist()
+        got = _local_embed(text, dim)[0].tolist()
         want = embed_oracle(text, dim, DEFAULT_SEED)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -192,14 +192,107 @@ class TestEmbeddedColumns:
         assert all(type(row) is tuple for row in got)
 
     def test_cached_arrays_are_read_only(self):
-        unit, _ = _local_embed("read only", 16)
+        columns, _ = embed_many(["read only"], EmbedderConfig(dimension=16))
+        unit, _ = embedding._local_cache[("read only", 16)]
         assert not unit.flags.writeable
         with pytest.raises(ValueError):
             unit[0] = 2.0
-        columns, _ = embed_many(["read only"], EmbedderConfig(dimension=16))
         columns[0, 0] = 2.0  # the columns are a copy
-        assert _local_embed("read only", 16)[0].tobytes() == unit.tobytes()
+        assert embedding._local_cache[("read only", 16)][0].tobytes() == unit.tobytes()
         assert embed("read only", EmbedderConfig(dimension=16))[0] != 2.0
+
+
+# Texts the batch kernel splits on: 1-, 2- and 3-character texts, texts that
+# normalize alike (so one normalized form stands for two cache keys), ASCII
+# texts long and short, and non-ASCII texts (the per-text loop) among them.
+_BATCH_TEXT = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "New  York", "new york", " NEW YORK ", "x y", "日本"]),
+    st.text(alphabet="abcXYZ -", min_size=1, max_size=3),
+    _EMBED_TEXT,
+)
+
+
+def _oracle_columns(texts: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-text ``_local_embed`` of each text, as columns and norms."""
+    pairs = [_local_embed(t, dim) for t in texts]
+    return np.array([unit for unit, _ in pairs]).T, [norm for _, norm in pairs]
+
+
+class TestBatchedMisses:
+    """``embed_many`` embeds a call's local cache misses ``_LOCAL_BATCH`` at a
+    time in one numpy pass: the bytes and norms of the per-text
+    ``_local_embed``, and of ``embed_oracle``, whatever the batches hold."""
+
+    @given(
+        st.lists(_BATCH_TEXT, min_size=1, max_size=12),
+        st.lists(_BATCH_TEXT, max_size=4),
+        st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3])),
+        st.sampled_from([1, 2, 3, 5, embedding._LOCAL_BATCH]),
+    )
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @example(["ab"], [], 256, 32)
+    @example(["a", "ab", "abc", "New  York", "new york", "日本", "ab"], ["abc"], 7, 2)
+    def test_equals_the_per_text_rule(self, texts, warm, dim, cut):
+        """``warm`` texts are embedded first, so one call mixes cache hits
+        with misses; a small cut makes the misses cross batch edges."""
+        texts = [t for t in texts if t.strip()] or ["ab"]
+        embedder = EmbedderConfig(dimension=dim)
+        with mock.patch.dict(embedding._local_cache, clear=True), \
+                mock.patch.object(embedding, "_LOCAL_BATCH", cut):
+            embed_many([t for t in warm if t.strip()], embedder)
+            columns, norms = embed_many(texts, embedder)
+        want_columns, want_norms = _oracle_columns(texts, dim)
+        assert columns.shape == (dim, len(texts))
+        assert columns.tobytes() == want_columns.tobytes()
+        assert [x.hex() for x in norms.tolist()] == [x.hex() for x in want_norms]
+        oracle = [embed_oracle(t, dim, DEFAULT_SEED) for t in texts]
+        assert [[x.hex() for x in row] for row in columns.T.tolist()] == [
+            [x.hex() for x in row] for row in oracle
+        ]
+        assert [x.hex() for x in norms.tolist()] == [
+            math.hypot(*row).hex() for row in oracle
+        ]
+
+    def test_blank_miss_raises_before_any_text_is_cached(self):
+        with mock.patch.dict(embedding._local_cache, clear=True):
+            with pytest.raises(ValueError, match="^cannot embed empty text$"):
+                embed_many(["fresh text", "  "], LOCAL64)
+            assert ("fresh text", 64) not in embedding._local_cache
+            assert ("  ", 64) not in embedding._local_cache
+            assert not embedding._local_cache
+
+    def test_cached_arrays_own_their_memory(self):
+        """A cached vector is its own read-only array, never a view of its
+        batch's block, so no entry pins the others' memory."""
+        texts = [f"text number {i}" for i in range(10)] + ["日本語", "q"]
+        with mock.patch.dict(embedding._local_cache, clear=True), \
+                mock.patch.object(embedding, "_LOCAL_BATCH", 4):
+            embed_many(texts, LOCAL64)
+            units = [unit for unit, _ in embedding._local_cache.values()]
+        assert len(units) == len(texts)
+        for unit in units:
+            assert unit.base is None and not unit.flags.writeable
+        for a, b in itertools.combinations(units, 2):
+            assert not np.shares_memory(a, b)
+
+    @given(
+        st.lists(st.lists(_BATCH_TEXT, max_size=6), min_size=1, max_size=6),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cache_stays_within_its_bound(self, calls, bound):
+        """Past the bound the oldest entries go, and a text embedded again
+        after its entry went gives the same bytes."""
+        with mock.patch.dict(embedding._local_cache, clear=True), \
+                mock.patch.object(embedding, "_LOCAL_CACHE_SIZE", bound), \
+                mock.patch.object(embedding, "_LOCAL_BATCH", 2):
+            for texts in calls + calls:
+                texts = [t for t in texts if t.strip()]
+                columns, norms = embed_many(texts, LOCAL8)
+                assert len(embedding._local_cache) <= bound
+                want_columns, want_norms = _oracle_columns(texts, 8)
+                assert columns.tobytes() == want_columns.reshape(8, len(texts)).tobytes()
+                assert [x.hex() for x in norms.tolist()] == [x.hex() for x in want_norms]
 
 
 class TestEmbedderId:
