@@ -40,9 +40,10 @@ Non-ASCII text (a character gram is 2 to 12 UTF-8 bytes) and text shorter
 than 2 characters take a per-gram Python loop, one text at a time
 (:func:`_local_embed`, which the tests keep as the pass's oracle). The
 local cache is one dict from (text, dimension) to the unit vector, its own
-read-only float64 array, with its ``math.hypot``: :func:`embed_many` looks
-every text up there and embeds only the misses, ``_LOCAL_BATCH`` texts per
-numpy pass.
+read-only float64 array, with its ``math.hypot``: :func:`_local_pairs`,
+which :func:`embed_many` and :func:`text_similarities` share, looks every
+text up there and embeds only the misses, ``_LOCAL_BATCH`` texts per numpy
+pass.
 
 The default dimension is 256. Remote embeddings use the embeddings-API wire
 format in :mod:`slimrag.remote`, which rejects a reply vector that is not
@@ -78,29 +79,30 @@ order, so every result equals ``cosine_similarity`` bit for bit:
   would run along the contiguous axis, which numpy sums pairwise, so a
   single column is padded with a zero column.
 
-Every vector travels one way from its source to a similarity. Texts
-become similarity columns through :func:`embed_many` (a query's text,
-its entities and its candidate chunks, an index write's new entities):
-local vectors are copied from their cached arrays into the rows of an
-array, a block at a time, and from it transposed into the columns, beside
-their cached norms. Vectors that arrive as rows (remote replies, a loaded
-file) become columns in one pass over each row (``_columns``): its length
-is checked, its ``math.hypot`` taken from the Python floats it arrived
-as, and it is packed with ``struct``, a block of rows at a time that is
-then transposed into place; packing a component as ``d`` stores
-``float(component)`` exactly. Both give the same bytes and norms for the
-same vectors. Only :func:`embed`, for callers outside the library, makes
-a tuple from an embedding. An entity store keeps one copy of its vectors:
-the raw columns as read-only float64 dimension × n blocks, with their
-norms. An index write hands the blocks on to the next store without
-copying them and adds the new entities' columns as one more block,
-concatenating the newest blocks as a binary counter carries
-(:meth:`EntityVectorStore.extended`). Search takes :func:`_dots` over
-each block with its slice of the norms: each column's sum runs in
-dimension order from ``+0.0`` whatever the width, so the similarities are
-the bytes one array would give. Chunk scoring
-(:func:`cosine_similarities`) takes the same kernel over the candidates'
-columns and norms.
+Every vector travels one way from its source to a similarity. Texts become
+similarity columns through :func:`embed_many` (a query's text, its
+entities, an index write's new entities): local vectors are copied from
+their cached arrays into the rows of an array, a block at a time, and from
+it transposed into the columns, beside their cached norms. Vectors that
+arrive as rows (remote replies, a loaded file) become columns in one pass
+over each row (``_columns``): its length is checked, its ``math.hypot``
+taken from the Python floats it arrived as, and it is packed with
+``struct``, a block of rows at a time that is then transposed into place;
+packing a component as ``d`` stores ``float(component)`` exactly. Both
+give the same bytes and norms for the same vectors. Only :func:`embed`,
+for callers outside the library, makes a tuple from an embedding. An
+entity store keeps one copy of its vectors: the raw columns as read-only
+float64 dimension × n blocks, with their norms. An index write hands the
+blocks on to the next store without copying them and adds the new
+entities' columns as one more block, concatenating the newest blocks as a
+binary counter carries (:meth:`EntityVectorStore.extended`). Search takes
+:func:`_dots` over each block with its slice of the norms: each column's
+sum runs in dimension order from ``+0.0`` whatever the width, so the
+similarities are the bytes one array would give. Chunk scoring
+(:func:`text_similarities`) takes the same kernel over the candidates'
+vectors: a local candidate's cached vector gives only the query's nonzero
+components, copied into the rows the kernel reads, and remote candidates
+take :func:`embed_many`'s columns and :func:`cosine_similarities`.
 
 Top-K search is exhaustive and exact; ties break by entity string ascending.
 """
@@ -399,18 +401,16 @@ def embed_many(
     """The texts' vectors, in order, as the columns of a C-contiguous
     dimension × len(texts) float64 array, and each one's ``math.hypot``.
 
-    Local texts are looked up in the local cache first. A blank text never
-    enters it, so only the misses are checked for blankness, all before any
-    is embedded; the distinct misses are then embedded ``_LOCAL_BATCH`` at a
-    time by :func:`_embed_batch` and cached, the oldest entries dropped past
-    ``_LOCAL_CACHE_SIZE``. The vectors go from their cached arrays into the
-    rows of an array ``_PACKED_ROWS`` at a time, which is copied transposed
-    into place (faster than one ``np.stack`` into columns, and only one
-    block is held beside them). Remote texts missing from the cache are
-    sent in batches of ``remote.EMBED_BATCH``; a reply that fails the rules
-    of :mod:`slimrag.remote` raises ProviderProtocolError, and only the
-    batches before it are cached. The remote rows become columns by
-    :func:`_columns`, the first row setting the dimension."""
+    Local texts are looked up in the local cache, and only the misses are
+    embedded (:func:`_local_pairs`). The vectors go from their cached
+    arrays into the rows of an array ``_PACKED_ROWS`` at a time, which is
+    copied transposed into place (faster than one ``np.stack`` into
+    columns, and only one block is held beside them). Remote texts missing
+    from the cache are sent in batches of ``remote.EMBED_BATCH``; a reply
+    that fails the rules of :mod:`slimrag.remote` raises
+    ProviderProtocolError, and only the batches before it are cached. The
+    remote rows become columns by :func:`_columns`, the first row setting
+    the dimension."""
     if embedder.provider != "local":
         if not all(t.strip() for t in texts):
             raise ValueError("cannot embed empty text")
@@ -429,26 +429,35 @@ def embed_many(
             if cache is not None:
                 cache.put(embedder.embedder_id, [(texts[i], rows[i]) for i in batch])
         return _columns(rows, len(rows), len(rows[0]) if rows else 0)
-    dimension = embedder.dimension
-    pairs = [_local_cache.get((t, dimension)) for t in texts]
-    misses = list(dict.fromkeys(t for t, pair in zip(texts, pairs) if pair is None))
-    if misses:
-        if not all(t.strip() for t in misses):
-            raise ValueError("cannot embed empty text")
-        made = {}
-        for start in range(0, len(misses), _LOCAL_BATCH):
-            batch = misses[start:start + _LOCAL_BATCH]
-            made.update(zip(batch, _embed_batch(batch, dimension)))
-        _local_cache.update(((t, dimension), pair) for t, pair in made.items())
-        excess = max(len(_local_cache) - _LOCAL_CACHE_SIZE, 0)
-        for key in list(itertools.islice(_local_cache, excess)):
-            del _local_cache[key]
-        pairs = [made[t] if pair is None else pair for t, pair in zip(texts, pairs)]
-    columns = np.empty((dimension, len(pairs)))
+    pairs = _local_pairs(texts, embedder.dimension)
+    columns = np.empty((embedder.dimension, len(pairs)))
     for start in range(0, len(pairs), _PACKED_ROWS):
         block = [unit for unit, _ in pairs[start:start + _PACKED_ROWS]]
         columns[:, start:start + len(block)] = np.array(block).T
     return columns, np.array([norm for _, norm in pairs])
+
+
+def _local_pairs(texts: list[str], dimension: int) -> list[tuple[np.ndarray, float]]:
+    """Each text's local unit vector and its ``math.hypot``, in order, as
+    the local cache holds them: the texts are looked up there first, the
+    distinct misses checked for blankness, all before any is embedded, then
+    embedded ``_LOCAL_BATCH`` at a time by :func:`_embed_batch` and cached,
+    the oldest entries dropped past ``_LOCAL_CACHE_SIZE``."""
+    pairs = [_local_cache.get((t, dimension)) for t in texts]
+    misses = list(dict.fromkeys(t for t, pair in zip(texts, pairs) if pair is None))
+    if not misses:
+        return pairs
+    if not all(t.strip() for t in misses):
+        raise ValueError("cannot embed empty text")
+    made = {}
+    for start in range(0, len(misses), _LOCAL_BATCH):
+        batch = misses[start:start + _LOCAL_BATCH]
+        made.update(zip(batch, _embed_batch(batch, dimension)))
+    _local_cache.update(((t, dimension), pair) for t, pair in made.items())
+    excess = max(len(_local_cache) - _LOCAL_CACHE_SIZE, 0)
+    for key in list(itertools.islice(_local_cache, excess)):
+        del _local_cache[key]
+    return [made[t] if pair is None else pair for t, pair in zip(texts, pairs)]
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
@@ -585,6 +594,35 @@ def cosine_similarities(
     if not len(norms):
         return []
     return _dots(_unit_vector(query_vec, columns.shape[0]), columns, norms).tolist()
+
+
+def text_similarities(
+    query_vec: Vector | np.ndarray,
+    texts: list[str],
+    embedder: EmbedderConfig,
+    cache: EmbeddingCache | None = None,
+) -> np.ndarray:
+    """``cosine_similarities(query_vec, *embed_many(texts, embedder, cache))``
+    bit for bit and with its errors, as a float64 array.
+
+    Local texts skip the dimension × len(texts) columns: their cached
+    vectors (:func:`_local_pairs`) are joined as the rows of one array, and
+    only its columns ``J = np.flatnonzero(query)`` are copied out,
+    transposed, into the rows :func:`_dots` reads. With the query narrowed
+    to J, every one of its components is nonzero, so the kernel reads each
+    row in order and gives the sums it gives over the whole columns."""
+    if embedder.provider != "local":
+        return np.array(cosine_similarities(query_vec, *embed_many(texts, embedder, cache)))
+    pairs = _local_pairs(texts, embedder.dimension)
+    if not pairs:
+        return np.empty(0)
+    query = _unit_vector(query_vec, embedder.dimension)
+    nonzero = np.flatnonzero(query)
+    # Each cached vector is its own C-contiguous array, so joining their
+    # bytes is one copy, and faster than np.array over them.
+    rows = np.frombuffer(b"".join([unit for unit, _ in pairs]))
+    columns = rows.reshape(len(pairs), embedder.dimension).T[nonzero]
+    return _dots(query[nonzero], columns, np.array([norm for _, norm in pairs]))
 
 
 @dataclass(eq=False)

@@ -11,15 +11,18 @@ re-ordering by original document position. The weighted variant replaces
 
 Queries that yield no usable entities always fall back to every chunk as a
 candidate with no hit entities, scored by ``phi_q`` alone (trace-labeled);
-the fallback cannot be disabled. Both paths share one scoring loop and one
-ranking; every candidate's ``phi_q`` comes from one
-:func:`~slimrag.embedding.cosine_similarities` call. Every text becomes
-similarity columns through :func:`~slimrag.embedding.embed_many`, in three
-calls kept apart: the query text, the query entities, and the candidate
-chunks. A remote embedder sends at most ``b = remote.EMBED_BATCH`` texts
-per request, so it makes at most ``1 + ceil(E / b) + ceil(C / b)``
-requests for a query with ``E`` query entities and ``C`` candidates
-(``1 + ceil(N / b)`` on the fallback over ``N`` chunks), retries aside.
+the fallback cannot be disabled. Both paths take every candidate's
+``phi_q`` from one :func:`~slimrag.embedding.text_similarities` call, score
+the candidates as one array, ``phi_q * max(count, 1)`` (which is
+:func:`score_chunk`'s rule; the weighted variant calls it per candidate),
+and rank them with one stable sort. Every text is embedded in one of three
+calls kept apart: the query text and the query entities through
+:func:`~slimrag.embedding.embed_many`, and the candidate chunks through
+``text_similarities``. A remote embedder sends at most
+``b = remote.EMBED_BATCH`` texts per request, so it makes at most
+``1 + ceil(E / b) + ceil(C / b)`` requests for a query with ``E`` query
+entities and ``C`` candidates (``1 + ceil(N / b)`` on the fallback over
+``N`` chunks), retries aside.
 
 Every intermediate set lands in the trace, which is canonically
 serializable, so a run can be replayed and audited bit for bit.
@@ -29,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
-    cosine_similarities,
     embed_many,
+    text_similarities,
     top_k_entities,
 )
 from .extraction import ExtractorConfig, plan_query
@@ -98,6 +103,18 @@ class ScoredChunk:
     phi_q: float
     score: float
     hit_entities: frozenset[str]
+
+    def __init__(
+        self, chunk_id: str, phi_q: float, score: float, hit_entities: frozenset[str]
+    ) -> None:
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__; storing into __dict__ makes the same instance
+        # in about half the time, and a retrieval makes one per candidate.
+        fields = self.__dict__
+        fields["chunk_id"] = chunk_id
+        fields["phi_q"] = phi_q
+        fields["score"] = score
+        fields["hit_entities"] = hit_entities
 
     @property
     def hit_count(self) -> int:
@@ -207,12 +224,16 @@ def collect_hit_chunks(
     hit_entities: dict[str, float] | set[str],
     index: EntityIndex,
 ) -> dict[str, frozenset[str]]:
-    """Map each candidate chunk to the hit entities that point at it."""
-    found: dict[str, set[str]] = {}
+    """Map each candidate chunk to the hit entities that point at it. Most
+    chunks have one, so each hit entity's one-entity set is shared by its
+    chunks, and a chunk's set grows by a union only on a second hit."""
+    found: dict[str, frozenset[str]] = {}
     for entity in hit_entities:
+        single = frozenset((entity,))
         for chunk_id in lookup(index, entity):
-            found.setdefault(chunk_id, set()).add(entity)
-    return {chunk_id: frozenset(entities) for chunk_id, entities in found.items()}
+            got = found.get(chunk_id)
+            found[chunk_id] = single if got is None else got | single
+    return found
 
 
 def score_chunk(
@@ -240,10 +261,11 @@ def assemble_context(
     params: RetrievalParams,
     trace: Trace,
 ) -> Context:
-    """Rank, top-H selection, greedy budget trim, position re-order, merge."""
-    ranked = sorted(scored, key=lambda s: (-s.score, s.chunk_id))
-    trace.scored = ranked
-    selected = ranked[:params.h]
+    """Top-H selection, greedy budget trim, position re-order, merge.
+    ``scored`` is already ranked, by score descending and ties by chunk id
+    ascending, as :func:`retrieve` ranks it; it is not sorted again."""
+    trace.scored = scored
+    selected = scored[:params.h]
     trace.selected = [s.chunk_id for s in selected]
 
     kept = list(selected)
@@ -336,18 +358,42 @@ def retrieve(
 
     chunk_ids = sorted(candidates)
     records = [index.chunk_catalog[chunk_id] for chunk_id in chunk_ids]
-    columns, norms = embed_many([record.text for record in records], embedder, cache)
-    phis = cosine_similarities(q_column, columns, norms)
-    scored = []
-    for chunk_id, record, phi_q in zip(chunk_ids, records, phis):
-        hit_set = candidates[chunk_id]
-        usage[EMBEDDING_IN] += record.token_count
-        scored.append(
-            ScoredChunk(
-                chunk_id=chunk_id,
-                phi_q=phi_q,
-                score=score_chunk(phi_q, hit_set, weights),
-                hit_entities=hit_set,
-            )
-        )
-    return assemble_context(scored, index, params, trace)
+    phis = text_similarities(q_column, [record.text for record in records], embedder, cache)
+    usage[EMBEDDING_IN] += sum(record.token_count for record in records)
+    hit_sets = [candidates[chunk_id] for chunk_id in chunk_ids]
+    return assemble_context(
+        _ranked(chunk_ids, phis, hit_sets, weights), index, params, trace
+    )
+
+
+def _ranked(
+    chunk_ids: list[str],
+    phis: np.ndarray,
+    hit_sets: list[frozenset[str]],
+    weights: dict[str, float] | None,
+) -> list[ScoredChunk]:
+    """Each candidate scored by :func:`score_chunk`'s rule, bit for bit,
+    ranked by score descending and ties by chunk id ascending; the
+    ``chunk_ids`` are ascending, and ``phis`` and ``hit_sets`` follow them.
+
+    Without weights the scores are one array, ``phis * max(count, 1)``:
+    each count converts to float64 exactly, ``phi_q * count`` is one IEEE
+    multiply in Python and in numpy, and the fallback's count of 0 becomes
+    a multiply by 1.0, which keeps ``phi_q`` (``-0.0`` too). The weighted
+    variant calls ``score_chunk`` per candidate. The candidates are in chunk
+    id order, so a stable sort by ``-score`` breaks ties by chunk id, and
+    ``-0.0`` and ``+0.0`` compare equal there as in ``sorted``."""
+    phi_qs = phis.tolist()
+    if weights is None:
+        counts = np.array([len(hit_set) for hit_set in hit_sets], dtype=np.float64)
+        scores = phis * np.maximum(counts, 1.0)
+    else:
+        scores = np.array([
+            score_chunk(phi_q, hit_set, weights)
+            for phi_q, hit_set in zip(phi_qs, hit_sets)
+        ])
+    score_values = scores.tolist()
+    return [
+        ScoredChunk(chunk_ids[i], phi_qs[i], score_values[i], hit_sets[i])
+        for i in np.argsort(-scores, kind="stable").tolist()
+    ]

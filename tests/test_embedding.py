@@ -48,6 +48,7 @@ from slimrag.embedding import (
     cosine_similarity,
     embed,
     embed_many,
+    text_similarities,
     top_k_entities,
 )
 from slimrag.extraction import ExtractorConfig, normalize_entity
@@ -293,6 +294,49 @@ class TestBatchedMisses:
                 want_columns, want_norms = _oracle_columns(texts, 8)
                 assert columns.tobytes() == want_columns.reshape(8, len(texts)).tobytes()
                 assert [x.hex() for x in norms.tolist()] == [x.hex() for x in want_norms]
+
+
+class TestTextSimilarities:
+    """``text_similarities`` gives ``cosine_similarities`` over
+    ``embed_many``'s columns, bit for bit, and raises what that raises, from
+    a cold or a partly warm local cache."""
+
+    @given(
+        st.lists(_BATCH_TEXT, max_size=8),
+        st.lists(_BATCH_TEXT, max_size=4),
+        st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3])),
+        st.data(),
+    )
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    def test_equals_cosine_similarities_over_embed_many(self, texts, warm, dim, data):
+        """The query is a text's embedding (as a column, as ``retrieve``
+        passes it), any vector (zero components, scales, signed zeros), a
+        zero vector or one of another dimension; texts may be blank."""
+        embedder = EmbedderConfig(dimension=dim)
+        kind = data.draw(st.sampled_from(["text", "vector", "zero", "other dimension"]))
+        if kind == "text":
+            query = embed_many([data.draw(_BATCH_TEXT.filter(str.strip))], embedder)[0][:, 0]
+        elif kind == "vector":
+            query = _vector(data.draw, dim)
+        else:
+            query = (0.0,) * (dim if kind == "zero" else dim + 1)
+        outcomes = []
+        for similarities in (
+            lambda: np.array(cosine_similarities(query, *embed_many(texts, embedder))),
+            lambda: text_similarities(query, texts, embedder),
+        ):
+            with mock.patch.dict(embedding._local_cache, clear=True):
+                embed_many([t for t in warm if t.strip()], embedder)
+                try:
+                    outcomes.append(similarities())
+                except (ValueError, DimensionMismatchError, ZeroVectorError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+        want, got = outcomes
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.dtype == np.float64 and got.shape == (len(texts),)
+        assert _hexes(got) == _hexes(want)
 
 
 class TestEmbedderId:

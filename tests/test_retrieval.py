@@ -1,5 +1,6 @@
 """Retrieval pipeline vs the straight-line algorithm transcription."""
 
+import dataclasses
 import json
 import os
 import random
@@ -7,10 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_corpus, random_query
+from conftest import fuzz_examples, random_corpus, random_query
 from oracles import alg1_retrieve
 import slimrag
 from slimrag.corpus import SegmentationPolicy, ingest_corpus
@@ -21,6 +25,7 @@ from slimrag.retrieval import (
     Context,
     RetrievalParams,
     ScoredChunk,
+    _ranked,
     assemble_context,
     collect_hit_chunks,
     match_query_entities,
@@ -197,6 +202,31 @@ class TestCollectHitChunks:
         _, index = _six_chunk_index()
         assert collect_hit_chunks(set(), index) == {}
 
+    @given(
+        st.dictionaries(
+            st.sampled_from([f"e{i}" for i in range(8)]),
+            st.frozensets(st.sampled_from([f"d#{i}" for i in range(10)])),
+        ),
+        st.lists(st.sampled_from([f"e{i}" for i in range(10)]), unique=True),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    @example({"e0": frozenset({"d#0"}), "e1": frozenset({"d#0"})}, ["e1", "e0", "e9"], False)
+    def test_equals_the_set_building_loop(self, inverted_map, hits, as_dict):
+        """The map and order the per-chunk set loop gave, every value a
+        frozenset; ``e8`` and ``e9`` are never in the map, and a hit set
+        comes as a set or as ``retrieve``'s dict of similarities."""
+        index = SimpleNamespace(inverted_map=inverted_map)
+        hit_entities = dict.fromkeys(hits, 0.5) if as_dict else set(hits)
+        found: dict[str, set[str]] = {}
+        for entity in hit_entities:
+            for chunk_id in inverted_map.get(entity, frozenset()):
+                found.setdefault(chunk_id, set()).add(entity)
+        want = {chunk_id: frozenset(entities) for chunk_id, entities in found.items()}
+        got = collect_hit_chunks(hit_entities, index)
+        assert list(got.items()) == list(want.items())
+        assert all(type(entities) is frozenset for entities in got.values())
+
 
 class TestScoreChunk:
     HITS = frozenset({"ada", "bob", "cyd"})
@@ -236,6 +266,155 @@ class TestScoreChunk:
         heavier = score_chunk(phi, frozenset({"ada", "cyd"}), self.WEIGHTS)
         lighter = score_chunk(phi, frozenset({"ada", "bob"}), self.WEIGHTS)
         assert heavier > lighter
+
+
+_HIT_POOL = [f"e{i:02d}" for i in range(64)]
+# Scores that tie across different (phi_q, count) pairs, signed zeros and
+# negatives among them, beside any float a cosine can be.
+_PHI = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -0.5, -1.0, 5e-324]),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _oracle_ranked(chunk_ids, phis, hit_sets, weights):
+    """The loop ``_ranked`` replaced: ``score_chunk`` per candidate, then
+    one ``sorted`` by score descending and chunk id ascending."""
+    scored = [
+        ScoredChunk(chunk_id, phi_q, score_chunk(phi_q, hit_set, weights), hit_set)
+        for chunk_id, phi_q, hit_set in zip(chunk_ids, phis, hit_sets)
+    ]
+    return sorted(scored, key=lambda s: (-s.score, s.chunk_id))
+
+
+def _bits(scored):
+    return [
+        (s.chunk_id, s.phi_q.hex(), s.score.hex(), s.hit_entities) for s in scored
+    ]
+
+
+class TestArrayScoring:
+    """``_ranked`` scores and ranks the candidates as arrays: the scores,
+    bit for bit, and the order of ``score_chunk`` and ``sorted``."""
+
+    @given(
+        st.lists(
+            st.tuples(_PHI, st.integers(0, 64) | st.sampled_from([0, 1, 2, 4])),
+            max_size=40,
+        ),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=fuzz_examples(300), deadline=None)
+    @example([(0.0, 1), (-0.0, 2), (0.0, 0), (-0.0, 0)], False, random.Random(0))
+    @example([(0.5, 2), (1.0, 1), (0.25, 4), (-0.5, 2), (-1.0, 1)], False, random.Random(0))
+    @example([(0.5, 0), (-0.5, 0), (0.5, 0)], False, random.Random(0))
+    @example([(0.5, 3), (0.5, 3), (-0.0, 1)], True, random.Random(0))
+    def test_equals_score_chunk_and_sorted(self, candidates, weighted, rng):
+        """A count of 0 is the fallback; weights, when drawn, take values
+        that sum to ties and to inexact floats."""
+        chunk_ids = [f"d#{i:03d}" for i in range(len(candidates))]
+        phis = [phi_q for phi_q, _ in candidates]
+        hit_sets = [frozenset(rng.sample(_HIT_POOL, count)) for _, count in candidates]
+        weights = (
+            {e: rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 1 / 3]) for e in _HIT_POOL}
+            if weighted else None
+        )
+        got = _ranked(chunk_ids, np.array(phis, dtype=np.float64), hit_sets, weights)
+        want = _oracle_ranked(chunk_ids, phis, hit_sets, weights)
+        assert _bits(got) == _bits(want)
+        assert all(type(s.phi_q) is float and type(s.score) is float for s in got)
+
+    def test_retrieve_ranks_as_score_chunk_and_sorted(self):
+        """On the entity path, the weighted variant and the fallback."""
+        _, index = _six_chunk_index()
+        for q, weighted in (
+            ("What did Vertex Labs build and who runs Ember Corp?", False),
+            ("What did Vertex Labs build and who runs Ember Corp?", True),
+            ("what happened next?", False),
+        ):
+            params = RetrievalParams(k=2, h=6, use_entity_weights=weighted)
+            trace = retrieve(index, q, params, LOCAL, EMB).trace
+            weights = None
+            if weighted:
+                weights = {}
+                for query_entity, matches in trace.entity_matches.items():
+                    for entity, _ in matches:
+                        weight = trace.entity_weights[query_entity]
+                        weights[entity] = max(weights.get(entity, 0.0), weight)
+            by_id = sorted(trace.scored, key=lambda s: s.chunk_id)
+            want = _oracle_ranked(
+                [s.chunk_id for s in by_id], [s.phi_q for s in by_id],
+                [s.hit_entities for s in by_id], weights,
+            )
+            assert _bits(trace.scored) == _bits(want)
+            assert trace.fallback_used == (q == "what happened next?")
+
+
+@dataclasses.dataclass(frozen=True)
+class _SameFields:
+    """ScoredChunk's fields, with a frozen dataclass's generated methods."""
+
+    chunk_id: str
+    phi_q: float
+    score: float
+    hit_entities: frozenset[str]
+
+
+class TestScoredChunk:
+    """``ScoredChunk`` sets its fields through ``__dict__``, and behaves as
+    the frozen dataclass it was."""
+
+    HITS = frozenset({"ada"})
+
+    def _chunk(self, **changes):
+        values = dict(chunk_id="d#0", phi_q=0.5, score=1.0, hit_entities=self.HITS)
+        return ScoredChunk(**{**values, **changes})
+
+    def test_is_frozen(self):
+        chunk = self._chunk()
+        for name in ("chunk_id", "phi_q", "score", "hit_entities"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(chunk, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(chunk, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chunk.extra = 1
+        assert chunk == self._chunk()
+
+    def test_equality_and_hash_are_by_fields(self):
+        chunk = self._chunk()
+        assert chunk == ScoredChunk("d#0", 0.5, 1.0, frozenset({"ada"}))
+        assert hash(chunk) == hash(("d#0", 0.5, 1.0, self.HITS))
+        for name, value in (
+            ("chunk_id", "d#1"), ("phi_q", 0.25), ("score", 2.0),
+            ("hit_entities", frozenset()),
+        ):
+            assert chunk != self._chunk(**{name: value})
+        other = _SameFields("d#0", 0.5, 1.0, self.HITS)
+        assert (chunk == other) is False and (other == chunk) is False
+        assert chunk != other
+        assert hash(chunk) == hash(other)
+
+    def test_generated_methods_are_unchanged(self):
+        chunk = self._chunk()
+        assert repr(chunk) == (
+            "ScoredChunk(chunk_id='d#0', phi_q=0.5, score=1.0, "
+            "hit_entities=frozenset({'ada'}))"
+        )
+        assert [(f.name, f.type) for f in dataclasses.fields(ScoredChunk)] == [
+            ("chunk_id", "str"), ("phi_q", "float"), ("score", "float"),
+            ("hit_entities", "frozenset[str]"),
+        ]
+        replaced = dataclasses.replace(chunk, score=3.0)
+        assert type(replaced) is ScoredChunk and replaced == self._chunk(score=3.0)
+        assert dataclasses.asdict(chunk) == {
+            "chunk_id": "d#0", "phi_q": 0.5, "score": 1.0, "hit_entities": self.HITS,
+        }
+        assert vars(chunk) == dataclasses.asdict(chunk)
+        assert chunk.hit_count == 1
+        with pytest.raises(TypeError):
+            ScoredChunk("d#0", 0.5, 1.0)
 
 
 def _scored(chunk_id, phi, count):
