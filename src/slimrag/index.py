@@ -10,8 +10,8 @@ exactly once. Posting lists are frozensets, so the new index
 shares every posting list, vector and chunk it does not change, and
 ``lookup`` hands out the stored posting list itself. The new index's entity
 store shares the input's read-only vector blocks and adds the new
-entities' columns as one more block, so a write copies an old vector only
-where blocks are concatenated, as a binary counter carries. The result is
+entities' vectors as one more block, so a write copies an old vector only
+where blocks are merged, as a binary counter carries. The result is
 independent of chunk processing order. Token accounting records all
 provider-bound traffic (extraction in/out and embedding inputs) measured
 by the accounting tokenizer; retrieval-time traffic never lands here.
@@ -41,28 +41,30 @@ description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
 digests. Both stream the document in parts into the hash (and, for save,
 the file), so neither holds the whole text. The entity vectors load into
-one float64 block in one pass over the parsed rows, and are serialized in
-slices of rows in entity order: each slice is one ``np.stack`` of its
-entities' column views of the store's blocks, and each distinct component
-of a slice is written once (see ``_rows_json``). A file loads iff it
-parses into an index whose ``save_index`` form has the stored digest and
-passes the relational checks: a segmentation policy id and an embedder
-id that ``SegmentationPolicy.parse`` and ``EmbedderConfig.from_id`` parse
-(the index holds the configs, so the loader is where the library reads
-either id), with a store of the id's dimension for a local embedder; an
-extractor document that ``ExtractorConfig`` takes as it is (normalized
-gazetteer entries and alias terms, none repeated, no alias naming two
-canonical forms); finite vectors that are not all zeros, non-empty
-posting lists of chunk ids in the catalog, exactly one vector per entity
-of the store's dimension, catalog keys that are their chunk's id (so no
-two chunks share a document and position), and chunks that ``Chunk``
-constructs from the file's values as they are (a non-empty ``doc_id``, an
-``int`` position >= 0, text that is not blank, no lone surrogate). Any
-other file raises IndexIntegrityError (SchemaVersionError for
-another schema). Derived fields (entity list, fingerprint, each chunk's id
-and token count, TUIC, TCTC as the catalog's token sum) are recomputed, not
-read. The loader trusts, unchecked, only the accounting breakdown beyond
-the three indexing labels.
+one float64 block in one pass over the parsed rows, which becomes the
+store's one postings block before the load returns, and so before any
+fork. They are serialized in slices of rows in entity order, each slice
+densified on its own from the store's blocks
+(:meth:`~slimrag.embedding.EntityVectorStore.rows`), and each distinct
+component of a slice is written once (see ``_rows_json``). A file loads
+iff it parses into an index whose ``save_index`` form has the stored
+digest and passes the relational checks: a segmentation policy id and an
+embedder id that ``SegmentationPolicy.parse`` and
+``EmbedderConfig.from_id`` parse (the index holds the configs, so the
+loader is where the library reads either id), with a store of the id's
+dimension for a local embedder; an extractor document that
+``ExtractorConfig`` takes as it is (normalized gazetteer entries and alias
+terms, none repeated, no alias naming two canonical forms); finite vectors
+that are not all zeros, non-empty posting lists of chunk ids in the
+catalog, exactly one vector per entity of the store's dimension, catalog
+keys that are their chunk's id (so no two chunks share a document and
+position), and chunks that ``Chunk`` constructs from the file's values as
+they are (a non-empty ``doc_id``, an ``int`` position >= 0, text that is
+not blank, no lone surrogate). Any other file raises IndexIntegrityError
+(SchemaVersionError for another schema). Derived fields (entity list,
+fingerprint, each chunk's id and token count, TUIC, TCTC as the catalog's
+token sum) are recomputed, not read. The loader trusts, unchecked, only the
+accounting breakdown beyond the three indexing labels.
 """
 
 from __future__ import annotations
@@ -362,13 +364,12 @@ def _vectors_json(store: EntityVectorStore, embedder_id: str) -> Iterator[str]:
 
 def _sorted_rows(store: EntityVectorStore) -> Iterator[tuple[list[str], np.ndarray]]:
     """The store's names in sorted order, ``_SLICE_ROWS`` at a time, each
-    slice with its vectors as the rows of a C-contiguous float64 array: one
-    ``np.stack`` of the slice's column views of the blocks."""
-    columns = [column for block in store.blocks for column in block.T]
+    slice with its vectors as the rows of a C-contiguous float64 array,
+    densified one slice at a time (:meth:`EntityVectorStore.rows`)."""
     order = sorted(range(len(store.names)), key=store.names.__getitem__)
-    for start in range(0, len(order), _SLICE_ROWS):
-        here = order[start:start + _SLICE_ROWS]
-        yield [store.names[i] for i in here], np.stack([columns[i] for i in here])
+    slices = store.rows(order, _SLICE_ROWS)
+    for start, rows in zip(range(0, len(order), _SLICE_ROWS), slices):
+        yield [store.names[i] for i in order[start:start + _SLICE_ROWS]], rows
 
 
 def _rows_json(rows: np.ndarray) -> list[str]:
@@ -411,7 +412,8 @@ def _from_document(document: dict) -> EntityIndex:
     cannot size it. Building the block last means the chunks and posting
     sets are made while the parsed floats still fill the allocator's pages,
     not in the pages those floats free, which then go back to the system
-    whole instead of staying pinned by the loaded index's objects."""
+    whole instead of staying pinned by the loaded index's objects. The
+    store's one postings block is made from it, once."""
     config_doc = document.pop("config")
     embedder = EmbedderConfig.from_id(str(config_doc["embedder_id"]))
     config = IndexConfig(
@@ -499,8 +501,8 @@ def _check_relations(index: EntityIndex) -> None:
         "entities and entity vectors differ",
     )
     for block in index.vectors.blocks:  # a loaded store has at most one
-        finite = np.isfinite(block).all(axis=0)
-        for i in np.flatnonzero(~(finite & block.any(axis=0)))[:1].tolist():
+        finite, nonzero = block.finite_and_nonzero()
+        for i in np.flatnonzero(~(finite & nonzero))[:1].tolist():
             entity = index.vectors.names[i]
             _require(finite[i], f"vector of {entity!r} is not finite")
             _require(False, f"vector of {entity!r} is all zeros")
@@ -632,7 +634,7 @@ def load_index(path: str | Path) -> EntityIndex:
     """Read and verify an index file. It loads iff it parses into an index
     whose save_index form has the stored digest and passes the relational
     checks; otherwise IndexIntegrityError, or SchemaVersionError for another
-    schema. The result's entity vectors are one float64 block (see
+    schema. The result's entity vectors are one postings block (see
     ``_from_document``)."""
     try:
         document = parse_json(Path(path).read_bytes())

@@ -39,6 +39,7 @@ from slimrag.embedding import (
     EmbedderConfig,
     EmbeddingCache,
     EntityVectorStore,
+    _Postings,
     _columns,
     _dots,
     _gram_counts,
@@ -973,12 +974,12 @@ class TestSimilarityKernel:
         query = embed(rng.choice(pool), LOCAL64)
         before = top_k_entities(query, parent.vectors, 4)
         blocks = list(parent.vectors.blocks)
-        kept = [block.tobytes() for block in blocks]
+        kept = [_block_bytes(block) for block in blocks]
         child = add_chunks(parent, rest, ExtractorConfig(), LOCAL64)
         got = top_k_entities(query, child.vectors, 4)
         assert _hex(got) == _hex(brute_force_top_k(query, child.vectors.entries, 4))
         assert all(a is b for a, b in zip(parent.vectors.blocks, blocks, strict=True))
-        assert [block.tobytes() for block in blocks] == kept
+        assert [_block_bytes(block) for block in blocks] == kept
         # The parent keeps answering from its own entities.
         assert top_k_entities(query, parent.vectors, 4) == before
 
@@ -1413,6 +1414,16 @@ def _random_rows(seed: int, count: int, dim: int, scale: float, kind: str):
     return rows
 
 
+def _block_bytes(block) -> bytes:
+    """The bytes of every array a store's block holds."""
+    return b"".join(array.tobytes() for array in vars(block).values())
+
+
+def _norm_hexes(store) -> list[str]:
+    """The norms beside a store's blocks, in store order, by ``float.hex``."""
+    return [x.hex() for block in store.blocks for x in block.norms.tolist()]
+
+
 def _unit_fill(rows, dimension):
     """``_unit_vector`` of each row, in order, as the columns of one array."""
     columns = np.empty((dimension, len(rows)))
@@ -1493,28 +1504,38 @@ class TestStoreBlocks:
 
     @staticmethod
     def _check(store, rows, snapshots):
-        """The block rule: each block is a read-only C-contiguous float64
-        array, at least twice as wide as the next newer one; there are at
-        most ``floor(log2 n) + 1`` of them (none for an empty store); and
-        side by side they are the bytes of ``rows``, the vectors written to
-        the store, as columns, which are the bytes first seen for it and
-        the bytes of its ``entries``."""
+        """The block rule: each block's arrays are read-only and
+        C-contiguous, and it is at least twice as wide as the next newer
+        one; there are at most ``floor(log2 n) + 1`` of them (none for an
+        empty store); each holds the bytes of a block made at once of its
+        slice of ``rows``, the vectors written to the store, as columns,
+        so merged postings are the postings of the merged columns; those
+        bytes are the ones first seen for the store; and the store's dense
+        rows, in slices that cross the blocks, and its ``entries`` are
+        ``rows``."""
         blocks = store.blocks
-        assert sum(block.shape[1] for block in blocks) == len(store.norms) == len(store)
+        assert sum(block.width for block in blocks) == len(store)
         assert len(blocks) <= len(store).bit_length()
         for older, newer in zip(blocks, blocks[1:]):
-            assert older.shape[1] >= 2 * newer.shape[1]
+            assert older.width >= 2 * newer.width
         for block in blocks:
-            assert block.dtype == np.float64 and block.flags.c_contiguous
-            with pytest.raises(ValueError, match="read-only"):
-                block[...] = 0.0
+            for array in vars(block).values():
+                assert array.dtype in (np.float64, np.intp) and array.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
         if not rows:
             assert not blocks
             return
-        side_by_side = np.concatenate(blocks, axis=1).tobytes()
-        assert side_by_side == _block(rows, store.dimension)[0].tobytes()
-        assert side_by_side == np.array(list(store.entries.values())).T.tobytes()
-        assert snapshots.setdefault(id(store), side_by_side) == side_by_side
+        columns, norms = _block(rows, store.dimension)
+        stops = list(itertools.accumulate(block.width for block in blocks))
+        for block, start, stop in zip(blocks, [0, *stops], stops):
+            new = columns[:, start:stop].copy(), norms[start:stop]
+            assert _block_bytes(block) == _block_bytes(_Postings.of(*new))
+        every = b"".join(map(_block_bytes, blocks))
+        assert snapshots.setdefault(id(store), every) == every
+        dense = np.concatenate(list(store.rows(list(range(len(store))), 7)))
+        assert dense.tobytes() == columns.T.copy().tobytes()
+        assert dense.tobytes() == np.array(list(store.entries.values())).tobytes()
 
     @staticmethod
     def _search_equals_the_loop(store, rng):
@@ -1595,7 +1616,7 @@ class TestStoreBlocks:
             start = len(store)
             store = store.extended(names[start:stop], *_block(rows[start:stop], dim))
         want = [math.hypot(*row).hex() for row in rows]
-        assert [x.hex() for x in store.norms.tolist()] == want
+        assert _norm_hexes(store) == want
         index = EntityIndex(
             IndexConfig(
                 SegmentationPolicy(), ExtractorConfig(),
@@ -1610,7 +1631,7 @@ class TestStoreBlocks:
         save_index(index, path)
         loaded = load_index(path).vectors
         assert loaded.names == names
-        assert [x.hex() for x in loaded.norms.tolist()] == want
+        assert _norm_hexes(loaded) == want
 
     def test_zero_vector_added_after_a_search_raises_on_search(self):
         store = EntityVectorStore(dimension=2).extended(["a"], *_block([(1.0, 0.0)], 2))
@@ -1620,3 +1641,135 @@ class TestStoreBlocks:
         with pytest.raises(ZeroVectorError):
             top_k_entities((1.0, 0.0), child, 1)
         assert top_k_entities((1.0, 0.0), store, 2) == [("a", 1.0)]
+
+
+@st.composite
+def _posting_chains(draw):
+    """A chain of one to six writes (some of one entity, so a width-1 block
+    is made and merged) to a store of 1-64 dimensions, the columns
+    written, their norms and a query. Entries are ``0.0`` or ``-0.0`` at a
+    drawn share, so some entities have no entry in the query's nonzero
+    dimensions; the rest are normal draws at magnitudes 1e-4 to 1e4 (norms
+    of 1e-150 to 1e150), or small integers with norms of 1.0, whose sums
+    cancel exactly to ``+0.0``. The query's nonzero components are one,
+    a drawn share or all of its dimensions, and its zeros are ``±0.0``."""
+    dimension = draw(st.integers(1, 64))
+    widths = draw(
+        st.lists(st.sampled_from([0, 1, 1, 2, 3, 7, 16, 40]), min_size=1, max_size=6)
+    )
+    integer = draw(st.booleans())
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    pattern = draw(st.sampled_from(["one", "drawn", "all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (dimension, sum(widths))
+    if integer:
+        columns = rng.integers(-3, 4, shape).astype(float)
+        norms = np.ones(shape[1])
+        query = rng.integers(-3, 4, dimension).astype(float)
+        query[query == 0] = 1.0
+    else:
+        columns = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        norms = rng.choice(_NORM_SCALES, shape[1])
+        query = rng.standard_normal(dimension)
+    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    columns = np.where(rng.random(shape) < zero_share, signed_zeros, columns)
+    if pattern == "one":
+        zero = np.ones(dimension, dtype=bool)
+        zero[draw(st.integers(0, dimension - 1))] = False
+    elif pattern == "drawn":
+        zero = rng.random(dimension) < 0.7
+    else:
+        zero = np.zeros(dimension, dtype=bool)
+    query[zero] = np.where(rng.random(dimension) < 0.5, 0.0, -0.0)[zero]
+    return widths, columns, norms, query
+
+
+class TestPostings:
+    """A store's postings search equals ``_dot_loop``, the per-row
+    loop, and the dense ``_dots`` over the same columns by ``tobytes()``,
+    on stores made by chains of ``extended`` writes; and the postings a
+    chain of merges leaves equal the postings made once of the merged
+    columns. This pins ``np.bincount``'s adding of each bin's weights in
+    input order from ``+0.0``, which is numpy's behaviour but not its
+    documented API."""
+
+    @given(_posting_chains())
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_search_equals_the_loop_and_dots(self, chain):
+        widths, columns, norms, query = chain
+        store = EntityVectorStore(len(columns))
+        for stop in itertools.accumulate(widths):
+            start = len(store)
+            names = [f"e{i:03d}" for i in range(start, stop)]
+            new = columns[:, start:stop].copy(), norms[start:stop].copy()
+            store = store.extended(names, *new)
+        want = _dot_loop(query, columns, norms)
+        assert _dots(query, columns, norms).tobytes() == want.tobytes()
+        sims = [block.dots(query) for block in store.blocks]
+        got = np.concatenate(sims) if sims else np.empty(0)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        stops = list(itertools.accumulate(block.width for block in store.blocks))
+        for block, start, stop in zip(store.blocks, [0, *stops], stops):
+            once = _Postings.of(columns[:, start:stop].copy(), norms[start:stop].copy())
+            assert _block_bytes(block) == _block_bytes(once)
+
+    def test_no_entry_in_the_query_dimensions_sums_to_positive_zero(self):
+        """Pin: with nothing gathered, ``np.bincount`` would count in
+        integers; the sums are float ``+0.0``, as the loop's are, also for
+        an entity whose only entries are ``-0.0``."""
+        columns = np.array([[1.0, -0.0], [0.0, -0.0], [0.0, 0.0]])
+        norms = np.array([1.0, 2.0])
+        [block] = EntityVectorStore(3).extended(["a", "b"], columns, norms).blocks
+        for query in (np.array([0.0, 0.0, 1.0]), np.array([-0.0, 2.0, 0.0])):
+            got = block.dots(query)
+            want = _dot_loop(query, columns, norms)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert _hexes(got) == ["0x0.0p+0", "0x0.0p+0"]
+
+    def test_exactly_cancelling_sums_are_positive_zero(self):
+        """``1 * 1 + (-1) * 1`` is ``+0.0``, as the loop gives it, for a
+        width-1 block and beside an entity whose sum does not cancel."""
+        columns = np.array([[1.0, 2.0], [1.0, 1.0]])
+        norms = np.array([1.0, 1.0])
+        query = np.array([1.0, -1.0])
+        store = EntityVectorStore(2)
+        for start in range(2):
+            new = columns[:, start:start + 1].copy(), norms[start:start + 1].copy()
+            store = store.extended([f"e{start}"], *new)
+            got = np.concatenate([block.dots(query) for block in store.blocks])
+            want = _dot_loop(query, columns[:, :start + 1], norms[:start + 1])
+            assert got.tobytes() == want.tobytes()
+        assert _hexes(got) == ["0x0.0p+0", "0x1.0000000000000p+0"]
+
+    def test_a_block_of_every_entry_holds_its_columns_in_c_order(self):
+        """A block with no ``+0.0`` entry, as a remote embedder's, holds its
+        raw columns in ``values``, which its search reads as the dimension ×
+        width array; a dense query and a one-dimension query both give the
+        loop's bytes, on the block one write makes and on a merged one."""
+        rng = np.random.default_rng(5)
+        columns = rng.standard_normal((6, 5))
+        norms = np.sqrt((columns**2).sum(axis=0))
+        store = EntityVectorStore(6).extended(list("abc"), columns[:, :3].copy(), norms[:3])
+        store = store.extended(list("de"), columns[:, 3:].copy(), norms[3:])
+        [block] = store.blocks
+        assert block.values.reshape(6, 5).tobytes() == columns.tobytes()
+        for query in (rng.standard_normal(6), np.array([0.0, 0.0, 2.0, 0.0, -0.0, 0.0])):
+            want = _dot_loop(query, columns, norms)
+            assert block.dots(query).tobytes() == want.tobytes()
+
+    def test_negative_zero_entries_are_kept_and_densified(self):
+        """An entry is kept by its bits, so ``-0.0`` is held and comes back
+        in the dense rows; ``+0.0`` is not held."""
+        columns = np.array([[-0.0, 0.0], [1.0, -0.0]])
+        store = EntityVectorStore(2)
+        store = store.extended(["a", "b"], columns, np.array([1.0, 1.0]))
+        [block] = store.blocks
+        assert block.indptr.tolist() == [0, 1, 3]
+        assert block.entity.tolist() == [0, 0, 1]
+        assert [x.hex() for x in block.values.tolist()] == [
+            "-0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0"
+        ]
+        [rows] = store.rows([1, 0], 2)
+        assert [[x.hex() for x in row] for row in rows.tolist()] == [
+            ["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "0x1.0000000000000p+0"]
+        ]

@@ -25,6 +25,7 @@ from conftest import (
     rewrite_index,
 )
 from slimrag import remote
+from slimrag.cli import main
 from slimrag.corpus import Chunk, Corpus, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
 from slimrag.errors import (
@@ -323,6 +324,33 @@ class TestAddChunks:
 
 
 _SMALL_INDEX = build_index(_small_corpus(), LOCAL, EMB)
+
+
+def _forged(path: Path, mutate) -> None:
+    """Apply ``mutate`` to the document of the index file at ``path`` and
+    write it back as CI's ``forge`` helper does: config fingerprint and
+    content digest recomputed, canonical JSON and a final newline, so only
+    the loader's own checks see the change, and an unchanged document is
+    its save's bytes."""
+
+    def sha(value) -> str:
+        return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+    document = json.loads(path.read_text(encoding="utf-8"))
+    del document["content_digest"]
+    mutate(document)
+    document["config_fingerprint"] = sha(document["config"])
+    document["content_digest"] = sha(document)
+    path.write_text(canonical_json(document) + "\n", encoding="utf-8")
+
+
+def _one_block(store: EntityVectorStore) -> np.ndarray:
+    """The vectors of a loaded store, which holds them as one postings
+    block, densified into the columns of a dimension × n array."""
+    [_] = store.blocks
+    return np.concatenate(list(store.rows(list(range(len(store))), 32))).T
+
+
 # Vector components: both zeros, subnormals, magnitudes near 1e±300, and
 # any other finite float.
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
@@ -361,8 +389,7 @@ class TestPersistence:
         resaved = tmp_path / "resaved.json"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
-        [block] = loaded.vectors.blocks
-        assert block.dtype == np.float64 and block.flags.c_contiguous
+        block = _one_block(loaded.vectors)
         assert block.shape == (4, len(loaded.vectors)) and block.shape[1] >= 3
         assert not np.signbit(block[0]).any() and np.signbit(block[1]).all()
         rows = list(loaded.vectors.entries.values())
@@ -388,12 +415,13 @@ class TestPersistence:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded == index
-        [block] = loaded.vectors.blocks
+        block = _one_block(loaded.vectors)
         names = sorted(index.vectors.names)
         assert loaded.vectors.names == names
         rows = [index.vectors.entries[name] for name in names]
         assert block.tobytes() == np.array(rows).T.copy().tobytes()
-        assert loaded.vectors.norms.tolist() == [math.hypot(*row) for row in rows]
+        [norms] = [block.norms for block in loaded.vectors.blocks]
+        assert norms.tolist() == [math.hypot(*row) for row in rows]
         resaved = tmp_path / "resaved.json"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -508,7 +536,7 @@ class TestPersistence:
             path, resaved = Path(tmp) / "index.json", Path(tmp) / "resaved.json"
             save_index(index, path)
             loaded = load_index(path)
-            [block] = loaded.vectors.blocks
+            block = _one_block(loaded.vectors)
             rows = [replies[name] for name in loaded.vectors.names]
             assert block.tobytes() == np.array(rows).T.copy().tobytes()
             save_index(loaded, resaved)
@@ -624,6 +652,42 @@ class TestPersistence:
         )
         with pytest.raises(IndexIntegrityError, match="is not finite"):
             load_index(path)
+
+    def test_local_negative_zero_component_loads_and_resaves_identically(self, tmp_path):
+        """A local index file forged with a ``-0.0`` component where its
+        save wrote ``0.0``: the postings keep an entry by its bits, not by
+        ``!= 0.0``, so the loaded vector holds ``-0.0`` and the file saves
+        back byte for byte."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+
+        def forge(document):
+            row = document["vectors"]["entries"]["paris"]
+            row[row.index(0.0)] = -0.0
+
+        _forged(path, forge)
+        loaded = load_index(path)
+        assert "-0x0.0p+0" in [x.hex() for x in loaded.vectors.entries["paris"]]
+        resaved = tmp_path / "resaved.json"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "zeros", [[-0.0] * 32, [0.0, -0.0] * 16], ids=["negative-zeros", "signed-zeros"]
+    )
+    def test_local_vector_of_signed_zeros_is_all_zeros(self, tmp_path, capsys, zeros):
+        """A local vector of only ``±0.0`` in a forged file: its ``-0.0``
+        entries are held as postings, but the check is on their values, so
+        the load names the vector as all zeros and the CLI exits 2."""
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        _forged(path, lambda d: d["vectors"]["entries"].update(paris=zeros))
+        with pytest.raises(IndexIntegrityError, match="vector of 'paris' is all zeros"):
+            load_index(path)
+        assert main(["index", "stats", "--index", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: index file is damaged: vector of 'paris' is all zeros\n"
+        )
 
     @settings(max_examples=fuzz_examples(300), deadline=None)
     @given(data=st.data())
