@@ -28,7 +28,7 @@ program, which every reader of a file or reply uses: :func:`read_lines`
 (a line ends at ``\n`` only; corpus, gazetteer and alias files, and the
 embedding cache's split) and :func:`parse_json` (how a JSON text fails to
 decode; corpus records, datasets, index files, cache lines and provider
-replies).
+replies), with :func:`decode_utf8`, its rule for bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .errors import DuplicateDocumentError, MalformedRecordError
 from .tokenization import DEFAULT_TOKENIZER, count_tokens
@@ -230,17 +230,36 @@ def read_lines(path: str | Path) -> Iterator[str]:
             yield text
 
 
-def parse_json(text: str | bytes) -> object:
-    """``json.loads`` of ``text``, bytes decoded as UTF-8. Every way the
-    text can fail to decode raises ValueError with a short reason: bytes
-    that are not UTF-8, text that is not JSON, nesting past the recursion
-    limit, and an integer past the interpreter's digit limit for ``int``."""
+def decode_utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise ValueError
+    naming the reason and the first bad byte."""
     try:
-        if isinstance(text, bytes):  # rebound, so the bytes are freed before the parse
-            text = text.decode("utf-8")
-        return json.loads(text)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def parse_json(
+    text: str | bytes, parse_float: Callable[[str], object] | None = None
+) -> object:
+    """``json.loads`` of ``text``, bytes decoded by :func:`decode_utf8`.
+    Every way the text can fail to decode raises ValueError with a short
+    reason: bytes that are not UTF-8, text that is not JSON, nesting past
+    the recursion limit, and an integer past the interpreter's digit limit
+    for ``int``.
+
+    ``parse_float``, where given, is ``json``'s hook for the text of a
+    number with a fraction or an exponent. Only
+    :func:`~slimrag.index.load_index` passes one, for a local index file
+    (a memo that gives each distinct number text one float); every other
+    reader (corpus lines, datasets, cache lines, provider replies) parses
+    with ``json.loads(text)`` as it is."""
+    if isinstance(text, bytes):  # rebound, so the bytes are freed before the parse
+        text = decode_utf8(text)
+    try:
+        if parse_float is None:
+            return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:

@@ -24,7 +24,7 @@ from conftest import (
     random_corpus,
     rewrite_index,
 )
-from slimrag import remote
+from slimrag import index as index_module, remote
 from slimrag.cli import main
 from slimrag.corpus import Chunk, Corpus, SegmentationPolicy, ingest_corpus
 from slimrag.embedding import DEFAULT_SEED, EmbedderConfig, EntityVectorStore, _columns
@@ -398,6 +398,55 @@ class TestPersistence:
         assert [[x.hex() for x in row] for row in rows] == [
             [x.hex() for x in row] for row in file_rows
         ]
+
+    @staticmethod
+    def _recorded_memos(monkeypatch) -> list:
+        """Each memo of number texts a load makes from now on."""
+        memos = []
+
+        class Recorded(index_module._SharedFloats):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(index_module, "_SharedFloats", Recorded)
+        return memos
+
+    def test_local_file_past_the_memo_bound_loads_and_resaves_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """A local file with more distinct components than the memo holds:
+        the memo stops at its bound, and the file loads and saves back
+        byte for byte."""
+        monkeypatch.setattr(index_module, "_SHARED_FLOATS", 4)
+        memos = self._recorded_memos(monkeypatch)
+        path = tmp_path / "index.json"
+        save_index(_SMALL_INDEX, path)
+        rows = json.loads(path.read_text())["vectors"]["entries"].values()
+        assert len({repr(x) for row in rows for x in row}) > 4
+        loaded = load_index(path)
+        assert loaded == _SMALL_INDEX
+        [memo] = memos
+        assert len(memo) == 4
+        resaved = tmp_path / "resaved.json"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_remote_file_is_parsed_without_the_memo(self, tmp_path, monkeypatch):
+        """A remote embedder's file is parsed by ``json.loads`` as it is: the
+        load makes no memo of number texts."""
+        rng = random.Random(5)
+
+        def stub(texts, model):
+            return [[rng.random() for _ in range(4)] for _ in texts]
+
+        monkeypatch.setattr(remote, "embed_batch", stub)
+        index = build_index(_small_corpus(), LOCAL, EmbedderConfig(provider="remote"))
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        memos = self._recorded_memos(monkeypatch)
+        assert load_index(path) == index
+        assert memos == []
 
     def test_remote_vectors_load_into_one_block(self, tmp_path, monkeypatch):
         """Nearly all distinct components: the loaded store's one block

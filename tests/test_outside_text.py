@@ -8,11 +8,14 @@ import contextlib
 import io
 import json
 import sys
+from unittest import mock
 
 import pytest
 import requests
+from hypothesis import example, given, settings, strategies as st
 
-from slimrag import remote
+from conftest import fuzz_examples
+from slimrag import index, remote
 from slimrag.cli import main
 from slimrag.corpus import ingest_corpus, parse_json, read_lines
 from slimrag.embedding import EmbedderConfig, EmbeddingCache, embed, embed_many
@@ -161,6 +164,77 @@ def test_parse_json_raises_value_error_with_a_short_reason(text, reason):
     with pytest.raises(ValueError) as caught:
         parse_json(text)
     assert type(caught.value) is ValueError and str(caught.value) == reason
+
+
+# Number texts for the shared parse: both zeros, the least subnormal, an
+# upper-case exponent, texts past the float range, integers and the repr of
+# any finite float. The fixed texts are drawn often, so texts repeat.
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["0.0", "-0.0", "5e-324", "1E5", "1e400", "-1e400",
+                     "0.5", "-2.5e-3", "1.0E+2", "0", "-0", "7"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers().map(str),
+)
+_JSON_TEXTS = st.recursive(
+    _NUMBER_TEXTS,
+    lambda children: st.one_of(
+        st.lists(children).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(children).map(
+            lambda items: "{" + ",".join(f'"k{i}":{x}' for i, x in enumerate(items)) + "}"
+        ),
+    ),
+)
+
+
+def _same(a: object, b: object) -> bool:
+    """Equal with the same type all the way down, floats by ``float.hex``,
+    so ``0.0`` and ``-0.0`` differ."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a.hex() == b.hex()
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+@settings(max_examples=fuzz_examples(300), deadline=None)
+@given(text=_JSON_TEXTS, bound=st.sampled_from([0, 1, 3, 65_536]))
+@example(text="[0.0, -0.0, 0.0, -0.0]", bound=65_536)
+@example(text="[5e-324, 1E5, 1e400, 1E5, 1e400, 7, 7]", bound=1)
+def test_shared_parse_equals_parse_json(text, bound):
+    """The memo of number texts, at its own bound and at smaller ones, parses
+    every document as ``parse_json`` does: same types, same floats bit for
+    bit, and it never holds more than its bound."""
+    memo = index._SharedFloats()
+    with mock.patch.object(index, "_SHARED_FLOATS", bound):
+        shared = parse_json(text, memo.__getitem__)
+    assert _same(shared, parse_json(text)) and len(memo) <= bound
+
+
+def test_saved_local_index_parses_to_one_float_per_distinct_component(
+    tmp_path, index_text, monkeypatch
+):
+    """The loader's parse of a saved local index shares one float object
+    among the components that spell the same number text."""
+    parsed = []
+    from_document = index._from_document
+
+    def spy(document):
+        rows = document["vectors"]["entries"].values()
+        parsed.append([x for row in rows for x in row])
+        return from_document(document)
+
+    monkeypatch.setattr(index, "_from_document", spy)
+    path = tmp_path / "index.json"
+    path.write_text(index_text, encoding="utf-8")
+    load_index(path)
+    [components] = parsed
+    distinct_texts = {repr(x) for x in components}
+    assert len(distinct_texts) < len(components)
+    assert len({id(x) for x in components}) == len(distinct_texts)
 
 
 def test_index_nested_as_deep_as_the_parser_allows_is_an_index_error(
