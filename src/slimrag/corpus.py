@@ -28,7 +28,7 @@ program, which every reader of a file or reply uses: :func:`read_lines`
 (a line ends at ``\n`` only; corpus, gazetteer and alias files, and the
 embedding cache's split) and :func:`parse_json` (how a JSON text fails to
 decode; corpus records, datasets, index files, cache lines and provider
-replies), with :func:`decode_utf8`, its rule for bytes.
+replies).
 """
 
 from __future__ import annotations
@@ -230,36 +230,25 @@ def read_lines(path: str | Path) -> Iterator[str]:
             yield text
 
 
-def decode_utf8(data: bytes) -> str:
-    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise ValueError
-    naming the reason and the first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
 def parse_json(
     text: str | bytes, parse_float: Callable[[str], object] | None = None
 ) -> object:
-    """``json.loads`` of ``text``, bytes decoded by :func:`decode_utf8`.
-    Every way the text can fail to decode raises ValueError with a short
-    reason: bytes that are not UTF-8, text that is not JSON, nesting past
-    the recursion limit, and an integer past the interpreter's digit limit
-    for ``int``.
+    """``json.loads`` of ``text``, bytes decoded as UTF-8. Every way the
+    text can fail to decode raises ValueError with a short reason: bytes
+    that are not UTF-8, text that is not JSON, nesting past the recursion
+    limit, and an integer past the interpreter's digit limit for ``int``.
 
     ``parse_float``, where given, is ``json``'s hook for the text of a
     number with a fraction or an exponent. Only
-    :func:`~slimrag.index.load_index` passes one, for a local index file
-    (a memo that gives each distinct number text one float); every other
-    reader (corpus lines, datasets, cache lines, provider replies) parses
-    with ``json.loads(text)`` as it is."""
-    if isinstance(text, bytes):  # rebound, so the bytes are freed before the parse
-        text = decode_utf8(text)
+    :func:`~slimrag.index.load_index` passes one (a memo that gives each
+    distinct number text one float); every other reader (corpus lines,
+    datasets, cache lines, provider replies) parses with the default."""
     try:
-        if parse_float is None:
-            return json.loads(text)
+        if isinstance(text, bytes):  # rebound, so the bytes are freed before the parse
+            text = text.decode("utf-8")
         return json.loads(text, parse_float=parse_float)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:

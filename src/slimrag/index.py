@@ -40,18 +40,15 @@ to identical bytes. ``_to_document`` and ``_vectors_json`` are the one
 description of the format: save serializes each member once,
 and load builds the index a file describes, re-serializes it and compares
 digests. Both stream the document in parts into the hash (and, for save,
-the file), so neither holds the whole text. A file that declares a local
-embedder id is parsed with one float object per distinct number text
-(``_parse_index``): a local embedder's components are a few quotients,
-so its file spells few distinct numbers (131 in 802,048 components of a
-3,133-entity index), and the shared floats halve the memory the parse
-takes. Any other file is parsed by ``json.loads`` as it is: a remote
-embedder's components are nearly all distinct, and a memo of them would
-only slow the parse. The entity vectors load into one float64 block in
-one pass over the parsed rows, which becomes the store's one postings
-block before the load returns, and so before any fork. They are
-serialized in slices of rows in entity order, each slice densified on its
-own from the store's blocks
+the file), so neither holds the whole text. A file is parsed with one
+float object per distinct number text (:class:`_SharedFloats`): a local
+embedder's components are a few quotients, so its file spells few
+distinct numbers (131 in 802,048 components of a 3,133-entity index),
+and the shared floats halve the memory the parse takes. The entity
+vectors load into one float64 block in one pass over the parsed rows,
+which becomes the store's one postings block before the load returns,
+and so before any fork. They are serialized in slices of rows in entity
+order, each slice densified on its own from the store's blocks
 (:meth:`~slimrag.embedding.EntityVectorStore.rows`), and each distinct
 component of a slice is written once (see ``_rows_json``). A file loads
 iff it parses into an index whose ``save_index`` form has the stored
@@ -89,7 +86,7 @@ from typing import BinaryIO, ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Chunk, Corpus, SegmentationPolicy, decode_utf8, parse_json
+from .corpus import Chunk, Corpus, SegmentationPolicy, parse_json
 from .embedding import (
     EmbedderConfig,
     EmbeddingCache,
@@ -410,39 +407,24 @@ def _from_document(document: dict) -> EntityIndex:
     TUIC, TCTC, the tokenizer, the vectors' embedder id) are not read:
     re-serializing the result shows whether they agree.
 
-    The entity vectors become one float64 block, built last in one pass
+    The entity vectors become one float64 block, built first in one pass
     over the rows (``_columns``): each row's length is checked, its norm
     taken from the parsed floats and the row packed into the block a
     packing block at a time. Each parsed row is popped as it is read, so
     the parsed lists are freed as the block fills. The first row's length
     is checked before the block is allocated, so a damaged dimension
-    cannot size it. The block is built last. That order was chosen so that
-    the chunks and posting sets were made while one float per component
-    still filled the allocator's pages. A local file's floats are now
-    shared, one per distinct number text (``_parse_index``), and either
-    order leaves the same memory after a load, within 0.3 MB. The store's
-    one postings block is made from the block, once."""
+    cannot size it. The store's one postings block is made from the block,
+    once. The chunks and posting sets are built after it: with the parse's
+    shared floats (:class:`_SharedFloats`), that order leaves about 4 MB
+    less resident after loading a remote-shaped index of 1,748 × 256
+    distinct components than building the block last, and as much or
+    less after loading a local one."""
     config_doc = document.pop("config")
     embedder = EmbedderConfig.from_id(str(config_doc["embedder_id"]))
     config = IndexConfig(
         segmentation=SegmentationPolicy.parse(str(config_doc["segmentation"])),
         extractor=ExtractorConfig(**config_doc["extractor"]),
         embedder=embedder,
-    )
-    chunk_catalog = {
-        chunk_id: Chunk(chunk["doc_id"], chunk["position"], chunk["text"])
-        for chunk_id, chunk in document.pop("chunk_catalog").items()
-    }
-    inverted_map = {
-        entity: frozenset(map(str, ids))
-        for entity, ids in document.pop("inverted_map").items()
-    }
-    accounting = TokenAccounting(
-        tctc=sum(chunk.token_count for chunk in chunk_catalog.values()),
-        breakdown={
-            label: int(tokens)
-            for label, tokens in document.pop("accounting")["breakdown"].items()
-        },
     )
     vectors_doc = document.pop("vectors")
     dimension = int(vectors_doc["dimension"])
@@ -461,6 +443,21 @@ def _from_document(document: dict) -> EntityIndex:
         (entries.pop(name) for name in names), len(names), dimension
     )
     vectors = EntityVectorStore(dimension).extended(names, block, norms)
+    chunk_catalog = {
+        chunk_id: Chunk(chunk["doc_id"], chunk["position"], chunk["text"])
+        for chunk_id, chunk in document.pop("chunk_catalog").items()
+    }
+    inverted_map = {
+        entity: frozenset(map(str, ids))
+        for entity, ids in document.pop("inverted_map").items()
+    }
+    accounting = TokenAccounting(
+        tctc=sum(chunk.token_count for chunk in chunk_catalog.values()),
+        breakdown={
+            label: int(tokens)
+            for label, tokens in document.pop("accounting")["breakdown"].items()
+        },
+    )
     return EntityIndex(config, inverted_map, vectors, chunk_catalog, accounting)
 
 
@@ -638,39 +635,24 @@ def save_index(index: EntityIndex, path: str | Path) -> None:
         handle.write(sha.hexdigest().encode("ascii"))
 
 
-# A canonical file of a local embedder spells this in its ``config`` and
-# ``vectors`` members. A quote cannot stand unescaped inside a JSON string,
-# so no chunk text or entity name can spell it.
-_LOCAL_MARKER = '"embedder_id":"local-hash/'
 _SHARED_FLOATS = 65_536  # entries a load's memo of number texts holds at most
 
 
 class _SharedFloats(dict):
     """A load's memo of number texts: each distinct text parses to one float,
-    shared by every component that spells it. Past ``_SHARED_FLOATS``
-    entries it stores no more, so however many distinct numbers a file
-    spells, its table and keys stay under about 6 MB. ``__getitem__`` is
-    the ``parse_float`` of :func:`_parse_index`."""
+    shared by every component that spells it. A local embedder's components
+    are a few quotients ``c/√S``, so its file spells few distinct numbers in
+    many components. Past ``_SHARED_FLOATS`` entries the memo stores no
+    more, so however many distinct numbers a file spells, as a remote
+    embedder's nearly all distinct components do, its table and keys stay
+    under about 6 MB. ``__getitem__`` is the ``parse_float`` of
+    :func:`load_index`."""
 
     def __missing__(self, text: str) -> float:
         value = float(text)
         if len(self) < _SHARED_FLOATS:
             self[text] = value
         return value
-
-
-def _parse_index(text: bytes) -> object:
-    """The parsed index file. A local embedder's components are a few
-    quotients ``c/√S``, so its file spells few distinct numbers in many
-    components: a file that declares a local embedder id
-    (``_LOCAL_MARKER``) is parsed with one float per distinct number text
-    (:class:`_SharedFloats`). Any other file, such as a remote embedder's
-    nearly all distinct floats, which the memo would only slow, is parsed
-    by ``json.loads(text)`` as it is. A local file that is not canonical
-    and so misses the marker still loads, without the sharing."""
-    text = decode_utf8(text)  # rebound, so the bytes are freed before the parse
-    shared = _SharedFloats().__getitem__ if _LOCAL_MARKER in text else None
-    return parse_json(text, shared)
 
 
 def load_index(path: str | Path) -> EntityIndex:
@@ -680,7 +662,7 @@ def load_index(path: str | Path) -> EntityIndex:
     schema. The result's entity vectors are one postings block (see
     ``_from_document``)."""
     try:
-        document = _parse_index(Path(path).read_bytes())
+        document = parse_json(Path(path).read_bytes(), _SharedFloats().__getitem__)
     except ValueError as exc:
         raise IndexIntegrityError(f"index file is not UTF-8 JSON: {exc}") from None
     if not isinstance(document, dict):

@@ -399,9 +399,12 @@ class TestPersistence:
             [x.hex() for x in row] for row in file_rows
         ]
 
-    @staticmethod
-    def _recorded_memos(monkeypatch) -> list:
-        """Each memo of number texts a load makes from now on."""
+    def test_local_file_past_the_memo_bound_loads_and_resaves_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """A local file with more distinct components than the memo holds:
+        the memo stops at its bound, and the file loads and saves back
+        byte for byte."""
         memos = []
 
         class Recorded(index_module._SharedFloats):
@@ -410,16 +413,7 @@ class TestPersistence:
                 memos.append(self)
 
         monkeypatch.setattr(index_module, "_SharedFloats", Recorded)
-        return memos
-
-    def test_local_file_past_the_memo_bound_loads_and_resaves_identically(
-        self, tmp_path, monkeypatch
-    ):
-        """A local file with more distinct components than the memo holds:
-        the memo stops at its bound, and the file loads and saves back
-        byte for byte."""
         monkeypatch.setattr(index_module, "_SHARED_FLOATS", 4)
-        memos = self._recorded_memos(monkeypatch)
         path = tmp_path / "index.json"
         save_index(_SMALL_INDEX, path)
         rows = json.loads(path.read_text())["vectors"]["entries"].values()
@@ -431,22 +425,6 @@ class TestPersistence:
         resaved = tmp_path / "resaved.json"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
-
-    def test_remote_file_is_parsed_without_the_memo(self, tmp_path, monkeypatch):
-        """A remote embedder's file is parsed by ``json.loads`` as it is: the
-        load makes no memo of number texts."""
-        rng = random.Random(5)
-
-        def stub(texts, model):
-            return [[rng.random() for _ in range(4)] for _ in texts]
-
-        monkeypatch.setattr(remote, "embed_batch", stub)
-        index = build_index(_small_corpus(), LOCAL, EmbedderConfig(provider="remote"))
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        memos = self._recorded_memos(monkeypatch)
-        assert load_index(path) == index
-        assert memos == []
 
     def test_remote_vectors_load_into_one_block(self, tmp_path, monkeypatch):
         """Nearly all distinct components: the loaded store's one block
